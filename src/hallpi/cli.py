@@ -22,7 +22,7 @@ from .perm_engine import (
     brute_property,
     construct_named,
 )
-from .verifier import load_grid, run_suite
+from .verifier import _SCAN_PRIMES, load_grid, run_suite
 
 _PROP_MAP = {"epi": "E", "cpi": "C", "dpi": "D", "upi": "U", "star": "star"}
 _DECIDERS = {"E": decide_epi, "C": decide_cpi, "D": decide_dpi, "U": decide_upi}
@@ -58,7 +58,22 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as f:
-        return json.load(f)
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise ValueError("the config file must hold a JSON object")
+    return config
+
+
+def _order_cap(args, config: dict) -> int:
+    """The order cap: --max-order, else the config's max_group_order, else
+    the default.  Anything but a positive integer is an input error."""
+    if args.max_order is not None:
+        cap, source = args.max_order, "--max-order"
+    else:
+        cap, source = config.get("max_group_order", DEFAULT_MAX_ORDER), "max_group_order"
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ValueError(f"{source} must be a positive integer, got {cap!r}")
+    return cap
 
 
 def build_parser() -> _Parser:
@@ -140,9 +155,6 @@ def _cmd_brute(args, max_order: int) -> int:
     return 0 if holds else 1
 
 
-_SCAN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-
-
 def _cmd_scan(args) -> int:
     qs = _parse_range(args.q)
     ns = _parse_range(args.n) if args.n else [None]
@@ -193,14 +205,13 @@ def _cmd_verify(args, max_order: int) -> int:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = {}
     try:
         config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"hallpi: cannot read config: {exc}", file=sys.stderr)
         return 3
-    max_order = args.max_order or config.get("max_group_order", DEFAULT_MAX_ORDER)
     try:
+        max_order = _order_cap(args, config)
         if args.command == "decide":
             return _cmd_decide(args)
         if args.command == "brute":

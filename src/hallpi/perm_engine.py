@@ -1,21 +1,39 @@
 """Concrete permutation-group computation.
 
-Schreier-Sims base and strong generating sets, full subgroup-lattice
-enumeration up to conjugacy for groups below a hard order cap, and direct
-brute-force evaluation of the Hall properties E, C, D, U and the
-normal-abelian-tail property ("star") on those lattices.
+Schreier-Sims base and strong generating sets, subgroup enumeration up to
+conjugacy, and direct brute-force evaluation of the Hall properties E, C,
+D, U and the normal-abelian-tail property ("star").
 
 Permutations are tuples mapping point i to its image; products compose
-left-to-right (apply a, then b).
+left-to-right (apply a, then b).  Subgroup search indexes the elements as
+positions in the sorted ``elements()`` and multiplies through integer maps;
+a subgroup is a frozenset of indices.  All of it is built on the first
+subgroup query and cached on the group.
+
+One cyclic-extension routine joins class members with cyclic subgroups of
+prime-power order, and each query enumerates only what it needs:
+
+- ``enumerate_subgroups``: the full lattice, from the trivial group.
+- ``pi_subgroups`` (E, C, D and star): the pi-subgroups only, joining
+  cyclic subgroups of pi-prime-power order and dropping a join once it
+  passes |G|_pi or when its order is not a pi-number.
+- ``hall_overgroups`` (U): the subgroups containing one pi-Hall subgroup,
+  extended from it; U tests D inside each against the pi-subgroups.
+
+Every entry point is complete-or-refuse: it raises ``OrderLimitError``
+before any work when |G| exceeds the order cap (``DEFAULT_MAX_ORDER``
+unless raised explicitly), and never truncates.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import prod
+from functools import cached_property
+from math import lcm, prod
 
-from .arith import PrimeSet, is_prime, pi_part
+from .arith import PrimeSet, pi_part
+from .lie_catalog import _prime_power
 
 __all__ = [
     "Perm",
@@ -28,13 +46,13 @@ __all__ = [
     "pinv",
     "perm_from_cycles",
     "perm_to_cycles",
-    "bsgs_construct",
     "construct_named",
     "enumerate_subgroups",
+    "pi_subgroups",
     "pi_hall_subgroups",
+    "hall_overgroups",
     "maximal_pi_subgroups",
     "brute_property",
-    "brute_d_via_hall_containment",
     "lattice_dump",
 ]
 
@@ -75,12 +93,17 @@ def _check_perm(images, degree: int) -> Perm:
 
 
 def perm_order(a: Perm) -> int:
+    """Least common multiple of the cycle lengths."""
     n = 1
-    x = a
-    e = identity(len(a))
-    while x != e:
-        x = pmul(x, a)
-        n += 1
+    seen = bytearray(len(a))
+    for i in range(len(a)):
+        length, j = 0, i
+        while not seen[j]:
+            seen[j] = 1
+            j = a[j]
+            length += 1
+        if length:
+            n = lcm(n, length)
     return n
 
 
@@ -215,7 +238,8 @@ class PermGroup:
         self.base, self._transversals = _schreier_sims(degree, self.generators)
         self.order: int = prod(len(t) for t in self._transversals) if self.base else 1
         self._elements: list[Perm] | None = None
-        self._lattice: list["SubgroupClass"] | None = None
+        self._index: _Index | None = None
+        self._subgroups: dict = {}  # cached lattice, pi-posets and overgroups
 
     def contains(self, p) -> bool:
         g = _check_perm(p, self.degree)
@@ -253,11 +277,6 @@ class PermGroup:
         return f"<{label} degree={self.degree} order={self.order}>"
 
 
-def bsgs_construct(degree: int, generators) -> PermGroup:
-    """Build a PermGroup (BSGS, exact order, membership test)."""
-    return PermGroup(degree, generators)
-
-
 # ---------------------------------------------------------------------------
 # named constructions
 
@@ -267,13 +286,22 @@ class _GF:
 
     def __init__(self, p: int, f: int):
         self.p, self.f, self.q = p, f, p**f
-        self.modpoly = self._find_irreducible() if f > 1 else ()
-        self._mul = {}
-        for a in range(self.q):
-            for b in range(a, self.q):
-                v = self._polymul(a, b)
-                self._mul[(a, b)] = v
-                self._mul[(b, a)] = v
+        # Reduce modulo the first monic x^f + tail, in lex order of the
+        # tail, modulo which some element has multiplicative order q - 1.
+        # Only a field has one, so that is the first irreducible polynomial.
+        for tail in range(self.q if f > 1 else 1):
+            self.modpoly = tuple(self._digits(tail)) if f > 1 else ()
+            if any((c**f + sum(m * c**i for i, m in enumerate(self.modpoly))) % p == 0
+                   for c in range(p if f > 1 else 0)):
+                continue  # a root: reducible, skip before building the table
+            self._mul = {}
+            for a in range(self.q):
+                for b in range(a, self.q):
+                    self._mul[(a, b)] = self._mul[(b, a)] = self._polymul(a, b)
+            self.primitive = self._primitive()
+            if self.primitive is not None:
+                return
+        raise AssertionError("no irreducible polynomial found")
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -287,46 +315,6 @@ class _GF:
         for d in reversed(digits):
             v = v * self.p + d
         return v
-
-    def _find_irreducible(self) -> tuple[int, ...]:
-        # monic x^f + c_{f-1} x^{f-1} + ... + c_0; first one in lex order
-        for tail in range(self.p**self.f):
-            coeffs = self._digits(tail)  # low to high
-            if self._is_irreducible(coeffs):
-                return tuple(coeffs)
-        raise AssertionError("no irreducible polynomial found")
-
-    def _is_irreducible(self, coeffs: list[int]) -> bool:
-        # no root / no factor: trial division by all monic polys of deg < f
-        full = coeffs + [1]
-        for deg in range(1, self.f):
-            for tail in range(self.p**deg):
-                div = self._digits_n(tail, deg) + [1]
-                if self._polydivides(div, full):
-                    return False
-        return True
-
-    def _digits_n(self, a: int, n: int) -> list[int]:
-        out = []
-        for _ in range(n):
-            out.append(a % self.p)
-            a //= self.p
-        return out
-
-    def _polydivides(self, d: list[int], n: list[int]) -> bool:
-        n = list(n)
-        while len(n) >= len(d) and any(n):
-            while n and n[-1] == 0:
-                n.pop()
-            if len(n) < len(d):
-                break
-            shift = len(n) - len(d)
-            lead = n[-1]  # divisor is monic
-            for i, c in enumerate(d):
-                n[shift + i] = (n[shift + i] - lead * c) % self.p
-        while n and n[-1] == 0:
-            n.pop()
-        return not n
 
     def _polymul(self, a: int, b: int) -> int:
         da, db = self._digits(a), self._digits(b)
@@ -362,15 +350,14 @@ class _GF:
                 return b
         raise AssertionError
 
-    def primitive(self) -> int:
-        for a in range(2, self.q):
+    def _primitive(self) -> int | None:
+        for a in range(1, self.q):
             x, n = a, 1
-            while x != 1:
-                x = self.mul(x, a)
-                n += 1
-            if n == self.q - 1:
+            while x != 1 and n < self.q:
+                x, n = self.mul(x, a), n + 1
+            if x == 1 and n == self.q - 1:
                 return a
-        raise AssertionError("no primitive element")
+        return None
 
 
 def _psl2(q: int) -> PermGroup:
@@ -380,7 +367,7 @@ def _psl2(q: int) -> PermGroup:
     Generated by x -> x+1, x -> l^2 x (l primitive) and x -> -1/x; the
     squared multiplier keeps the scaling inside PSL rather than PGL.
     """
-    p, f = _split_prime_power(q)
+    p, f = _prime_power(q)
     gf = _GF(p, f)
     infinity = q
     points = list(range(q))
@@ -398,7 +385,7 @@ def _psl2(q: int) -> PermGroup:
 
     gens = [tuple(trans), tuple(inv)]
     if q > 3:
-        lam2 = gf.mul(gf.primitive(), gf.primitive())
+        lam2 = gf.mul(gf.primitive, gf.primitive)
         scale = [gf.mul(lam2, e) for e in points] + [infinity]
         gens.append(tuple(scale))
 
@@ -407,20 +394,6 @@ def _psl2(q: int) -> PermGroup:
     if G.order != expected:
         raise AssertionError(f"psl2:{q} construction has order {G.order}, expected {expected}")
     return G
-
-
-def _split_prime_power(v: int) -> tuple[int, int]:
-    if v < 2:
-        raise ValueError(f"{v} is not a prime power")
-    p = next(d for d in range(2, v + 1) if v % d == 0)
-    f = 0
-    rest = v
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    if rest != 1:
-        raise ValueError(f"{v} is not a prime power")
-    return p, f
 
 
 _NAMED_CACHE: dict[str, PermGroup] = {}
@@ -520,151 +493,270 @@ def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
 
 
 # ---------------------------------------------------------------------------
-# subgroup lattice
+# integer-indexed elements
 
 
-@dataclass
+def _compact(values):
+    """An index map as ``array('I')``.  The array module is imported here,
+    on the first subgroup query, so commands that never search subgroups
+    do not load it."""
+    from array import array
+
+    return array("I", values)
+
+
+class _Index:
+    """The elements of a group as indices into its sorted ``elements()``,
+    with multiplication through compact integer maps, one entry per
+    element.  Maps are cached; the object lives as long as its group."""
+
+    def __init__(self, G: PermGroup):
+        perms = G.elements()
+        n = len(perms)
+        self.perms = perms
+        self.size = n
+        self.degree = G.degree
+        self.where = where = {p: i for i, p in enumerate(perms)}
+        self.trivial = frozenset([0])  # the identity sorts first
+        self.whole = frozenset(range(n))
+        self.gens = [where[g] for g in G.generators]
+        self._gen_perms = G.generators
+        self._rmul = [_compact([where[pmul(p, g)] for p in perms]) for g in G.generators]
+        # Breadth-first tree of the elements under right multiplication by
+        # the generators.  Each level is cut into blocks, one per generator;
+        # a block lists its nodes' parents by position in the tree order, and
+        # every parent lies in an earlier level.
+        order = [0]
+        seen = bytearray(n)
+        seen[0] = 1
+        self._blocks: list[tuple[int, list[int]]] = []
+        start = 0
+        while start < len(order):
+            end = len(order)
+            for gi, r in enumerate(self._rmul):
+                parents = []
+                for k in range(start, end):
+                    j = r[order[k]]
+                    if not seen[j]:
+                        seen[j] = 1
+                        order.append(j)
+                        parents.append(k)
+                if parents:
+                    self._blocks.append((gi, parents))
+            start = end
+        self._position = [0] * n
+        for k, i in enumerate(order):
+            self._position[i] = k
+        self._lmul: dict = {}
+        self._conj: dict = {}
+
+    def _walk(self, start: int, maps):
+        """Map of e -> f(e) with f(identity) = start and
+        f(parent * g) = maps[g][f(parent)] along the tree."""
+        out = [start]
+        for gi, parents in self._blocks:
+            out.extend(map(maps[gi].__getitem__, map(out.__getitem__, parents)))
+        return _compact(map(out.__getitem__, self._position))
+
+    def lmul(self, x: int):
+        """Left multiplication by x: i -> index of x * elements[i]."""
+        m = self._lmul.get(x)
+        if m is None:
+            m = self._lmul[x] = self._walk(x, self._rmul)
+        return m
+
+    @cached_property
+    def inv(self):
+        """Inversion: (e * g)^-1 = g^-1 * e^-1 along the tree."""
+        return self._walk(0, [self.lmul(self.where[pinv(g)]) for g in self._gen_perms])
+
+    def conj(self, y: int):
+        """Conjugation by y: i -> index of y^-1 * elements[i] * y."""
+        m = self._conj.get(y)
+        if m is None:
+            inv, left = self.inv, self.lmul(self.inv[y])
+            # e * y = (y^-1 * e^-1)^-1, so y^-1 q y = inv[left[inv[left[q]]]]
+            m = self._conj[y] = _compact(
+                map(inv.__getitem__, map(left.__getitem__, map(inv.__getitem__, left)))
+            )
+        return m
+
+    def join(self, R: frozenset, gens: list[int], limit: int) -> frozenset | None:
+        """The subgroup generated by ``gens``, which contains the subgroup R;
+        None once it has more than ``limit`` elements.  A subgroup with more
+        than half of the elements is the whole group."""
+        maps = [self.lmul(g) for g in gens]
+        K = set(R)
+        cosets = [list(R)]  # left cosets w * R, which partition K
+        for coset in cosets:
+            for m in maps:
+                if m[coset[0]] in K:
+                    continue
+                new = list(map(m.__getitem__, coset))
+                K.update(new)
+                if len(K) > limit:
+                    return None
+                if 2 * len(K) > self.size:
+                    return self.whole
+                cosets.append(new)
+        return frozenset(K)
+
+    def orbit(self, K: frozenset, gens: list[int]) -> dict[frozenset, None]:
+        """Conjugates of K under the group generated by ``gens``, in the
+        order found."""
+        maps = [self.conj(g) for g in gens]
+        orb = {K: None}
+        stack = [K]
+        while stack:
+            A = stack.pop()
+            for m in maps:
+                B = frozenset(map(m.__getitem__, A))
+                if B not in orb:
+                    orb[B] = None
+                    stack.append(B)
+        return orb
+
+    def reduce(self, K: frozenset) -> list[int]:
+        """Deterministic small generating set of the subgroup K: each
+        element of K, in index order, not yet generated."""
+        gens: list[int] = []
+        cur = self.trivial
+        for x in sorted(K):
+            if len(cur) == len(K):
+                break
+            if x not in cur:
+                gens.append(x)
+                cur = self.join(cur, gens, self.size)
+        return gens
+
+    @cached_property
+    def cyclics(self) -> list[tuple[int, int]]:
+        """(prime, generator) for every cyclic subgroup of prime-power order,
+        ordered by the subgroup's size and then its sorted elements."""
+        perms, where = self.perms, self.where
+        is_generator = bytearray(self.size)
+        prime_of: dict[int, int | None] = {}
+        found = []
+        for i in range(1, self.size):
+            if is_generator[i]:
+                continue
+            x = perms[i]
+            o = perm_order(x)
+            if o not in prime_of:
+                try:
+                    prime_of[o] = _prime_power(o)[0]
+                except ValueError:
+                    prime_of[o] = None
+            p = prime_of[o]
+            if p is None:
+                continue
+            powers = [0]
+            y = x
+            while len(powers) < o:
+                powers.append(where[y])
+                y = pmul(y, x)
+            for k in range(1, o):
+                if k % p:
+                    is_generator[powers[k]] = 1
+            found.append((o, sorted(powers), p, i))
+        found.sort()
+        return [(p, i) for _, _, p, i in found]
+
+
+def _index(G: PermGroup) -> _Index:
+    if G._index is None:
+        G._index = _Index(G)
+    return G._index
+
+
+# ---------------------------------------------------------------------------
+# cyclic extension
+
+
+@dataclass(eq=False)
 class SubgroupClass:
-    """A conjugacy class of subgroups: canonical representative, exact
-    order and class size.  Element sets are kept for engine-internal use."""
+    """A conjugacy class of subgroups: exact order, class size and members.
 
-    representative: PermGroup
+    Members are frozensets of element indices (positions in
+    ``G.elements()``).  ``rep_set`` is the canonical member, the least as a
+    sorted index list; ``representative`` is it as a PermGroup.  ``member``
+    and ``member_gens`` are the member the search extends and the element
+    indices that generate it."""
+
     order: int
     class_size: int
     rep_set: frozenset = field(repr=False)
-    orbit: tuple = field(repr=False)  # all conjugate element sets
+    orbit: tuple = field(repr=False)  # all members
+    member: frozenset = field(repr=False)
+    member_gens: list = field(repr=False)
+    _ix: _Index = field(repr=False)
+
+    @cached_property
+    def generators(self) -> list[Perm]:
+        """Deterministic small generating set of ``rep_set``."""
+        return [self._ix.perms[i] for i in self._ix.reduce(self.rep_set)]
+
+    @cached_property
+    def representative(self) -> PermGroup:
+        return PermGroup(self._ix.degree, self.generators)
 
 
-def _conj_set(K: frozenset, g: Perm, gi: Perm) -> frozenset:
-    return frozenset(pmul(pmul(gi, k), g) for k in K)
+def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
+            limit: int, keep) -> list[SubgroupClass]:
+    """Cyclic extension (Neubueser): the classes of subgroups reached from
+    the subgroup ``start``, generated by ``gens``, by joining a member of a
+    class found so far with one of the cyclic subgroups generated by
+    ``cyclics``.  A join with more than ``limit`` elements, or whose order
+    fails ``keep``, is dropped.
 
-
-def _subgroup_orbit(K: frozenset, gens: list[Perm]) -> dict[frozenset, Perm]:
-    ident = identity(len(next(iter(K))))
-    inv = {g: pinv(g) for g in gens}
-    orb = {K: ident}
-    queue = [K]
-    while queue:
-        A = queue.pop()
-        gA = orb[A]
-        for g in gens:
-            B = _conj_set(A, g, inv[g])
-            if B not in orb:
-                orb[B] = pmul(gA, g)
-                queue.append(B)
-    return orb
-
-
-def _coset_closure(H: frozenset, H_gens: list[Perm], x: Perm) -> frozenset:
-    """Element set of the join of subgroup H (given with generators) and x."""
-    ident = identity(len(x))
-    gens = list(H_gens) + [x]
-    elems = set(H)
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for g in gens:
-                wg = pmul(w, g)
-                if wg not in elems:
-                    elems.update(pmul(h, wg) for h in H)
-                    nxt.append(wg)
-        frontier = nxt
-    return frozenset(elems)
-
-
-def _reduce_generators(K: frozenset) -> list[Perm]:
-    """Deterministic small generating set for a subgroup element set."""
-    degree = len(next(iter(K)))
-    ident = identity(degree)
-    gens: list[Perm] = []
-    cur = {ident}
-    for x in sorted(K):
-        if x in cur:
-            continue
-        gens.append(x)
-        cur = set(_coset_closure(frozenset(cur), gens[:-1], x))
-        if len(cur) == len(K):
-            break
-    return gens
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    try:
-        _split_prime_power(n)
-        return True
-    except ValueError:
-        return False
-
-
-def _build_lattice(G: PermGroup, limit: int) -> list[SubgroupClass]:
-    if G.order > limit:
-        raise OrderLimitError(
-            f"group order {G.order} exceeds the enumeration cap {limit}; "
-            "raise the cap explicitly to proceed"
-        )
-    ident = identity(G.degree)
-    elems = G.elements()
-
-    # prime-power-order cyclic subgroups, each with one generator
-    cyclics: dict[frozenset, Perm] = {}
-    for x in elems:
-        if x == ident:
-            continue
-        o = perm_order(x)
-        if not _is_prime_power(o):
-            continue
-        powers = [ident]
-        y = x
-        while y != ident:
-            powers.append(y)
-            y = pmul(y, x)
-        fs = frozenset(powers)
-        if fs not in cyclics:
-            cyclics[fs] = x
-    cyclic_list = sorted(cyclics.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-
-    classes: list[dict] = []
+    The search is complete for the subgroups K >= start with every step of
+    some chain start < <start, x_1> < ... < K kept: one member per class is
+    extended by every cyclic subgroup, so K's class is reached through the
+    class of the previous step of the chain."""
+    found: list[tuple[frozenset, list[int], dict]] = []
     seen: set[frozenset] = set()
 
-    def add_class(K: frozenset, gens: list[Perm]) -> None:
-        orbit = _subgroup_orbit(K, G.generators)
-        rep = min(orbit, key=lambda s: tuple(sorted(s)))
-        conj = orbit[rep]
-        ci = pinv(conj)
-        rep_gens = [pmul(pmul(ci, g), conj) for g in gens]
-        classes.append({"rep": rep, "gens": rep_gens, "orbit": orbit})
+    def add(K: frozenset, K_gens: list[int]) -> None:
+        orbit = ix.orbit(K, ix.gens)
         seen.update(orbit)
+        found.append((K, K_gens, orbit))
 
-    add_class(frozenset([ident]), [])
-    i = 0
-    while i < len(classes):
-        H = classes[i]
-        for fs_c, x in cyclic_list:
-            if fs_c <= H["rep"]:
+    add(start, gens)
+    for K, K_gens, _ in found:  # grows while it is read
+        for x in cyclics:
+            if x in K:
                 continue
-            K = _coset_closure(H["rep"], H["gens"], x)
-            if K in seen:
+            J = ix.join(K, K_gens + [x], limit)
+            if J is None or J in seen:
                 continue
-            add_class(K, H["gens"] + [x])
-        i += 1
+            if keep(len(J)):
+                add(J, K_gens + [x])
+            else:
+                seen.add(J)
 
-    out = []
-    for cls in sorted(classes, key=lambda c: (len(c["rep"]), tuple(sorted(c["rep"])))):
-        gens = _reduce_generators(cls["rep"])
-        rep_group = PermGroup(G.degree, gens)
-        out.append(
-            SubgroupClass(
-                representative=rep_group,
-                order=len(cls["rep"]),
-                class_size=len(cls["orbit"]),
-                rep_set=cls["rep"],
-                orbit=tuple(cls["orbit"].keys()),
-            )
+    classes = []
+    for K, K_gens, orbit in found:
+        rep = min(orbit, key=sorted)
+        classes.append(SubgroupClass(len(K), len(orbit), rep, tuple(orbit), K, K_gens, ix))
+    classes.sort(key=lambda c: (c.order, sorted(c.rep_set)))
+    return classes
+
+
+def _cached(G: PermGroup, order_bound: int, key, build) -> list[SubgroupClass]:
+    """The subgroup classes ``build`` finds, cached on G under ``key``.
+    Complete-or-refuse: raises before any work when |G| exceeds the bound."""
+    if G.order > order_bound:
+        raise OrderLimitError(
+            f"group order {G.order} exceeds the enumeration cap {order_bound}; "
+            "raise the cap explicitly to proceed"
         )
-    return out
+    if key not in G._subgroups:
+        G._subgroups[key] = build(_index(G))
+    return G._subgroups[key]
+
+
+def _primes(G: PermGroup, pi) -> tuple[int, ...]:
+    return tuple(p for p in pi if G.order % p == 0)
 
 
 def enumerate_subgroups(G: PermGroup, order_bound: int = DEFAULT_MAX_ORDER) -> list[SubgroupClass]:
@@ -672,51 +764,22 @@ def enumerate_subgroups(G: PermGroup, order_bound: int = DEFAULT_MAX_ORDER) -> l
 
     Refuses (never truncates) when |G| exceeds the bound.
     """
-    if G.order > order_bound:
-        raise OrderLimitError(
-            f"group order {G.order} exceeds the enumeration cap {order_bound}; "
-            "raise the cap explicitly to proceed"
-        )
-    if G._lattice is None:
-        G._lattice = _build_lattice(G, order_bound)
-    return G._lattice
+    return _cached(G, order_bound, "lattice", lambda ix: _extend(
+        ix, ix.trivial, [], [x for _, x in ix.cyclics], ix.size, lambda n: True
+    ))
 
 
-def lattice_dump(G: PermGroup, order_bound: int = DEFAULT_MAX_ORDER) -> str:
-    lines = []
-    for cls in enumerate_subgroups(G, order_bound):
-        gens = ";".join(perm_to_cycles(g) for g in cls.representative.generators) or "()"
-        lines.append(f"order={cls.order} class_size={cls.class_size} gens={gens}")
-    return "\n".join(lines)
+def pi_subgroups(G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER) -> list[SubgroupClass]:
+    """Conjugacy classes of pi-subgroups, canonically ordered.
 
-
-# ---------------------------------------------------------------------------
-# brute-force Hall properties
-
-
-def _odd_part_primes(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def group_prime_divisors(order: int) -> list[int]:
-    return _odd_part_primes(order)
-
-
-def _is_pi_number(n: int, pi) -> bool:
-    for p in pi:
-        while n % p == 0:
-            n //= p
-    return n == 1
+    Only cyclic subgroups of pi-prime-power order are joined, and a join is
+    dropped once it passes |G|_pi or when its order is not a pi-number.
+    """
+    primes = _primes(G, pi)
+    return _cached(G, order_bound, ("pi", primes), lambda ix: _extend(
+        ix, ix.trivial, [], [x for p, x in ix.cyclics if p in primes],
+        pi_part(G.order, primes), lambda n: pi_part(n, primes) == n,
+    ))
 
 
 def pi_hall_subgroups(
@@ -724,15 +787,29 @@ def pi_hall_subgroups(
 ) -> list[SubgroupClass]:
     """Classes whose order is the full pi-part of |G|."""
     target = pi_part(G.order, pi)
-    return [c for c in enumerate_subgroups(G, order_bound) if c.order == target]
+    return [c for c in pi_subgroups(G, pi, order_bound) if c.order == target]
+
+
+def hall_overgroups(
+    G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER
+) -> list[SubgroupClass]:
+    """Classes of subgroups containing a conjugate of a pi-Hall subgroup H,
+    canonically ordered; empty when G has none.  Every ``member`` contains
+    H itself."""
+    halls = pi_hall_subgroups(G, pi, order_bound)
+    if not halls:
+        return []
+    H = halls[0]
+    return _cached(G, order_bound, ("over", _primes(G, pi)), lambda ix: _extend(
+        ix, H.member, H.member_gens, [x for _, x in ix.cyclics], ix.size, lambda n: True
+    ))
 
 
 def maximal_pi_subgroups(
     G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER
 ) -> list[SubgroupClass]:
     """Classes of pi-subgroups maximal under inclusion up to conjugacy."""
-    lattice = enumerate_subgroups(G, order_bound)
-    pi_classes = [c for c in lattice if _is_pi_number(c.order, pi)]
+    pi_classes = pi_subgroups(G, pi, order_bound)
     maximal = []
     for c in pi_classes:
         dominated = any(
@@ -744,57 +821,47 @@ def maximal_pi_subgroups(
     return maximal
 
 
+def lattice_dump(G: PermGroup, order_bound: int = DEFAULT_MAX_ORDER) -> str:
+    lines = []
+    for cls in enumerate_subgroups(G, order_bound):
+        gens = ";".join(perm_to_cycles(g) for g in cls.generators) or "()"
+        lines.append(f"order={cls.order} class_size={cls.class_size} gens={gens}")
+    return "\n".join(lines)
+
+
+# ---------------------------------------------------------------------------
+# brute-force Hall properties
+
+
 def _class_label(c: SubgroupClass) -> dict:
     return {
         "order": c.order,
         "class_size": c.class_size,
-        "gens": [perm_to_cycles(g) for g in c.representative.generators],
+        "gens": [perm_to_cycles(g) for g in c.generators],
     }
 
 
-def _set_label(s: frozenset) -> dict:
-    return {"order": len(s), "gens": [perm_to_cycles(g) for g in _reduce_generators(s)]}
+def _set_label(ix: _Index, s: frozenset) -> dict:
+    return {"order": len(s), "gens": [perm_to_cycles(ix.perms[i]) for i in ix.reduce(s)]}
 
 
-def _d_within(
-    all_sets_by_class: list[tuple[SubgroupClass, tuple]],
-    M_set: frozenset,
-    M_gens: list[Perm],
-    pi,
-) -> tuple[bool, dict | None]:
-    """D property of the subgroup with element set M_set, conjugacy taken
-    inside that subgroup; uses the ambient group's full lattice."""
-    contained = [
-        s
-        for cls, orbit in all_sets_by_class
-        if _is_pi_number(cls.order, pi)
-        for s in orbit
-        if s <= M_set
-    ]
-    maximal = [s for s in contained if not any(s < t for t in contained)]
-    if len(maximal) <= 1:
-        return True, None
-    orb = _subgroup_orbit(maximal[0], M_gens)
-    for s in maximal[1:]:
-        if s not in orb:
-            return False, {
-                "overgroup": _set_label(M_set),
-                "witness_pair": [_set_label(maximal[0]), _set_label(s)],
-            }
-    return True, None
+def _is_abelian(c: SubgroupClass) -> bool:
+    gens, lmul = c.member_gens, c._ix.lmul
+    return all(lmul(a)[b] == lmul(b)[a] for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def brute_property(
     G: PermGroup, pi: PrimeSet, property: str, order_bound: int = DEFAULT_MAX_ORDER
 ) -> tuple[bool, dict | None]:
-    """Definitional evaluation of E, C, D, U or star on the subgroup lattice.
+    """Definitional evaluation of E, C, D, U or star.
 
-    Returns (holds, witness); the witness names the violating classes,
-    the violating overgroup, or the violating pi-subgroup.
+    E, C, D and star are read off the pi-subgroup poset; U also needs the
+    overgroups of one pi-Hall subgroup.  Returns (holds, witness); the
+    witness names the violating classes, the violating overgroup, or the
+    violating pi-subgroup.
     """
     if property not in ("E", "C", "D", "U", "star"):
         raise ValueError(f"unknown property {property!r}")
-    lattice = enumerate_subgroups(G, order_bound)
 
     if property in ("E", "C"):
         halls = pi_hall_subgroups(G, pi, order_bound)
@@ -812,78 +879,43 @@ def brute_property(
             return True, {"hall": _class_label(maximal[0])}
         return False, {"witness_pair": [_class_label(maximal[0]), _class_label(maximal[1])]}
 
+    pi_classes = pi_subgroups(G, pi, order_bound)
+    ix = _index(G)
+
     if property == "U":
         ok, witness = brute_property(G, pi, "D", order_bound)
         if not ok:
             return False, witness
-        halls = pi_hall_subgroups(G, pi, order_bound)
-        hall_orbit = halls[0].orbit
-        by_class = [(c, c.orbit) for c in lattice]
-        for cls in lattice:
-            if not any(h <= cls.rep_set for h in hall_orbit):
+        # D inside each proper overgroup M of the Hall subgroup: its maximal
+        # pi-subgroups, found among all of G's, are conjugate in M.
+        pi_sets = sorted((s for c in pi_classes for s in c.orbit), key=len, reverse=True)
+        for M in hall_overgroups(G, pi, order_bound):
+            if M.order == G.order:
                 continue
-            gens = cls.representative.generators or [identity(G.degree)]
-            ok, witness = _d_within(by_class, cls.rep_set, gens, pi)
-            if not ok:
-                return False, witness
+            maximal: list[frozenset] = []
+            for s in pi_sets:
+                if s <= M.member and not any(s <= t for t in maximal):
+                    maximal.append(s)
+            if len(maximal) == 1:
+                continue
+            orbit = ix.orbit(maximal[0], M.member_gens)
+            for s in maximal[1:]:
+                if s not in orbit:
+                    return False, {
+                        "overgroup": _set_label(ix, M.member),
+                        "witness_pair": [_set_label(ix, maximal[0]), _set_label(ix, s)],
+                    }
         return True, None
 
-    # star: every pi-subgroup has a normal abelian tau-Hall subgroup
+    # star: every pi-subgroup P has a normal abelian tau-Hall subgroup.  A
+    # normal tau-Hall subgroup contains every tau-subgroup of P, so P has one
+    # exactly when it has a single subgroup of order |P|_tau.
     inter = [t for t in pi if G.order % t == 0]
     tau = inter[1:]  # drop the smallest
-    all_sets = [s for c in lattice if _is_pi_number(c.order, pi) for s in c.orbit]
-    sets_pool = set(all_sets)
-    for cls in lattice:
-        if not _is_pi_number(cls.order, pi):
-            continue
-        P = cls.rep_set
+    class_of = {s: c for c in pi_classes for s in c.orbit}
+    for cls in pi_classes:
         target = pi_part(cls.order, tau)
-        candidates = [s for s in sets_pool if len(s) == target and s <= P]
-        p_gens = cls.representative.generators
-        found = False
-        for Q in candidates:
-            if not _is_normal_in(Q, p_gens):
-                continue
-            if not _is_abelian(Q):
-                continue
-            found = True
-            break
-        if not found:
+        inside = [s for s in class_of if len(s) == target and s <= cls.member]
+        if len(inside) != 1 or not _is_abelian(class_of[inside[0]]):
             return False, {"violating_pi_subgroup": _class_label(cls), "tau_target": target}
     return True, None
-
-
-def _is_normal_in(Q: frozenset, gens: list[Perm]) -> bool:
-    for g in gens:
-        gi = pinv(g)
-        if _conj_set(Q, g, gi) != Q:
-            return False
-    return True
-
-
-def _is_abelian(Q: frozenset) -> bool:
-    qs = list(Q)
-    for i, a in enumerate(qs):
-        for b in qs[i + 1 :]:
-            if pmul(a, b) != pmul(b, a):
-                return False
-    return True
-
-
-def brute_d_via_hall_containment(
-    G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER
-) -> bool:
-    """Alternative D definition: C holds and every pi-subgroup lies inside
-    a pi-Hall subgroup.  Used as an independent cross-check."""
-    ok, _ = brute_property(G, pi, "C", order_bound)
-    if not ok:
-        return False
-    lattice = enumerate_subgroups(G, order_bound)
-    halls = pi_hall_subgroups(G, pi, order_bound)
-    hall_orbit = halls[0].orbit
-    for cls in lattice:
-        if not _is_pi_number(cls.order, pi):
-            continue
-        if not any(cls.rep_set <= h for h in hall_orbit):
-            return False
-    return True

@@ -28,14 +28,8 @@ from .lie_catalog import (
     GroupSpecError,
     group_order,
     parse_group_id,
-    validate_simple,
 )
-from .perm_engine import (
-    DEFAULT_MAX_ORDER,
-    PermGroup,
-    brute_property,
-    construct_named,
-)
+from .perm_engine import DEFAULT_MAX_ORDER, brute_property, construct_named
 
 __all__ = [
     "CrossCheckReport",
@@ -117,21 +111,21 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
+def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
+    return [
+        (parse_group_id(case["group"]), PrimeSet(case["pi"]))
+        for case in json.loads(text)["cases"]
+    ]
+
+
 def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
     with open(path, encoding="utf-8") as f:
-        data = json.load(f)
-    return [
-        (parse_group_id(case["group"]), PrimeSet(case["pi"])) for case in data["cases"]
-    ]
+        return _parse_grid(f.read())
 
 
 def default_grid() -> list[tuple[GroupId, PrimeSet]]:
     """The pinned desk-scale grid shipped with the package."""
-    text = resources.files("hallpi.data").joinpath("default_grid.json").read_text()
-    data = json.loads(text)
-    return [
-        (parse_group_id(case["group"]), PrimeSet(case["pi"])) for case in data["cases"]
-    ]
+    return _parse_grid(resources.files("hallpi.data").joinpath("default_grid.json").read_text())
 
 
 def perm_realization(g: GroupId) -> str | None:
@@ -150,14 +144,13 @@ def _constructible(g: GroupId, order_bound: int):
     return construct_named(spec), None
 
 
-def cross_check_simple(
-    grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
-) -> CrossCheckReport:
-    """decide_dpi vs brute D and decide_epi vs brute E and C, per case."""
-    report = CrossCheckReport("cross")
+def _run_cases(suite, grid, order_bound, in_scope, check) -> CrossCheckReport:
+    """One case per grid point in scope whose group can be built;
+    ``check(g, pi, G)`` returns the case's verdict fields."""
+    report = CrossCheckReport(suite)
     for g, pi in grid:
         entry = {"group": g.spec(), "pi": list(pi)}
-        if 2 in pi:
+        if not in_scope(g, pi):
             report.out_of_scope.append(entry)
             continue
         G, reason = _constructible(g, order_bound)
@@ -165,103 +158,63 @@ def cross_check_simple(
             report.skipped.append({**entry, "reason": reason})
             continue
         t0 = time.perf_counter()
+        case = {**entry, **check(g, pi, G)}
+        case["runtime"] = round(time.perf_counter() - t0, 4)
+        report.cases.append(case)
+    return report
+
+
+def _implied_by_d(prop: str, label: str, order_bound: int):
+    """Check that brute D true implies brute ``prop`` true."""
+
+    def check(g, pi, G) -> dict:
+        if not brute_property(G, pi, "D", order_bound)[0]:
+            return {"agree": True, "detail": "d=False (vacuous)"}
+        holds, witness = brute_property(G, pi, prop, order_bound)
+        case = {"agree": holds, "detail": f"d=True {label}={holds}"}
+        if not holds:
+            case["counterexample"] = witness
+        return case
+
+    return check
+
+
+def cross_check_simple(
+    grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
+) -> CrossCheckReport:
+    """decide_dpi vs brute D and decide_epi vs brute E and C, per case."""
+
+    def check(g, pi, G) -> dict:
         oracle_d = decide_dpi(g, pi)
         oracle_e = decide_epi(g, pi)
         brute_d, _ = brute_property(G, pi, "D", order_bound)
         brute_e, _ = brute_property(G, pi, "E", order_bound)
         brute_c, _ = brute_property(G, pi, "C", order_bound)
-        agree = (
-            oracle_d.yes == brute_d
-            and oracle_e.yes == brute_e
-            and oracle_e.yes == brute_c
-        )
-        report.cases.append(
-            {
-                **entry,
-                "oracle": {"dpi": oracle_d.holds, "epi": oracle_e.holds},
-                "brute": {"dpi": brute_d, "epi": brute_e, "cpi": brute_c},
-                "agree": agree,
-                "detail": f"oracle d={oracle_d.holds}/e={oracle_e.holds} "
-                f"brute d={brute_d}/e={brute_e}/c={brute_c}",
-                "runtime": round(time.perf_counter() - t0, 4),
-            }
-        )
-    return report
+        return {
+            "oracle": {"dpi": oracle_d.holds, "epi": oracle_e.holds},
+            "brute": {"dpi": brute_d, "epi": brute_e, "cpi": brute_c},
+            "agree": oracle_d.yes == brute_d and oracle_e.yes == brute_e == brute_c,
+            "detail": f"oracle d={oracle_d.holds}/e={oracle_e.holds} "
+            f"brute d={brute_d}/e={brute_e}/c={brute_c}",
+        }
+
+    return _run_cases("cross", grid, order_bound, lambda g, pi: 2 not in pi, check)
 
 
 def main_theorem_check(
     grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
 ) -> CrossCheckReport:
     """Wherever brute D holds, brute U must hold as well."""
-    report = CrossCheckReport("main-theorem")
-    for g, pi in grid:
-        entry = {"group": g.spec(), "pi": list(pi)}
-        G, reason = _constructible(g, order_bound)
-        if G is None:
-            report.skipped.append({**entry, "reason": reason})
-            continue
-        t0 = time.perf_counter()
-        brute_d, _ = brute_property(G, pi, "D", order_bound)
-        if not brute_d:
-            report.cases.append(
-                {
-                    **entry,
-                    "agree": True,
-                    "detail": "d=False (vacuous)",
-                    "runtime": round(time.perf_counter() - t0, 4),
-                }
-            )
-            continue
-        brute_u, witness = brute_property(G, pi, "U", order_bound)
-        case = {
-            **entry,
-            "agree": brute_u,
-            "detail": f"d=True u={brute_u}",
-            "runtime": round(time.perf_counter() - t0, 4),
-        }
-        if not brute_u:
-            case["counterexample"] = witness
-        report.cases.append(case)
-    return report
+    return _run_cases("main-theorem", grid, order_bound, lambda g, pi: True,
+                      _implied_by_d("U", "u", order_bound))
 
 
 def star_consistency_check(
     grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
 ) -> CrossCheckReport:
     """For p not in pi: brute D true must imply brute star true."""
-    report = CrossCheckReport("star")
-    for g, pi in grid:
-        entry = {"group": g.spec(), "pi": list(pi)}
-        if 2 in pi or g.p in pi:
-            report.out_of_scope.append(entry)
-            continue
-        G, reason = _constructible(g, order_bound)
-        if G is None:
-            report.skipped.append({**entry, "reason": reason})
-            continue
-        t0 = time.perf_counter()
-        brute_d, _ = brute_property(G, pi, "D", order_bound)
-        if not brute_d:
-            report.cases.append(
-                {
-                    **entry,
-                    "agree": True,
-                    "detail": "d=False (vacuous)",
-                    "runtime": round(time.perf_counter() - t0, 4),
-                }
-            )
-            continue
-        star, witness = brute_property(G, pi, "star", order_bound)
-        case = {
-            **entry,
-            "agree": star,
-            "detail": f"d=True star={star}",
-            "runtime": round(time.perf_counter() - t0, 4),
-        }
-        if not star:
-            case["counterexample"] = witness
-        report.cases.append(case)
-    return report
+    return _run_cases("star", grid, order_bound, lambda g, pi: 2 not in pi and g.p not in pi,
+                      _implied_by_d("star", "star", order_bound))
 
 
 # ---------------------------------------------------------------------------

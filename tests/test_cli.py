@@ -116,6 +116,32 @@ def test_config_file_sets_cap(capsys, tmp_path):
     assert code == 3 and "10" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_brute_rejects_nonpositive_max_order(capsys, cap):
+    code, out, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
+                         "--prop", "dpi", "--max-order", cap)
+    assert code == 3 and out == ""
+    assert "--max-order must be a positive integer" in err
+
+
+@pytest.mark.parametrize("cap", [0, -1, 2.5, "100", True, None])
+def test_config_rejects_bad_cap(capsys, tmp_path, cap):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_group_order": cap}))
+    code, out, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
+                         "--prop", "dpi", "--config", str(cfg))
+    assert code == 3 and out == ""
+    assert "max_group_order must be a positive integer" in err
+
+
+def test_config_must_be_an_object(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[25000]")
+    code, _, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
+                       "--prop", "dpi", "--config", str(cfg))
+    assert code == 3 and "JSON object" in err
+
+
 # ---------------------------------------------------------------------------
 # scan
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from hallpi.arith import PrimeSet
+from hallpi.arith import PrimeSet, pi_part
 from hallpi.perm_engine import (
     DEFAULT_MAX_ORDER,
     OrderLimitError,
     PermGroup,
-    brute_d_via_hall_containment,
     brute_property,
     construct_named,
     enumerate_subgroups,
@@ -124,12 +123,29 @@ def test_alt5_lattice_classes():
     ]
 
 
+def _coset_closure(H: frozenset, H_gens: list, x: tuple) -> frozenset:
+    """Element set of the join of subgroup H (given with generators) and x,
+    closed over tuple permutations, independently of the engine."""
+    ident = identity(len(x))
+    gens = list(H_gens) + [x]
+    elems = set(H)
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = pmul(w, g)
+                if wg not in elems:
+                    elems.update(pmul(h, wg) for h in H)
+                    nxt.append(wg)
+        frontier = nxt
+    return frozenset(elems)
+
+
 def test_alt5_lattice_against_pair_closure_oracle():
     """Independent completeness check: every subgroup of A5 is generated by
     at most two elements, so closing all element pairs enumerates the full
     set of subgroups."""
-    from hallpi.perm_engine import _coset_closure
-
     G = construct_named("alt:5")
     ident = identity(5)
     subgroups = set()
@@ -228,6 +244,21 @@ def test_brute_rejects_unknown_property():
         brute_property(construct_named("alt:5"), PrimeSet([3]), "Q")
 
 
+def brute_d_via_hall_containment(G, pi) -> bool:
+    """Alternative D definition: C holds and every pi-subgroup lies inside
+    a pi-Hall subgroup.  Used as an independent cross-check."""
+    ok, _ = brute_property(G, pi, "C")
+    if not ok:
+        return False
+    hall_orbit = pi_hall_subgroups(G, pi)[0].orbit
+    for cls in enumerate_subgroups(G):
+        if pi_part(cls.order, pi) != cls.order:
+            continue
+        if not any(cls.rep_set <= h for h in hall_orbit):
+            return False
+    return True
+
+
 def test_d_definition_equivalence():
     """Single-maximal-class D must agree with 'C plus every pi-subgroup
     inside a Hall subgroup' on every tested instance."""
@@ -251,8 +282,6 @@ def test_d_definition_equivalence():
 
 def test_lemma_2a_hall_intersects_normal_subgroups():
     """H a pi-Hall subgroup of G, A normal in G: H cap A is pi-Hall in A."""
-    from hallpi.arith import pi_part
-
     for spec, pi in [("sym:4", (2, 3)), ("sym:4", (3,)), ("alt:5", (2, 3))]:
         G = construct_named(spec)
         ps = PrimeSet(pi)
