@@ -9,20 +9,19 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import itertools
 import json
 import sys
 
 from .arith import PrimeSet
 from .hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
-from .lie_catalog import GroupSpecError, group_order, parse_group_id
+from .lie_catalog import CLASSICAL_FAMILIES, FAMILIES, GroupSpecError, parse_group_id
 from .perm_engine import (
     DEFAULT_MAX_ORDER,
     OrderLimitError,
     brute_property,
     construct_named,
 )
-from .verifier import _SCAN_PRIMES, load_grid, run_suite
+from .verifier import load_grid, run_suite, scan_points, simple_groups
 
 _PROP_MAP = {"epi": "E", "cpi": "C", "dpi": "D", "upi": "U", "star": "star"}
 _DECIDERS = {"E": decide_epi, "C": decide_cpi, "D": decide_dpi, "U": decide_upi}
@@ -64,9 +63,13 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
-def _order_cap(args, config: dict) -> int:
+def _order_cap(args) -> int:
     """The order cap: --max-order, else the config's max_group_order, else
     the default.  Anything but a positive integer is an input error."""
+    try:
+        config = _load_config(args.config)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read config: {exc}") from None
     if args.max_order is not None:
         cap, source = args.max_order, "--max-order"
     else:
@@ -78,21 +81,22 @@ def _order_cap(args, config: dict) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hallpi")
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=("json", "text", "csv"), default="text")
-    common.add_argument("--max-order", type=int, default=None)
-    common.add_argument("--config", default=None)
+    fmt = _Parser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "text"), default="text")
+    cap = _Parser(add_help=False)
+    cap.add_argument("--max-order", type=int, default=None)
+    cap.add_argument("--config", default=None)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser(
-        "decide", help="arithmetic oracle on a Lie-type group", parents=[common]
+        "decide", help="arithmetic oracle on a Lie-type group", parents=[fmt]
     )
     p.add_argument("--group", required=True)
     p.add_argument("--pi", required=True)
     p.add_argument("--prop", required=True, choices=("epi", "cpi", "dpi", "upi"))
 
     p = sub.add_parser(
-        "brute", help="definitional check on a concrete group", parents=[common]
+        "brute", help="definitional check on a concrete group", parents=[fmt, cap]
     )
     p.add_argument("--group", required=True)
     p.add_argument("--pi", required=True)
@@ -100,17 +104,15 @@ def build_parser() -> _Parser:
         "--prop", required=True, choices=("epi", "cpi", "dpi", "upi", "star")
     )
 
-    p = sub.add_parser(
-        "scan", help="batch oracle table over a parameter grid", parents=[common]
-    )
-    p.add_argument("--family", required=True)
+    p = sub.add_parser("scan", help="batch oracle table over a parameter grid")
+    p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", default=None, help="dimension/rank, N or LO..HI")
     p.add_argument("--q", required=True, help="field size, N or LO..HI")
     p.add_argument("--pi-size", type=int, default=2)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser(
-        "verify", help="oracle-vs-brute verification suites", parents=[common]
+        "verify", help="oracle-vs-brute verification suites", parents=[fmt, cap]
     )
     p.add_argument(
         "suite", choices=("cross", "main-theorem", "star", "exclusivity", "all")
@@ -156,29 +158,27 @@ def _cmd_brute(args, max_order: int) -> int:
 
 
 def _cmd_scan(args) -> int:
+    fam = args.family
+    if (args.n is None) == (fam in CLASSICAL_FAMILIES):
+        need = "requires" if args.n is None else "takes no"
+        raise GroupSpecError(f"family {fam} {need} --n")
     qs = _parse_range(args.q)
-    ns = _parse_range(args.n) if args.n else [None]
+    if args.n is None:
+        specs = [f"{fam}:q={q}" for q in qs]
+    else:
+        ns = _parse_range(args.n)
+        specs = [f"{fam}:{n}:q={q}" for q in qs for n in ns]
     rows = []
-    for q in qs:
-        for n in ns:
-            spec = f"{args.family}:{n}:q={q}" if n else f"{args.family}:q={q}"
-            try:
-                g = parse_group_id(spec)
-            except GroupSpecError:
-                continue
-            order = group_order(g)
-            odd = [t for t in _SCAN_PRIMES if order % t == 0]
-            for sub in itertools.combinations(odd, args.pi_size):
-                pi = PrimeSet(sub)
-                e = decide_epi(g, pi)
-                c = decide_cpi(g, pi)
-                d = decide_dpi(g, pi)
-                u = decide_upi(g, pi)
-                condition = d.condition or e.condition or ""
-                rows.append(
-                    [g.spec(), ",".join(map(str, pi)), e.holds, c.holds,
-                     d.holds, u.holds, condition]
-                )
+    for g, pi in scan_points(simple_groups(specs), (args.pi_size,)):
+        e = decide_epi(g, pi)
+        c = decide_cpi(g, pi)
+        d = decide_dpi(g, pi)
+        u = decide_upi(g, pi)
+        condition = d.condition or e.condition or ""
+        rows.append(
+            [g.spec(), ",".join(map(str, pi)), e.holds, c.holds,
+             d.holds, u.holds, condition]
+        )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "pi", "epi", "cpi", "dpi", "upi", "condition"])
@@ -203,21 +203,15 @@ def _cmd_verify(args, max_order: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        print(f"hallpi: cannot read config: {exc}", file=sys.stderr)
-        return 3
-    try:
-        max_order = _order_cap(args, config)
         if args.command == "decide":
             return _cmd_decide(args)
-        if args.command == "brute":
-            return _cmd_brute(args, max_order)
         if args.command == "scan":
             return _cmd_scan(args)
+        max_order = _order_cap(args)
+        if args.command == "brute":
+            return _cmd_brute(args, max_order)
         return _cmd_verify(args, max_order)
     except OrderLimitError as exc:
         print(f"hallpi: {exc}", file=sys.stderr)

@@ -133,8 +133,8 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
         return False, f"PSL_2({q}) is solvable"
     if g.family == "2A" and g.n == 3 and q == 2:
         return False, "PSU_3(2) is solvable"
-    if g.family == "B" and g.n == 2 and q == 2:
-        return False, "B_2(2) is not simple"
+    if g.family in ("B", "C") and g.n == 2 and q == 2:
+        return False, f"{g.family}_2(2) is S_6, not simple"
     if g.family == "G2" and q == 2:
         return False, "G_2(2) is not simple"
     if g.family == "2B2":

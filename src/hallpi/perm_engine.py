@@ -7,8 +7,9 @@ D, U and the normal-abelian-tail property ("star").
 Permutations are tuples mapping point i to its image; products compose
 left-to-right (apply a, then b).  Subgroup search indexes the elements as
 positions in the sorted ``elements()`` and multiplies through integer maps;
-a subgroup is a frozenset of indices.  All of it is built on the first
-subgroup query and cached on the group.
+a subgroup is a frozenset of indices.  The elements, the generators' maps
+and the tree that derives the other maps come from one breadth-first
+closure, run by the first ``elements()`` call and cached on the group.
 
 One cyclic-extension routine joins class members with cyclic subgroups of
 prime-power order, and each query enumerates only what it needs:
@@ -151,6 +152,18 @@ def perm_to_cycles(a: Perm) -> str:
 # Schreier-Sims
 
 
+def _sift(g: Perm, base: list[int], transversals: list[dict[int, Perm]],
+          start: int = 0) -> tuple[Perm, int]:
+    """Sift g down the stabiliser chain from level ``start``: the residue and
+    the level it stopped at, ``len(base)`` when it passed every level."""
+    for i in range(start, len(base)):
+        img = g[base[i]]
+        if img not in transversals[i]:
+            return g, i
+        g = pmul(g, pinv(transversals[i][img]))
+    return g, len(base)
+
+
 def _schreier_sims(degree: int, gens: list[Perm]):
     """Deterministic Schreier-Sims; returns (base, transversals)."""
     ident = identity(degree)
@@ -181,14 +194,6 @@ def _schreier_sims(degree: int, gens: list[Perm]):
     for i in range(len(base)):
         rebuild_transversal(i)
 
-    def strip(g: Perm, start: int) -> tuple[Perm, int]:
-        for i in range(start, len(base)):
-            img = g[base[i]]
-            if img not in transversals[i]:
-                return g, i
-            g = pmul(g, pinv(transversals[i][img]))
-        return g, len(base)
-
     i = len(base) - 1
     while i >= 0:
         complete = True
@@ -200,7 +205,7 @@ def _schreier_sims(degree: int, gens: list[Perm]):
                 schreier = pmul(sg, pinv(rep))
                 if schreier == ident:
                     continue
-                h, j = strip(schreier, i + 1)
+                h, j = _sift(schreier, base, transversals, i + 1)
                 if h != ident:
                     complete = False
                     if j == len(base):
@@ -237,40 +242,20 @@ class PermGroup:
         self.name = name
         self.base, self._transversals = _schreier_sims(degree, self.generators)
         self.order: int = prod(len(t) for t in self._transversals) if self.base else 1
-        self._elements: list[Perm] | None = None
-        self._index: _Index | None = None
+        self._index: _Index | None = None  # built by elements()
         self._subgroups: dict = {}  # cached lattice, pi-posets and overgroups
 
     def contains(self, p) -> bool:
         g = _check_perm(p, self.degree)
-        for i, beta in enumerate(self.base):
-            img = g[beta]
-            if img not in self._transversals[i]:
-                return False
-            g = pmul(g, pinv(self._transversals[i][img]))
-        return g == identity(self.degree)
+        return _sift(g, self.base, self._transversals)[0] == identity(self.degree)
 
     __contains__ = contains
 
     def elements(self) -> list[Perm]:
-        """All elements, sorted; cached."""
-        if self._elements is None:
-            ident = identity(self.degree)
-            elems = {ident}
-            frontier = [ident]
-            while frontier:
-                nxt = []
-                for w in frontier:
-                    for g in self.generators:
-                        wg = pmul(w, g)
-                        if wg not in elems:
-                            elems.add(wg)
-                            nxt.append(wg)
-                frontier = nxt
-            if len(elems) != self.order:
-                raise AssertionError("element closure disagrees with BSGS order")
-            self._elements = sorted(elems)
-        return self._elements
+        """All elements, sorted; cached with their integer index."""
+        if self._index is None:
+            self._index = _Index(self)
+        return self._index.perms
 
     def __repr__(self) -> str:
         label = self.name or "PermGroup"
@@ -498,8 +483,8 @@ def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
 
 def _compact(values):
     """An index map as ``array('I')``.  The array module is imported here,
-    on the first subgroup query, so commands that never search subgroups
-    do not load it."""
+    on the first call of ``elements()``, so commands that never close a
+    group do not load it."""
     from array import array
 
     return array("I", values)
@@ -511,42 +496,51 @@ class _Index:
     element.  Maps are cached; the object lives as long as its group."""
 
     def __init__(self, G: PermGroup):
-        perms = G.elements()
-        n = len(perms)
-        self.perms = perms
+        # Breadth-first closure under right multiplication by the
+        # generators, recording every product.  Each level is cut into
+        # blocks, one per generator; a block lists its new nodes' parents by
+        # position in the tree order, and every parent lies in an earlier
+        # level.  Row gi of ``products`` holds the tree position of w * g_gi
+        # for each tree position of w.
+        ident = identity(G.degree)
+        tree = [ident]
+        found = {ident: 0}
+        products: list[list[int]] = [[] for _ in G.generators]
+        self._blocks: list[tuple[int, list[int]]] = []
+        start = 0
+        while start < len(tree):
+            end = len(tree)
+            for gi, g in enumerate(G.generators):
+                row, parents = products[gi], []
+                for k in range(start, end):
+                    wg = pmul(tree[k], g)
+                    j = found.setdefault(wg, len(tree))
+                    if j == len(tree):
+                        tree.append(wg)
+                        parents.append(k)
+                    row.append(j)
+                if parents:
+                    self._blocks.append((gi, parents))
+            start = end
+        n = len(tree)
+        if n != G.order:
+            raise AssertionError("element closure disagrees with BSGS order")
+        # Relabel tree positions as positions in the sorted elements:
+        # _position[i] is the tree position of the i-th sorted element, and
+        # rank is its inverse.
+        self._position = sorted(range(n), key=tree.__getitem__)
+        rank = [0] * n
+        for i, k in enumerate(self._position):
+            rank[k] = i
+        self.perms = perms = [tree[k] for k in self._position]
         self.size = n
         self.degree = G.degree
-        self.where = where = {p: i for i, p in enumerate(perms)}
+        self.where = where = dict(zip(perms, range(n)))
         self.trivial = frozenset([0])  # the identity sorts first
         self.whole = frozenset(range(n))
         self.gens = [where[g] for g in G.generators]
         self._gen_perms = G.generators
-        self._rmul = [_compact([where[pmul(p, g)] for p in perms]) for g in G.generators]
-        # Breadth-first tree of the elements under right multiplication by
-        # the generators.  Each level is cut into blocks, one per generator;
-        # a block lists its nodes' parents by position in the tree order, and
-        # every parent lies in an earlier level.
-        order = [0]
-        seen = bytearray(n)
-        seen[0] = 1
-        self._blocks: list[tuple[int, list[int]]] = []
-        start = 0
-        while start < len(order):
-            end = len(order)
-            for gi, r in enumerate(self._rmul):
-                parents = []
-                for k in range(start, end):
-                    j = r[order[k]]
-                    if not seen[j]:
-                        seen[j] = 1
-                        order.append(j)
-                        parents.append(k)
-                if parents:
-                    self._blocks.append((gi, parents))
-            start = end
-        self._position = [0] * n
-        for k, i in enumerate(order):
-            self._position[i] = k
+        self._rmul = [_compact(rank[row[k]] for k in self._position) for row in products]
         self._lmul: dict = {}
         self._conj: dict = {}
 
@@ -664,8 +658,7 @@ class _Index:
 
 
 def _index(G: PermGroup) -> _Index:
-    if G._index is None:
-        G._index = _Index(G)
+    G.elements()
     return G._index
 
 
@@ -910,8 +903,7 @@ def brute_property(
     # star: every pi-subgroup P has a normal abelian tau-Hall subgroup.  A
     # normal tau-Hall subgroup contains every tau-subgroup of P, so P has one
     # exactly when it has a single subgroup of order |P|_tau.
-    inter = [t for t in pi if G.order % t == 0]
-    tau = inter[1:]  # drop the smallest
+    tau = _primes(G, pi)[1:]  # drop the smallest
     class_of = {s: c for c in pi_classes for s in c.orbit}
     for cls in pi_classes:
         target = pi_part(cls.order, tau)

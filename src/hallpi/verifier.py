@@ -224,25 +224,38 @@ _SCAN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
 _SCAN_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
 
-def scan_groups(max_param: int = 6, max_q: int = 32):
-    """All valid simple-group descriptors with bounded parameters."""
-    out = []
-    for q in _SCAN_Q:
-        if q > max_q:
-            continue
-        for fam in CLASSICAL_FAMILIES:
-            lo = {"A": 2, "2A": 3, "B": 2, "C": 2, "D": 4, "2D": 4}[fam]
-            for n in range(lo, max_param + 1):
-                out.append(f"{fam}:{n}:q={q}")
-        for fam in EXCEPTIONAL_FAMILIES:
-            out.append(f"{fam}:q={q}")
+def simple_groups(specs) -> list[GroupId]:
+    """The specs that name simple groups, parsed; the others are skipped."""
     groups = []
-    for spec in out:
+    for spec in specs:
         try:
             groups.append(parse_group_id(spec))
         except GroupSpecError:
             continue
     return groups
+
+
+def scan_groups(max_param: int = 6, max_q: int = 32) -> list[GroupId]:
+    """All valid simple-group descriptors with bounded parameters."""
+    specs = []
+    for q in _SCAN_Q:
+        if q > max_q:
+            continue
+        for fam in CLASSICAL_FAMILIES:
+            specs.extend(f"{fam}:{n}:q={q}" for n in range(1, max_param + 1))
+        specs.extend(f"{fam}:q={q}" for fam in EXCEPTIONAL_FAMILIES)
+    return simple_groups(specs)
+
+
+def scan_points(groups, subset_sizes):
+    """(group, pi) grid points, group by group: for each size, each
+    combination of that many odd scan primes dividing |G|."""
+    for g in groups:
+        order = group_order(g)
+        primes = [t for t in _SCAN_PRIMES if order % t == 0]
+        for k in subset_sizes:
+            for sub in itertools.combinations(primes, k):
+                yield g, PrimeSet(sub)
 
 
 def exclusivity_scan(
@@ -255,38 +268,23 @@ def exclusivity_scan(
         groups = scan_groups()
     checked = 0
     violations = []
-    for g in groups:
-        order = group_order(g)
-        primes = [t for t in _SCAN_PRIMES if order % t == 0]
-        for k in subset_sizes:
-            for sub in itertools.combinations(primes, k):
-                pi = PrimeSet(sub)
-                checked += 1
-                try:
-                    sub2, _ = check_condition_II(g, pi)
-                    sub3, _ = check_condition_III(g, pi)
-                except ValueError:
-                    sub2 = sub3 = None
-                if sub2 is not None and sub3 is not None:
-                    violations.append(
-                        {
-                            "group": g.spec(),
-                            "pi": list(pi),
-                            "agree": False,
-                            "detail": f"II({sub2}) and III({sub3}) both satisfied",
-                        }
-                    )
-                    continue
-                verdict = decide_dpi(g, pi)
-                if verdict.holds == "yes" and verdict.condition is None:
-                    violations.append(
-                        {
-                            "group": g.spec(),
-                            "pi": list(pi),
-                            "agree": False,
-                            "detail": "yes verdict without a condition tag",
-                        }
-                    )
+    for g, pi in scan_points(groups, subset_sizes):
+        checked += 1
+        try:
+            sub2, _ = check_condition_II(g, pi)
+            sub3, _ = check_condition_III(g, pi)
+        except ValueError:
+            sub2 = sub3 = None
+        if sub2 is not None and sub3 is not None:
+            detail = f"II({sub2}) and III({sub3}) both satisfied"
+        else:
+            verdict = decide_dpi(g, pi)
+            if verdict.holds != "yes" or verdict.condition is not None:
+                continue
+            detail = "yes verdict without a condition tag"
+        violations.append(
+            {"group": g.spec(), "pi": list(pi), "agree": False, "detail": detail}
+        )
     report.cases = violations
     report.cases.append(
         {

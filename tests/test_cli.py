@@ -172,6 +172,65 @@ def test_scan_stdout_when_no_out_path(capsys):
     assert out.startswith("group,pi,epi,cpi,dpi,upi,condition")
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--family", "X", "--q", "4..7"], "invalid choice: 'X'"),
+        (["--family", "G2", "--n", "2", "--q", "3..5"], "family G2 takes no --n"),
+        (["--family", "A", "--q", "4..7"], "family A requires --n"),
+    ],
+    ids=["unknown-family", "n-for-exceptional", "n-missing-for-classical"],
+)
+def test_scan_rejects_bad_family_or_n(capsys, argv, message):
+    try:
+        code = main(["scan", "--pi-size", "2", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert message in captured.err
+
+
+def test_scan_skips_non_simple_groups_in_range(capsys):
+    code, out, _ = run(capsys, "scan", "--family", "A", "--n", "2", "--q", "2..5",
+                       "--pi-size", "2")
+    assert code == 0
+    groups = {line.split(",")[0] for line in out.splitlines()[1:]}
+    assert groups == {"A:2:q=2^2", "A:2:q=5"}  # q = 2, 3 are solvable
+
+
+# ---------------------------------------------------------------------------
+# options a subcommand does not read are usage errors
+
+
+_DECIDE = ["decide", "--group", "A:2:q=7", "--pi", "3,7", "--prop", "dpi"]
+_BRUTE = ["brute", "--group", "alt:5", "--pi", "3", "--prop", "dpi"]
+_SCAN = ["scan", "--family", "G2", "--q", "3", "--pi-size", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        _DECIDE + ["--format", "csv"],
+        _BRUTE + ["--format", "csv"],
+        ["verify", "exclusivity", "--format", "csv"],
+        _DECIDE + ["--max-order", "100"],
+        _DECIDE + ["--config", "cfg.json"],
+        _SCAN + ["--format", "json"],
+        _SCAN + ["--max-order", "100"],
+        _SCAN + ["--config", "cfg.json"],
+    ],
+    ids=["decide-csv", "brute-csv", "verify-csv", "decide-max-order",
+         "decide-config", "scan-format", "scan-max-order", "scan-config"],
+)
+def test_unread_option_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 3 and captured.out == ""
+    assert "usage:" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -40,6 +40,7 @@ def test_parse_and_roundtrip():
         "A:2:q=3",  # solvable
         "2A:3:q=2",  # solvable
         "B:2:q=2",  # not simple
+        "C:2:q=2",  # Sp_4(2) is S_6, not simple
         "G2:q=2",  # not simple
         "2F4:q=2",  # Tits group
         "2B2:q=2",  # needs odd exponent >= 3
@@ -68,6 +69,7 @@ def test_validate_simple_gives_reasons():
         ("A:4:q=2", 20160),
         ("2A:3:q=3", 6048),
         ("B:2:q=3", 25920),
+        ("C:2:q=4", 979200),  # Sp_4(4) is simple; Sp_4(2) is rejected above
         ("G2:q=3", 4245696),
         ("2B2:q=8", 29120),
         ("2G2:q=27", 10073444472),

@@ -1,5 +1,7 @@
 """Tests for the permutation engine: BSGS, lattice enumeration, brute force."""
 
+import hashlib
+
 import pytest
 
 from hallpi.arith import PrimeSet, pi_part
@@ -178,6 +180,30 @@ def test_lattice_dump_format():
     lines = dump.splitlines()
     assert lines[0] == "order=1 class_size=1 gens=()"
     assert all(line.startswith("order=") for line in lines)
+
+
+SYM4_DUMP = """\
+order=1 class_size=1 gens=()
+order=2 class_size=6 gens=(2 3)
+order=2 class_size=3 gens=(0 1)(2 3)
+order=3 class_size=4 gens=(1 2 3)
+order=4 class_size=3 gens=(2 3);(0 1)
+order=4 class_size=1 gens=(0 1)(2 3);(0 2)(1 3)
+order=4 class_size=3 gens=(0 1)(2 3);(0 2 1 3)
+order=6 class_size=4 gens=(2 3);(1 2)
+order=8 class_size=3 gens=(2 3);(0 1);(0 2)(1 3)
+order=12 class_size=1 gens=(1 2 3);(0 1)(2 3)
+order=24 class_size=1 gens=(2 3);(1 2);(0 1)"""
+
+
+def test_lattice_dump_is_pinned():
+    """The canonical output fixes element order and class representatives:
+    sym:4 verbatim, psl2:7 (15 classes) by its sha256."""
+    assert lattice_dump(construct_named("sym:4")) == SYM4_DUMP
+    dump = lattice_dump(construct_named("psl2:7"))
+    assert hashlib.sha256(dump.encode()).hexdigest() == (
+        "28427bd2af239cfd6eea50c26d6a347185ca0a4272ccfe4955e98f21415abea3"
+    )
 
 
 # ---------------------------------------------------------------------------
