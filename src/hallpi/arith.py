@@ -7,6 +7,7 @@ arbitrary-precision integer arithmetic; there is no floating point anywhere.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 __all__ = [
@@ -64,6 +65,14 @@ class PrimeSet:
                 raise ValueError(f"{p} is not prime")
         self.primes: tuple[int, ...] = tuple(ps)
 
+    @classmethod
+    def _subset(cls, primes: Iterable[int]) -> "PrimeSet":
+        """Members picked in order from an already validated PrimeSet, so
+        they are distinct primes, increasing, and need no primality test."""
+        ps = cls.__new__(cls)
+        ps.primes = tuple(primes)
+        return ps
+
     def __contains__(self, p: int) -> bool:
         return p in self.primes
 
@@ -94,7 +103,7 @@ class PrimeSet:
         return self.primes[0]
 
     def without(self, p: int) -> "PrimeSet":
-        return PrimeSet(x for x in self.primes if x != p)
+        return PrimeSet._subset(x for x in self.primes if x != p)
 
     def union(self, other: Iterable[int]) -> "PrimeSet":
         return PrimeSet(list(self.primes) + list(other))
@@ -107,6 +116,7 @@ def _check_odd_prime(r: int) -> None:
         raise ValueError(f"{r} is not prime")
 
 
+@lru_cache(maxsize=None)
 def multiplicative_order(q: int, r: int) -> int:
     """Least e >= 1 with q^e = 1 (mod r), for an odd prime r not dividing q.
 

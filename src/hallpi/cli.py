@@ -13,7 +13,7 @@ import json
 import sys
 
 from .arith import PrimeSet
-from .hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
+from .hall_oracle import _epi_from_dpi, decide_cpi, decide_dpi, decide_epi, decide_upi
 from .lie_catalog import CLASSICAL_FAMILIES, FAMILIES, GroupSpecError, parse_group_id
 from .perm_engine import (
     DEFAULT_MAX_ORDER,
@@ -43,14 +43,15 @@ def _parse_pi(text: str) -> PrimeSet:
         raise GroupSpecError(f"bad pi list {text!r}: {exc}") from None
 
 
-def _parse_range(text: str) -> range:
+def _parse_range(option: str, text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        if sep:
-            return range(int(lo), int(hi) + 1)
-        return range(int(text), int(text) + 1)
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
-        raise GroupSpecError(f"bad range {text!r}; use N or LO..HI") from None
+        raise GroupSpecError(f"{option}: bad range {text!r}; use N or LO..HI") from None
+    if lo > hi:
+        raise GroupSpecError(f"{option}: empty range {text!r}; LO must not exceed HI")
+    return range(lo, hi + 1)
 
 
 def _load_config(path: str | None) -> dict:
@@ -162,22 +163,23 @@ def _cmd_scan(args) -> int:
     if (args.n is None) == (fam in CLASSICAL_FAMILIES):
         need = "requires" if args.n is None else "takes no"
         raise GroupSpecError(f"family {fam} {need} --n")
-    qs = _parse_range(args.q)
+    if args.pi_size < 1:
+        raise ValueError(f"--pi-size must be a positive integer, got {args.pi_size}")
+    qs = _parse_range("--q", args.q)
     if args.n is None:
         specs = [f"{fam}:q={q}" for q in qs]
     else:
-        ns = _parse_range(args.n)
+        ns = _parse_range("--n", args.n)
         specs = [f"{fam}:{n}:q={q}" for q in qs for n in ns]
     rows = []
     for g, pi in scan_points(simple_groups(specs), (args.pi_size,)):
-        e = decide_epi(g, pi)
-        c = decide_cpi(g, pi)
         d = decide_dpi(g, pi)
-        u = decide_upi(g, pi)
+        e = _epi_from_dpi(g, pi, d)
+        # C and U carry E's and D's answers, as decide_cpi and decide_upi do
         condition = d.condition or e.condition or ""
         rows.append(
-            [g.spec(), ",".join(map(str, pi)), e.holds, c.holds,
-             d.holds, u.holds, condition]
+            [g.spec(), ",".join(map(str, pi)), e.holds, e.holds,
+             d.holds, d.holds, condition]
         )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

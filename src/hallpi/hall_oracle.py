@@ -147,9 +147,8 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 
     Returns the first satisfied subcase (a)-(h) in listing order, or None.
     """
-    _check_II_III_pre(g, pi)
+    inter = _check_II_III_pre(g, pi)
     trace: Trace = []
-    inter = pi_intersection(pi, g)
     r = inter.smallest
     tau = inter.without(r)
     q, n = g.q, g.n
@@ -239,9 +238,8 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 
 def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     """Uniform-order case: every member of tau has the same order c as r."""
-    _check_II_III_pre(g, pi)
+    inter = _check_II_III_pre(g, pi)
     trace: Trace = []
-    inter = pi_intersection(pi, g)
     r = inter.smallest
     tau = inter.without(r)
     q, n = g.q, g.n
@@ -339,15 +337,18 @@ def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     return None, trace
 
 
-def _check_II_III_pre(g: GroupId, pi: PrimeSet) -> None:
+def _check_II_III_pre(g: GroupId, pi: PrimeSet) -> PrimeSet:
+    """pi inter pi(g), once the premises of Conditions II/III are checked."""
     if 2 in pi:
         raise ValueError("Conditions II/III require 2 outside pi")
     if g.p in pi:
         raise ValueError("Conditions II/III require the characteristic outside pi")
     if g.family in SUZUKI_REE_FAMILIES:
         raise ValueError("Conditions II/III exclude the Suzuki/Ree families")
-    if len(pi_intersection(pi, g)) < 2:
+    inter = pi_intersection(pi, g)
+    if len(inter) < 2:
         raise ValueError("Conditions II/III require at least two relevant primes")
+    return inter
 
 
 def _torus_prime_sets(g: GroupId) -> list[tuple[str, int]]:
@@ -461,8 +462,8 @@ def classify_epi_minus_dpi(
     while failing the D property.  Returns the case tag or None."""
     if 2 in pi:
         raise ValueError("classification requires 2 outside pi")
-    trace: Trace = []
     if isinstance(g_or_sporadic, str):
+        trace: Trace = []
         if g_or_sporadic not in (ONAN, "ON", "O'N"):
             raise ValueError(f"unsupported sporadic marker {g_or_sporadic!r}")
         inter = sorted(t for t in pi if t in _ONAN_PRIMES)
@@ -472,9 +473,18 @@ def classify_epi_minus_dpi(
 
     g = g_or_sporadic
     inter = pi_intersection(pi, g)
+    return _classify_lie(g, pi, inter, decide_dpi(g, pi).yes)
+
+
+def _classify_lie(
+    g: GroupId, pi: PrimeSet, inter: PrimeSet, d_holds: bool
+) -> tuple[str | None, Trace]:
+    """The classification for a Lie-type g with 2 outside pi, given
+    ``inter`` = pi inter pi(g) and whether D holds on (g, pi)."""
+    trace: Trace = []
     if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
         return None, trace
-    if decide_dpi(g, pi).yes:
+    if d_holds:
         _rec(trace, "D holds, so not in E minus D", True)
         return None, trace
     q, n = g.q, g.n
@@ -568,6 +578,13 @@ def classify_epi_minus_dpi(
 def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Hall-subgroup existence; with 2 outside pi this coincides with the
     conjugacy property."""
+    return _epi_from_dpi(g, pi, decide_dpi(g, pi))
+
+
+def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
+    """E on (g, pi) from ``d``, the D verdict on the same point: D implies
+    E, and where D fails E holds exactly on the E-minus-D classification.
+    ``d`` is read, never changed."""
     v = _base_verdict("E", g, pi)
     if 2 in pi:
         v.holds = "out_of_scope"
@@ -579,13 +596,12 @@ def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
         v.condition = "trivial_small_pi"
         _rec(v.trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
         return v
-    d = decide_dpi(g, pi)
     if d.yes:
         v.holds, v.condition = "yes", d.condition
         v.trace.extend(d.trace)
         v.hall_cyclic = d.hall_cyclic
         return v
-    tag, trace = classify_epi_minus_dpi(g, pi)
+    tag, trace = _classify_lie(g, pi, inter, False)
     v.trace.extend(trace)
     if tag is not None:
         v.holds, v.condition = "yes", tag

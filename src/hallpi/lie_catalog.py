@@ -268,10 +268,13 @@ def prime_divides_order(t: int, g: GroupId) -> bool:
 
 
 def pi_intersection(pi: PrimeSet, g: GroupId) -> PrimeSet:
-    """Subset of pi dividing |g|.
+    """Subset of pi dividing |g|; a pi that is not a PrimeSet is
+    validated as one first.
 
     The smallest member and the rest are available as ``.smallest`` and
     ``.without(r)`` on the result.
     """
+    if not isinstance(pi, PrimeSet):
+        pi = PrimeSet(pi)
     order = group_order(g)
-    return PrimeSet(t for t in pi if order % t == 0)
+    return PrimeSet._subset(t for t in pi if order % t == 0)

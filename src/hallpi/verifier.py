@@ -28,6 +28,7 @@ from .lie_catalog import (
     GroupSpecError,
     group_order,
     parse_group_id,
+    pi_intersection,
 )
 from .perm_engine import DEFAULT_MAX_ORDER, brute_property, construct_named
 
@@ -220,7 +221,7 @@ def star_consistency_check(
 # ---------------------------------------------------------------------------
 # symbolic exclusivity scan
 
-_SCAN_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+_SCAN_PRIMES = PrimeSet((3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
 _SCAN_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 
 
@@ -251,11 +252,10 @@ def scan_points(groups, subset_sizes):
     """(group, pi) grid points, group by group: for each size, each
     combination of that many odd scan primes dividing |G|."""
     for g in groups:
-        order = group_order(g)
-        primes = [t for t in _SCAN_PRIMES if order % t == 0]
+        primes = pi_intersection(_SCAN_PRIMES, g)
         for k in subset_sizes:
             for sub in itertools.combinations(primes, k):
-                yield g, PrimeSet(sub)
+                yield g, PrimeSet._subset(sub)
 
 
 def exclusivity_scan(

@@ -13,6 +13,7 @@ from hallpi.arith import (
     r_part_pow_minus_one,
     r_part_pow_minus_sign,
 )
+from hallpi.lie_catalog import parse_group_id, pi_intersection
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -38,6 +39,17 @@ def test_prime_set_is_sorted_and_deduplicated():
 def test_prime_set_rejects_composites():
     with pytest.raises(ValueError):
         PrimeSet([3, 9])
+
+
+@pytest.mark.parametrize("spec", ["A:2:q=7", "E6:q=2", "2B2:q=8"])
+def test_subsets_equal_validated_prime_sets(spec):
+    pi = PrimeSet([3, 5, 7, 11, 13, 19, 31])
+    inter = pi_intersection(pi, parse_group_id(spec))
+    results = [inter, pi_intersection([31, 13, 3, 13], parse_group_id(spec))]
+    results += [inter.without(p) for p in (*inter, 2)]
+    for result in results:
+        assert result == PrimeSet(result.primes)
+        assert list(result.primes) == sorted(result.primes)
 
 
 def test_prime_set_empty_has_no_smallest():

@@ -6,7 +6,9 @@ import json
 
 import pytest
 
+from hallpi.arith import PrimeSet
 from hallpi.cli import main
+from hallpi.hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
 from hallpi.lie_catalog import parse_group_id
 
 
@@ -178,8 +180,15 @@ def test_scan_stdout_when_no_out_path(capsys):
         (["--family", "X", "--q", "4..7"], "invalid choice: 'X'"),
         (["--family", "G2", "--n", "2", "--q", "3..5"], "family G2 takes no --n"),
         (["--family", "A", "--q", "4..7"], "family A requires --n"),
+        (["--family", "A", "--n", "2", "--q", "13..4"], "--q: empty range '13..4'"),
+        (["--family", "A", "--n", "4..2", "--q", "4..7"], "--n: empty range '4..2'"),
+        (["--family", "A", "--n", "2", "--q", "4..7", "--pi-size", "0"],
+         "--pi-size must be a positive integer, got 0"),
+        (["--family", "A", "--n", "2", "--q", "4..7", "--pi-size", "-1"],
+         "--pi-size must be a positive integer, got -1"),
     ],
-    ids=["unknown-family", "n-for-exceptional", "n-missing-for-classical"],
+    ids=["unknown-family", "n-for-exceptional", "n-missing-for-classical",
+         "reversed-q", "reversed-n", "pi-size-zero", "pi-size-negative"],
 )
 def test_scan_rejects_bad_family_or_n(capsys, argv, message):
     try:
@@ -197,6 +206,26 @@ def test_scan_skips_non_simple_groups_in_range(capsys):
     assert code == 0
     groups = {line.split(",")[0] for line in out.splitlines()[1:]}
     assert groups == {"A:2:q=2^2", "A:2:q=5"}  # q = 2, 3 are solvable
+
+
+@pytest.mark.parametrize(
+    "family_n",
+    [["--family", "A", "--n", "2..4"], ["--family", "2A", "--n", "3..4"],
+     ["--family", "E6"], ["--family", "2B2"]],
+    ids=["A", "2A", "E6", "2B2"],
+)
+def test_scan_rows_equal_public_deciders(capsys, family_n):
+    for size in ("2", "3"):
+        code, out, _ = run(capsys, "scan", *family_n, "--q", "2..32", "--pi-size", size)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert rows
+        for spec, pi_text, *columns in rows:
+            gg, pi = parse_group_id(spec), PrimeSet(map(int, pi_text.split(",")))
+            e, c, d, u = (decide(gg, pi) for decide in
+                          (decide_epi, decide_cpi, decide_dpi, decide_upi))
+            assert columns == [e.holds, c.holds, d.holds, u.holds,
+                               d.condition or e.condition or ""], (spec, pi_text)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,8 @@ from hallpi.hall_oracle import (
     decide_upi,
     reduce_composition,
 )
-from hallpi.lie_catalog import parse_group_id
+from hallpi.lie_catalog import parse_group_id, pi_intersection
+from hallpi.verifier import scan_groups, scan_points
 
 
 def g(spec):
@@ -179,26 +180,48 @@ def test_condition_IV_rejects_other_families():
 # U = D, E/C and the E-minus-D classification
 
 
-def test_upi_equals_dpi_pointwise():
-    cases = [
-        (g("A:2:q=7"), PrimeSet([3, 7])),
-        (g("A:2:q=11"), PrimeSet([3, 5])),
-        (g("2D:6:q=4"), PrimeSet([7, 13])),
-        (g("2B2:q=8"), PrimeSet([5, 13])),
-        (g("A:2:q=7"), PrimeSet([2, 7])),
+@pytest.fixture(scope="module")
+def grid_verdicts():
+    """(group, pi, E, C, D, U) on every exclusivity-scan point, every
+    singleton pi, and each singleton with 2 added."""
+    points = []
+    for gg, pi in scan_points(scan_groups(), (1, 2, 3)):
+        points.append((gg, pi))
+        if len(pi) == 1:
+            points.append((gg, pi.union([2])))
+    return [
+        (gg, pi, decide_epi(gg, pi), decide_cpi(gg, pi), decide_dpi(gg, pi),
+         decide_upi(gg, pi))
+        for gg, pi in points
     ]
-    for gg, pi in cases:
-        assert decide_upi(gg, pi).holds == decide_dpi(gg, pi).holds
 
 
-def test_cpi_equals_epi_for_odd_pi():
-    cases = [
-        (g("A:2:q=7"), PrimeSet([3, 7])),
-        (g("A:3:q=11"), PrimeSet([3, 5])),
-        (g("A:2:q=13"), PrimeSet([3, 7])),
-    ]
-    for gg, pi in cases:
-        assert decide_cpi(gg, pi).holds == decide_epi(gg, pi).holds
+def test_upi_equals_dpi_pointwise(grid_verdicts):
+    for gg, pi, _, _, d, u in grid_verdicts:
+        assert (u.holds, u.condition) == (d.holds, d.condition), (gg, pi)
+
+
+def test_cpi_equals_epi_for_odd_pi(grid_verdicts):
+    for gg, pi, e, c, _, _ in grid_verdicts:
+        if 2 not in pi:
+            assert (c.holds, c.condition) == (e.holds, e.condition), (gg, pi)
+
+
+def test_paper_invariants_on_scan_grid(grid_verdicts):
+    """D implies E; the Sylow case |pi inter pi(G)| <= 1 is trivially yes
+    for all four; E is out of scope when 2 is in pi."""
+    sylow = 0
+    for gg, pi, e, c, d, u in grid_verdicts:
+        if 2 in pi:
+            assert e.holds == "out_of_scope", (gg, pi)
+            continue
+        if d.yes:
+            assert e.yes, (gg, pi)
+        if len(pi_intersection(pi, gg)) <= 1:
+            sylow += 1
+            for v in (e, c, d, u):
+                assert (v.holds, v.condition) == ("yes", "trivial_small_pi"), (gg, pi)
+    assert sylow > 0
 
 
 def test_classification_case_2B_a():
