@@ -21,7 +21,7 @@ from .perm_engine import (
     brute_property,
     construct_named,
 )
-from .verifier import load_grid, run_suite, scan_points, simple_groups
+from .verifier import _SCAN_PRIMES, load_grid, run_suite, scan_points, simple_groups
 
 _PROP_MAP = {"epi": "E", "cpi": "C", "dpi": "D", "upi": "U", "star": "star"}
 _DECIDERS = {"E": decide_epi, "C": decide_cpi, "D": decide_dpi, "U": decide_upi}
@@ -165,6 +165,9 @@ def _cmd_scan(args) -> int:
         raise GroupSpecError(f"family {fam} {need} --n")
     if args.pi_size < 1:
         raise ValueError(f"--pi-size must be a positive integer, got {args.pi_size}")
+    if args.pi_size > len(_SCAN_PRIMES):
+        raise ValueError(f"--pi-size must be at most {len(_SCAN_PRIMES)}, the number of "
+                         f"odd scan primes, got {args.pi_size}")
     qs = _parse_range("--q", args.q)
     if args.n is None:
         specs = [f"{fam}:q={q}" for q in qs]

@@ -586,15 +586,15 @@ def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
     E, and where D fails E holds exactly on the E-minus-D classification.
     ``d`` is read, never changed."""
     v = _base_verdict("E", g, pi)
-    if 2 in pi:
-        v.holds = "out_of_scope"
-        _rec(v.trace, "2 in pi: criterion not covered", True)
-        return v
     inter = pi_intersection(pi, g)
     if len(inter) <= 1:
         v.holds = "yes"
         v.condition = "trivial_small_pi"
         _rec(v.trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
+        return v
+    if 2 in pi:
+        v.holds = "out_of_scope"
+        _rec(v.trace, "2 in pi: criterion not covered", True)
         return v
     if d.yes:
         v.holds, v.condition = "yes", d.condition
@@ -609,10 +609,11 @@ def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
 
 
 def decide_cpi(g: GroupId, pi: PrimeSet) -> Verdict:
-    """Conjugacy property; equals existence when 2 is outside pi."""
+    """Conjugacy property; equals existence when 2 is outside pi, and when
+    |pi inter pi(S)| <= 1 by Sylow's theorem."""
     v = decide_epi(g, pi)
     v.property = "C"
-    if v.holds != "out_of_scope":
+    if 2 not in pi:
         _rec(v.trace, "C equals E for odd pi", True)
     return v
 

@@ -12,7 +12,11 @@ and the tree that derives the other maps come from one breadth-first
 closure, run by the first ``elements()`` call and cached on the group.
 
 One cyclic-extension routine joins class members with cyclic subgroups of
-prime-power order, and each query enumerates only what it needs:
+prime-power order, one cyclic per orbit of the member acting on them by
+conjugation: <K, k x k^-1> = <K, x> for k in K, so the skipped joins could
+only return a subgroup already found, and the search finds the same classes,
+members and generators as one join per cyclic.  Each query enumerates only
+what it needs:
 
 - ``enumerate_subgroups``: the full lattice, from the trivial group.
 - ``pi_subgroups`` (E, C, D and star): the pi-subgroups only, joining
@@ -626,13 +630,16 @@ class _Index:
     @cached_property
     def cyclics(self) -> list[tuple[int, int]]:
         """(prime, generator) for every cyclic subgroup of prime-power order,
-        ordered by the subgroup's size and then its sorted elements."""
+        ordered by the subgroup's size and then its sorted elements.  The
+        generator is the cyclic's least generating element; ``canonical``
+        maps each generating element of each such cyclic to it, and every
+        other element to 0."""
         perms, where = self.perms, self.where
-        is_generator = bytearray(self.size)
+        canonical = [0] * self.size
         prime_of: dict[int, int | None] = {}
         found = []
         for i in range(1, self.size):
-            if is_generator[i]:
+            if canonical[i]:
                 continue
             x = perms[i]
             o = perm_order(x)
@@ -651,9 +658,10 @@ class _Index:
                 y = pmul(y, x)
             for k in range(1, o):
                 if k % p:
-                    is_generator[powers[k]] = 1
+                    canonical[powers[k]] = i
             found.append((o, sorted(powers), p, i))
         found.sort()
+        self.canonical = _compact(canonical)
         return [(p, i) for _, _, p, i in found]
 
 
@@ -705,9 +713,17 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     The search is complete for the subgroups K >= start with every step of
     some chain start < <start, x_1> < ... < K kept: one member per class is
     extended by every cyclic subgroup, so K's class is reached through the
-    class of the previous step of the chain."""
+    class of the previous step of the chain.
+
+    A member K is joined with one cyclic per orbit of K acting on the
+    cyclics by conjugation: <K, k x k^-1> = <K, x> for k in K, the same
+    subgroup.  The orbit's first cyclic in ``cyclics`` is the one joined,
+    and each skipped join would have returned that subgroup again, already
+    seen or dropped, so the classes, members and generators found are
+    those of one join per cyclic."""
     found: list[tuple[frozenset, list[int], dict]] = []
     seen: set[frozenset] = set()
+    canonical, inv = ix.canonical, ix.inv
 
     def add(K: frozenset, K_gens: list[int]) -> None:
         orbit = ix.orbit(K, ix.gens)
@@ -716,9 +732,20 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
 
     add(start, gens)
     for K, K_gens, _ in found:  # grows while it is read
+        lmuls = [ix.lmul(y) for y in K_gens]
+        tried: set[int] = set()
         for x in cyclics:
-            if x in K:
+            if x in K or x in tried:
                 continue
+            tried.add(x)
+            stack = [x]
+            while stack:  # the K-orbit of <x>: y z y^-1 for y in K_gens
+                z = stack.pop()
+                for m in lmuls:
+                    c = canonical[m[inv[m[inv[z]]]]]
+                    if c not in tried:
+                        tried.add(c)
+                        stack.append(c)
             J = ix.join(K, K_gens + [x], limit)
             if J is None or J in seen:
                 continue

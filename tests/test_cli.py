@@ -186,9 +186,12 @@ def test_scan_stdout_when_no_out_path(capsys):
          "--pi-size must be a positive integer, got 0"),
         (["--family", "A", "--n", "2", "--q", "4..7", "--pi-size", "-1"],
          "--pi-size must be a positive integer, got -1"),
+        (["--family", "A", "--n", "2", "--q", "7", "--pi-size", "11"],
+         "--pi-size must be at most 10, the number of odd scan primes, got 11"),
     ],
     ids=["unknown-family", "n-for-exceptional", "n-missing-for-classical",
-         "reversed-q", "reversed-n", "pi-size-zero", "pi-size-negative"],
+         "reversed-q", "reversed-n", "pi-size-zero", "pi-size-negative",
+         "pi-size-above-scan-primes"],
 )
 def test_scan_rejects_bad_family_or_n(capsys, argv, message):
     try:

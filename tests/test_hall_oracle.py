@@ -17,8 +17,8 @@ from hallpi.hall_oracle import (
     decide_upi,
     reduce_composition,
 )
-from hallpi.lie_catalog import parse_group_id, pi_intersection
-from hallpi.verifier import scan_groups, scan_points
+from hallpi.lie_catalog import parse_group_id, pi_intersection, prime_divides_order
+from hallpi.verifier import _SCAN_PRIMES, scan_groups, scan_points
 
 
 def g(spec):
@@ -183,12 +183,18 @@ def test_condition_IV_rejects_other_families():
 @pytest.fixture(scope="module")
 def grid_verdicts():
     """(group, pi, E, C, D, U) on every exclusivity-scan point, every
-    singleton pi, and each singleton with 2 added."""
+    singleton pi, each singleton with 2 added, and the Sylow 2-subgroup
+    points: pi = {2} and pi = {2, t} for each odd scan prime t not dividing
+    |G|."""
     points = []
     for gg, pi in scan_points(scan_groups(), (1, 2, 3)):
         points.append((gg, pi))
         if len(pi) == 1:
             points.append((gg, pi.union([2])))
+    for gg in scan_groups():
+        points.append((gg, PrimeSet([2])))
+        points.extend((gg, PrimeSet([2, t])) for t in _SCAN_PRIMES
+                      if not prime_divides_order(t, gg))
     return [
         (gg, pi, decide_epi(gg, pi), decide_cpi(gg, pi), decide_dpi(gg, pi),
          decide_upi(gg, pi))
@@ -209,19 +215,21 @@ def test_cpi_equals_epi_for_odd_pi(grid_verdicts):
 
 def test_paper_invariants_on_scan_grid(grid_verdicts):
     """D implies E; the Sylow case |pi inter pi(G)| <= 1 is trivially yes
-    for all four; E is out of scope when 2 is in pi."""
-    sylow = 0
+    for all four, with 2 in pi or not; E is out of scope only when 2 is in
+    pi and |pi inter pi(G)| >= 2."""
+    sylow_2 = 0
     for gg, pi, e, c, d, u in grid_verdicts:
-        if 2 in pi:
-            assert e.holds == "out_of_scope", (gg, pi)
-            continue
         if d.yes:
             assert e.yes, (gg, pi)
         if len(pi_intersection(pi, gg)) <= 1:
-            sylow += 1
+            sylow_2 += 2 in pi
             for v in (e, c, d, u):
                 assert (v.holds, v.condition) == ("yes", "trivial_small_pi"), (gg, pi)
-    assert sylow > 0
+        elif 2 in pi:
+            assert e.holds == "out_of_scope", (gg, pi)
+        if 2 in pi:
+            assert all(r["pred"] != "C equals E for odd pi" for r in c.trace), (gg, pi)
+    assert sylow_2 > len(scan_groups())
 
 
 def test_classification_case_2B_a():

@@ -1,6 +1,8 @@
 """Tests for the permutation engine: BSGS, lattice enumeration, brute force."""
 
 import hashlib
+import itertools
+import json
 
 import pytest
 
@@ -9,9 +11,11 @@ from hallpi.perm_engine import (
     DEFAULT_MAX_ORDER,
     OrderLimitError,
     PermGroup,
+    _Index,
     brute_property,
     construct_named,
     enumerate_subgroups,
+    hall_overgroups,
     identity,
     lattice_dump,
     maximal_pi_subgroups,
@@ -204,6 +208,50 @@ def test_lattice_dump_is_pinned():
     assert hashlib.sha256(dump.encode()).hexdigest() == (
         "28427bd2af239cfd6eea50c26d6a347185ca0a4272ccfe4955e98f21415abea3"
     )
+
+
+ENGINE_PIN_GROUPS = [
+    "sym:4", "dihedral:15", "alt:5", "sym:5", "alt:6", "product:cyclic:3xalt:5",
+    "psl2:7", "psl2:8", "psl2:9", "psl2:11", "psl2:13",
+]
+
+
+def test_engine_output_is_pinned():
+    """One sha256 over each group's ``lattice_dump`` and every
+    ``brute_property`` verdict and witness, for every pi of at most three
+    primes dividing |G|: any change to the classes, their members or the
+    generators the search records shows here."""
+    h = hashlib.sha256()
+    for spec in ENGINE_PIN_GROUPS:
+        G = construct_named(spec)
+        h.update(lattice_dump(G).encode())
+        primes = [p for p in (2, 3, 5, 7, 11, 13) if G.order % p == 0]
+        for k in (1, 2, 3):
+            for pi in itertools.combinations(primes, k):
+                for prop in ("E", "C", "D", "U", "star"):
+                    holds, witness = brute_property(G, PrimeSet(pi), prop)
+                    h.update(json.dumps([spec, pi, prop, holds, witness],
+                                        sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "daecc0a204f593ebb1616e43f3d79850f7bdf745615795a85b8fb7a78a2f7029"
+    )
+
+
+def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
+    """A class member is joined with one cyclic per orbit of its own
+    conjugation action: on psl2:13 at pi = {3}, 332 joins instead of the
+    2125 that one join per cyclic makes."""
+    named = construct_named("psl2:13")
+    G = PermGroup(named.degree, named.generators)  # nothing cached yet
+    pi_hall_subgroups(G, PrimeSet([3]))
+    calls = []
+    join = _Index.join
+    monkeypatch.setattr(_Index, "join", lambda self, *a: calls.append(1) or join(self, *a))
+    classes = hall_overgroups(G, PrimeSet([3]))
+    assert [c.order for c in classes] == [
+        c.order for c in hall_overgroups(named, PrimeSet([3]))
+    ]
+    assert len(calls) <= 400
 
 
 # ---------------------------------------------------------------------------
