@@ -14,7 +14,13 @@ import sys
 
 from .arith import PrimeSet
 from .hall_oracle import _epi_from_dpi, decide_cpi, decide_dpi, decide_epi, decide_upi
-from .lie_catalog import CLASSICAL_FAMILIES, FAMILIES, GroupSpecError, parse_group_id
+from .lie_catalog import (
+    CLASSICAL_FAMILIES,
+    FAMILIES,
+    GroupSpecError,
+    parse_group_id,
+    pi_intersection,
+)
 from .perm_engine import (
     DEFAULT_MAX_ORDER,
     OrderLimitError,
@@ -174,8 +180,9 @@ def _cmd_scan(args) -> int:
     else:
         ns = _parse_range("--n", args.n)
         specs = [f"{fam}:{n}:q={q}" for q in qs for n in ns]
+    groups = simple_groups(specs)
     rows = []
-    for g, pi in scan_points(simple_groups(specs), (args.pi_size,)):
+    for g, pi in scan_points(groups, (args.pi_size,)):
         d = decide_dpi(g, pi)
         e = _epi_from_dpi(g, pi, d)
         # C and U carry E's and D's answers, as decide_cpi and decide_upi do
@@ -184,6 +191,12 @@ def _cmd_scan(args) -> int:
             [g.spec(), ",".join(map(str, pi)), e.holds, e.holds,
              d.holds, d.holds, condition]
         )
+    if groups and not rows:
+        counts = {g.spec(): len(pi_intersection(_SCAN_PRIMES, g)) for g in groups}
+        best = max(counts, key=counts.get)
+        raise ValueError(f"--pi-size {args.pi_size}: no group in range has that many odd "
+                         f"scan primes dividing its order; the most is {counts[best]}, "
+                         f"for {best}")
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["group", "pi", "epi", "cpi", "dpi", "upi", "condition"])

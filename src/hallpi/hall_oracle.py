@@ -121,8 +121,12 @@ def check_condition_I(g: GroupId, pi: PrimeSet) -> tuple[bool, Trace]:
         raise ValueError("Condition I requires the defining characteristic in pi")
     if 2 in pi:
         raise ValueError("Condition I requires 2 outside pi")
+    return _condition_I(g, pi_intersection(pi, g))
+
+
+def _condition_I(g: GroupId, inter: PrimeSet) -> tuple[bool, Trace]:
+    """Condition I's body on ``inter`` = pi inter pi(g)."""
     trace: Trace = []
-    inter = pi_intersection(pi, g)
     tau = inter.without(g.p)
     q = g.q
     w = weyl_order(g)
@@ -147,7 +151,11 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 
     Returns the first satisfied subcase (a)-(h) in listing order, or None.
     """
-    inter = _check_II_III_pre(g, pi)
+    return _condition_II(g, _check_II_III_pre(g, pi))
+
+
+def _condition_II(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
+    """Condition II's body on ``inter`` = pi inter pi(g)."""
     trace: Trace = []
     r = inter.smallest
     tau = inter.without(r)
@@ -238,7 +246,11 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 
 def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     """Uniform-order case: every member of tau has the same order c as r."""
-    inter = _check_II_III_pre(g, pi)
+    return _condition_III(g, _check_II_III_pre(g, pi))
+
+
+def _condition_III(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
+    """Condition III's body on ``inter`` = pi inter pi(g)."""
     trace: Trace = []
     r = inter.smallest
     tau = inter.without(r)
@@ -391,8 +403,12 @@ def check_condition_IV(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
         raise ValueError("Condition IV applies only to the Suzuki/Ree families")
     if 2 in pi:
         raise ValueError("Condition IV requires 2 outside pi")
+    return _condition_IV(g, pi_intersection(pi, g))
+
+
+def _condition_IV(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
+    """Condition IV's body on ``inter`` = pi inter pi(g)."""
     trace: Trace = []
-    inter = pi_intersection(pi, g)
     subcase = {"2B2": "IV(a)", "2G2": "IV(b)", "2F4": "IV(c)"}[g.family]
     for label, value in _torus_prime_sets(g):
         contained = all(value % t == 0 for t in inter)
@@ -408,7 +424,12 @@ def _base_verdict(prop: str, g: GroupId, pi: PrimeSet) -> Verdict:
 
 
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
-    """Decide the full Sylow-analogue property for a simple Lie-type group."""
+    """Decide the full Sylow-analogue property for a simple Lie-type group.
+
+    Each branch below reaches a condition only where that condition's
+    premises hold, so the condition bodies take the ``inter`` computed here
+    and their answers are the public ``check_condition_*`` answers.
+    """
     v = _base_verdict("D", g, pi)
     inter = pi_intersection(pi, g)
     if len(inter) <= 1:
@@ -422,25 +443,25 @@ def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
         return v
     if g.family in SUZUKI_REE_FAMILIES:
         _rec(v.trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
-        sub, trace = check_condition_IV(g, pi)
+        sub, trace = _condition_IV(g, inter)
         v.trace.extend(trace)
         if sub is not None:
             v.holds, v.condition = "yes", sub
         return v
     if g.p in pi:
-        ok, trace = check_condition_I(g, pi)
+        ok, trace = _condition_I(g, inter)
         v.trace.extend(trace)
         if ok:
             v.holds, v.condition = "yes", "I"
         return v
-    sub, trace = check_condition_II(g, pi)
+    sub, trace = _condition_II(g, inter)
     v.trace.extend(trace)
     if sub is not None:
         v.holds, v.condition = "yes", sub
         if sub in ("II(g)", "II(h)"):
             v.hall_cyclic = True
         return v
-    sub, trace = check_condition_III(g, pi)
+    sub, trace = _condition_III(g, inter)
     v.trace.extend(trace)
     if sub is not None:
         v.holds, v.condition = "yes", sub

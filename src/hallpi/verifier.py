@@ -15,12 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .arith import PrimeSet
-from .hall_oracle import (
-    check_condition_II,
-    check_condition_III,
-    decide_dpi,
-    decide_epi,
-)
+from .hall_oracle import check_condition_III, decide_dpi, decide_epi
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -262,7 +257,14 @@ def exclusivity_scan(
     groups=None, subset_sizes: tuple[int, ...] = (2, 3)
 ) -> CrossCheckReport:
     """No input may satisfy a II-subcase and a III-subcase simultaneously,
-    and every yes verdict must carry exactly one condition tag."""
+    and every yes verdict must carry exactly one condition tag.
+
+    Each point takes one D verdict, and Condition III is checked only where
+    that verdict carries a II subcase.  The check stays complete: a point
+    can satisfy both only where the II/III premises hold, decide_dpi reaches
+    Condition II on exactly those points, and its II answer is
+    check_condition_II's.
+    """
     report = CrossCheckReport("exclusivity")
     if groups is None:
         groups = scan_groups()
@@ -270,18 +272,18 @@ def exclusivity_scan(
     violations = []
     for g, pi in scan_points(groups, subset_sizes):
         checked += 1
-        try:
-            sub2, _ = check_condition_II(g, pi)
-            sub3, _ = check_condition_III(g, pi)
-        except ValueError:
-            sub2 = sub3 = None
-        if sub2 is not None and sub3 is not None:
-            detail = f"II({sub2}) and III({sub3}) both satisfied"
-        else:
-            verdict = decide_dpi(g, pi)
-            if verdict.holds != "yes" or verdict.condition is not None:
+        verdict = decide_dpi(g, pi)
+        if verdict.condition is None:
+            if not verdict.yes:
                 continue
             detail = "yes verdict without a condition tag"
+        elif verdict.condition.startswith("II("):
+            sub3, _ = check_condition_III(g, pi)
+            if sub3 is None:
+                continue
+            detail = f"{verdict.condition} and {sub3} both satisfied"
+        else:
+            continue
         violations.append(
             {"group": g.spec(), "pi": list(pi), "agree": False, "detail": detail}
         )

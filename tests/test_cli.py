@@ -188,10 +188,13 @@ def test_scan_stdout_when_no_out_path(capsys):
          "--pi-size must be a positive integer, got -1"),
         (["--family", "A", "--n", "2", "--q", "7", "--pi-size", "11"],
          "--pi-size must be at most 10, the number of odd scan primes, got 11"),
+        (["--family", "A", "--n", "2", "--q", "7", "--pi-size", "4"],
+         "--pi-size 4: no group in range has that many odd scan primes dividing "
+         "its order; the most is 2, for A:2:q=7"),
     ],
     ids=["unknown-family", "n-for-exceptional", "n-missing-for-classical",
          "reversed-q", "reversed-n", "pi-size-zero", "pi-size-negative",
-         "pi-size-above-scan-primes"],
+         "pi-size-above-scan-primes", "pi-size-above-range-primes"],
 )
 def test_scan_rejects_bad_family_or_n(capsys, argv, message):
     try:
@@ -201,6 +204,14 @@ def test_scan_rejects_bad_family_or_n(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert message in captured.err
+
+
+def test_scan_range_without_simple_groups_prints_header_only(capsys):
+    # no simple group has q = 3^(2m+1) in 2..16, so --pi-size is not checked
+    code, out, _ = run(capsys, "scan", "--family", "2G2", "--q", "2..16",
+                       "--pi-size", "2")
+    assert code == 0
+    assert out == "group,pi,epi,cpi,dpi,upi,condition\n"
 
 
 def test_scan_skips_non_simple_groups_in_range(capsys):

@@ -1,5 +1,8 @@
 """Tests for the arithmetic Hall-property oracle."""
 
+import hashlib
+import json
+
 import pytest
 
 from hallpi.arith import PrimeSet
@@ -151,6 +154,35 @@ def test_conditions_II_III_mutually_exclusive_on_samples():
         sub2, _ = check_condition_II(gg, pi)
         sub3, _ = check_condition_III(gg, pi)
         assert sub2 is None or sub3 is None
+
+
+def test_dpi_verdicts_on_exclusivity_points_are_pinned():
+    """sha256 over every D verdict, trace included, on the exclusivity-scan
+    points; generated before decide_dpi handed pi inter pi(G) to the
+    condition bodies."""
+    digest = hashlib.sha256()
+    for gg, pi in scan_points(scan_groups(), (2, 3)):
+        digest.update(json.dumps(decide_dpi(gg, pi).to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "b50b07d6fb91c7fc91921b56aab659d4505a5bbe44ce65ada85ce17b28ec6b00"
+    )
+
+
+def test_dpi_condition_is_first_public_II_then_III():
+    """Wherever the II/III premises hold, decide_dpi's condition is the
+    public check_condition_II answer, else check_condition_III's."""
+    premise_points = ii_points = 0
+    for gg, pi in scan_points(scan_groups(), (2, 3)):
+        try:
+            sub, _ = check_condition_II(gg, pi)
+        except ValueError:
+            continue
+        premise_points += 1
+        ii_points += sub is not None
+        if sub is None:
+            sub, _ = check_condition_III(gg, pi)
+        assert decide_dpi(gg, pi).condition == sub, (gg, pi)
+    assert (premise_points, ii_points) == (12013, 48)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from hallpi import verifier
 from hallpi.arith import PrimeSet
+from hallpi.hall_oracle import Verdict
 from hallpi.lie_catalog import parse_group_id
 from hallpi.verifier import (
     cross_check_simple,
@@ -72,6 +74,31 @@ def test_exclusivity_scan_is_clean():
     report = exclusivity_scan()
     assert report.ok
     assert "0 violations" in report.cases[-1]["detail"]
+
+
+def test_exclusivity_reports_both_satisfied(monkeypatch):
+    # A:3:q=5 has four scan points; only {3,31} satisfies II, as II(a)
+    calls = []
+
+    def always_III(g, pi):
+        calls.append((g.spec(), list(pi)))
+        return "III(a)", []
+
+    monkeypatch.setattr(verifier, "check_condition_III", always_III)
+    report = exclusivity_scan([parse_group_id("A:3:q=5")])
+    assert calls == [("A:3:q=5", [3, 31])]
+    assert report.cases[:-1] == [{"group": "A:3:q=5", "pi": [3, 31], "agree": False,
+                                  "detail": "II(a) and III(a) both satisfied"}]
+    assert report.cases[-1]["detail"] == "4 grid points scanned, 1 violations"
+
+
+def test_exclusivity_reports_yes_without_condition(monkeypatch):
+    monkeypatch.setattr(verifier, "decide_dpi", lambda g, pi: Verdict("D", "yes"))
+    report = exclusivity_scan([parse_group_id("A:3:q=5")])
+    assert [c["detail"] for c in report.cases[:-1]] == [
+        "yes verdict without a condition tag"
+    ] * 4
+    assert not report.ok
 
 
 def test_scan_groups_bounds():
