@@ -202,8 +202,11 @@ def _cmd_scan(args) -> int:
     writer.writerow(["group", "pi", "epi", "cpi", "dpi", "upi", "condition"])
     writer.writerows(rows)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write(buf.getvalue())
+        try:
+            with open(args.out, "w", encoding="utf-8") as f:
+                f.write(buf.getvalue())
+        except OSError as exc:
+            raise ValueError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(buf.getvalue())
     return 0

@@ -6,10 +6,15 @@ D, U and the normal-abelian-tail property ("star").
 
 Permutations are tuples mapping point i to its image; products compose
 left-to-right (apply a, then b).  Subgroup search indexes the elements as
-positions in the sorted ``elements()`` and multiplies through integer maps;
-a subgroup is a frozenset of indices.  The elements, the generators' maps
-and the tree that derives the other maps come from one breadth-first
-closure, run by the first ``elements()`` call and cached on the group.
+positions in the sorted ``elements()``, found by one breadth-first closure
+on the first ``elements()`` call and cached on the group; a subgroup is a
+frozenset of indices.  Elements multiply through base images: an element
+is fixed by its images of the BSGS base, and (x * e)[b] = e[x[b]], so a
+product is one lookup per base point.  A search capped at ``limit``
+elements with 8 * limit < |G|, such as a pi-join capped at |G|_pi or the
+reduction of a small subgroup's generators, composes only the products it
+asks for; any other takes a full |G|-entry map per multiplier, which is
+cheaper per entry.
 
 One cyclic-extension routine joins class members with cyclic subgroups of
 prime-power order, one cyclic per orbit of the member acting on them by
@@ -35,7 +40,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import lcm, prod
+from math import prod
+from operator import itemgetter
 
 from .arith import PrimeSet, pi_part
 from .lie_catalog import _prime_power
@@ -80,7 +86,7 @@ def identity(degree: int) -> Perm:
 
 def pmul(a: Perm, b: Perm) -> Perm:
     """Product 'apply a, then b'."""
-    return tuple(b[x] for x in a)
+    return tuple(map(b.__getitem__, a))
 
 
 def pinv(a: Perm) -> Perm:
@@ -95,21 +101,6 @@ def _check_perm(images, degree: int) -> Perm:
     if len(p) != degree or sorted(p) != list(range(degree)):
         raise ValueError(f"not a permutation of {degree} points: {images}")
     return p
-
-
-def perm_order(a: Perm) -> int:
-    """Least common multiple of the cycle lengths."""
-    n = 1
-    seen = bytearray(len(a))
-    for i in range(len(a)):
-        length, j = 0, i
-        while not seen[j]:
-            seen[j] = 1
-            j = a[j]
-            length += 1
-        if length:
-            n = lcm(n, length)
-    return n
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
@@ -487,103 +478,142 @@ def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
 
 def _compact(values):
     """An index map as ``array('I')``.  The array module is imported here,
-    on the first call of ``elements()``, so commands that never close a
-    group do not load it."""
+    on the first map built, so commands that never search a group's
+    subgroups do not load it."""
     from array import array
 
     return array("I", values)
 
 
+class _Products(dict):
+    """x * e for the e asked so far, each composed on its first lookup:
+    ``key`` reads x's base images off e, the base images of x * e."""
+
+    __slots__ = ("by_base", "perms", "key")
+
+    def __init__(self, by_base: dict, perms: list[Perm], key):
+        super().__init__()
+        self.by_base, self.perms, self.key = by_base, perms, key
+
+    def __missing__(self, e: int) -> int:
+        x_e = self[e] = self.by_base[self.key(self.perms[e])]
+        return x_e
+
+
 class _Index:
     """The elements of a group as indices into its sorted ``elements()``,
-    with multiplication through compact integer maps, one entry per
-    element.  Maps are cached; the object lives as long as its group."""
+    multiplied through base images.
+
+    A permutation is fixed by its images of a base (Seress, *Permutation
+    Group Algorithms*, ch. 4), and ``by_base`` maps each element's base
+    images to its index.  As (x * e)[b] = e[x[b]], the key of x * e is e's
+    images of x's base images: one lookup per base point, with no walk.
+    ``cols[p]`` lists every element's image of the point p, so the columns
+    at x's base images, zipped, are the keys of x * e for every e.
+    ``operator.itemgetter`` returns a tuple only for two or more points, so
+    a base shorter than that is repeated (the trivial group's empty base
+    becomes point 0, twice).
+
+    A join, or an orbit walk, capped at ``limit`` elements with
+    8 * limit < |G| composes only the products it asks for, memoized per x
+    (``products``).  Any other takes x's full map (``lmul``), one C-level
+    lookup per element, at a fraction of a composed product's cost per
+    entry.  Both caches live as long as the group."""
 
     def __init__(self, G: PermGroup):
-        # Breadth-first closure under right multiplication by the
-        # generators, recording every product.  Each level is cut into
-        # blocks, one per generator; a block lists its new nodes' parents by
-        # position in the tree order, and every parent lies in an earlier
-        # level.  Row gi of ``products`` holds the tree position of w * g_gi
-        # for each tree position of w.
+        # Breadth-first closure under right multiplication by the generators.
         ident = identity(G.degree)
-        tree = [ident]
-        found = {ident: 0}
-        products: list[list[int]] = [[] for _ in G.generators]
-        self._blocks: list[tuple[int, list[int]]] = []
-        start = 0
-        while start < len(tree):
-            end = len(tree)
-            for gi, g in enumerate(G.generators):
-                row, parents = products[gi], []
-                for k in range(start, end):
-                    wg = pmul(tree[k], g)
-                    j = found.setdefault(wg, len(tree))
-                    if j == len(tree):
-                        tree.append(wg)
-                        parents.append(k)
-                    row.append(j)
-                if parents:
-                    self._blocks.append((gi, parents))
-            start = end
-        n = len(tree)
+        perms = [ident]
+        found = {ident}
+        for w in perms:  # grows while it is read
+            for g in G.generators:
+                wg = pmul(w, g)
+                if wg not in found:
+                    found.add(wg)
+                    perms.append(wg)
+        n = len(perms)
         if n != G.order:
             raise AssertionError("element closure disagrees with BSGS order")
-        # Relabel tree positions as positions in the sorted elements:
-        # _position[i] is the tree position of the i-th sorted element, and
-        # rank is its inverse.
-        self._position = sorted(range(n), key=tree.__getitem__)
-        rank = [0] * n
-        for i, k in enumerate(self._position):
-            rank[k] = i
-        self.perms = perms = [tree[k] for k in self._position]
+        perms.sort()
+        self.perms = perms
         self.size = n
         self.degree = G.degree
-        self.where = where = dict(zip(perms, range(n)))
+        self.base = base = G.base if len(G.base) > 1 else (G.base or [0]) * 2
+        self.cols = cols = list(zip(*perms))
+        self.by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
+        if len(self.by_base) != n:
+            raise AssertionError("the base images do not separate the elements")
         self.trivial = frozenset([0])  # the identity sorts first
         self.whole = frozenset(range(n))
-        self.gens = [where[g] for g in G.generators]
-        self._gen_perms = G.generators
-        self._rmul = [_compact(rank[row[k]] for k in self._position) for row in products]
+        self.gens = [self.index(g) for g in G.generators]
         self._lmul: dict = {}
+        self._products: dict = {}
         self._conj: dict = {}
 
-    def _walk(self, start: int, maps):
-        """Map of e -> f(e) with f(identity) = start and
-        f(parent * g) = maps[g][f(parent)] along the tree."""
-        out = [start]
-        for gi, parents in self._blocks:
-            out.extend(map(maps[gi].__getitem__, map(out.__getitem__, parents)))
-        return _compact(map(out.__getitem__, self._position))
+    def index(self, p: Perm) -> int:
+        """The index of the element p."""
+        return self.by_base[tuple(map(p.__getitem__, self.base))]
+
+    def _images(self, x: int) -> list[int]:
+        """x's base images, the points whose images under e key x * e."""
+        return list(map(self.perms[x].__getitem__, self.base))
 
     def lmul(self, x: int):
-        """Left multiplication by x: i -> index of x * elements[i]."""
+        """Left multiplication by x, in full: i -> index of x * elements[i]."""
         m = self._lmul.get(x)
         if m is None:
-            m = self._lmul[x] = self._walk(x, self._rmul)
+            keys = zip(*map(self.cols.__getitem__, self._images(x)))
+            m = self._lmul[x] = _compact(map(self.by_base.__getitem__, keys))
         return m
+
+    def products(self, x: int) -> _Products:
+        """Left multiplication by x, composed one product at a time."""
+        m = self._products.get(x)
+        if m is None:
+            key = itemgetter(*self._images(x))
+            m = self._products[x] = _Products(self.by_base, self.perms, key)
+        return m
+
+    def _composes(self, limit: int) -> bool:
+        """Whether a search capped at ``limit`` elements composes products
+        one at a time rather than taking full maps.  A composed product
+        costs about as much as six to eight entries of a full map, and the
+        search touches at most ``limit`` products per multiplier."""
+        return 8 * limit < self.size
 
     @cached_property
     def inv(self):
-        """Inversion: (e * g)^-1 = g^-1 * e^-1 along the tree."""
-        return self._walk(0, [self.lmul(self.where[pinv(g)]) for g in self._gen_perms])
+        """Inversion: e^-1 has e's preimages of the base points as its images."""
+        by_base, base = self.by_base, self.base
+        return _compact(by_base[tuple(map(p.index, base))] for p in self.perms)
 
     def conj(self, y: int):
-        """Conjugation by y: i -> index of y^-1 * elements[i] * y."""
+        """Conjugation by y: i -> index of y^-1 * elements[i] * y, whose image
+        of b is y[e[y^-1[b]]]."""
         m = self._conj.get(y)
         if m is None:
-            inv, left = self.inv, self.lmul(self.inv[y])
-            # e * y = (y^-1 * e^-1)^-1, so y^-1 q y = inv[left[inv[left[q]]]]
-            m = self._conj[y] = _compact(
-                map(inv.__getitem__, map(left.__getitem__, map(inv.__getitem__, left)))
-            )
+            p, cols = self.perms[y], self.cols
+            y_inv = pinv(p)
+            keys = zip(*(map(p.__getitem__, cols[y_inv[b]]) for b in self.base))
+            m = self._conj[y] = _compact(map(self.by_base.__getitem__, keys))
         return m
+
+    def conjugator(self, y: int, limit: int):
+        """z -> index of y * z * y^-1, for a search capped at ``limit``:
+        composed from base images, keeping nothing, or through y's full map."""
+        if self._composes(limit):
+            by_base, perms = self.by_base, self.perms
+            y_inv, key = pinv(perms[y]), itemgetter(*self._images(y))
+            return lambda z: by_base[tuple(map(y_inv.__getitem__, key(perms[z])))]
+        m, inv = self.lmul(y), self.inv
+        return lambda z: m[inv[m[inv[z]]]]
 
     def join(self, R: frozenset, gens: list[int], limit: int) -> frozenset | None:
         """The subgroup generated by ``gens``, which contains the subgroup R;
         None once it has more than ``limit`` elements.  A subgroup with more
         than half of the elements is the whole group."""
-        maps = [self.lmul(g) for g in gens]
+        mult = self.products if self._composes(limit) else self.lmul
+        maps = [mult(g) for g in gens]
         K = set(R)
         cosets = [list(R)]  # left cosets w * R, which partition K
         for coset in cosets:
@@ -616,7 +646,8 @@ class _Index:
 
     def reduce(self, K: frozenset) -> list[int]:
         """Deterministic small generating set of the subgroup K: each
-        element of K, in index order, not yet generated."""
+        element of K, in index order, not yet generated.  Every join stays
+        inside K, so |K| caps it."""
         gens: list[int] = []
         cur = self.trivial
         for x in sorted(K):
@@ -624,7 +655,7 @@ class _Index:
                 break
             if x not in cur:
                 gens.append(x)
-                cur = self.join(cur, gens, self.size)
+                cur = self.join(cur, gens, len(K))
         return gens
 
     @cached_property
@@ -634,15 +665,20 @@ class _Index:
         generator is the cyclic's least generating element; ``canonical``
         maps each generating element of each such cyclic to it, and every
         other element to 0."""
-        perms, where = self.perms, self.where
+        perms, by_base = self.perms, self.by_base
         canonical = [0] * self.size
         prime_of: dict[int, int | None] = {}
         found = []
         for i in range(1, self.size):
             if canonical[i]:
                 continue
-            x = perms[i]
-            o = perm_order(x)
+            key = itemgetter(*self._images(i))  # x * e has base images key(e)
+            powers = [0]  # x^0, x^1, ..., x^(o-1), where x^o is the identity
+            j = i
+            while j:
+                powers.append(j)
+                j = by_base[key(perms[j])]
+            o = len(powers)
             if o not in prime_of:
                 try:
                     prime_of[o] = _prime_power(o)[0]
@@ -651,11 +687,6 @@ class _Index:
             p = prime_of[o]
             if p is None:
                 continue
-            powers = [0]
-            y = x
-            while len(powers) < o:
-                powers.append(where[y])
-                y = pmul(y, x)
             for k in range(1, o):
                 if k % p:
                     canonical[powers[k]] = i
@@ -723,7 +754,7 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     those of one join per cyclic."""
     found: list[tuple[frozenset, list[int], dict]] = []
     seen: set[frozenset] = set()
-    canonical, inv = ix.canonical, ix.inv
+    canonical = ix.canonical
 
     def add(K: frozenset, K_gens: list[int]) -> None:
         orbit = ix.orbit(K, ix.gens)
@@ -732,7 +763,7 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
 
     add(start, gens)
     for K, K_gens, _ in found:  # grows while it is read
-        lmuls = [ix.lmul(y) for y in K_gens]
+        conjugators = [ix.conjugator(y, limit) for y in K_gens]
         tried: set[int] = set()
         for x in cyclics:
             if x in K or x in tried:
@@ -741,8 +772,8 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
             stack = [x]
             while stack:  # the K-orbit of <x>: y z y^-1 for y in K_gens
                 z = stack.pop()
-                for m in lmuls:
-                    c = canonical[m[inv[m[inv[z]]]]]
+                for conjugate in conjugators:
+                    c = canonical[conjugate(z)]
                     if c not in tried:
                         tried.add(c)
                         stack.append(c)
@@ -866,8 +897,9 @@ def _set_label(ix: _Index, s: frozenset) -> dict:
 
 
 def _is_abelian(c: SubgroupClass) -> bool:
-    gens, lmul = c.member_gens, c._ix.lmul
-    return all(lmul(a)[b] == lmul(b)[a] for i, a in enumerate(gens) for b in gens[i + 1 :])
+    gens, products = c.member_gens, c._ix.products
+    return all(products(a)[b] == products(b)[a]
+               for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
 def brute_property(

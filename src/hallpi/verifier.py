@@ -108,15 +108,34 @@ class CrossCheckReport:
 
 
 def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
-    return [
-        (parse_group_id(case["group"]), PrimeSet(case["pi"]))
-        for case in json.loads(text)["cases"]
-    ]
+    """A JSON object whose ``cases`` list holds objects with a ``group``
+    string and a ``pi`` list of integers; any other shape is a ValueError."""
+    try:
+        grid = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"a grid must be JSON: {exc}") from None
+    cases = grid.get("cases") if isinstance(grid, dict) else None
+    if not isinstance(cases, list):
+        raise ValueError("a grid must be a JSON object with a 'cases' list")
+    out = []
+    for i, case in enumerate(cases):
+        if not (isinstance(case, dict) and isinstance(case.get("group"), str)
+                and isinstance(case.get("pi"), list)
+                and all(type(p) is int for p in case["pi"])):  # PrimeSet reads 3.9 as 3
+            raise ValueError(f"grid case {i} must be an object with a 'group' string "
+                             "and a 'pi' list of integers")
+        out.append((parse_group_id(case["group"]), PrimeSet(case["pi"])))
+    return out
 
 
 def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
-    with open(path, encoding="utf-8") as f:
-        return _parse_grid(f.read())
+    """The grid in a file; an unreadable file is a ValueError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read grid: {exc}") from None
+    return _parse_grid(text)
 
 
 def default_grid() -> list[tuple[GroupId, PrimeSet]]:

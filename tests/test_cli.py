@@ -110,6 +110,21 @@ def test_brute_raw_group(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("group", ["cyclic:1", "sym:1", "raw:3:()"])
+@pytest.mark.parametrize("prop", ["epi", "cpi", "dpi", "upi", "star"])
+def test_brute_on_trivial_group(capsys, group, prop):
+    """The trivial group has every property; its pi-Hall subgroup is itself."""
+    code, out, err = run(capsys, "brute", "--group", group, "--pi", "3",
+                         "--prop", prop, "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["holds"] is True
+    if prop in ("upi", "star"):
+        assert payload["witness"] is None
+    else:
+        assert payload["witness"] == {"hall": {"order": 1, "class_size": 1, "gens": []}}
+
+
 def test_config_file_sets_cap(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"max_group_order": 10}))
@@ -165,6 +180,13 @@ def test_scan_csv_contract(capsys, tmp_path):
     # every group spec re-parses
     for key in by_key:
         parse_group_id(key[0])
+
+
+def test_scan_unwritable_out_exits_three(capsys, tmp_path):
+    code, out, err = run(capsys, "scan", "--family", "A", "--n", "2", "--q", "7",
+                         "--out", str(tmp_path / "missing" / "x.csv"))
+    assert code == 3 and out == ""
+    assert err.startswith("hallpi: cannot write --out") and err.count("\n") == 1
 
 
 def test_scan_stdout_when_no_out_path(capsys):
@@ -297,6 +319,33 @@ def test_verify_cross_custom_grid(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["summary"]["cases"] == 2
     assert payload["summary"]["disagreements"] == 0
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read grid"),
+        ("not json", "a grid must be JSON"),
+        ("[]", "a grid must be a JSON object with a 'cases' list"),
+        ('{"grid": []}', "a grid must be a JSON object with a 'cases' list"),
+        ('{"cases": {}}', "a grid must be a JSON object with a 'cases' list"),
+        ('{"cases": [{"pi": [3]}]}', "grid case 0 must be an object"),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=7"}]}',
+         "grid case 1 must be an object"),
+        ('{"cases": [[3]]}', "grid case 0 must be an object"),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [3.9, 7]}]}', "grid case 0 must be an object"),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [true, 7]}]}', "grid case 0 must be an object"),
+    ],
+    ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list",
+         "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime"],
+)
+def test_verify_bad_grid_exits_three(capsys, tmp_path, text, message):
+    grid = tmp_path / "grid.json"
+    if text is not None:
+        grid.write_text(text)
+    code, out, err = run(capsys, "verify", "cross", "--grid", str(grid))
+    assert code == 3 and out == ""
+    assert err.startswith(f"hallpi: {message}") and err.count("\n") == 1
 
 
 def test_verify_unknown_suite_exits_three(capsys):

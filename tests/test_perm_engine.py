@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -22,6 +23,7 @@ from hallpi.perm_engine import (
     perm_from_cycles,
     perm_to_cycles,
     pi_hall_subgroups,
+    pi_subgroups,
     pinv,
     pmul,
 )
@@ -235,6 +237,63 @@ def test_engine_output_is_pinned():
     assert h.hexdigest() == (
         "daecc0a204f593ebb1616e43f3d79850f7bdf745615795a85b8fb7a78a2f7029"
     )
+
+
+def test_alt8_pi_subgroups_are_pinned():
+    """alt:8 at pi = {3, 5}: every join is capped at |G|_pi = 45 of 20160
+    elements, so the search composes products one at a time.  One sha256
+    over each class's order, class size, canonical and extended members,
+    generators, and the E, C, D and star verdicts with their witnesses."""
+    G = construct_named("alt:8")
+    pi = PrimeSet([3, 5])
+    h = hashlib.sha256()
+    for c in pi_subgroups(G, pi):
+        h.update(json.dumps([c.order, c.class_size, sorted(c.rep_set), sorted(c.member),
+                             c.member_gens, [perm_to_cycles(g) for g in c.generators]]).encode())
+    for prop in ("E", "C", "D", "star"):
+        holds, witness = brute_property(G, pi, prop)
+        h.update(json.dumps([prop, holds, witness], sort_keys=True).encode())
+    assert h.hexdigest() == (
+        "e4e708c09f6a44bd2a16fe8a49173c1fe5794d29dca8b3bdff25c27faba57ed5"
+    )
+
+
+@pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS)
+def test_products_match_permutation_products(spec):
+    """Full maps, composed products, inversion and both conjugations agree
+    with tuple-permutation arithmetic: for every x and e up to order 360,
+    and for a fixed sample of x above it."""
+    named = construct_named(spec)
+    G = PermGroup(named.degree, named.generators)  # nothing cached yet
+    perms = G.elements()
+    ix = G._index
+    where = {p: i for i, p in enumerate(perms)}
+    assert len(where) == G.order and perms == sorted(perms)
+    inv = [where[pinv(p)] for p in perms]
+    assert list(ix.inv) == inv
+    xs = range(ix.size) if ix.size <= 360 else random.Random(spec).sample(range(ix.size), 8)
+    left = {x: [where[pmul(perms[x], pe)] for pe in perms] for x in set(xs) | {inv[x] for x in xs}}
+    es = range(ix.size)
+    for x in xs:
+        x_times, x_inv_times = left[x], left[inv[x]]
+        assert list(ix.lmul(x)) == x_times
+        products = ix.products(x)
+        assert [products[e] for e in es] == x_times
+        # x^-1 e x = (x^-1 (x^-1 e)^-1)^-1 and x z x^-1 = x (x z^-1)^-1
+        assert list(ix.conj(x)) == [inv[x_inv_times[inv[x_inv_times[e]]]] for e in es]
+        want = [x_times[inv[x_times[inv[z]]]] for z in es]
+        for limit in (0, ix.size):  # composed, then through the full map
+            conjugate = ix.conjugator(x, limit)
+            assert [conjugate(z) for z in es] == want
+
+
+def test_short_base_is_refused():
+    """A base whose images do not separate the elements cannot index them."""
+    named = construct_named("sym:4")
+    G = PermGroup(named.degree, named.generators)
+    G.base = G.base[:-1]
+    with pytest.raises(AssertionError, match="do not separate"):
+        G.elements()
 
 
 def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
