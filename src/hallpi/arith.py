@@ -103,7 +103,12 @@ class PrimeSet:
         return self.primes[0]
 
     def without(self, p: int) -> "PrimeSet":
-        return PrimeSet._subset(x for x in self.primes if x != p)
+        """The members other than p; the set itself when p is not one, as a
+        PrimeSet never changes."""
+        if p not in self.primes:
+            return self
+        i = self.primes.index(p)
+        return PrimeSet._subset(self.primes[:i] + self.primes[i + 1 :])
 
     def union(self, other: Iterable[int]) -> "PrimeSet":
         return PrimeSet(list(self.primes) + list(other))

@@ -43,10 +43,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_pi(text: str) -> PrimeSet:
+    """A comma-separated list of one or more primes, with no empty entry."""
+    tokens = text.split(",")
+    if not all(tok.strip() for tok in tokens):
+        raise GroupSpecError(f"--pi: bad prime list {text!r}: an entry is empty; "
+                             "give one or more primes, such as 3,5")
     try:
-        return PrimeSet(int(tok) for tok in text.split(",") if tok.strip())
+        return PrimeSet(int(tok) for tok in tokens)
     except ValueError as exc:
-        raise GroupSpecError(f"bad pi list {text!r}: {exc}") from None
+        raise GroupSpecError(f"--pi: bad prime list {text!r}: {exc}") from None
 
 
 def _parse_range(option: str, text: str) -> range:

@@ -51,7 +51,9 @@ def _rec(trace: Trace, pred: str, value: bool, **args: Any) -> bool:
 
 @dataclass
 class Verdict:
-    """Answer of a property decision, with its full predicate trace."""
+    """Answer of a property decision, with its full predicate trace.
+    ``inter`` is the pi inter pi(S) the decision computed, so a decision
+    derived from this one need not compute it again."""
 
     property: str  # one of E, C, D, U
     holds: str  # yes | no | out_of_scope
@@ -60,6 +62,7 @@ class Verdict:
     hall_cyclic: bool | None = None
     group: str | None = None
     pi: tuple[int, ...] = ()
+    inter: PrimeSet | None = field(default=None, repr=False, compare=False)
 
     @property
     def yes(self) -> bool:
@@ -151,17 +154,24 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 
     Returns the first satisfied subcase (a)-(h) in listing order, or None.
     """
-    return _condition_II(g, _check_II_III_pre(g, pi))
+    return _condition_II(g, *_order_facts(g, _check_II_III_pre(g, pi)))
 
 
-def _condition_II(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
-    """Condition II's body on ``inter`` = pi inter pi(g)."""
-    trace: Trace = []
+def _order_facts(g: GroupId, inter: PrimeSet) -> tuple[int, PrimeSet, int, dict[int, int]]:
+    """What Conditions II and III both start from, given ``inter`` = pi
+    inter pi(g): r = min(inter), tau = inter without r, ord(q mod r) and
+    ord(q mod s) for each s in tau."""
     r = inter.smallest
     tau = inter.without(r)
+    return r, tau, multiplicative_order(g.q, r), _orders_on(g.q, tau)
+
+
+def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
+                  orders: dict[int, int]) -> tuple[str | None, Trace]:
+    """Condition II's body on the facts ``_order_facts`` lists, with
+    a = ord(q mod r)."""
+    trace: Trace = []
     q, n = g.q, g.n
-    a = multiplicative_order(q, r)
-    orders = _orders_on(q, tau)
     _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
     for s, o in orders.items():
         _rec(trace, "ord(q mod s)", True, s=s, order=o)
@@ -246,17 +256,15 @@ def _condition_II(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
 
 def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     """Uniform-order case: every member of tau has the same order c as r."""
-    return _condition_III(g, _check_II_III_pre(g, pi))
+    return _condition_III(g, *_order_facts(g, _check_II_III_pre(g, pi)))
 
 
-def _condition_III(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
-    """Condition III's body on ``inter`` = pi inter pi(g)."""
+def _condition_III(g: GroupId, r: int, tau: PrimeSet, c: int,
+                   orders: dict[int, int]) -> tuple[str | None, Trace]:
+    """Condition III's body on the facts ``_order_facts`` lists, with
+    c = ord(q mod r)."""
     trace: Trace = []
-    r = inter.smallest
-    tau = inter.without(r)
-    q, n = g.q, g.n
-    c = multiplicative_order(q, r)
-    orders = _orders_on(q, tau)
+    n = g.n
     _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
     if not all(
         _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c) for t in tau
@@ -419,19 +427,20 @@ def _condition_IV(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
     return None, trace
 
 
-def _base_verdict(prop: str, g: GroupId, pi: PrimeSet) -> Verdict:
-    return Verdict(property=prop, holds="no", group=g.spec(), pi=tuple(pi))
+def _base_verdict(prop: str, g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdict:
+    return Verdict(property=prop, holds="no", group=g.spec(), pi=tuple(pi), inter=inter)
 
 
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Decide the full Sylow-analogue property for a simple Lie-type group.
 
     Each branch below reaches a condition only where that condition's
-    premises hold, so the condition bodies take the ``inter`` computed here
-    and their answers are the public ``check_condition_*`` answers.
+    premises hold, so the condition bodies take the ``inter`` computed here,
+    Conditions II and III the order facts computed once from it, and their
+    answers are the public ``check_condition_*`` answers.
     """
-    v = _base_verdict("D", g, pi)
     inter = pi_intersection(pi, g)
+    v = _base_verdict("D", g, pi, inter)
     if len(inter) <= 1:
         v.holds = "yes"
         v.condition = "trivial_small_pi"
@@ -454,14 +463,15 @@ def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
         if ok:
             v.holds, v.condition = "yes", "I"
         return v
-    sub, trace = _condition_II(g, inter)
+    facts = _order_facts(g, inter)
+    sub, trace = _condition_II(g, *facts)
     v.trace.extend(trace)
     if sub is not None:
         v.holds, v.condition = "yes", sub
         if sub in ("II(g)", "II(h)"):
             v.hall_cyclic = True
         return v
-    sub, trace = _condition_III(g, inter)
+    sub, trace = _condition_III(g, *facts)
     v.trace.extend(trace)
     if sub is not None:
         v.holds, v.condition = "yes", sub
@@ -492,9 +502,8 @@ def classify_epi_minus_dpi(
             return "epi_case_1", trace
         return None, trace
 
-    g = g_or_sporadic
-    inter = pi_intersection(pi, g)
-    return _classify_lie(g, pi, inter, decide_dpi(g, pi).yes)
+    d = decide_dpi(g_or_sporadic, pi)
+    return _classify_lie(g_or_sporadic, pi, d.inter, d.yes)
 
 
 def _classify_lie(
@@ -605,9 +614,9 @@ def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
 def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
     """E on (g, pi) from ``d``, the D verdict on the same point: D implies
     E, and where D fails E holds exactly on the E-minus-D classification.
-    ``d`` is read, never changed."""
-    v = _base_verdict("E", g, pi)
-    inter = pi_intersection(pi, g)
+    ``d`` is read, never changed, and its pi inter pi(g) reused."""
+    inter = d.inter
+    v = _base_verdict("E", g, pi, inter)
     if len(inter) <= 1:
         v.holds = "yes"
         v.condition = "trivial_small_pi"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import factorial, gcd, prod
 
 from .arith import PrimeSet, is_prime
@@ -50,16 +50,20 @@ class GroupId:
     p: int
     f: int
 
-    @property
+    @cached_property
     def q(self) -> int:
         return self.p**self.f
 
-    def spec(self) -> str:
-        """Canonical textual form; re-parses to an equal GroupId."""
+    @cached_property
+    def _spec(self) -> str:
         qtxt = str(self.p) if self.f == 1 else f"{self.p}^{self.f}"
         if self.n is None:
             return f"{self.family}:q={qtxt}"
         return f"{self.family}:{self.n}:q={qtxt}"
+
+    def spec(self) -> str:
+        """Canonical textual form; re-parses to an equal GroupId."""
+        return self._spec
 
     def __str__(self) -> str:
         return self.spec()
@@ -268,8 +272,8 @@ def prime_divides_order(t: int, g: GroupId) -> bool:
 
 
 def pi_intersection(pi: PrimeSet, g: GroupId) -> PrimeSet:
-    """Subset of pi dividing |g|; a pi that is not a PrimeSet is
-    validated as one first.
+    """Subset of pi dividing |g|, pi itself when every member does; a pi
+    that is not a PrimeSet is validated as one first.
 
     The smallest member and the rest are available as ``.smallest`` and
     ``.without(r)`` on the result.
@@ -277,4 +281,5 @@ def pi_intersection(pi: PrimeSet, g: GroupId) -> PrimeSet:
     if not isinstance(pi, PrimeSet):
         pi = PrimeSet(pi)
     order = group_order(g)
-    return PrimeSet._subset(t for t in pi if order % t == 0)
+    kept = tuple(t for t in pi.primes if order % t == 0)
+    return pi if len(kept) == len(pi) else PrimeSet._subset(kept)

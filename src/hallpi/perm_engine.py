@@ -20,8 +20,13 @@ One cyclic-extension routine joins class members with cyclic subgroups of
 prime-power order, one cyclic per orbit of the member acting on them by
 conjugation: <K, k x k^-1> = <K, x> for k in K, so the skipped joins could
 only return a subgroup already found, and the search finds the same classes,
-members and generators as one join per cyclic.  Each query enumerates only
-what it needs:
+members and generators as one join per cyclic.  A cyclic whose join with K
+was dropped over the cap or gave the whole group is remembered, with its
+K-orbit, while K is extended, and a later join of K stops at the first
+element generating a remembered cyclic: that join contains the first one, so
+it too could only be dropped or be the whole group, already found.  Products
+composed for K are forgotten when the search moves on to the next member.
+Each query enumerates only what it needs:
 
 - ``enumerate_subgroups``: the full lattice, from the trivial group.
 - ``pi_subgroups`` (E, C, D and star): the pi-subgroups only, joining
@@ -518,7 +523,9 @@ class _Index:
     8 * limit < |G| composes only the products it asks for, memoized per x
     (``products``).  Any other takes x's full map (``lmul``), one C-level
     lookup per element, at a fraction of a composed product's cost per
-    entry.  Both caches live as long as the group."""
+    entry.  The full maps live as long as the group; ``_extend`` clears the
+    product memos whenever it moves on to the next class member, as its
+    joins of one member reuse them and those of the next rarely do."""
 
     def __init__(self, G: PermGroup):
         # Breadth-first closure under right multiplication by the generators.
@@ -608,10 +615,12 @@ class _Index:
         m, inv = self.lmul(y), self.inv
         return lambda z: m[inv[m[inv[z]]]]
 
-    def join(self, R: frozenset, gens: list[int], limit: int) -> frozenset | None:
+    def join(self, R: frozenset, gens: list[int], limit: int,
+             stop: set[int] | frozenset[int] = frozenset()) -> frozenset | None:
         """The subgroup generated by ``gens``, which contains the subgroup R;
-        None once it has more than ``limit`` elements.  A subgroup with more
-        than half of the elements is the whole group."""
+        None once it has more than ``limit`` elements, or once a new coset
+        holds a generator of a cyclic in ``stop`` (its ``canonical`` entry).
+        A subgroup with more than half of the elements is the whole group."""
         mult = self.products if self._composes(limit) else self.lmul
         maps = [mult(g) for g in gens]
         K = set(R)
@@ -621,6 +630,8 @@ class _Index:
                 if m[coset[0]] in K:
                     continue
                 new = list(map(m.__getitem__, coset))
+                if stop and not stop.isdisjoint(map(self.canonical.__getitem__, new)):
+                    return None
                 K.update(new)
                 if len(K) > limit:
                     return None
@@ -751,7 +762,16 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     subgroup.  The orbit's first cyclic in ``cyclics`` is the one joined,
     and each skipped join would have returned that subgroup again, already
     seen or dropped, so the classes, members and generators found are
-    those of one join per cyclic."""
+    those of one join per cyclic.
+
+    While K is extended, ``overshoot`` holds the cyclics c, by canonical
+    generator, whose join <K, c> came back None or as the whole group G,
+    each with its K-orbit, whose joins are the same subgroup.  A later join
+    of K stops, returning None, at the first new coset holding a generator
+    of such a c: it contains <K, c>, so it could only have returned None or
+    G, which is in ``seen`` since that first join, and both are skipped.
+    The stop changes nothing found, and a join pays nothing for it until K
+    has a first overshoot."""
     found: list[tuple[frozenset, list[int], dict]] = []
     seen: set[frozenset] = set()
     canonical = ix.canonical
@@ -763,21 +783,24 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
 
     add(start, gens)
     for K, K_gens, _ in found:  # grows while it is read
+        ix._products.clear()
         conjugators = [ix.conjugator(y, limit) for y in K_gens]
         tried: set[int] = set()
+        overshoot: set[int] = set()  # cyclics c with <K, c> dropped or G
         for x in cyclics:
             if x in K or x in tried:
                 continue
             tried.add(x)
-            stack = [x]
-            while stack:  # the K-orbit of <x>: y z y^-1 for y in K_gens
-                z = stack.pop()
+            orbit = [x]
+            for z in orbit:  # grows while it is read: y z y^-1 for y in K_gens
                 for conjugate in conjugators:
                     c = canonical[conjugate(z)]
                     if c not in tried:
                         tried.add(c)
-                        stack.append(c)
-            J = ix.join(K, K_gens + [x], limit)
+                        orbit.append(c)
+            J = ix.join(K, K_gens + [x], limit, overshoot)
+            if J is None or len(J) == ix.size:
+                overshoot.update(orbit)
             if J is None or J in seen:
                 continue
             if keep(len(J)):

@@ -109,7 +109,8 @@ class CrossCheckReport:
 
 def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
     """A JSON object whose ``cases`` list holds objects with a ``group``
-    string and a ``pi`` list of integers; any other shape is a ValueError."""
+    string and a ``pi`` list of one or more integers; any other shape is a
+    ValueError."""
     try:
         grid = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -120,10 +121,10 @@ def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
     out = []
     for i, case in enumerate(cases):
         if not (isinstance(case, dict) and isinstance(case.get("group"), str)
-                and isinstance(case.get("pi"), list)
+                and isinstance(case.get("pi"), list) and case["pi"]
                 and all(type(p) is int for p in case["pi"])):  # PrimeSet reads 3.9 as 3
             raise ValueError(f"grid case {i} must be an object with a 'group' string "
-                             "and a 'pi' list of integers")
+                             "and a 'pi' list of one or more integers")
         out.append((parse_group_id(case["group"]), PrimeSet(case["pi"])))
     return out
 

@@ -49,9 +49,16 @@ def test_decide_bad_group_exit_three(capsys):
 
 
 def test_decide_bad_pi_exit_three(capsys):
-    code, _, err = run(capsys, "decide", "--group", "A:2:q=7", "--pi", "3,4",
-                       "--prop", "dpi")
-    assert code == 3
+    """A non-prime or an empty entry in --pi exits 3, for decide and brute."""
+    bad = [("3,4", "4 is not prime"), (",", "an entry is empty"), ("", "an entry is empty"),
+           ("3,,5", "an entry is empty"), ("3,", "an entry is empty")]
+    for command, group in (("decide", "A:2:q=7"), ("brute", "alt:5")):
+        for pi, message in bad:
+            code, out, err = run(capsys, command, "--group", group, "--pi", pi,
+                                 "--prop", "dpi")
+            assert code == 3 and out == "", (command, pi)
+            assert err.startswith(f"hallpi: --pi: bad prime list {pi!r}: {message}")
+            assert err.count("\n") == 1
 
 
 def test_decide_json_schema_and_roundtrip(capsys):
@@ -335,9 +342,11 @@ def test_verify_cross_custom_grid(capsys, tmp_path):
         ('{"cases": [[3]]}', "grid case 0 must be an object"),
         ('{"cases": [{"group": "A:2:q=7", "pi": [3.9, 7]}]}', "grid case 0 must be an object"),
         ('{"cases": [{"group": "A:2:q=7", "pi": [true, 7]}]}', "grid case 0 must be an object"),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=7", "pi": []}]}',
+         "grid case 1 must be an object"),
     ],
     ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list",
-         "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime"],
+         "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi"],
 )
 def test_verify_bad_grid_exits_three(capsys, tmp_path, text, message):
     grid = tmp_path / "grid.json"

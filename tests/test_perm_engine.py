@@ -258,6 +258,32 @@ def test_alt8_pi_subgroups_are_pinned():
     )
 
 
+def test_search_is_pinned():
+    """The search itself, not only its canonical output: one sha256 over
+    each class's order, class size, canonical member, the member the search
+    extended and that member's generators, for the full lattice, the
+    pi-subgroups and the overgroups of a pi-Hall subgroup, for every pi of
+    at most three primes dividing |G|."""
+    h = hashlib.sha256()
+
+    def pin(classes):
+        for c in classes:
+            h.update(json.dumps([c.order, c.class_size, sorted(c.rep_set),
+                                 sorted(c.member), c.member_gens]).encode())
+
+    for spec in ("sym:4", "alt:5", "sym:5", "alt:6", "psl2:7", "psl2:8"):
+        G = construct_named(spec)
+        pin(enumerate_subgroups(G))
+        primes = [p for p in (2, 3, 5, 7) if G.order % p == 0]
+        for k in (1, 2, 3):
+            for pi in itertools.combinations(primes, k):
+                pin(pi_subgroups(G, PrimeSet(pi)))
+                pin(hall_overgroups(G, PrimeSet(pi)))
+    assert h.hexdigest() == (
+        "392d1e0d2f39202bcd1a25c3c72864cac3fd0841ed565e333a9f3cd6b8b2fafe"
+    )
+
+
 @pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS)
 def test_products_match_permutation_products(spec):
     """Full maps, composed products, inversion and both conjugations agree
@@ -299,18 +325,21 @@ def test_short_base_is_refused():
 def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
     """A class member is joined with one cyclic per orbit of its own
     conjugation action: on psl2:13 at pi = {3}, 332 joins instead of the
-    2125 that one join per cyclic makes."""
+    2125 that one join per cyclic makes.  A join stops at the first cyclic
+    whose join with the same member already gave the whole group: 10 of
+    them close to the whole group, where 286 did without the stop."""
     named = construct_named("psl2:13")
+    expected = [c.order for c in hall_overgroups(named, PrimeSet([3]))]
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
     pi_hall_subgroups(G, PrimeSet([3]))
-    calls = []
+    results = []
     join = _Index.join
-    monkeypatch.setattr(_Index, "join", lambda self, *a: calls.append(1) or join(self, *a))
+    monkeypatch.setattr(_Index, "join",
+                        lambda self, *a: results.append(join(self, *a)) or results[-1])
     classes = hall_overgroups(G, PrimeSet([3]))
-    assert [c.order for c in classes] == [
-        c.order for c in hall_overgroups(named, PrimeSet([3]))
-    ]
-    assert len(calls) <= 400
+    assert [c.order for c in classes] == expected
+    assert len(results) <= 400
+    assert sum(J is not None and len(J) == G.order for J in results) <= 20
 
 
 # ---------------------------------------------------------------------------
