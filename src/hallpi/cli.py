@@ -26,6 +26,7 @@ from .perm_engine import (
     OrderLimitError,
     brute_property,
     construct_named,
+    refuse_over_cap,
 )
 from .verifier import _SCAN_PRIMES, load_grid, run_suite, scan_points, simple_groups
 
@@ -149,6 +150,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_brute(args, max_order: int) -> int:
+    refuse_over_cap(args.group, max_order)
     G = construct_named(args.group)
     pi = _parse_pi(args.pi)
     prop = _PROP_MAP[args.prop]

@@ -10,22 +10,13 @@ positions in the sorted ``elements()``, found by one breadth-first closure
 on the first ``elements()`` call and cached on the group; a subgroup is a
 frozenset of indices.  Elements multiply through base images: an element
 is fixed by its images of the BSGS base, and (x * e)[b] = e[x[b]], so a
-product is one lookup per base point.  A search capped at ``limit``
-elements with 8 * limit < |G|, such as a pi-join capped at |G|_pi or the
-reduction of a small subgroup's generators, composes only the products it
-asks for; any other takes a full |G|-entry map per multiplier, which is
-cheaper per entry.
+product is one lookup per base point.  Every join composes only the
+products it asks for, memoized per multiplier.
 
-One cyclic-extension routine joins class members with cyclic subgroups of
-prime-power order, one cyclic per orbit of the member acting on them by
-conjugation: <K, k x k^-1> = <K, x> for k in K, so the skipped joins could
-only return a subgroup already found, and the search finds the same classes,
-members and generators as one join per cyclic.  A cyclic whose join with K
-was dropped over the cap or gave the whole group is remembered, with its
-K-orbit, while K is extended, and a later join of K stops at the first
-element generating a remembered cyclic: that join contains the first one, so
-it too could only be dropped or be the whole group, already found.  Products
-composed for K are forgotten when the search moves on to the next member.
+One cyclic-extension routine, ``_extend``, joins class members with cyclic
+subgroups of prime-power order, skipping the joins that could only return
+a subgroup already found (its docstring says which), and forgets the
+products composed for a member when it moves on to the next.
 Each query enumerates only what it needs:
 
 - ``enumerate_subgroups``: the full lattice, from the trivial group.
@@ -37,7 +28,8 @@ Each query enumerates only what it needs:
 
 Every entry point is complete-or-refuse: it raises ``OrderLimitError``
 before any work when |G| exceeds the order cap (``DEFAULT_MAX_ORDER``
-unless raised explicitly), and never truncates.
+unless raised explicitly), and never truncates; ``refuse_over_cap`` reads
+the order of a named spec off the spec, so it refuses before building it.
 """
 
 from __future__ import annotations
@@ -63,6 +55,7 @@ __all__ = [
     "perm_from_cycles",
     "perm_to_cycles",
     "construct_named",
+    "refuse_over_cap",
     "enumerate_subgroups",
     "pi_subgroups",
     "pi_hall_subgroups",
@@ -398,42 +391,25 @@ def construct_named(spec: str) -> PermGroup:
 
 def _construct_named(spec: str) -> PermGroup:
     kind, _, rest = spec.partition(":")
+    if kind in ("alt", "sym", "cyclic", "dihedral"):
+        n = _positive_int(rest, kind)
+        cycle = tuple(range(1, n)) + (0,)  # (0 1 ... n-1)
     if kind == "alt":
-        n = _positive_int(rest, "alt")
         if n <= 2:
-            return PermGroup(max(n, 1), [])
+            return PermGroup(n, [])
         cyc3 = perm_from_cycles("(0 1 2)", n)
         if n == 3:
             return PermGroup(n, [cyc3])
-        big = (
-            "(" + " ".join(map(str, range(n))) + ")"
-            if n % 2 == 1
-            else "(" + " ".join(map(str, range(1, n))) + ")"
-        )
-        return PermGroup(n, [cyc3, perm_from_cycles(big, n)])
+        # with (0 1 ... n-1) for odd n, (1 2 ... n-1) for even n
+        return PermGroup(n, [cyc3, cycle if n % 2 else (0,) + cycle[1:-1] + (1,)])
     if kind == "sym":
-        n = _positive_int(rest, "sym")
-        if n <= 1:
-            return PermGroup(max(n, 1), [])
-        return PermGroup(
-            n,
-            [
-                perm_from_cycles("(0 1)", n),
-                perm_from_cycles("(" + " ".join(map(str, range(n))) + ")", n),
-            ],
-        )
+        return PermGroup(n, [perm_from_cycles("(0 1)", n), cycle] if n > 1 else [])
     if kind == "cyclic":
-        n = _positive_int(rest, "cyclic")
-        if n == 1:
-            return PermGroup(1, [])
-        return PermGroup(n, [perm_from_cycles("(" + " ".join(map(str, range(n))) + ")", n)])
+        return PermGroup(n, [cycle] if n > 1 else [])
     if kind == "dihedral":
-        n = _positive_int(rest, "dihedral")
         if n < 3:
             raise ValueError("dihedral:n requires n >= 3")
-        rot = perm_from_cycles("(" + " ".join(map(str, range(n))) + ")", n)
-        refl = tuple((n - i) % n for i in range(n))
-        return PermGroup(n, [rot, refl])
+        return PermGroup(n, [cycle, tuple((n - i) % n for i in range(n))])
     if kind == "psl2":
         q = _positive_int(rest, "psl2")
         if q < 2 or q > 16:
@@ -455,6 +431,41 @@ def _construct_named(spec: str) -> PermGroup:
         gens = [perm_from_cycles(c, degree) for c in cycles.split(";") if c.strip()]
         return PermGroup(degree, gens)
     raise ValueError(f"unknown group spec {spec!r}")
+
+
+def refuse_over_cap(spec: str, order_bound: int) -> None:
+    """Raise ``OrderLimitError`` before any work when ``spec`` names an alt,
+    sym, cyclic or dihedral group, or a product of them, above the bound."""
+    if (_named_order(spec, order_bound + 1) or 0) > order_bound:
+        _refuse(f"group {spec.strip()} has order above", order_bound)
+
+
+def _named_order(spec: str, cap: int) -> int | None:
+    """min(|G|, cap), read off an alt, sym, cyclic or dihedral spec or a
+    product of them; None for any other spec."""
+    kind, _, rest = spec.strip().partition(":")
+    if kind == "product":
+        for i in (m.start() for m in re.finditer("x", rest)):
+            sides = [_named_order(rest[:i], cap), _named_order(rest[i + 1 :], cap)]
+            if None not in sides:
+                return min(prod(sides), cap)
+        return None
+    try:
+        n = _positive_int(rest, kind)
+    except ValueError:
+        return None
+    if kind == "cyclic":
+        return min(n, cap)
+    if kind == "dihedral":
+        return min(2 * n, cap) if n >= 3 else None
+    if kind not in ("alt", "sym"):
+        return None
+    order = 1
+    for k in range(3 if kind == "alt" else 2, n + 1):  # n!/2 = 3 * ... * n
+        order *= k
+        if order >= cap:
+            return cap
+    return order
 
 
 def _positive_int(text: str, label: str) -> int:
@@ -513,19 +524,17 @@ class _Index:
     Group Algorithms*, ch. 4), and ``by_base`` maps each element's base
     images to its index.  As (x * e)[b] = e[x[b]], the key of x * e is e's
     images of x's base images: one lookup per base point, with no walk.
-    ``cols[p]`` lists every element's image of the point p, so the columns
-    at x's base images, zipped, are the keys of x * e for every e.
+    ``cols[p]`` lists every element's image of the point p; ``conj`` reads
+    its full maps off these columns.
     ``operator.itemgetter`` returns a tuple only for two or more points, so
     a base shorter than that is repeated (the trivial group's empty base
     becomes point 0, twice).
 
-    A join, or an orbit walk, capped at ``limit`` elements with
-    8 * limit < |G| composes only the products it asks for, memoized per x
-    (``products``).  Any other takes x's full map (``lmul``), one C-level
-    lookup per element, at a fraction of a composed product's cost per
-    entry.  The full maps live as long as the group; ``_extend`` clears the
-    product memos whenever it moves on to the next class member, as its
-    joins of one member reuse them and those of the next rarely do."""
+    A join composes only the products it asks for, memoized per x
+    (``products``); ``_extend`` clears the memos whenever it moves on to the
+    next class member, as its joins of one member reuse them and those of
+    the next rarely do.  An orbit walk conjugates by a few elements, each
+    through one full map kept on the index (``conj``)."""
 
     def __init__(self, G: PermGroup):
         # Breadth-first closure under right multiplication by the generators.
@@ -553,7 +562,6 @@ class _Index:
         self.trivial = frozenset([0])  # the identity sorts first
         self.whole = frozenset(range(n))
         self.gens = [self.index(g) for g in G.generators]
-        self._lmul: dict = {}
         self._products: dict = {}
         self._conj: dict = {}
 
@@ -565,14 +573,6 @@ class _Index:
         """x's base images, the points whose images under e key x * e."""
         return list(map(self.perms[x].__getitem__, self.base))
 
-    def lmul(self, x: int):
-        """Left multiplication by x, in full: i -> index of x * elements[i]."""
-        m = self._lmul.get(x)
-        if m is None:
-            keys = zip(*map(self.cols.__getitem__, self._images(x)))
-            m = self._lmul[x] = _compact(map(self.by_base.__getitem__, keys))
-        return m
-
     def products(self, x: int) -> _Products:
         """Left multiplication by x, composed one product at a time."""
         m = self._products.get(x)
@@ -580,19 +580,6 @@ class _Index:
             key = itemgetter(*self._images(x))
             m = self._products[x] = _Products(self.by_base, self.perms, key)
         return m
-
-    def _composes(self, limit: int) -> bool:
-        """Whether a search capped at ``limit`` elements composes products
-        one at a time rather than taking full maps.  A composed product
-        costs about as much as six to eight entries of a full map, and the
-        search touches at most ``limit`` products per multiplier."""
-        return 8 * limit < self.size
-
-    @cached_property
-    def inv(self):
-        """Inversion: e^-1 has e's preimages of the base points as its images."""
-        by_base, base = self.by_base, self.base
-        return _compact(by_base[tuple(map(p.index, base))] for p in self.perms)
 
     def conj(self, y: int):
         """Conjugation by y: i -> index of y^-1 * elements[i] * y, whose image
@@ -605,15 +592,12 @@ class _Index:
             m = self._conj[y] = _compact(map(self.by_base.__getitem__, keys))
         return m
 
-    def conjugator(self, y: int, limit: int):
-        """z -> index of y * z * y^-1, for a search capped at ``limit``:
-        composed from base images, keeping nothing, or through y's full map."""
-        if self._composes(limit):
-            by_base, perms = self.by_base, self.perms
-            y_inv, key = pinv(perms[y]), itemgetter(*self._images(y))
-            return lambda z: by_base[tuple(map(y_inv.__getitem__, key(perms[z])))]
-        m, inv = self.lmul(y), self.inv
-        return lambda z: m[inv[m[inv[z]]]]
+    def conjugator(self, y: int):
+        """z -> index of y * z * y^-1, composed from base images, keeping
+        nothing."""
+        by_base, perms = self.by_base, self.perms
+        y_inv, key = pinv(perms[y]), itemgetter(*self._images(y))
+        return lambda z: by_base[tuple(map(y_inv.__getitem__, key(perms[z])))]
 
     def join(self, R: frozenset, gens: list[int], limit: int,
              stop: set[int] | frozenset[int] = frozenset()) -> frozenset | None:
@@ -621,8 +605,7 @@ class _Index:
         None once it has more than ``limit`` elements, or once a new coset
         holds a generator of a cyclic in ``stop`` (its ``canonical`` entry).
         A subgroup with more than half of the elements is the whole group."""
-        mult = self.products if self._composes(limit) else self.lmul
-        maps = [mult(g) for g in gens]
+        maps = [self.products(g) for g in gens]
         K = set(R)
         cosets = [list(R)]  # left cosets w * R, which partition K
         for coset in cosets:
@@ -784,7 +767,7 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     add(start, gens)
     for K, K_gens, _ in found:  # grows while it is read
         ix._products.clear()
-        conjugators = [ix.conjugator(y, limit) for y in K_gens]
+        conjugators = [ix.conjugator(y) for y in K_gens]
         tried: set[int] = set()
         overshoot: set[int] = set()  # cyclics c with <K, c> dropped or G
         for x in cyclics:
@@ -820,13 +803,15 @@ def _cached(G: PermGroup, order_bound: int, key, build) -> list[SubgroupClass]:
     """The subgroup classes ``build`` finds, cached on G under ``key``.
     Complete-or-refuse: raises before any work when |G| exceeds the bound."""
     if G.order > order_bound:
-        raise OrderLimitError(
-            f"group order {G.order} exceeds the enumeration cap {order_bound}; "
-            "raise the cap explicitly to proceed"
-        )
+        _refuse(f"group order {G.order} exceeds", order_bound)
     if key not in G._subgroups:
         G._subgroups[key] = build(_index(G))
     return G._subgroups[key]
+
+
+def _refuse(what: str, order_bound: int):
+    raise OrderLimitError(f"{what} the enumeration cap {order_bound}; "
+                          "raise the cap explicitly to proceed")
 
 
 def _primes(G: PermGroup, pi) -> tuple[int, ...]:

@@ -100,9 +100,12 @@ def test_brute_false_with_witness(capsys):
 
 
 def test_brute_cap_refusal_names_cap(capsys):
-    code, _, err = run(capsys, "brute", "--group", "sym:9", "--pi", "3",
-                       "--prop", "dpi")
-    assert code == 3 and "25000" in err
+    """Named groups whose order the spec gives are refused before they are
+    built: sym:60 or cyclic:200000 would take minutes or gigabytes."""
+    for group in ("sym:9", "sym:60", "alt:60", "cyclic:200000", "dihedral:100000"):
+        code, _, err = run(capsys, "brute", "--group", group, "--pi", "3",
+                           "--prop", "dpi")
+        assert code == 3 and "25000" in err, group
 
 
 def test_brute_honors_max_order(capsys):
