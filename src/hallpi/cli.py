@@ -2,6 +2,12 @@
 
 Exit codes for decide/brute: 0 = yes/true, 1 = no/false, 2 = out of scope,
 3 and up = input or usage error.  verify exits nonzero on any disagreement.
+
+``_COMMANDS`` describes each subcommand once: its help and the function
+adding its options.  ``main`` builds only the subcommand its first argument
+names, as a query runs once per process; ``-h``, a missing command or an
+unknown one gets all four.  Help, usage and error texts are the same
+either way.
 """
 
 from __future__ import annotations
@@ -92,45 +98,70 @@ def _order_cap(args) -> int:
     return cap
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="hallpi")
-    fmt = _Parser(add_help=False)
-    fmt.add_argument("--format", choices=("json", "text"), default="text")
-    cap = _Parser(add_help=False)
-    cap.add_argument("--max-order", type=int, default=None)
-    cap.add_argument("--config", default=None)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def _add_format(p: _Parser) -> None:
+    p.add_argument("--format", choices=("json", "text"), default="text")
 
-    p = sub.add_parser(
-        "decide", help="arithmetic oracle on a Lie-type group", parents=[fmt]
-    )
+
+def _add_cap(p: _Parser) -> None:
+    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--config", default=None)
+
+
+def _decide_options(p: _Parser) -> None:
+    _add_format(p)
     p.add_argument("--group", required=True)
     p.add_argument("--pi", required=True)
     p.add_argument("--prop", required=True, choices=("epi", "cpi", "dpi", "upi"))
 
-    p = sub.add_parser(
-        "brute", help="definitional check on a concrete group", parents=[fmt, cap]
-    )
+
+def _brute_options(p: _Parser) -> None:
+    _add_format(p)
+    _add_cap(p)
     p.add_argument("--group", required=True)
     p.add_argument("--pi", required=True)
     p.add_argument(
         "--prop", required=True, choices=("epi", "cpi", "dpi", "upi", "star")
     )
 
-    p = sub.add_parser("scan", help="batch oracle table over a parameter grid")
+
+def _scan_options(p: _Parser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", default=None, help="dimension/rank, N or LO..HI")
     p.add_argument("--q", required=True, help="field size, N or LO..HI")
     p.add_argument("--pi-size", type=int, default=2)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser(
-        "verify", help="oracle-vs-brute verification suites", parents=[fmt, cap]
-    )
+
+def _verify_options(p: _Parser) -> None:
+    _add_format(p)
+    _add_cap(p)
     p.add_argument(
         "suite", choices=("cross", "main-theorem", "star", "exclusivity", "all")
     )
     p.add_argument("--grid", default=None)
+
+
+# subcommand -> (help, function adding its options)
+_COMMANDS = {
+    "decide": ("arithmetic oracle on a Lie-type group", _decide_options),
+    "brute": ("definitional check on a concrete group", _brute_options),
+    "scan": ("batch oracle table over a parameter grid", _scan_options),
+    "verify": ("oracle-vs-brute verification suites", _verify_options),
+}
+
+
+def _build_parser(command: str | None) -> _Parser:
+    """The parser with one subcommand's options, or with all four's when
+    ``command`` is None.  Its usage names all four either way."""
+    parser = _Parser(prog="hallpi")
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        # with one built, name all four as argparse does from the choices
+        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
+    )
+    for name in _COMMANDS if command is None else (command,):
+        help_text, add_options = _COMMANDS[name]
+        add_options(sub.add_parser(name, help=help_text))
     return parser
 
 
@@ -231,7 +262,9 @@ def _cmd_verify(args, max_order: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         if args.command == "decide":
             return _cmd_decide(args)

@@ -6,12 +6,13 @@ D, U and the normal-abelian-tail property ("star").
 
 Permutations are tuples mapping point i to its image; products compose
 left-to-right (apply a, then b).  Subgroup search indexes the elements as
-positions in the sorted ``elements()``, found by one breadth-first closure
-on the first ``elements()`` call and cached on the group; a subgroup is a
-frozenset of indices.  Elements multiply through base images: an element
-is fixed by its images of the BSGS base, and (x * e)[b] = e[x[b]], so a
-product is one lookup per base point.  Every join composes only the
-products it asks for, memoized per multiplier.
+positions in the sorted ``elements()``, read off the stabiliser chain on
+the first ``elements()`` call, checked to be closed under the generators
+and cached on the group; a subgroup is a frozenset of indices.  Elements
+multiply through base images: an element is fixed by its images of the
+BSGS base, and (x * e)[b] = e[x[b]], so a product is one lookup per base
+point.  Every join composes only the products it asks for, memoized per
+multiplier.
 
 One cyclic-extension routine, ``_extend``, joins class members with cyclic
 subgroups of prime-power order, skipping the joins that could only return
@@ -146,14 +147,15 @@ def perm_to_cycles(a: Perm) -> str:
 
 
 def _sift(g: Perm, base: list[int], transversals: list[dict[int, Perm]],
-          start: int = 0) -> tuple[Perm, int]:
+          start: int = 0, inverse=pinv) -> tuple[Perm, int]:
     """Sift g down the stabiliser chain from level ``start``: the residue and
-    the level it stopped at, ``len(base)`` when it passed every level."""
+    the level it stopped at, ``len(base)`` when it passed every level.
+    ``inverse`` inverts a transversal element; Schreier-Sims memoizes it."""
     for i in range(start, len(base)):
         img = g[base[i]]
         if img not in transversals[i]:
             return g, i
-        g = pmul(g, pinv(transversals[i][img]))
+        g = pmul(g, inverse(transversals[i][img]))
     return g, len(base)
 
 
@@ -170,13 +172,19 @@ def _schreier_sims(degree: int, gens: list[Perm]):
         [g for g in gens if all(g[b] == b for b in base[:i])] for i in range(len(base))
     ]
     transversals: list[dict[int, Perm]] = [dict() for _ in base]
+    inverses: dict[Perm, Perm] = {}  # of the transversal elements used so far
+
+    def inverse(t: Perm) -> Perm:
+        t_inv = inverses.get(t)
+        if t_inv is None:
+            t_inv = inverses[t] = pinv(t)
+        return t_inv
 
     def rebuild_transversal(i: int) -> None:
         beta = base[i]
         trans = {beta: ident}
         queue = [beta]
-        while queue:
-            pt = queue.pop(0)
+        for pt in queue:  # grows while it is read
             for g in stab_gens[i]:
                 img = g[pt]
                 if img not in trans:
@@ -195,10 +203,9 @@ def _schreier_sims(degree: int, gens: list[Perm]):
             for g in stab_gens[i]:
                 sg = pmul(t_pt, g)
                 rep = transversals[i][sg[base[i]]]
-                schreier = pmul(sg, pinv(rep))
-                if schreier == ident:
+                if sg == rep:  # the Schreier generator sg * rep^-1 is trivial
                     continue
-                h, j = _sift(schreier, base, transversals, i + 1)
+                h, j = _sift(pmul(sg, inverse(rep)), base, transversals, i + 1, inverse)
                 if h != ident:
                     complete = False
                     if j == len(base):
@@ -245,7 +252,8 @@ class PermGroup:
     __contains__ = contains
 
     def elements(self) -> list[Perm]:
-        """All elements, sorted; cached with their integer index."""
+        """All elements, sorted, read off the stabiliser chain; cached with
+        their integer index."""
         if self._index is None:
             self._index = _Index(self)
         return self._index.perms
@@ -520,6 +528,16 @@ class _Index:
     """The elements of a group as indices into its sorted ``elements()``,
     multiplied through base images.
 
+    Every element is h * t for one t in the top transversal of the
+    stabiliser chain and one h in the stabiliser below it, so the elements
+    are the products of one transversal element per level: |G| products,
+    with no search.  A set holding the identity and closed under the
+    generators is all of <gens>, so every s * g, for s listed and g a
+    generator, must have the base images of a listed element; a chain that
+    missed a coset representative fails this with ``AssertionError``.  The
+    check trusts the base to be a base of <gens>, as Schreier-Sims stops
+    only when every Schreier generator sifts to the identity.
+
     A permutation is fixed by its images of a base (Seress, *Permutation
     Group Algorithms*, ch. 4), and ``by_base`` maps each element's base
     images to its index.  As (x * e)[b] = e[x[b]], the key of x * e is e's
@@ -537,20 +555,11 @@ class _Index:
     through one full map kept on the index (``conj``)."""
 
     def __init__(self, G: PermGroup):
-        # Breadth-first closure under right multiplication by the generators.
-        ident = identity(G.degree)
-        perms = [ident]
-        found = {ident}
-        for w in perms:  # grows while it is read
-            for g in G.generators:
-                wg = pmul(w, g)
-                if wg not in found:
-                    found.add(wg)
-                    perms.append(wg)
-        n = len(perms)
-        if n != G.order:
-            raise AssertionError("element closure disagrees with BSGS order")
+        perms = [identity(G.degree)]  # the levels multiplied out, deepest first
+        for trans in reversed(G._transversals):
+            perms = [pmul(h, t) for t in trans.values() for h in perms]
         perms.sort()
+        n = len(perms)
         self.perms = perms
         self.size = n
         self.degree = G.degree
@@ -559,6 +568,10 @@ class _Index:
         self.by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
         if len(self.by_base) != n:
             raise AssertionError("the base images do not separate the elements")
+        for g in G.generators:  # (s * g)[b] = g[s[b]]
+            keys = zip(*(map(g.__getitem__, cols[b]) for b in base))
+            if not all(map(self.by_base.__contains__, keys)):
+                raise AssertionError("the elements are not closed under the generators")
         self.trivial = frozenset([0])  # the identity sorts first
         self.whole = frozenset(range(n))
         self.gens = [self.index(g) for g in G.generators]

@@ -372,3 +372,112 @@ def test_usage_error_exits_three(capsys):
         main(["decide", "--group", "A:2:q=7"])  # missing --pi/--prop
     capsys.readouterr()
     assert exc.value.code == 3
+
+
+# ---------------------------------------------------------------------------
+# help, usage and error texts, byte for byte
+
+# argparse wraps help at the terminal width, so the pins fix it at 80.
+_TOP_USAGE = "usage: hallpi [-h] {decide,brute,scan,verify} ...\n"
+_PARSER_PINS = {
+    "top-help": (["-h"], 0, (
+        _TOP_USAGE + "\n"
+        "positional arguments:\n"
+        "  {decide,brute,scan,verify}\n"
+        "    decide              arithmetic oracle on a Lie-type group\n"
+        "    brute               definitional check on a concrete group\n"
+        "    scan                batch oracle table over a parameter grid\n"
+        "    verify              oracle-vs-brute verification suites\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+    ), ""),
+    "no-command": ([], 3, "", (
+        _TOP_USAGE
+        + "hallpi: error: the following arguments are required: command\n"
+    )),
+    "unknown-command": (["bogus"], 3, "", (
+        _TOP_USAGE
+        + "hallpi: error: argument command: invalid choice: 'bogus' "
+        "(choose from 'decide', 'brute', 'scan', 'verify')\n"
+    )),
+    "decide-help": (["decide", "-h"], 0, (
+        "usage: hallpi decide [-h] [--format {json,text}] --group GROUP --pi PI --prop\n"
+        "                     {epi,cpi,dpi,upi}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,text}\n"
+        "  --group GROUP\n"
+        "  --pi PI\n"
+        "  --prop {epi,cpi,dpi,upi}\n"
+    ), ""),
+    "brute-help": (["brute", "-h"], 0, (
+        "usage: hallpi brute [-h] [--format {json,text}] [--max-order MAX_ORDER]\n"
+        "                    [--config CONFIG] --group GROUP --pi PI --prop\n"
+        "                    {epi,cpi,dpi,upi,star}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,text}\n"
+        "  --max-order MAX_ORDER\n"
+        "  --config CONFIG\n"
+        "  --group GROUP\n"
+        "  --pi PI\n"
+        "  --prop {epi,cpi,dpi,upi,star}\n"
+    ), ""),
+    "scan-help": (["scan", "-h"], 0, (
+        "usage: hallpi scan [-h] --family\n"
+        "                   {A,2A,B,C,D,2D,3D4,E6,2E6,E7,E8,F4,G2,2B2,2F4,2G2} [--n N]\n"
+        "                   --q Q [--pi-size PI_SIZE] [--out OUT]\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --family {A,2A,B,C,D,2D,3D4,E6,2E6,E7,E8,F4,G2,2B2,2F4,2G2}\n"
+        "  --n N                 dimension/rank, N or LO..HI\n"
+        "  --q Q                 field size, N or LO..HI\n"
+        "  --pi-size PI_SIZE\n"
+        "  --out OUT\n"
+    ), ""),
+    "verify-help": (["verify", "-h"], 0, (
+        "usage: hallpi verify [-h] [--format {json,text}] [--max-order MAX_ORDER]\n"
+        "                     [--config CONFIG] [--grid GRID]\n"
+        "                     {cross,main-theorem,star,exclusivity,all}\n"
+        "\n"
+        "positional arguments:\n"
+        "  {cross,main-theorem,star,exclusivity,all}\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {json,text}\n"
+        "  --max-order MAX_ORDER\n"
+        "  --config CONFIG\n"
+        "  --grid GRID\n"
+    ), ""),
+    # reported by the top-level parser, after the subcommand has parsed
+    "unread-option": (_SCAN + ["--format", "json"], 3, "", (
+        _TOP_USAGE + "hallpi: error: unrecognized arguments: --format json\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("case", list(_PARSER_PINS))
+def test_parser_texts_are_pinned(capsys, monkeypatch, case):
+    argv, want_code, want_out, want_err = _PARSER_PINS[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out, captured.err) == (want_code, want_out, want_err)
+
+
+def test_usage_is_the_same_with_one_subcommand_built(capsys, monkeypatch):
+    """An error reported after one subcommand has parsed prints the usage of
+    the parser with all four built, wrapped the same at a narrow width."""
+    monkeypatch.setenv("COLUMNS", "40")
+    usages = []
+    for argv in (["bogus"], _SCAN + ["--format", "json"]):
+        with pytest.raises(SystemExit):
+            main(argv)
+        usages.append(capsys.readouterr().err.split("hallpi: error:")[0])
+    assert usages[0] == usages[1] and usages[0].count("\n") == 3

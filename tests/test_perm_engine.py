@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+from math import prod
 
 import pytest
 
@@ -330,6 +331,42 @@ def test_short_base_is_refused():
     G.base = G.base[:-1]
     with pytest.raises(AssertionError, match="do not separate"):
         G.elements()
+
+
+def _closure(G: PermGroup) -> list:
+    """Every element of G, sorted, by breadth-first closure under right
+    multiplication by the generators: no stabiliser chain involved."""
+    ident = identity(G.degree)
+    perms, found = [ident], {ident}
+    for w in perms:  # grows while it is read
+        for g in G.generators:
+            wg = pmul(w, g)
+            if wg not in found:
+                found.add(wg)
+                perms.append(wg)
+    return sorted(perms)
+
+
+@pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS + ["psl2:16", "raw:3:"])
+def test_elements_equal_generator_closure(spec):
+    """The elements read off the stabiliser chain are the group's."""
+    named = construct_named(spec)
+    G = PermGroup(named.degree, named.generators)
+    assert G.elements() == _closure(G)
+    assert len(G.elements()) == G.order
+
+
+@pytest.mark.parametrize("spec", ["sym:5", "psl2:7", "product:cyclic:3xalt:5"])
+def test_chain_missing_an_element_is_refused(spec):
+    """A stabiliser chain that missed one coset representative, at any
+    level, lists a set not closed under the generators."""
+    named = construct_named(spec)
+    for level in range(len(named.base)):
+        G = PermGroup(named.degree, named.generators)
+        del G._transversals[level][max(set(G._transversals[level]) - {G.base[level]})]
+        G.order = prod(len(t) for t in G._transversals)  # as such a chain reports
+        with pytest.raises(AssertionError, match="not closed"):
+            G.elements()
 
 
 def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
