@@ -20,14 +20,19 @@ __all__ = [
     "r_part_pow_minus_sign",
 ]
 
-# Miller-Rabin with these fixed bases is a proven deterministic primality
-# test for all n below this bound (far beyond anything handled here).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Miller-Rabin with the first 13 primes as bases is a proven deterministic
+# primality test for all n below _MR_BOUND, the least strong pseudoprime to
+# all of them (Sorenson and Webster, 2015).  The twelve bases up to 37 are
+# not enough: 318665857834031151167461 passes all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin with fixed proven bases)."""
+    """Deterministic primality test (Miller-Rabin with fixed proven bases).
+    A number at or above ``_MR_BOUND`` that passes every base is a
+    ValueError, as the bases cannot prove it prime; a composite never is."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -50,6 +55,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_BOUND:
+        raise ValueError(f"cannot prove {n} prime: primality is decided exactly "
+                         f"only below {_MR_BOUND}")
     return True
 
 

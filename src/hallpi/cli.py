@@ -34,7 +34,7 @@ from .perm_engine import (
     construct_named,
     refuse_over_cap,
 )
-from .verifier import _SCAN_PRIMES, load_grid, run_suite, scan_points, simple_groups
+from .verifier import _SCAN_PRIMES, _SUITES, load_grid, run_suite, scan_points, simple_groups
 
 _PROP_MAP = {"epi": "E", "cpi": "C", "dpi": "D", "upi": "U", "star": "star"}
 _DECIDERS = {"E": decide_epi, "C": decide_cpi, "D": decide_dpi, "U": decide_upi}
@@ -135,9 +135,7 @@ def _scan_options(p: _Parser) -> None:
 def _verify_options(p: _Parser) -> None:
     _add_format(p)
     _add_cap(p)
-    p.add_argument(
-        "suite", choices=("cross", "main-theorem", "star", "exclusivity", "all")
-    )
+    p.add_argument("suite", choices=(*_SUITES, "all"))
     p.add_argument("--grid", default=None)
 
 

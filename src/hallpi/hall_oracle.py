@@ -614,24 +614,15 @@ def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
 def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
     """E on (g, pi) from ``d``, the D verdict on the same point: D implies
     E, and where D fails E holds exactly on the E-minus-D classification.
-    ``d`` is read, never changed, and its pi inter pi(g) reused."""
-    inter = d.inter
-    v = _base_verdict("E", g, pi, inter)
-    if len(inter) <= 1:
-        v.holds = "yes"
-        v.condition = "trivial_small_pi"
-        _rec(v.trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
-        return v
-    if 2 in pi:
-        v.holds = "out_of_scope"
-        _rec(v.trace, "2 in pi: criterion not covered", True)
-        return v
-    if d.yes:
-        v.holds, v.condition = "yes", d.condition
+    Where D is not "no" (a yes, the Sylow case |pi inter pi(S)| <= 1, or
+    out of scope with 2 in pi) E is D's answer.  ``d`` is read, never
+    changed, and its pi inter pi(g) reused."""
+    v = _base_verdict("E", g, pi, d.inter)
+    if d.holds != "no":
+        v.holds, v.condition, v.hall_cyclic = d.holds, d.condition, d.hall_cyclic
         v.trace.extend(d.trace)
-        v.hall_cyclic = d.hall_cyclic
         return v
-    tag, trace = _classify_lie(g, pi, inter, False)
+    tag, trace = _classify_lie(g, pi, d.inter, False)
     v.trace.extend(trace)
     if tag is not None:
         v.holds, v.condition = "yes", tag

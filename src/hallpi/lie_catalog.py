@@ -11,9 +11,9 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, gcd, prod
+from math import factorial, gcd, log, prod
 
-from .arith import PrimeSet, is_prime
+from .arith import _SMALL_PRIMES, PrimeSet, is_prime
 
 __all__ = [
     "GroupId",
@@ -75,25 +75,34 @@ _SPEC_RE = re.compile(
 )
 
 
+def _iroot(v: int, f: int) -> int:
+    """The integer part of the f-th root of v >= 1, by Newton's method from
+    above, in exact integers."""
+    x = 1 << -(-v.bit_length() // f)  # a power of 2 at or above the root
+    while True:
+        y = ((f - 1) * x + v // x ** (f - 1)) // f
+        if y >= x:
+            return x
+        x = y
+
+
 def _prime_power(v: int) -> tuple[int, int]:
-    """Split v as p^f with p prime, or raise."""
-    if v < 2:
-        raise GroupSpecError(f"q={v} is not a prime power")
-    p = v
-    for d in range(2, v + 1):
-        if d * d > v:
-            break
-        if v % d == 0:
-            p = d
-            break
-    f = 0
-    rest = v
-    while rest % p == 0:
-        rest //= p
-        f += 1
-    if rest != 1:
-        raise GroupSpecError(f"q={v} is not a prime power")
-    return p, f
+    """Split v as p^f with p prime, or raise: v is p^f exactly when its
+    f-th root p is an integer and prime.  A p below 50 is v's least prime
+    factor, found by trial division, and f = log_p(v); a larger p has
+    2^(5f) < 53^f <= v, which bounds the roots to try."""
+    if v >= 2:
+        p = next((p for p in _SMALL_PRIMES if v % p == 0), None)
+        if p is not None:
+            f = round(log(v, p))
+            if p**f == v:
+                return p, f
+        else:
+            for f in range(1, v.bit_length() // 5 + 1):
+                p = _iroot(v, f)
+                if p**f == v and is_prime(p):
+                    return p, f
+    raise GroupSpecError(f"q={v} is not a prime power")
 
 
 def parse_group_id(text: str) -> GroupId:

@@ -29,8 +29,10 @@ Each query enumerates only what it needs:
 
 Every entry point is complete-or-refuse: it raises ``OrderLimitError``
 before any work when |G| exceeds the order cap (``DEFAULT_MAX_ORDER``
-unless raised explicitly), and never truncates; ``refuse_over_cap`` reads
-the order of a named spec off the spec, so it refuses before building it.
+unless raised explicitly), and never truncates.  ``_read_spec`` reads a
+named spec once for its order and its build: ``refuse_over_cap`` refuses
+every kind but ``raw:`` (read only up to its degree) from the spec before
+building it, and ``construct_named`` checks each build against that order.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import gcd, inf, prod
 from operator import itemgetter
 
 from .arith import PrimeSet, pi_part
@@ -346,16 +348,15 @@ class _GF:
         return None
 
 
-def _psl2(q: int) -> PermGroup:
-    """Natural action of PSL_2(q) on the q+1 projective points.
+def _psl2(p: int, f: int) -> PermGroup:
+    """Natural action of PSL_2(q), q = p^f, on the q+1 projective points.
 
     Points 0..q-1 are the field elements (0 is zero), point q is infinity.
     Generated by x -> x+1, x -> l^2 x (l primitive) and x -> -1/x; the
     squared multiplier keeps the scaling inside PSL rather than PGL.
     """
-    p, f = _prime_power(q)
     gf = _GF(p, f)
-    infinity = q
+    q = infinity = gf.q
     points = list(range(q))
 
     trans = [0] * (q + 1)
@@ -374,12 +375,12 @@ def _psl2(q: int) -> PermGroup:
         lam2 = gf.mul(gf.primitive, gf.primitive)
         scale = [gf.mul(lam2, e) for e in points] + [infinity]
         gens.append(tuple(scale))
+    return PermGroup(q + 1, gens)
 
-    G = PermGroup(q + 1, gens, name=f"psl2:{q}")
-    expected = q * (q * q - 1) // (2 if q % 2 == 1 else 1)
-    if G.order != expected:
-        raise AssertionError(f"psl2:{q} construction has order {G.order}, expected {expected}")
-    return G
+
+def _cycle(n: int, first: int = 0) -> Perm:
+    """The cycle (first first+1 ... n-1) on n points."""
+    return tuple(range(first)) + tuple(range(first + 1, n)) + (first,)
 
 
 _NAMED_CACHE: dict[str, PermGroup] = {}
@@ -387,93 +388,80 @@ _NAMED_CACHE: dict[str, PermGroup] = {}
 
 def construct_named(spec: str) -> PermGroup:
     """Build a named group: alt:n, sym:n, cyclic:n, dihedral:n, psl2:q,
-    product:<spec>x<spec>, raw:<degree>:<cycles;...>."""
+    product:<spec>x<spec>, raw:<degree>:<cycles;...>.  A build whose order
+    is not the order its spec gives is an ``AssertionError``."""
     spec = spec.strip()
-    if spec in _NAMED_CACHE:
-        return _NAMED_CACHE[spec]
-    G = _construct_named(spec)
-    G.name = spec
-    _NAMED_CACHE[spec] = G
+    G = _NAMED_CACHE.get(spec)
+    if G is None:
+        order, build = _read_spec(spec)
+        G = build()
+        if order is not None and G.order != order:
+            raise AssertionError(f"{spec} construction has order {G.order}, expected {order}")
+        G.name = spec
+        _NAMED_CACHE[spec] = G
     return G
 
 
-def _construct_named(spec: str) -> PermGroup:
+def refuse_over_cap(spec: str, order_bound: int) -> None:
+    """Raise ``OrderLimitError`` before any work when ``spec`` names a group
+    above the bound: the order of any spec but a raw one is read off the
+    spec, and a raw spec is read only up to its degree."""
+    order, _ = _read_spec(spec.strip(), order_bound + 1)
+    if order is not None and order > order_bound:
+        _refuse(f"group {spec.strip()} has order above", order_bound)
+
+
+def _read_spec(spec: str, cap: float = inf):
+    """Read a spec once: min(|G|, cap) as the spec gives it, or None for a
+    raw spec or a product with a raw side, and a function building the
+    group.  An alt or sym order stops growing at the cap, so sym:60 is never
+    multiplied out in full.  A spec naming no group is a ValueError."""
     kind, _, rest = spec.partition(":")
-    if kind in ("alt", "sym", "cyclic", "dihedral"):
-        n = _positive_int(rest, kind)
-        cycle = tuple(range(1, n)) + (0,)  # (0 1 ... n-1)
-    if kind == "alt":
-        if n <= 2:
-            return PermGroup(n, [])
-        cyc3 = perm_from_cycles("(0 1 2)", n)
-        if n == 3:
-            return PermGroup(n, [cyc3])
-        # with (0 1 ... n-1) for odd n, (1 2 ... n-1) for even n
-        return PermGroup(n, [cyc3, cycle if n % 2 else (0,) + cycle[1:-1] + (1,)])
-    if kind == "sym":
-        return PermGroup(n, [perm_from_cycles("(0 1)", n), cycle] if n > 1 else [])
-    if kind == "cyclic":
-        return PermGroup(n, [cycle] if n > 1 else [])
-    if kind == "dihedral":
-        if n < 3:
-            raise ValueError("dihedral:n requires n >= 3")
-        return PermGroup(n, [cycle, tuple((n - i) % n for i in range(n))])
-    if kind == "psl2":
-        q = _positive_int(rest, "psl2")
-        if q < 2 or q > 16:
-            raise ValueError("psl2:q supports prime powers 2 <= q <= 16")
-        return _psl2(q)
+    if kind == "raw":
+        deg_txt, _, cycles = rest.partition(":")
+        degree = _positive_int(deg_txt, "raw")
+        return None, lambda: PermGroup(
+            degree, [perm_from_cycles(c, degree) for c in cycles.split(";") if c.strip()]
+        )
     if kind == "product":
         for i in (m.start() for m in re.finditer("x", rest)):
             left, right = rest[:i], rest[i + 1 :]
             try:
-                A = construct_named(left)
-                B = construct_named(right)
-            except (ValueError, KeyError):
+                sides = [_read_spec(left, cap)[0], _read_spec(right, cap)[0]]
+            except ValueError:
                 continue
-            return _direct_product(A, B)
+            order = None if None in sides else min(prod(sides), cap)
+            return order, lambda: _direct_product(construct_named(left), construct_named(right))
         raise ValueError(f"cannot split product spec {spec!r}")
-    if kind == "raw":
-        deg_txt, _, cycles = rest.partition(":")
-        degree = _positive_int(deg_txt, "raw")
-        gens = [perm_from_cycles(c, degree) for c in cycles.split(";") if c.strip()]
-        return PermGroup(degree, gens)
-    raise ValueError(f"unknown group spec {spec!r}")
-
-
-def refuse_over_cap(spec: str, order_bound: int) -> None:
-    """Raise ``OrderLimitError`` before any work when ``spec`` names an alt,
-    sym, cyclic or dihedral group, or a product of them, above the bound."""
-    if (_named_order(spec, order_bound + 1) or 0) > order_bound:
-        _refuse(f"group {spec.strip()} has order above", order_bound)
-
-
-def _named_order(spec: str, cap: int) -> int | None:
-    """min(|G|, cap), read off an alt, sym, cyclic or dihedral spec or a
-    product of them; None for any other spec."""
-    kind, _, rest = spec.strip().partition(":")
-    if kind == "product":
-        for i in (m.start() for m in re.finditer("x", rest)):
-            sides = [_named_order(rest[:i], cap), _named_order(rest[i + 1 :], cap)]
-            if None not in sides:
-                return min(prod(sides), cap)
-        return None
-    try:
-        n = _positive_int(rest, kind)
-    except ValueError:
-        return None
+    if kind == "psl2":
+        q = _positive_int(rest, kind)
+        if q < 2 or q > 16:
+            raise ValueError("psl2:q supports prime powers 2 <= q <= 16")
+        p, f = _prime_power(q)
+        return min(q * (q * q - 1) // gcd(2, q - 1), cap), lambda: _psl2(p, f)
+    if kind not in ("alt", "sym", "cyclic", "dihedral"):
+        raise ValueError(f"unknown group spec {spec!r}")
+    n = _positive_int(rest, kind)
     if kind == "cyclic":
-        return min(n, cap)
+        return min(n, cap), lambda: PermGroup(n, [_cycle(n)] if n > 1 else [])
     if kind == "dihedral":
-        return min(2 * n, cap) if n >= 3 else None
-    if kind not in ("alt", "sym"):
-        return None
+        if n < 3:
+            raise ValueError("dihedral:n requires n >= 3")
+        # generated by x -> x + 1 and x -> -x mod n
+        return min(2 * n, cap), lambda: PermGroup(n, [_cycle(n), _cycle(n)[::-1]])
     order = 1
     for k in range(3 if kind == "alt" else 2, n + 1):  # n!/2 = 3 * ... * n
         order *= k
         if order >= cap:
-            return cap
-    return order
+            break
+    if kind == "sym":
+        return min(order, cap), lambda: PermGroup(
+            n, [perm_from_cycles("(0 1)", n), _cycle(n)] if n > 1 else []
+        )
+    # (0 1 2) with (0 1 ... n-1) for odd n, (1 2 ... n-1) for even n
+    return min(order, cap), lambda: PermGroup(
+        n, [perm_from_cycles("(0 1 2)", n), _cycle(n, 1 - n % 2)] if n > 2 else []
+    )
 
 
 def _positive_int(text: str, label: str) -> int:

@@ -26,6 +26,13 @@ def test_is_prime_basics():
     assert not is_prime(8191 * 127)
     # a strong-pseudoprime trap for naive single-base tests
     assert not is_prime(3215031751)
+    # 399165290221 * 798330580441: a strong pseudoprime to every prime base
+    # up to 37, the least one; base 41 finds it composite
+    assert not is_prime(318665857834031151167461)
+    # the least strong pseudoprime to every prime base up to 41: the bound
+    # of the exact test, above which a passing number is not called prime
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        is_prime(3317044064679887385961981)
 
 
 def test_prime_set_is_sorted_and_deduplicated():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from hallpi import perm_engine
 from hallpi.arith import PrimeSet
 from hallpi.cli import main
 from hallpi.hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
@@ -61,6 +62,15 @@ def test_decide_bad_pi_exit_three(capsys):
             assert err.count("\n") == 1
 
 
+def test_decide_strong_pseudoprime_in_pi_exits_three(capsys):
+    """318665857834031151167461 passes Miller-Rabin to every prime base up
+    to 37; it is no prime, so --pi holding it is an input error."""
+    code, out, err = run(capsys, "decide", "--group", "A:2:q=7", "--pi",
+                         "3,318665857834031151167461", "--prop", "dpi")
+    assert code == 3 and out == ""
+    assert "318665857834031151167461 is not prime" in err
+
+
 def test_decide_json_schema_and_roundtrip(capsys):
     code, out, _ = run(capsys, "decide", "--group", "A:3:q=11", "--pi", "3,5",
                        "--prop", "epi", "--format", "json")
@@ -99,13 +109,24 @@ def test_brute_false_with_witness(capsys):
     assert len(payload["witness"]["witness_pair"]) == 2
 
 
-def test_brute_cap_refusal_names_cap(capsys):
-    """Named groups whose order the spec gives are refused before they are
-    built: sym:60 or cyclic:200000 would take minutes or gigabytes."""
-    for group in ("sym:9", "sym:60", "alt:60", "cyclic:200000", "dihedral:100000"):
+def test_brute_cap_refusal_names_cap(capsys, monkeypatch):
+    """Named groups are refused from their spec before they are built:
+    sym:60 or cyclic:200000 would take minutes or gigabytes.  No group is
+    built here, not even psl2:16 or a product holding psl2:13."""
+    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})  # none built by an earlier test
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built before the cap refused it")
+
+    monkeypatch.setattr(perm_engine.PermGroup, "__init__", no_build)
+    at_default = ("sym:9", "sym:60", "alt:60", "cyclic:200000", "dihedral:100000",
+                  "product:psl2:13xcyclic:30")  # order 32760
+    cases = [(group, "25000", []) for group in at_default]
+    cases.append(("psl2:16", "1000", ["--max-order", "1000"]))  # order 4080
+    for group, cap, options in cases:
         code, _, err = run(capsys, "brute", "--group", group, "--pi", "3",
-                           "--prop", "dpi")
-        assert code == 3 and "25000" in err, group
+                           "--prop", "dpi", *options)
+        assert code == 3 and cap in err, group
 
 
 def test_brute_honors_max_order(capsys):

@@ -245,6 +245,19 @@ def test_cpi_equals_epi_for_odd_pi(grid_verdicts):
             assert (c.holds, c.condition) == (e.holds, e.condition), (gg, pi)
 
 
+def test_epi_cpi_verdicts_on_grid_are_pinned(grid_verdicts):
+    """sha256 over every E and C verdict, trace included, on the grid
+    above: every scan_points(scan_groups(), (1, 2, 3)) point and the points
+    with 2 in pi; generated before E was derived from D's verdict."""
+    digest = hashlib.sha256()
+    for _, _, e, c, _, _ in grid_verdicts:
+        for v in (e, c):
+            digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "9ada8a555e82c3e7db0fabfcecfd165a9158ba696e9cc33a79ff39b4936669b7"
+    )
+
+
 def test_paper_invariants_on_scan_grid(grid_verdicts):
     """D implies E; the Sylow case |pi inter pi(G)| <= 1 is trivially yes
     for all four, with 2 in pi or not; E is out of scope only when 2 is in

@@ -1,7 +1,12 @@
 """Tests for the symbolic Lie-type group catalog."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import hallpi
 from hallpi.arith import PrimeSet
 from hallpi.lie_catalog import (
     GroupSpecError,
@@ -25,6 +30,16 @@ def test_parse_and_roundtrip():
     g = parse_group_id("3D4:q=4")  # q given as a plain prime power
     assert (g.p, g.f) == (2, 2)
     assert parse_group_id("A:2:q=2^3") == parse_group_id("A:2:q=8")
+
+
+def test_large_prime_q_parses_without_trial_division():
+    """q = 2^61 - 1 parses, in either spelling, to the same GroupId.  Run in
+    a child process under a timeout, so a search for a factor of q up to
+    its square root fails the test rather than hanging it."""
+    code = ("from hallpi.lie_catalog import parse_group_id; q = 2**61 - 1; "
+            "assert parse_group_id(f'A:2:q={q}') == parse_group_id(f'A:2:q={q}^1')")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ from math import prod
 
 import pytest
 
+from hallpi import perm_engine
 from hallpi.arith import PrimeSet, pi_part
 from hallpi.perm_engine import (
     DEFAULT_MAX_ORDER,
@@ -100,6 +101,15 @@ def test_psl2_rejects_bad_q():
         construct_named("psl2:6")
     with pytest.raises(ValueError):
         construct_named("psl2:32")
+
+
+def test_build_of_the_wrong_order_is_an_error(monkeypatch):
+    """Every build is checked against the order its spec gives: a product
+    built as its left side alone has order 2, not 6."""
+    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})
+    monkeypatch.setattr(perm_engine, "_direct_product", lambda A, B: A)
+    with pytest.raises(AssertionError, match="order 2, expected 6"):
+        construct_named("product:cyclic:2xcyclic:3")
 
 
 def test_membership():
