@@ -12,7 +12,8 @@ and cached on the group; a subgroup is a frozenset of indices.  Elements
 multiply through base images: an element is fixed by its images of the
 BSGS base, and (x * e)[b] = e[x[b]], so a product is one lookup per base
 point.  Every join composes only the products it asks for, memoized per
-multiplier.
+multiplier, and every orbit walk only the conjugates it asks for, memoized
+per conjugating element the same way.
 
 One cyclic-extension routine, ``_extend``, joins class members with cyclic
 subgroups of prime-power order, skipping the joins that could only return
@@ -488,18 +489,9 @@ def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
 # integer-indexed elements
 
 
-def _compact(values):
-    """An index map as ``array('I')``.  The array module is imported here,
-    on the first map built, so commands that never search a group's
-    subgroups do not load it."""
-    from array import array
-
-    return array("I", values)
-
-
 class _Products(dict):
-    """x * e for the e asked so far, each composed on its first lookup:
-    ``key`` reads x's base images off e, the base images of x * e."""
+    """x * e, or y^-1 * e * y, for the e asked so far, each composed on its
+    first lookup: ``key`` reads the base images of the result off e."""
 
     __slots__ = ("by_base", "perms", "key")
 
@@ -530,8 +522,9 @@ class _Index:
     Group Algorithms*, ch. 4), and ``by_base`` maps each element's base
     images to its index.  As (x * e)[b] = e[x[b]], the key of x * e is e's
     images of x's base images: one lookup per base point, with no walk.
-    ``cols[p]`` lists every element's image of the point p; ``conj`` reads
-    its full maps off these columns.
+    Conjugates compose the same way: (y^-1 * e * y)[b] = y[e[y^-1[b]]], so
+    the key of y^-1 * e * y is y's images of e's images of y^-1's base
+    images.
     ``operator.itemgetter`` returns a tuple only for two or more points, so
     a base shorter than that is repeated (the trivial group's empty base
     becomes point 0, twice).
@@ -540,7 +533,8 @@ class _Index:
     (``products``); ``_extend`` clears the memos whenever it moves on to the
     next class member, as its joins of one member reuse them and those of
     the next rarely do.  An orbit walk conjugates by a few elements, each
-    through one full map kept on the index (``conj``)."""
+    through a memo of the conjugates asked for, kept on the index
+    (``conj``); no map of all |G| elements is built up front."""
 
     def __init__(self, G: PermGroup):
         perms = [identity(G.degree)]  # the levels multiplied out, deepest first
@@ -552,7 +546,7 @@ class _Index:
         self.size = n
         self.degree = G.degree
         self.base = base = G.base if len(G.base) > 1 else (G.base or [0]) * 2
-        self.cols = cols = list(zip(*perms))
+        cols = list(zip(*perms))  # cols[p]: every element's image of p
         self.by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
         if len(self.by_base) != n:
             raise AssertionError("the base images do not separate the elements")
@@ -582,23 +576,16 @@ class _Index:
             m = self._products[x] = _Products(self.by_base, self.perms, key)
         return m
 
-    def conj(self, y: int):
-        """Conjugation by y: i -> index of y^-1 * elements[i] * y, whose image
-        of b is y[e[y^-1[b]]]."""
+    def conj(self, y: int) -> _Products:
+        """Conjugation by y, e -> y^-1 * e * y, composed one conjugate at a
+        time: the image of b is y[e[y^-1[b]]]."""
         m = self._conj.get(y)
         if m is None:
-            p, cols = self.perms[y], self.cols
-            y_inv = pinv(p)
-            keys = zip(*(map(p.__getitem__, cols[y_inv[b]]) for b in self.base))
-            m = self._conj[y] = _compact(map(self.by_base.__getitem__, keys))
+            p = self.perms[y]
+            read = itemgetter(*map(pinv(p).__getitem__, self.base))  # y^-1's base images
+            m = self._conj[y] = _Products(self.by_base, self.perms,
+                                          lambda e: tuple(map(p.__getitem__, read(e))))
         return m
-
-    def conjugator(self, y: int):
-        """z -> index of y * z * y^-1, composed from base images, keeping
-        nothing."""
-        by_base, perms = self.by_base, self.perms
-        y_inv, key = pinv(perms[y]), itemgetter(*self._images(y))
-        return lambda z: by_base[tuple(map(y_inv.__getitem__, key(perms[z])))]
 
     def join(self, R: frozenset, gens: list[int], limit: int,
              stop: set[int] | frozenset[int] = frozenset()) -> frozenset | None:
@@ -687,7 +674,8 @@ class _Index:
                     canonical[powers[k]] = i
             found.append((o, sorted(powers), p, i))
         found.sort()
-        self.canonical = _compact(canonical)
+        from array import array  # loaded only by commands that search subgroups
+        self.canonical = array("I", canonical)
         return [(p, i) for _, _, p, i in found]
 
 
@@ -742,11 +730,13 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     class of the previous step of the chain.
 
     A member K is joined with one cyclic per orbit of K acting on the
-    cyclics by conjugation: <K, k x k^-1> = <K, x> for k in K, the same
-    subgroup.  The orbit's first cyclic in ``cyclics`` is the one joined,
-    and each skipped join would have returned that subgroup again, already
-    seen or dropped, so the classes, members and generators found are
-    those of one join per cyclic.
+    cyclics by conjugation: <K, k^-1 x k> = <K, x> for k in K, the same
+    subgroup.  The orbit is walked by conjugating with K's generators
+    through ``ix.conj``; conjugating by y or by y^-1 closes to the same
+    orbit, and the walk uses it only as a set.  The orbit's first cyclic in
+    ``cyclics`` is the one joined, and each skipped join would have
+    returned that subgroup again, already seen or dropped, so the classes,
+    members and generators found are those of one join per cyclic.
 
     While K is extended, ``overshoot`` holds the cyclics c, by canonical
     generator, whose join <K, c> came back None or as the whole group G,
@@ -768,7 +758,7 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     add(start, gens)
     for K, K_gens, _ in found:  # grows while it is read
         ix._products.clear()
-        conjugators = [ix.conjugator(y) for y in K_gens]
+        conjugators = [ix.conj(y) for y in K_gens]
         tried: set[int] = set()
         overshoot: set[int] = set()  # cyclics c with <K, c> dropped or G
         for x in cyclics:
@@ -776,9 +766,9 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
                 continue
             tried.add(x)
             orbit = [x]
-            for z in orbit:  # grows while it is read: y z y^-1 for y in K_gens
+            for z in orbit:  # grows while it is read: y^-1 z y for y in K_gens
                 for conjugate in conjugators:
-                    c = canonical[conjugate(z)]
+                    c = canonical[conjugate[z]]
                     if c not in tried:
                         tried.add(c)
                         orbit.append(c)

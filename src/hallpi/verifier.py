@@ -21,11 +21,11 @@ from .lie_catalog import (
     EXCEPTIONAL_FAMILIES,
     GroupId,
     GroupSpecError,
-    group_order,
     parse_group_id,
     pi_intersection,
 )
-from .perm_engine import DEFAULT_MAX_ORDER, brute_property, construct_named
+from .perm_engine import (DEFAULT_MAX_ORDER, OrderLimitError, brute_property,
+                          construct_named, refuse_over_cap)
 
 __all__ = [
     "CrossCheckReport",
@@ -155,8 +155,10 @@ def _constructible(g: GroupId, order_bound: int):
     spec = perm_realization(g)
     if spec is None:
         return None, f"no permutation construction for {g}"
-    if group_order(g) > order_bound:
-        return None, f"order {group_order(g)} exceeds cap {order_bound}"
+    try:
+        refuse_over_cap(spec, order_bound)
+    except OrderLimitError as exc:
+        return None, str(exc)
     return construct_named(spec), None
 
 

@@ -311,9 +311,9 @@ def test_uncapped_search_is_pinned():
 
 @pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS)
 def test_products_match_permutation_products(spec):
-    """Composed products and both conjugations agree with tuple-permutation
-    arithmetic: for every x and e up to order 360, and for a fixed sample of
-    x above it."""
+    """Composed products and conjugates, by x and by x^-1, agree with
+    tuple-permutation arithmetic: for every x and e up to order 360, and for
+    a fixed sample of x above it."""
     named = construct_named(spec)
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
     perms = G.elements()
@@ -329,9 +329,10 @@ def test_products_match_permutation_products(spec):
         products = ix.products(x)
         assert [products[e] for e in es] == x_times
         # x^-1 e x = (x^-1 (x^-1 e)^-1)^-1 and x z x^-1 = x (x z^-1)^-1
-        assert list(ix.conj(x)) == [inv[x_inv_times[inv[x_inv_times[e]]]] for e in es]
-        conjugate = ix.conjugator(x)
-        assert [conjugate(z) for z in es] == [x_times[inv[x_times[inv[z]]]] for z in es]
+        conjugate = ix.conj(x)
+        assert [conjugate[e] for e in es] == [inv[x_inv_times[inv[x_inv_times[e]]]] for e in es]
+        conjugate = ix.conj(inv[x])
+        assert [conjugate[z] for z in es] == [x_times[inv[x_times[inv[z]]]] for z in es]
 
 
 def test_short_base_is_refused():
@@ -397,6 +398,18 @@ def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
     assert [c.order for c in classes] == expected
     assert len(results) <= 400
     assert sum(J is not None and len(J) == G.order for J in results) <= 20
+
+
+def test_conjugation_keeps_only_the_conjugates_asked_for():
+    """An orbit walk composes only the conjugates it reads: after the
+    {13}-subgroup search on psl2:13 (order 1092), each generator's
+    conjugation memo holds fewer than |G| entries (169 each), where a full
+    map would hold 1092."""
+    named = construct_named("psl2:13")
+    G = PermGroup(named.degree, named.generators)  # nothing cached yet
+    pi_subgroups(G, PrimeSet([13]))
+    ix = G._index
+    assert all(len(ix.conj(g)) < G.order for g in ix.gens)
 
 
 # ---------------------------------------------------------------------------

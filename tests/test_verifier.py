@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from hallpi import verifier
+from hallpi import perm_engine, verifier
 from hallpi.arith import PrimeSet
 from hallpi.hall_oracle import Verdict
 from hallpi.lie_catalog import parse_group_id
@@ -125,6 +125,20 @@ def test_run_suite_all():
     reports = run_suite("all", default_grid()[:3])
     assert [r.suite for r in reports] == ["cross", "main-theorem", "star", "exclusivity"]
     assert all(r.ok for r in reports)
+
+
+def test_verify_cap_skips_without_building(monkeypatch):
+    """Under a cap below every grid group's order, each in-scope case is
+    skipped with a reason naming the cap, and no group is built."""
+    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})  # none built by an earlier test
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built before the cap refused it")
+
+    monkeypatch.setattr(perm_engine.PermGroup, "__init__", no_build)
+    [report] = run_suite("cross", order_bound=50)
+    assert report.cases == [] and len(report.skipped) == 29
+    assert all("cap 50" in case["reason"] for case in report.skipped)
 
 
 def test_run_suite_unknown_name():
