@@ -18,6 +18,7 @@ __all__ = [
     "pi_part",
     "r_part_pow_minus_one",
     "r_part_pow_minus_sign",
+    "read_decimal",
 ]
 
 # Miller-Rabin with the first 13 primes as bases is a proven deterministic
@@ -27,6 +28,15 @@ __all__ = [
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3317044064679887385961981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+def read_decimal(text: str) -> int:
+    """The integer that text spells in plain ASCII digits 0-9.  ``int``
+    also reads a sign, ``_``, surrounding space and non-ASCII digits, so
+    each of these is a ValueError here instead of another number."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} is not a plain decimal integer")
+    return int(text)
 
 
 def is_prime(n: int) -> bool:

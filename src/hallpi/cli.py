@@ -18,7 +18,7 @@ import io
 import json
 import sys
 
-from .arith import PrimeSet
+from .arith import PrimeSet, read_decimal
 from .hall_oracle import _epi_from_dpi, decide_cpi, decide_dpi, decide_epi, decide_upi
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
@@ -50,13 +50,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_pi(text: str) -> PrimeSet:
-    """A comma-separated list of one or more primes, with no empty entry."""
+    """A comma-separated list of one or more primes, with no empty entry;
+    space around an entry is dropped."""
     tokens = text.split(",")
     if not all(tok.strip() for tok in tokens):
         raise GroupSpecError(f"--pi: bad prime list {text!r}: an entry is empty; "
                              "give one or more primes, such as 3,5")
     try:
-        return PrimeSet(int(tok) for tok in tokens)
+        return PrimeSet(read_decimal(tok.strip()) for tok in tokens)
     except ValueError as exc:
         raise GroupSpecError(f"--pi: bad prime list {text!r}: {exc}") from None
 
@@ -64,7 +65,7 @@ def _parse_pi(text: str) -> PrimeSet:
 def _parse_range(option: str, text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
-        lo, hi = int(lo), int(hi if sep else lo)
+        lo, hi = read_decimal(lo), read_decimal(hi if sep else lo)
     except ValueError:
         raise GroupSpecError(f"{option}: bad range {text!r}; use N or LO..HI") from None
     if lo > hi:
@@ -82,6 +83,17 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _read_count(option: str, text: str) -> int:
+    """A positive integer typed as a plain decimal, or an input error."""
+    try:
+        n = read_decimal(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{option} must be a positive integer, got {text}")
+    return n
+
+
 def _order_cap(args) -> int:
     """The order cap: --max-order, else the config's max_group_order, else
     the default.  Anything but a positive integer is an input error."""
@@ -90,11 +102,10 @@ def _order_cap(args) -> int:
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read config: {exc}") from None
     if args.max_order is not None:
-        cap, source = args.max_order, "--max-order"
-    else:
-        cap, source = config.get("max_group_order", DEFAULT_MAX_ORDER), "max_group_order"
+        return _read_count("--max-order", args.max_order)
+    cap = config.get("max_group_order", DEFAULT_MAX_ORDER)
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"{source} must be a positive integer, got {cap!r}")
+        raise ValueError(f"max_group_order must be a positive integer, got {cap!r}")
     return cap
 
 
@@ -103,7 +114,7 @@ def _add_format(p: _Parser) -> None:
 
 
 def _add_cap(p: _Parser) -> None:
-    p.add_argument("--max-order", type=int, default=None)
+    p.add_argument("--max-order", default=None)
     p.add_argument("--config", default=None)
 
 
@@ -128,7 +139,7 @@ def _scan_options(p: _Parser) -> None:
     p.add_argument("--family", required=True, choices=FAMILIES)
     p.add_argument("--n", default=None, help="dimension/rank, N or LO..HI")
     p.add_argument("--q", required=True, help="field size, N or LO..HI")
-    p.add_argument("--pi-size", type=int, default=2)
+    p.add_argument("--pi-size", default="2")
     p.add_argument("--out", default=None)
 
 
@@ -205,11 +216,10 @@ def _cmd_scan(args) -> int:
     if (args.n is None) == (fam in CLASSICAL_FAMILIES):
         need = "requires" if args.n is None else "takes no"
         raise GroupSpecError(f"family {fam} {need} --n")
-    if args.pi_size < 1:
-        raise ValueError(f"--pi-size must be a positive integer, got {args.pi_size}")
-    if args.pi_size > len(_SCAN_PRIMES):
+    pi_size = _read_count("--pi-size", args.pi_size)
+    if pi_size > len(_SCAN_PRIMES):
         raise ValueError(f"--pi-size must be at most {len(_SCAN_PRIMES)}, the number of "
-                         f"odd scan primes, got {args.pi_size}")
+                         f"odd scan primes, got {pi_size}")
     qs = _parse_range("--q", args.q)
     if args.n is None:
         specs = [f"{fam}:q={q}" for q in qs]
@@ -218,7 +228,7 @@ def _cmd_scan(args) -> int:
         specs = [f"{fam}:{n}:q={q}" for q in qs for n in ns]
     groups = simple_groups(specs)
     rows = []
-    for g, pi in scan_points(groups, (args.pi_size,)):
+    for g, pi in scan_points(groups, (pi_size,)):
         d = decide_dpi(g, pi)
         e = _epi_from_dpi(g, pi, d)
         # C and U carry E's and D's answers, as decide_cpi and decide_upi do
@@ -230,7 +240,7 @@ def _cmd_scan(args) -> int:
     if groups and not rows:
         counts = {g.spec(): len(pi_intersection(_SCAN_PRIMES, g)) for g in groups}
         best = max(counts, key=counts.get)
-        raise ValueError(f"--pi-size {args.pi_size}: no group in range has that many odd "
+        raise ValueError(f"--pi-size {pi_size}: no group in range has that many odd "
                          f"scan primes dividing its order; the most is {counts[best]}, "
                          f"for {best}")
     buf = io.StringIO()
@@ -272,10 +282,7 @@ def main(argv=None) -> int:
         if args.command == "brute":
             return _cmd_brute(args, max_order)
         return _cmd_verify(args, max_order)
-    except OrderLimitError as exc:
-        print(f"hallpi: {exc}", file=sys.stderr)
-        return 3
-    except (GroupSpecError, ValueError) as exc:
+    except (OrderLimitError, GroupSpecError, ValueError) as exc:
         print(f"hallpi: {exc}", file=sys.stderr)
         return 3
 

@@ -16,7 +16,6 @@ from .arith import PrimeSet, is_prime, multiplicative_order, pi_part, r_part_pow
 from .lie_catalog import (
     GroupId,
     SUZUKI_REE_FAMILIES,
-    group_order,
     pi_intersection,
     weyl_order,
 )

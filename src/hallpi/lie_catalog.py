@@ -3,7 +3,10 @@
 Exact group orders, Weyl-group orders, inner-diagonal quotient orders and
 prime-divisibility tests.  The A/2A parameter is the natural-module
 dimension n (so ``A:2:q=7`` is the 2-dimensional linear group over F_7,
-Lie rank 1); for B/C/D/2D it is the Lie rank.
+Lie rank 1); for B/C/D/2D it is the Lie rank.  Both orders are read off
+the degrees of the Weyl group's basic invariants, and the centre's order
+is stated once, in ``diag_quotient_order`` (Carter, *Simple Groups of Lie
+Type*, 10.2 and 14.3); only 3D4 and the Suzuki-Ree orders are written out.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import factorial, gcd, log, prod
+from math import gcd, log, prod
 
 from .arith import _SMALL_PRIMES, PrimeSet, is_prime
 
@@ -71,7 +74,7 @@ class GroupId:
 
 _SPEC_RE = re.compile(
     r"^(?P<fam>2A|2B2|2D|2E6|2F4|2G2|3D4|A|B|C|D|E6|E7|E8|F4|G2)"
-    r"(?::(?P<n>\d+))?:q=(?P<q>\d+)(?:\^(?P<f>\d+))?$"
+    r"(?::(?P<n>[0-9]+))?:q=(?P<q>[0-9]+)(?:\^(?P<f>[0-9]+))?$"
 )
 
 
@@ -164,60 +167,41 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
     return True, "simple"
 
 
+# the degrees of the basic invariants of the exceptional Weyl groups
+_EXCEPTIONAL_DEGREES = {
+    "G2": (2, 6),
+    "F4": (2, 6, 8, 12),
+    "E6": (2, 5, 6, 8, 9, 12),
+    "E7": (2, 6, 8, 10, 12, 14, 18),
+    "E8": (2, 8, 12, 14, 18, 20, 24, 30),
+}
+
+
+@lru_cache(maxsize=None)
+def _degrees(family: str, n: int | None) -> tuple[int, ...]:
+    """The degrees of the basic invariants of the Weyl group of the
+    family's untwisted type: 3D4 uses D4, 2B2 uses B2, and every other
+    twisted family its name without the twist.  For D/2D the last degree
+    is n.  Cached by (family, n), which hashes faster than a GroupId."""
+    fam, n = {"3D4": ("D", 4), "2B2": ("B", 2)}.get(family, (family.lstrip("23"), n))
+    if fam in _EXCEPTIONAL_DEGREES:
+        return _EXCEPTIONAL_DEGREES[fam]
+    if fam == "A":
+        return tuple(range(2, n + 1))
+    if fam in ("B", "C"):
+        return tuple(range(2, 2 * n + 1, 2))
+    if fam == "D":
+        return (*range(2, 2 * n - 1, 2), n)
+    raise GroupSpecError(f"unknown family {family!r}")
+
+
 @lru_cache(maxsize=None)
 def group_order(g: GroupId) -> int:
-    """Exact order of the simple group (center factor divided out)."""
-    q, n = g.q, g.n
-    fam = g.family
-    if fam == "A":
-        return q ** (n * (n - 1) // 2) * prod(q**i - 1 for i in range(2, n + 1)) // gcd(n, q - 1)
-    if fam == "2A":
-        return (
-            q ** (n * (n - 1) // 2)
-            * prod(q**i - (-1) ** i for i in range(2, n + 1))
-            // gcd(n, q + 1)
-        )
-    if fam in ("B", "C"):
-        return q ** (n * n) * prod(q ** (2 * i) - 1 for i in range(1, n + 1)) // gcd(2, q - 1)
-    if fam == "D":
-        return (
-            q ** (n * (n - 1))
-            * (q**n - 1)
-            * prod(q ** (2 * i) - 1 for i in range(1, n))
-            // gcd(4, q**n - 1)
-        )
-    if fam == "2D":
-        return (
-            q ** (n * (n - 1))
-            * (q**n + 1)
-            * prod(q ** (2 * i) - 1 for i in range(1, n))
-            // gcd(4, q**n + 1)
-        )
-    if fam == "G2":
-        return q**6 * (q**6 - 1) * (q**2 - 1)
-    if fam == "F4":
-        return q**24 * (q**12 - 1) * (q**8 - 1) * (q**6 - 1) * (q**2 - 1)
-    if fam == "E6":
-        return (
-            q**36
-            * prod(q**d - 1 for d in (12, 9, 8, 6, 5, 2))
-            // gcd(3, q - 1)
-        )
-    if fam == "2E6":
-        return (
-            q**36
-            * (q**12 - 1)
-            * (q**9 + 1)
-            * (q**8 - 1)
-            * (q**6 - 1)
-            * (q**5 + 1)
-            * (q**2 - 1)
-            // gcd(3, q + 1)
-        )
-    if fam == "E7":
-        return q**63 * prod(q**d - 1 for d in (18, 14, 12, 10, 8, 6, 2)) // gcd(2, q - 1)
-    if fam == "E8":
-        return q**120 * prod(q**d - 1 for d in (30, 24, 20, 18, 14, 12, 8, 2))
+    """Exact order of the simple group: q^N * prod(q^d - e_d) over the Weyl
+    degrees d, with N = sum(d - 1), divided by the centre's order.  e_d is
+    1, except (-1)^d for 2A and 2E6 and -1 for 2D's last degree n.  3D4 and
+    the Suzuki-Ree groups have their orders written out."""
+    q, fam = g.q, g.family
     if fam == "3D4":
         return q**12 * (q**8 + q**4 + 1) * (q**6 - 1) * (q**2 - 1)
     if fam == "2B2":
@@ -226,54 +210,32 @@ def group_order(g: GroupId) -> int:
         return q**3 * (q**3 + 1) * (q - 1)
     if fam == "2F4":
         return q**12 * (q**6 + 1) * (q**4 - 1) * (q**3 + 1) * (q - 1)
-    raise GroupSpecError(f"unknown family {fam!r}")
-
-
-_WEYL_FIXED = {
-    "G2": 12,
-    "F4": 1152,
-    "E6": 51840,
-    "2E6": 51840,
-    "E7": 2903040,
-    "E8": 696729600,
-    "3D4": 192,  # W(D4)
-    "2B2": 8,  # W(B2)
-    "2F4": 1152,  # W(F4)
-    "2G2": 12,  # W(G2)
-}
+    degrees = _degrees(fam, g.n)
+    if fam in ("2A", "2E6"):
+        factors = [q**d - (-1) ** d for d in degrees]
+    else:
+        factors = [q**d - 1 for d in degrees]
+        if fam == "2D":
+            factors[-1] = q**g.n + 1  # the last degree is n
+    return q ** (sum(degrees) - len(degrees)) * prod(factors) // diag_quotient_order(g)
 
 
 def weyl_order(g: GroupId) -> int:
-    """Order of the (untwisted) Weyl group of the underlying root system."""
-    fam, n = g.family, g.n
-    if fam in ("A", "2A"):
-        return factorial(n)
-    if fam in ("B", "C"):
-        return 2**n * factorial(n)
-    if fam in ("D", "2D"):
-        return 2 ** (n - 1) * factorial(n)
-    return _WEYL_FIXED[fam]
+    """Order of the (untwisted) Weyl group: the product of its degrees."""
+    return prod(_degrees(g.family, g.n))
 
 
 def diag_quotient_order(g: GroupId) -> int:
-    """Order of the inner-diagonal quotient for this family."""
-    q, n = g.q, g.n
-    fam = g.family
-    if fam == "A":
-        return gcd(n, q - 1)
-    if fam == "2A":
-        return gcd(n, q + 1)
-    if fam in ("B", "C", "E7"):
-        return gcd(2, q - 1)
-    if fam == "D":
-        return gcd(4, q**n - 1)
-    if fam == "2D":
-        return gcd(4, q**n + 1)
-    if fam == "E6":
-        return gcd(3, q - 1)
-    if fam == "2E6":
-        return gcd(3, q + 1)
-    return 1
+    """Order of the inner-diagonal quotient, the centre of the simply
+    connected group; the one place that states it.  A family twisted by a
+    graph automorphism of order 2 has q + 1 where its untwisted type has
+    q - 1."""
+    q, n, fam = g.q, g.n, g.family
+    sign = -1 if fam[0] == "2" else 1
+    if fam in ("D", "2D"):
+        return gcd(4, q**n - sign)
+    bound = {"A": n, "2A": n, "B": 2, "C": 2, "E7": 2, "E6": 3, "2E6": 3}.get(fam, 1)
+    return gcd(bound, q - sign)
 
 
 def prime_divides_order(t: int, g: GroupId) -> bool:

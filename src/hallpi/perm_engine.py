@@ -44,7 +44,7 @@ from functools import cached_property
 from math import gcd, inf, prod
 from operator import itemgetter
 
-from .arith import PrimeSet, pi_part
+from .arith import PrimeSet, pi_part, read_decimal
 from .lie_catalog import _prime_power
 
 __all__ = [
@@ -113,7 +113,7 @@ def perm_from_cycles(text: str, degree: int) -> Perm:
     body = text.strip()
     if body in ("", "()"):
         return identity(degree)
-    if not re.fullmatch(r"(?:\([\d\s,]*\)\s*)+", body):
+    if not re.fullmatch(r"(?:\([0-9\s,]*\)\s*)+", body):
         raise ValueError(f"malformed cycle notation: {text!r}")
     images = list(range(degree))
     for m in _CYCLE_RE.finditer(body):
@@ -231,7 +231,7 @@ def _schreier_sims(degree: int, gens: list[Perm]):
 class PermGroup:
     """Immutable permutation group with a BSGS, exact order and membership."""
 
-    def __init__(self, degree: int, generators, name: str | None = None):
+    def __init__(self, degree: int, generators):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
@@ -242,7 +242,7 @@ class PermGroup:
             if p not in seen:
                 seen.add(p)
                 self.generators.append(p)
-        self.name = name
+        self.name: str | None = None  # set by construct_named
         self.base, self._transversals = _schreier_sims(degree, self.generators)
         self.order: int = prod(len(t) for t in self._transversals) if self.base else 1
         self._index: _Index | None = None  # built by elements()
@@ -467,7 +467,7 @@ def _read_spec(spec: str, cap: float = inf):
 
 def _positive_int(text: str, label: str) -> int:
     try:
-        n = int(text)
+        n = read_decimal(text)
     except ValueError:
         raise ValueError(f"bad {label} parameter {text!r}") from None
     if n < 1:

@@ -52,7 +52,10 @@ def test_decide_bad_group_exit_three(capsys):
 def test_decide_bad_pi_exit_three(capsys):
     """A non-prime or an empty entry in --pi exits 3, for decide and brute."""
     bad = [("3,4", "4 is not prime"), (",", "an entry is empty"), ("", "an entry is empty"),
-           ("3,,5", "an entry is empty"), ("3,", "an entry is empty")]
+           ("3,,5", "an entry is empty"), ("3,", "an entry is empty"),
+           ("3_1", "'3_1' is not a plain decimal integer"),
+           ("3,+5", "'+5' is not a plain decimal integer"),
+           ("\uff13", "'\uff13' is not a plain decimal integer")]
     for command, group in (("decide", "A:2:q=7"), ("brute", "alt:5")):
         for pi, message in bad:
             code, out, err = run(capsys, command, "--group", group, "--pi", pi,
@@ -164,7 +167,7 @@ def test_config_file_sets_cap(capsys, tmp_path):
     assert code == 3 and "10" in err
 
 
-@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("cap", ["0", "-5", "2_5000"])
 def test_brute_rejects_nonpositive_max_order(capsys, cap):
     code, out, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
                          "--prop", "dpi", "--max-order", cap)
@@ -239,6 +242,9 @@ def test_scan_stdout_when_no_out_path(capsys):
          "--pi-size must be a positive integer, got 0"),
         (["--family", "A", "--n", "2", "--q", "4..7", "--pi-size", "-1"],
          "--pi-size must be a positive integer, got -1"),
+        (["--family", "A", "--n", "2", "--q", "4..7", "--pi-size", "1_0"],
+         "--pi-size must be a positive integer, got 1_0"),
+        (["--family", "A", "--n", "2", "--q", "1_3"], "--q: bad range '1_3'"),
         (["--family", "A", "--n", "2", "--q", "7", "--pi-size", "11"],
          "--pi-size must be at most 10, the number of odd scan primes, got 11"),
         (["--family", "A", "--n", "2", "--q", "7", "--pi-size", "4"],
@@ -247,6 +253,7 @@ def test_scan_stdout_when_no_out_path(capsys):
     ],
     ids=["unknown-family", "n-for-exceptional", "n-missing-for-classical",
          "reversed-q", "reversed-n", "pi-size-zero", "pi-size-negative",
+         "pi-size-underscore", "q-underscore",
          "pi-size-above-scan-primes", "pi-size-above-range-primes"],
 )
 def test_scan_rejects_bad_family_or_n(capsys, argv, message):

@@ -1,5 +1,6 @@
 """Tests for the symbolic Lie-type group catalog."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,8 @@ import pytest
 import hallpi
 from hallpi.arith import PrimeSet
 from hallpi.lie_catalog import (
+    CLASSICAL_FAMILIES,
+    FAMILIES,
     GroupSpecError,
     diag_quotient_order,
     group_order,
@@ -61,6 +64,8 @@ def test_large_prime_q_parses_without_trial_division():
         "2B2:q=2",  # needs odd exponent >= 3
         "2B2:q=27",  # wrong characteristic
         "2G2:q=3",  # needs exponent >= 3
+        "A:2:q=\uff17",  # a fullwidth digit is not an ASCII decimal
+        "A:\uff12:q=7",
     ],
 )
 def test_invalid_specs_rejected(spec):
@@ -89,6 +94,24 @@ def test_validate_simple_gives_reasons():
         ("2B2:q=8", 29120),
         ("2G2:q=27", 10073444472),
         ("3D4:q=2", 211341312),
+        # ATLAS orders, one or more for every family
+        ("A:5:q=2", 9999360),
+        ("2A:4:q=2", 25920),
+        ("2A:3:q=5", 126000),
+        ("B:3:q=3", 4585351680),
+        ("C:3:q=2", 1451520),
+        ("D:4:q=2", 174182400),
+        ("2D:4:q=2", 197406720),
+        ("G2:q=4", 251596800),
+        ("F4:q=2", 3311126603366400),
+        ("E6:q=2", 214841575522005575270400),
+        ("2E6:q=2", 76532479683774853939200),
+        ("E7:q=2", 7997476042075799759100487262680802918400),
+        ("E8:q=2", 2**120 * 3**13 * 5**5 * 7**4 * 11**2 * 13**2 * 17**2 * 19 * 31**2
+         * 41 * 43 * 73 * 127 * 151 * 241 * 331),
+        ("2B2:q=32", 32537600),
+        ("2F4:q=8", 264905352699586176614400),
+        ("3D4:q=3", 20560831566912),
     ],
 )
 def test_group_orders(spec, expected):
@@ -111,6 +134,14 @@ def test_weyl_orders_match_reflection_groups():
     assert weyl_order(parse_group_id("B:3:q=3")) == 48
     assert weyl_order(parse_group_id("2D:4:q=3")) == 192
     assert weyl_order(parse_group_id("E8:q=2")) == 696729600
+    assert weyl_order(parse_group_id("F4:q=3")) == 1152
+    assert weyl_order(parse_group_id("E6:q=3")) == 51840
+    assert weyl_order(parse_group_id("E7:q=3")) == 2903040
+    assert weyl_order(parse_group_id("D:5:q=3")) == 1920
+    # a twisted group has the Weyl group of its untwisted root system
+    assert weyl_order(parse_group_id("3D4:q=2")) == 192
+    assert weyl_order(parse_group_id("2B2:q=8")) == 8
+    assert weyl_order(parse_group_id("2G2:q=27")) == 12
 
 
 @pytest.mark.parametrize(
@@ -127,6 +158,29 @@ def test_weyl_orders_match_reflection_groups():
 )
 def test_diag_quotient_orders(spec, expected):
     assert diag_quotient_order(parse_group_id(spec)) == expected
+
+
+def test_orders_are_pinned():
+    """sha256 over (spec, |G|, |W|, diagonal quotient order) for every
+    simple descriptor with n <= 10 and q a prime power below 300 or one of
+    2^61 - 1, 3^41 and 5^27; generated while each family's orders were
+    still written out as separate formulas."""
+    digest, count = hashlib.sha256(), 0
+    for q in (*range(2, 300), 2**61 - 1, 3**41, 5**27):
+        for fam in FAMILIES:
+            for n in range(2, 11) if fam in CLASSICAL_FAMILIES else (None,):
+                try:
+                    g = parse_group_id(f"{fam}:q={q}" if n is None else f"{fam}:{n}:q={q}")
+                except GroupSpecError:
+                    continue
+                count += 1
+                # in hex, as the largest orders pass str()'s digit limit
+                digest.update(f"{g} {group_order(g):x} {weyl_order(g)} "
+                              f"{diag_quotient_order(g)}\n".encode())
+    assert count == 4595
+    assert digest.hexdigest() == (
+        "f712d9ce469a46433dffc3daf8b693dbfd285a8c82150887c8ef5fc98edaf53e"
+    )
 
 
 def test_prime_divides_and_intersection():

@@ -50,6 +50,8 @@ def test_cycle_notation_rejects_garbage():
         perm_from_cycles("(0 9)", 4)
     with pytest.raises(ValueError):
         perm_from_cycles("(0 1 0)", 4)
+    with pytest.raises(ValueError):
+        perm_from_cycles("(\uff10 1)", 4)  # a fullwidth digit
 
 
 def test_product_and_inverse():
@@ -101,6 +103,10 @@ def test_psl2_rejects_bad_q():
         construct_named("psl2:6")
     with pytest.raises(ValueError):
         construct_named("psl2:32")
+    # every kind reads its integer as a plain ASCII decimal
+    for spec in ("psl2:0_7", "cyclic:5_0", "cyclic:\uff16", "raw:0_3:(0 1 2)", "alt:+5"):
+        with pytest.raises(ValueError):
+            construct_named(spec)
 
 
 def test_build_of_the_wrong_order_is_an_error(monkeypatch):
