@@ -182,11 +182,9 @@ def pi_part(n: int, pi: Iterable[int]) -> int:
     return part
 
 
-def r_part_pow_minus_one(k: int, m: int, r: int) -> int:
-    """(k^m - 1)_r via the closed form, never forming k^m.
-
-    Equals (k^e - 1)_r * (m/e)_r when e = ord(k mod r) divides m, else 1.
-    """
+def _check_closed_form_args(k: int, m: int, r: int) -> None:
+    """What both closed forms need: r an odd prime, k >= 2, m >= 1 and r
+    not dividing k, checked in that order."""
     _check_odd_prime(r)
     if k < 2:
         raise ValueError("k must be at least 2")
@@ -194,6 +192,14 @@ def r_part_pow_minus_one(k: int, m: int, r: int) -> int:
         raise ValueError("m must be positive")
     if k % r == 0:
         raise ValueError(f"{r} divides {k}")
+
+
+def r_part_pow_minus_one(k: int, m: int, r: int) -> int:
+    """(k^m - 1)_r via the closed form, never forming k^m.
+
+    Equals (k^e - 1)_r * (m/e)_r when e = ord(k mod r) divides m, else 1.
+    """
+    _check_closed_form_args(k, m, r)
     e = multiplicative_order(k, r)
     if m % e != 0:
         return 1
@@ -202,13 +208,7 @@ def r_part_pow_minus_one(k: int, m: int, r: int) -> int:
 
 def r_part_pow_minus_sign(k: int, m: int, r: int) -> int:
     """(k^m - (-1)^m)_r via the closed form based on e*."""
-    _check_odd_prime(r)
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    if m < 1:
-        raise ValueError("m must be positive")
-    if k % r == 0:
-        raise ValueError(f"{r} divides {k}")
+    _check_closed_form_args(k, m, r)
     es = e_star(multiplicative_order(k, r))
     if m % es != 0:
         return 1

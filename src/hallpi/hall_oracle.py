@@ -5,6 +5,11 @@ property for a simple group of Lie type with 2 outside pi, the trivial
 small-intersection case, the classification of groups having Hall
 subgroups without the full conjugacy-and-dominance property, and the
 composition-factor reductions.  Every verdict carries a predicate trace.
+
+Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
+2B(d)-(i) are tables, one row per subcase in the paper's listing order
+(arXiv:1504.03137), each read by one evaluator.  The trace records every
+predicate a row tests, in row order, up to the row that decides.
 """
 
 from __future__ import annotations
@@ -140,12 +145,24 @@ def _condition_I(g: GroupId, inter: PrimeSet) -> tuple[bool, Trace]:
     return bool(ok), trace
 
 
-def _floors_equal(n: int, r: int) -> bool:
-    return n // (r - 1) == n // r
+def _floors(trace: Trace, n: int, r: int, equal_tag: str,
+            off_by_one_tag: str) -> str | None:
+    """The [n/(r-1)] tail of Condition II's A and 2A subcases: equal_tag
+    where [n/(r-1)] = [n/r], off_by_one_tag where it is [n/r] + 1 and
+    n = -1 (mod r)."""
+    if _rec(trace, "[n/(r-1)] == [n/r]", n // (r - 1) == n // r, n=n, r=r):
+        return equal_tag
+    if _rec(trace, "[n/(r-1)] == [n/r]+1", n // (r - 1) == n // r + 1, n=n, r=r) and _rec(
+        trace, "n == -1 mod r", n % r == r - 1, n=n, r=r
+    ):
+        return off_by_one_tag
+    return None
 
 
-def _floors_off_by_one(n: int, r: int) -> bool:
-    return n // (r - 1) == n // r + 1
+def _unitary_order(r: int) -> int:
+    """The ord(q mod r) that the unitary subcases II(c)-(f) and E-minus-D
+    2B(b)/(c) require: r - 1 for r = 1 (mod 4), (r - 1)/2 for r = 3."""
+    return r - 1 if r % 4 == 1 else (r - 1) // 2
 
 
 def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
@@ -191,14 +208,7 @@ def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
                 for s in tau
             )
         )
-        if common:
-            if _rec(trace, "[n/(r-1)] == [n/r]", _floors_equal(n, r), n=n, r=r):
-                return "II(a)", trace
-            if _rec(
-                trace, "[n/(r-1)] == [n/r]+1", _floors_off_by_one(n, r), n=n, r=r
-            ) and _rec(trace, "n == -1 mod r", n % r == r - 1, n=n, r=r):
-                return "II(b)", trace
-        return None, trace
+        return (_floors(trace, n, r, "II(a)", "II(b)") if common else None), trace
 
     if fam == "2A":
         b = 2 * r
@@ -211,17 +221,12 @@ def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
         ):
             return None, trace
         r_mod4 = r % 4
-        a_ok = (r_mod4 == 1 and a == r - 1) or (r_mod4 == 3 and a == (r - 1) // 2)
+        a_ok = a == _unitary_order(r)
         _rec(trace, "a matches r mod 4 shape", a_ok, a=a, r_mod_4=r_mod4)
         if not a_ok:
             return None, trace
-        if _rec(trace, "[n/(r-1)] == [n/r]", _floors_equal(n, r), n=n, r=r):
-            return ("II(c)" if r_mod4 == 1 else "II(d)"), trace
-        if _rec(
-            trace, "[n/(r-1)] == [n/r]+1", _floors_off_by_one(n, r), n=n, r=r
-        ) and _rec(trace, "n == -1 mod r", n % r == r - 1, n=n, r=r):
-            return ("II(e)" if r_mod4 == 1 else "II(f)"), trace
-        return None, trace
+        tags = ("II(c)", "II(e)") if r_mod4 == 1 else ("II(d)", "II(f)")
+        return _floors(trace, n, r, *tags), trace
 
     if fam == "2D":
         # (g): a odd, n = b = 2a; (h): b odd, n = a = 2b
@@ -253,6 +258,40 @@ def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
     return None, trace
 
 
+# Condition III's rows per family in the paper's listing order: (tag, test
+# on c, bound every s in tau meets), either None where the row has none.  A
+# test is (text, m, k) for c = k (mod m); a bound is (text, f(n, c, s)).
+_C_EVEN, _C_ODD = ("c even", 2, 0), ("c odd", 2, 1)
+_N_LT_CS = ("n < c*s", lambda n, c, s: n < c * s)
+_2N_LT_CS = ("2n < c*s", lambda n, c, s: 2 * n < c * s)
+_III_E, _III_F = ("III(e)", _C_EVEN, _2N_LT_CS), ("III(f)", _C_ODD, _N_LT_CS)
+_III_ROWS = {
+    "A": (("III(a)", None, _N_LT_CS),),
+    "2A": (
+        ("III(b)", ("c == 0 mod 4", 4, 0), _N_LT_CS),
+        ("III(c)", ("c == 2 mod 4", 4, 2), _2N_LT_CS),
+        ("III(d)", _C_ODD, ("n < 2*c*s", lambda n, c, s: n < 2 * c * s)),
+    ),
+    "B": (_III_E, _III_F),
+    "C": (_III_E, _III_F),
+    "D": (_III_F, ("III(g)", _C_EVEN, ("2n <= c*s", lambda n, c, s: 2 * n <= c * s))),
+    "2D": (_III_E, ("III(h)", _C_ODD, ("n <= c*s", lambda n, c, s: n <= c * s))),
+    "3D4": (("III(i)", None, None),),
+    "G2": (("III(n)", None, None),),
+}
+
+# The exceptional families' one row each: (tag, trace text, the excluded
+# (r, values of c, primes any one of which in tau excludes)).
+_III_EXCLUSIONS = {
+    "E6": ("III(j)", "not (r=3, c=1 with 5 or 13 in tau)", ((3, (1,), (5, 13)),)),
+    "2E6": ("III(k)", "not (r=3, c=2 with 5 or 13 in tau)", ((3, (2,), (5, 13)),)),
+    "E7": ("III(l)", "E7 exclusion lists", ((3, (1, 2), (5, 7, 13)), (5, (1, 2), (7,)))),
+    "E8": ("III(m)", "E8 exclusion lists",
+           ((3, (1, 2), (5, 7, 13)), (5, (1, 2), (7, 31)))),
+    "F4": ("III(o)", "not (r=3, c=1 with 13 in tau)", ((3, (1,), (13,)),)),
+}
+
+
 def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     """Uniform-order case: every member of tau has the same order c as r."""
     return _condition_III(g, *_order_facts(g, _check_II_III_pre(g, pi)))
@@ -261,7 +300,7 @@ def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 def _condition_III(g: GroupId, r: int, tau: PrimeSet, c: int,
                    orders: dict[int, int]) -> tuple[str | None, Trace]:
     """Condition III's body on the facts ``_order_facts`` lists, with
-    c = ord(q mod r)."""
+    c = ord(q mod r): the first of the family's rows that holds."""
     trace: Trace = []
     n = g.n
     _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
@@ -269,90 +308,19 @@ def _condition_III(g: GroupId, r: int, tau: PrimeSet, c: int,
         _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c) for t in tau
     ):
         return None, trace
-
-    fam = g.family
-
-    def forall(pred_name: str, f) -> bool:
-        return all(_rec(trace, pred_name, f(s), s=s, c=c, n=n) for s in tau)
-
-    if fam == "A":
-        if forall("n < c*s", lambda s: n < c * s):
-            return "III(a)", trace
-    elif fam == "2A":
-        if _rec(trace, "c == 0 mod 4", c % 4 == 0, c=c) and forall(
-            "n < c*s", lambda s: n < c * s
+    for tag, test, bound in _III_ROWS.get(g.family, ()):
+        if test is not None and not _rec(trace, test[0], c % test[1] == test[2], c=c):
+            continue
+        if bound is None or all(
+            _rec(trace, bound[0], bound[1](n, c, s), s=s, c=c, n=n) for s in tau
         ):
-            return "III(b)", trace
-        if _rec(trace, "c == 2 mod 4", c % 4 == 2, c=c) and forall(
-            "2n < c*s", lambda s: 2 * n < c * s
-        ):
-            return "III(c)", trace
-        if _rec(trace, "c odd", c % 2 == 1, c=c) and forall(
-            "n < 2*c*s", lambda s: n < 2 * c * s
-        ):
-            return "III(d)", trace
-    elif fam in ("B", "C", "D", "2D"):
-        if fam in ("B", "C", "2D"):
-            if _rec(trace, "c even", c % 2 == 0, c=c) and forall(
-                "2n < c*s", lambda s: 2 * n < c * s
-            ):
-                return "III(e)", trace
-        if fam in ("B", "C", "D"):
-            if _rec(trace, "c odd", c % 2 == 1, c=c) and forall(
-                "n < c*s", lambda s: n < c * s
-            ):
-                return "III(f)", trace
-        if fam == "D":
-            if _rec(trace, "c even", c % 2 == 0, c=c) and forall(
-                "2n <= c*s", lambda s: 2 * n <= c * s
-            ):
-                return "III(g)", trace
-        if fam == "2D":
-            if _rec(trace, "c odd", c % 2 == 1, c=c) and forall(
-                "n <= c*s", lambda s: n <= c * s
-            ):
-                return "III(h)", trace
-    elif fam == "3D4":
-        return "III(i)", trace
-    elif fam == "E6":
-        if _rec(
-            trace,
-            "not (r=3, c=1 with 5 or 13 in tau)",
-            not (r == 3 and c == 1 and (5 in tau or 13 in tau)),
-            r=r,
-            c=c,
-        ):
-            return "III(j)", trace
-    elif fam == "2E6":
-        if _rec(
-            trace,
-            "not (r=3, c=2 with 5 or 13 in tau)",
-            not (r == 3 and c == 2 and (5 in tau or 13 in tau)),
-            r=r,
-            c=c,
-        ):
-            return "III(k)", trace
-    elif fam == "E7":
-        ok = not (r == 3 and c in (1, 2) and any(t in tau for t in (5, 7, 13)))
-        ok = ok and not (r == 5 and c in (1, 2) and 7 in tau)
-        if _rec(trace, "E7 exclusion lists", ok, r=r, c=c):
-            return "III(l)", trace
-    elif fam == "E8":
-        ok = not (r == 3 and c in (1, 2) and any(t in tau for t in (5, 7, 13)))
-        ok = ok and not (r == 5 and c in (1, 2) and any(t in tau for t in (7, 31)))
-        if _rec(trace, "E8 exclusion lists", ok, r=r, c=c):
-            return "III(m)", trace
-    elif fam == "G2":
-        return "III(n)", trace
-    elif fam == "F4":
-        if _rec(
-            trace,
-            "not (r=3, c=1 with 13 in tau)",
-            not (r == 3 and c == 1 and 13 in tau),
-            r=r,
-            c=c,
-        ):
-            return "III(o)", trace
+            return tag, trace
+    if g.family in _III_EXCLUSIONS:
+        tag, text, excluded = _III_EXCLUSIONS[g.family]
+        ok = not any(r == r_ex and c in cs and any(t in tau for t in ts)
+                     for r_ex, cs, ts in excluded)
+        if _rec(trace, text, ok, r=r, c=c):
+            return tag, trace
     return None, trace
 
 
@@ -505,6 +473,19 @@ def classify_epi_minus_dpi(
     return _classify_lie(g_or_sporadic, pi, d.inter, d.yes)
 
 
+# The exceptional E-minus-D cases 2B(d)-(i) per family: the tori whose
+# order pi inter pi(S) may divide, in the order they are tried, and the rows
+# (tag, primes present, primes absent) in the paper's listing order.
+_EXCEPTIONAL_CASES = {
+    "E6": (("q-1",), (("epi_case_2B(d)", (3, 13), (5,)),)),
+    "2E6": (("q+1",), (("epi_case_2B(e)", (3, 13), (5,)),)),
+    "E7": (("q-1", "q+1"), (("epi_case_2B(f)", (3, 13), (5, 7)),)),
+    "E8": (("q-1", "q+1"), (("epi_case_2B(g)", (3, 13), (5, 7)),
+                            ("epi_case_2B(h)", (5, 31), (3, 7)))),
+    "F4": (("q-1", "q+1"), (("epi_case_2B(i)", (3, 13), ()),)),
+}
+
+
 def _classify_lie(
     g: GroupId, pi: PrimeSet, inter: PrimeSet, d_holds: bool
 ) -> tuple[str | None, Trace]:
@@ -537,10 +518,8 @@ def _classify_lie(
             tag, b_req, a_req = "epi_case_2B(a)", 1, r - 1
             shape_ok = True
         else:
-            if r % 4 == 1:
-                tag, b_req, a_req = "epi_case_2B(b)", 2, r - 1
-            else:
-                tag, b_req, a_req = "epi_case_2B(c)", 2, (r - 1) // 2
+            tag = "epi_case_2B(b)" if r % 4 == 1 else "epi_case_2B(c)"
+            b_req, a_req = 2, _unitary_order(r)
             shape_ok = _rec(trace, "r mod 4 shape", True, r_mod_4=r % 4)
         ok = (
             shape_ok
@@ -548,7 +527,7 @@ def _classify_lie(
             and _rec(
                 trace, "(q^(r-1)-1)_r == r", r_part_pow_minus_one(q, r - 1, r) == r, q=q, r=r
             )
-            and _rec(trace, "[n/(r-1)] == [n/r]", _floors_equal(n, r), n=n, r=r)
+            and _rec(trace, "[n/(r-1)] == [n/r]", n // (r - 1) == n // r, n=n, r=r)
             and all(
                 _rec(
                     trace,
@@ -563,44 +542,19 @@ def _classify_lie(
         )
         return (tag, trace) if ok else (None, trace)
 
-    def contained_in(value: int, label: str) -> bool:
-        return _rec(
-            trace,
-            "pi(S)-primes contained in pi(value)",
-            all(value % t == 0 for t in inter),
-            value_label=label,
-        )
-
-    def required(present: tuple[int, ...], absent: tuple[int, ...]) -> bool:
-        ok = True
-        for t in present:
-            ok &= _rec(trace, "t in pi inter pi(S)", t in inter, t=t)
-        for t in absent:
-            ok &= _rec(trace, "t not in pi inter pi(S)", t not in inter, t=t)
-        return ok
-
-    if fam == "E6":
-        if contained_in(q - 1, "q-1") and required((3, 13), (5,)):
-            return "epi_case_2B(d)", trace
-    elif fam == "2E6":
-        if contained_in(q + 1, "q+1") and required((3, 13), (5,)):
-            return "epi_case_2B(e)", trace
-    elif fam == "E7":
-        if (contained_in(q - 1, "q-1") or contained_in(q + 1, "q+1")) and required(
-            (3, 13), (5, 7)
-        ):
-            return "epi_case_2B(f)", trace
-    elif fam == "E8":
-        in_set = contained_in(q - 1, "q-1") or contained_in(q + 1, "q+1")
-        if in_set and required((3, 13), (5, 7)):
-            return "epi_case_2B(g)", trace
-        if in_set and required((5, 31), (3, 7)):
-            return "epi_case_2B(h)", trace
-    elif fam == "F4":
-        if (contained_in(q - 1, "q-1") or contained_in(q + 1, "q+1")) and required(
-            (3, 13), ()
-        ):
-            return "epi_case_2B(i)", trace
+    tori, rows = _EXCEPTIONAL_CASES.get(fam, ((), ()))
+    order = {"q-1": q - 1, "q+1": q + 1}
+    if not any(
+        _rec(trace, "pi(S)-primes contained in pi(value)",
+             all(order[label] % t == 0 for t in inter), value_label=label)
+        for label in tori
+    ):
+        return None, trace
+    for tag, present, absent in rows:
+        oks = [_rec(trace, "t in pi inter pi(S)", t in inter, t=t) for t in present]
+        oks += [_rec(trace, "t not in pi inter pi(S)", t not in inter, t=t) for t in absent]
+        if all(oks):
+            return tag, trace
     return None, trace
 
 

@@ -58,6 +58,18 @@ class GroupId:
         return self.p**self.f
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.family, self.n, self.p, self.f))
+
+    def __hash__(self) -> int:
+        # computed once: every lru_cache lookup keyed by a GroupId hashes it
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the fields, so no hash is carried to another process
+        return GroupId, (self.family, self.n, self.p, self.f)
+
+    @cached_property
     def _spec(self) -> str:
         qtxt = str(self.p) if self.f == 1 else f"{self.p}^{self.f}"
         if self.n is None:

@@ -121,6 +121,23 @@ def test_r_part_pow_minus_sign(k, m, r, expected):
     assert r_part_pow_minus_sign(k, m, r) == expected
 
 
+@pytest.mark.parametrize("closed_form", [r_part_pow_minus_one, r_part_pow_minus_sign])
+@pytest.mark.parametrize(
+    "k,m,r,message",
+    [
+        # each point also breaks every later check, so the order is pinned
+        (1, 0, 2, "r must be odd"),
+        (1, 0, 9, "9 is not prime"),
+        (1, 0, 3, "k must be at least 2"),
+        (3, 0, 3, "m must be positive"),
+        (6, 1, 3, "3 divides 6"),
+    ],
+)
+def test_closed_forms_reject_bad_arguments(closed_form, k, m, r, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        closed_form(k, m, r)
+
+
 def test_closed_forms_match_direct_exponentiation():
     """Full sweep of the closed forms against direct powering."""
     for k in range(2, 31):

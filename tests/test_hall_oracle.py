@@ -1,10 +1,14 @@
 """Tests for the arithmetic Hall-property oracle."""
 
+import ast
 import hashlib
+import inspect
 import json
+import re
 
 import pytest
 
+from hallpi import hall_oracle
 from hallpi.arith import PrimeSet
 from hallpi.hall_oracle import (
     ONAN,
@@ -256,6 +260,54 @@ def test_epi_cpi_verdicts_on_grid_are_pinned(grid_verdicts):
     assert digest.hexdigest() == (
         "9ada8a555e82c3e7db0fabfcecfd165a9158ba696e9cc33a79ff39b4936669b7"
     )
+
+
+# One point per subcase the scan points above never reach, with the tag
+# each D or E verdict there carries.
+UNSCANNED_WITNESSES = [
+    ("2A:9:q=2", (5, 11), "II(e)"),
+    ("2B2:q=128", (5, 29), "IV(a)"),
+    ("2G2:q=243", (7, 31), "IV(b)"),
+    ("E6:q=79", (3, 13), "epi_case_2B(d)"),
+    ("2E6:q=233", (3, 13), "epi_case_2B(e)"),
+    ("E7:q=79", (3, 13), "epi_case_2B(f)"),
+    ("E8:q=79", (3, 13), "epi_case_2B(g)"),
+    ("E8:q=311", (5, 31), "epi_case_2B(h)"),
+    ("F4:q=79", (3, 13), "epi_case_2B(i)"),
+]
+
+
+def test_unscanned_subcase_verdicts_are_pinned():
+    """sha256 over the D and E verdicts, traces included, on the witnesses
+    above; generated before the subcase lists became tables."""
+    digest = hashlib.sha256()
+    for spec, pi, tag in UNSCANNED_WITNESSES:
+        d, e = decide_dpi(g(spec), PrimeSet(pi)), decide_epi(g(spec), PrimeSet(pi))
+        assert e.yes and e.condition == tag, spec
+        for v in (d, e):
+            digest.update(json.dumps(v.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "c112fc1c8141d403280df4f77c630fc0607b2320ed5f577d210309bad0778c04"
+    )
+
+
+_TAG = re.compile(r"I|II\([a-h]\)|III\([a-o]\)|IV\([a-c]\)|trivial_small_pi|epi_case_.+")
+
+
+def test_every_subcase_tag_is_pinned(grid_verdicts):
+    """Every condition tag written in hall_oracle is carried by a verdict on
+    the pinned scan points, on a witness above, or (O'N's epi_case_1) by the
+    sporadic classification, so no subcase goes unpinned."""
+    written = {node.value for node in ast.walk(ast.parse(inspect.getsource(hall_oracle)))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)
+               and _TAG.fullmatch(node.value)}
+    reached = {v.condition for _, _, e, _, d, _ in grid_verdicts for v in (d, e)}
+    reached |= {tag for _, _, tag in UNSCANNED_WITNESSES}
+    reached.add(classify_epi_minus_dpi(ONAN, PrimeSet([3, 5]))[0])
+    # I, II(a)-(h), III(a)-(o), IV(a)-(c), trivial_small_pi, epi_case_1,
+    # epi_case_2A and epi_case_2B(a)-(i)
+    assert len(written) == 39
+    assert written == reached - {None}
 
 
 def test_paper_invariants_on_scan_grid(grid_verdicts):

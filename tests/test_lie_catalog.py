@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -12,6 +13,7 @@ from hallpi.arith import PrimeSet
 from hallpi.lie_catalog import (
     CLASSICAL_FAMILIES,
     FAMILIES,
+    GroupId,
     GroupSpecError,
     diag_quotient_order,
     group_order,
@@ -33,6 +35,20 @@ def test_parse_and_roundtrip():
     g = parse_group_id("3D4:q=4")  # q given as a plain prime power
     assert (g.p, g.f) == (2, 2)
     assert parse_group_id("A:2:q=2^3") == parse_group_id("A:2:q=8")
+
+
+def test_group_ids_hash_by_value_and_share_one_cache_entry():
+    """A parsed and a constructed GroupId are equal with equal hashes, so
+    group_order caches them once; a pickled copy carries no stored hash."""
+    parsed, built = parse_group_id("E8:q=311"), GroupId("E8", None, 311, 1)
+    assert parsed is not built and parsed == built and hash(parsed) == hash(built)
+    assert parsed != GroupId("E8", None, 313, 1)
+    group_order.cache_clear()
+    assert group_order(parsed) == group_order(built)
+    info = group_order.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    copy = pickle.loads(pickle.dumps(parsed))
+    assert "_hash" not in vars(copy) and copy == parsed and hash(copy) == hash(parsed)
 
 
 def test_large_prime_q_parses_without_trial_division():
