@@ -8,7 +8,7 @@ arbitrary-precision integer arithmetic; there is no floating point anywhere.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "PrimeSet",
@@ -71,65 +71,79 @@ def is_prime(n: int) -> bool:
     return True
 
 
-class PrimeSet:
-    """A finite set of distinct primes, kept sorted strictly increasing."""
+class PrimeSet(tuple):
+    """A finite set of distinct primes: a tuple kept sorted strictly
+    increasing, so length, iteration and membership are the tuple's own.
+    It compares equal to a set, tuple or list of the same members, and
+    hashes as the sorted tuple."""
 
-    __slots__ = ("primes",)
+    __slots__ = ()
+
+    def __new__(cls, primes: Iterable[int] = ()):
+        return super().__new__(cls, sorted({int(p) for p in primes}))
 
     def __init__(self, primes: Iterable[int] = ()):
-        ps = sorted({int(p) for p in primes})
-        for p in ps:
+        # checked here, not in __new__: bench/spans.py times this method
+        # as arith.prime_set, and _subset builds past both
+        for p in self:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        self.primes: tuple[int, ...] = tuple(ps)
 
     @classmethod
     def _subset(cls, primes: Iterable[int]) -> "PrimeSet":
         """Members picked in order from an already validated PrimeSet, so
         they are distinct primes, increasing, and need no primality test."""
-        ps = cls.__new__(cls)
-        ps.primes = tuple(primes)
-        return ps
-
-    def __contains__(self, p: int) -> bool:
-        return p in self.primes
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.primes)
-
-    def __len__(self) -> int:
-        return len(self.primes)
+        return tuple.__new__(cls, primes)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, PrimeSet):
-            return self.primes == other.primes
+            return tuple.__eq__(self, other)
         if isinstance(other, (set, frozenset, tuple, list)):
-            return set(self.primes) == set(other)
+            return set(self) == set(other)
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash(self.primes)
+    def __ne__(self, other: object) -> bool:
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
-        return "PrimeSet({%s})" % ", ".join(map(str, self.primes))
+        return "PrimeSet({%s})" % ", ".join(map(str, self))
+
+    @property
+    def primes(self) -> tuple[int, ...]:
+        """The members as a plain tuple, increasing."""
+        return tuple(self)
 
     @property
     def smallest(self) -> int:
         """Least member; errors on the empty set."""
-        if not self.primes:
+        if not self:
             raise ValueError("empty prime set has no smallest element")
-        return self.primes[0]
+        return self[0]
 
     def without(self, p: int) -> "PrimeSet":
         """The members other than p; the set itself when p is not one, as a
         PrimeSet never changes."""
-        if p not in self.primes:
+        if p not in self:
             return self
-        i = self.primes.index(p)
-        return PrimeSet._subset(self.primes[:i] + self.primes[i + 1 :])
+        i = self.index(p)
+        return PrimeSet._subset(self[:i] + self[i + 1 :])
 
     def union(self, other: Iterable[int]) -> "PrimeSet":
-        return PrimeSet(list(self.primes) + list(other))
+        return PrimeSet((*self, *other))
+
+
+def _distinct_prime_set(values: list[int]) -> PrimeSet:
+    """The PrimeSet of values given each at most once, for input read
+    exactly: a value given twice is a ValueError naming it, where PrimeSet
+    itself merges the two."""
+    ps = PrimeSet(values)
+    if len(ps) < len(values):
+        repeated = next(v for i, v in enumerate(values) if v in values[:i])
+        raise ValueError(f"{repeated} is repeated")
+    return ps
 
 
 def _check_odd_prime(r: int) -> None:

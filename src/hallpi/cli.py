@@ -18,8 +18,9 @@ import io
 import json
 import sys
 
-from .arith import PrimeSet, read_decimal
-from .hall_oracle import _epi_from_dpi, decide_cpi, decide_dpi, decide_epi, decide_upi
+from .arith import PrimeSet, _distinct_prime_set, read_decimal
+from .hall_oracle import (_decide_dpi, _epi_from_dpi, decide_cpi, decide_dpi, decide_epi,
+                          decide_upi)
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     FAMILIES,
@@ -50,14 +51,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_pi(text: str) -> PrimeSet:
-    """A comma-separated list of one or more primes, with no empty entry;
-    space around an entry is dropped."""
+    """A comma-separated list of one or more distinct primes, with no
+    empty entry; space around an entry is dropped."""
     tokens = text.split(",")
     if not all(tok.strip() for tok in tokens):
         raise GroupSpecError(f"--pi: bad prime list {text!r}: an entry is empty; "
                              "give one or more primes, such as 3,5")
     try:
-        return PrimeSet(read_decimal(tok.strip()) for tok in tokens)
+        return _distinct_prime_set([read_decimal(tok.strip()) for tok in tokens])
     except ValueError as exc:
         raise GroupSpecError(f"--pi: bad prime list {text!r}: {exc}") from None
 
@@ -229,7 +230,7 @@ def _cmd_scan(args) -> int:
     groups = simple_groups(specs)
     rows = []
     for g, pi in scan_points(groups, (pi_size,)):
-        d = decide_dpi(g, pi)
+        d = _decide_dpi(g, pi, pi)  # pi divides |g|: it is its own intersection
         e = _epi_from_dpi(g, pi, d)
         # C and U carry E's and D's answers, as decide_cpi and decide_upi do
         condition = d.condition or e.condition or ""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Union
 
-from .arith import PrimeSet, is_prime, multiplicative_order, pi_part, r_part_pow_minus_one
+from .arith import PrimeSet, is_prime, multiplicative_order, r_part_pow_minus_one
 from .lie_catalog import (
     GroupId,
     SUZUKI_REE_FAMILIES,
@@ -46,6 +46,8 @@ ONAN = "O'N"
 _ONAN_PRIMES = (2, 3, 5, 7, 11, 19, 31)
 
 Trace = list[dict[str, Any]]
+# r = min(pi inter pi(S)), tau = the rest, ord(q mod r), {s: ord(q mod s)}
+OrderFacts = tuple[int, PrimeSet, int, dict[int, int]]
 
 
 def _rec(trace: Trace, pred: str, value: bool, **args: Any) -> bool:
@@ -53,11 +55,12 @@ def _rec(trace: Trace, pred: str, value: bool, **args: Any) -> bool:
     return bool(value)
 
 
-@dataclass
+@dataclass(slots=True)
 class Verdict:
     """Answer of a property decision, with its full predicate trace.
-    ``inter`` is the pi inter pi(S) the decision computed, so a decision
-    derived from this one need not compute it again."""
+    ``inter`` is the pi inter pi(S) the decision computed and ``facts`` the
+    order facts of Conditions II/III where it reached them, so a decision
+    derived from this one need not compute either again."""
 
     property: str  # one of E, C, D, U
     holds: str  # yes | no | out_of_scope
@@ -67,6 +70,7 @@ class Verdict:
     group: str | None = None
     pi: tuple[int, ...] = ()
     inter: PrimeSet | None = field(default=None, repr=False, compare=False)
+    facts: OrderFacts | None = field(default=None, repr=False, compare=False)
 
     @property
     def yes(self) -> bool:
@@ -173,7 +177,7 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     return _condition_II(g, *_order_facts(g, _check_II_III_pre(g, pi)))
 
 
-def _order_facts(g: GroupId, inter: PrimeSet) -> tuple[int, PrimeSet, int, dict[int, int]]:
+def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
     """What Conditions II and III both start from, given ``inter`` = pi
     inter pi(g): r = min(inter), tau = inter without r, ord(q mod r) and
     ord(q mod s) for each s in tau."""
@@ -399,14 +403,20 @@ def _base_verdict(prop: str, g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdi
 
 
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
-    """Decide the full Sylow-analogue property for a simple Lie-type group.
+    """Decide the full Sylow-analogue property for a simple Lie-type group."""
+    return _decide_dpi(g, pi, pi_intersection(pi, g))
+
+
+def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdict:
+    """decide_dpi's body on ``inter`` = pi inter pi(g), for a caller that
+    already holds it, such as a scan whose pi divides |g|.
 
     Each branch below reaches a condition only where that condition's
-    premises hold, so the condition bodies take the ``inter`` computed here,
-    Conditions II and III the order facts computed once from it, and their
-    answers are the public ``check_condition_*`` answers.
+    premises hold, so the condition bodies take ``inter``, Conditions II
+    and III the order facts computed once from it, and their answers are
+    the public ``check_condition_*`` answers.  The verdict keeps those
+    facts for the E decision.
     """
-    inter = pi_intersection(pi, g)
     v = _base_verdict("D", g, pi, inter)
     if len(inter) <= 1:
         v.holds = "yes"
@@ -430,7 +440,7 @@ def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
         if ok:
             v.holds, v.condition = "yes", "I"
         return v
-    facts = _order_facts(g, inter)
+    facts = v.facts = _order_facts(g, inter)
     sub, trace = _condition_II(g, *facts)
     v.trace.extend(trace)
     if sub is not None:
@@ -469,8 +479,7 @@ def classify_epi_minus_dpi(
             return "epi_case_1", trace
         return None, trace
 
-    d = decide_dpi(g_or_sporadic, pi)
-    return _classify_lie(g_or_sporadic, pi, d.inter, d.yes)
+    return _classify_lie(g_or_sporadic, pi, decide_dpi(g_or_sporadic, pi))
 
 
 # The exceptional E-minus-D cases 2B(d)-(i) per family: the tori whose
@@ -486,15 +495,16 @@ _EXCEPTIONAL_CASES = {
 }
 
 
-def _classify_lie(
-    g: GroupId, pi: PrimeSet, inter: PrimeSet, d_holds: bool
-) -> tuple[str | None, Trace]:
-    """The classification for a Lie-type g with 2 outside pi, given
-    ``inter`` = pi inter pi(g) and whether D holds on (g, pi)."""
+def _classify_lie(g: GroupId, pi: PrimeSet, d: Verdict) -> tuple[str | None, Trace]:
+    """The classification for a Lie-type g with 2 outside pi, given ``d``,
+    the D verdict on (g, pi): its pi inter pi(g), and its order facts where
+    the linear and unitary cases need them, as D reached Conditions II/III
+    on every such point where it fails."""
     trace: Trace = []
+    inter = d.inter
     if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
         return None, trace
-    if d_holds:
+    if d.yes:
         _rec(trace, "D holds, so not in E minus D", True)
         return None, trace
     q, n = g.q, g.n
@@ -507,12 +517,9 @@ def _classify_lie(
             ok &= _rec(trace, "t does not divide |W|", w % t != 0, t=t, weyl_order=w)
         return ("epi_case_2A", trace) if ok else (None, trace)
 
-    r = inter.smallest
-    tau = inter.without(r)
     fam = g.family
-
     if fam in ("A", "2A"):
-        a = multiplicative_order(q, r)
+        r, tau, a, orders = d.facts
         _rec(trace, "ord(q mod r)", True, r=r, order=a)
         if fam == "A":
             tag, b_req, a_req = "epi_case_2B(a)", 1, r - 1
@@ -529,13 +536,7 @@ def _classify_lie(
             )
             and _rec(trace, "[n/(r-1)] == [n/r]", n // (r - 1) == n // r, n=n, r=r)
             and all(
-                _rec(
-                    trace,
-                    "ord(q,s) as required",
-                    multiplicative_order(q, s) == b_req,
-                    s=s,
-                    required=b_req,
-                )
+                _rec(trace, "ord(q,s) as required", orders[s] == b_req, s=s, required=b_req)
                 and _rec(trace, "n < s", n < s, n=n, s=s)
                 for s in tau
             )
@@ -569,13 +570,13 @@ def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
     E, and where D fails E holds exactly on the E-minus-D classification.
     Where D is not "no" (a yes, the Sylow case |pi inter pi(S)| <= 1, or
     out of scope with 2 in pi) E is D's answer.  ``d`` is read, never
-    changed, and its pi inter pi(g) reused."""
+    changed, and its pi inter pi(g) and order facts reused."""
     v = _base_verdict("E", g, pi, d.inter)
     if d.holds != "no":
         v.holds, v.condition, v.hall_cyclic = d.holds, d.condition, d.hall_cyclic
         v.trace.extend(d.trace)
         return v
-    tag, trace = _classify_lie(g, pi, d.inter, False)
+    tag, trace = _classify_lie(g, pi, d)
     v.trace.extend(trace)
     if tag is not None:
         v.holds, v.condition = "yes", tag

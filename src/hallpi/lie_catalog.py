@@ -264,5 +264,5 @@ def pi_intersection(pi: PrimeSet, g: GroupId) -> PrimeSet:
     if not isinstance(pi, PrimeSet):
         pi = PrimeSet(pi)
     order = group_order(g)
-    kept = tuple(t for t in pi.primes if order % t == 0)
+    kept = tuple(t for t in pi if order % t == 0)
     return pi if len(kept) == len(pi) else PrimeSet._subset(kept)

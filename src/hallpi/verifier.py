@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .arith import PrimeSet
-from .hall_oracle import check_condition_III, decide_dpi, decide_epi
+from .arith import PrimeSet, _distinct_prime_set
+from .hall_oracle import _decide_dpi, check_condition_III, decide_dpi, decide_epi
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -109,8 +109,8 @@ class CrossCheckReport:
 
 def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
     """A JSON object whose ``cases`` list holds objects with a ``group``
-    string and a ``pi`` list of one or more integers; any other shape is a
-    ValueError."""
+    string and a ``pi`` list of one or more distinct primes; any other
+    shape is a ValueError."""
     try:
         grid = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -125,7 +125,12 @@ def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
                 and all(type(p) is int for p in case["pi"])):  # PrimeSet reads 3.9 as 3
             raise ValueError(f"grid case {i} must be an object with a 'group' string "
                              "and a 'pi' list of one or more integers")
-        out.append((parse_group_id(case["group"]), PrimeSet(case["pi"])))
+        g = parse_group_id(case["group"])
+        try:
+            pi = _distinct_prime_set(case["pi"])
+        except ValueError as exc:
+            raise ValueError(f"grid case {i}: bad 'pi' list {case['pi']}: {exc}") from None
+        out.append((g, pi))
     return out
 
 
@@ -268,7 +273,10 @@ def scan_groups() -> list[GroupId]:
 
 def scan_points(groups, subset_sizes):
     """(group, pi) grid points, group by group: for each size, each
-    combination of that many odd scan primes dividing |G|."""
+    combination of that many odd scan primes dividing |G|.  Every prime of
+    a point's pi divides |G|, so pi is already pi inter pi(G) and a caller
+    can hand it to the D decision as its own intersection; an E decision
+    drawn from that D verdict then reads D's order facts as well."""
     for g in groups:
         primes = pi_intersection(_SCAN_PRIMES, g)
         for k in subset_sizes:
@@ -280,10 +288,11 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     """No input may satisfy a II-subcase and a III-subcase simultaneously,
     and every yes verdict must carry exactly one condition tag.
 
-    Each point takes one D verdict, and Condition III is checked only where
-    that verdict carries a II subcase.  The check stays complete: a point
-    can satisfy both only where the II/III premises hold, decide_dpi reaches
-    Condition II on exactly those points, and its II answer is
+    Each point takes one D verdict, with the point's pi handed over as pi
+    inter pi(G), which it already is, and Condition III is checked only
+    where that verdict carries a II subcase.  The check stays complete: a
+    point can satisfy both only where the II/III premises hold, decide_dpi
+    reaches Condition II on exactly those points, and its II answer is
     check_condition_II's.
     """
     report = CrossCheckReport("exclusivity")
@@ -293,7 +302,7 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     violations = []
     for g, pi in scan_points(groups, _EXCLUSIVITY_SIZES):
         checked += 1
-        verdict = decide_dpi(g, pi)
+        verdict = _decide_dpi(g, pi, pi)
         if verdict.condition is None:
             if not verdict.yes:
                 continue

@@ -64,6 +64,38 @@ def test_prime_set_empty_has_no_smallest():
         PrimeSet().smallest
 
 
+def test_prime_set_behaviour_is_pinned():
+    """Equality, hashing, iteration and the derived sets, whatever the
+    class is built on."""
+    ps = PrimeSet([7, 3, 5])
+    # == and != compare as sets against sets, tuples and lists, both ways
+    for same in (PrimeSet([5, 7, 3]), {3, 5, 7}, frozenset({7, 5, 3}), (7, 3, 5), [5, 3, 7]):
+        assert ps == same and same == ps
+        assert not (ps != same) and not (same != ps)
+    for other in (PrimeSet([3, 5]), {3, 5}, frozenset({3, 5, 7, 11}), (3, 5), [3, 5, 7, 13]):
+        assert ps != other and other != ps
+        assert not (ps == other) and not (other == ps)
+    assert ps != "3,5,7" and ps != 357 and ps != None  # noqa: E711
+    assert hash(ps) == hash((3, 5, 7)) == hash(PrimeSet((5, 3, 7)))
+    assert hash(PrimeSet()) == hash(())
+    assert list(ps) == [3, 5, 7] and len(ps) == 3
+    assert 5 in ps and 2 not in ps and 9 not in ps
+    assert type(ps.primes) is tuple and ps.primes == (3, 5, 7)
+    assert ps.without(5).primes == (3, 7) and ps.without(5) == PrimeSet([3, 7])
+    assert ps.without(2) is ps
+    assert ps.union([11, 2, 3]).primes == (2, 3, 5, 7, 11)
+    assert isinstance(ps.union(()), PrimeSet) and isinstance(ps.without(3), PrimeSet)
+    assert repr(ps) == "PrimeSet({3, 5, 7})" and repr(PrimeSet()) == "PrimeSet({})"
+    assert not PrimeSet() and bool(ps) and bool(PrimeSet([2]))
+    assert PrimeSet([13]).smallest == 13
+    with pytest.raises(ValueError, match="empty"):
+        PrimeSet().smallest
+    with pytest.raises(ValueError, match="9 is not prime"):
+        PrimeSet([3, 9])
+    with pytest.raises(ValueError, match="not prime"):
+        ps.union([15])
+
+
 @pytest.mark.parametrize(
     "q,r,expected",
     [(4, 3, 1), (2, 7, 3), (11, 5, 1), (2, 3, 2), (13, 7, 2), (3, 13, 3)],

@@ -50,8 +50,10 @@ def test_decide_bad_group_exit_three(capsys):
 
 
 def test_decide_bad_pi_exit_three(capsys):
-    """A non-prime or an empty entry in --pi exits 3, for decide and brute."""
+    """A non-prime, a repeated prime or an empty entry in --pi exits 3, for
+    decide and brute."""
     bad = [("3,4", "4 is not prime"), (",", "an entry is empty"), ("", "an entry is empty"),
+           ("3,3", "3 is repeated"), ("7,3,5,03", "3 is repeated"),
            ("3,,5", "an entry is empty"), ("3,", "an entry is empty"),
            ("3_1", "'3_1' is not a plain decimal integer"),
            ("3,+5", "'+5' is not a plain decimal integer"),
@@ -285,10 +287,13 @@ def test_scan_skips_non_simple_groups_in_range(capsys):
 @pytest.mark.parametrize(
     "family_n",
     [["--family", "A", "--n", "2..4"], ["--family", "2A", "--n", "3..4"],
-     ["--family", "E6"], ["--family", "2B2"]],
-    ids=["A", "2A", "E6", "2B2"],
+     ["--family", "E6"], ["--family", "E8"], ["--family", "2B2"]],
+    ids=["A", "2A", "E6", "E8", "2B2"],
 )
 def test_scan_rows_equal_public_deciders(capsys, family_n):
+    """The scan hands each point's pi to the D decision as its own pi inter
+    pi(G), and E reads D's order facts; the rows must still be the public
+    deciders' answers."""
     for size in ("2", "3"):
         code, out, _ = run(capsys, "scan", *family_n, "--q", "2..32", "--pi-size", size)
         assert code == 0
@@ -375,9 +380,14 @@ def test_verify_cross_custom_grid(capsys, tmp_path):
         ('{"cases": [{"group": "A:2:q=7", "pi": [true, 7]}]}', "grid case 0 must be an object"),
         ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=7", "pi": []}]}',
          "grid case 1 must be an object"),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=7", "pi": [7, 3, 7]}]}',
+         "grid case 1: bad 'pi' list [7, 3, 7]: 7 is repeated"),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [3, 9]}]}',
+         "grid case 0: bad 'pi' list [3, 9]: 9 is not prime"),
     ],
     ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list",
-         "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi"],
+         "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi",
+         "repeated-prime", "composite"],
 )
 def test_verify_bad_grid_exits_three(capsys, tmp_path, text, message):
     grid = tmp_path / "grid.json"

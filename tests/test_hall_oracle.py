@@ -160,16 +160,28 @@ def test_conditions_II_III_mutually_exclusive_on_samples():
         assert sub2 is None or sub3 is None
 
 
-def test_dpi_verdicts_on_exclusivity_points_are_pinned():
-    """sha256 over every D verdict, trace included, on the exclusivity-scan
-    points; generated before decide_dpi handed pi inter pi(G) to the
-    condition bodies."""
+# sha256 over every D verdict, trace included, on the exclusivity-scan
+# points; generated before decide_dpi handed pi inter pi(G) to the condition
+# bodies.
+_EXCLUSIVITY_D_DIGEST = "b50b07d6fb91c7fc91921b56aab659d4505a5bbe44ce65ada85ce17b28ec6b00"
+
+
+def _exclusivity_d_digest(decide) -> str:
     digest = hashlib.sha256()
     for gg, pi in scan_points(scan_groups(), (2, 3)):
-        digest.update(json.dumps(decide_dpi(gg, pi).to_json(), sort_keys=True).encode())
-    assert digest.hexdigest() == (
-        "b50b07d6fb91c7fc91921b56aab659d4505a5bbe44ce65ada85ce17b28ec6b00"
-    )
+        digest.update(json.dumps(decide(gg, pi).to_json(), sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+def test_dpi_verdicts_on_exclusivity_points_are_pinned():
+    assert _exclusivity_d_digest(decide_dpi) == _EXCLUSIVITY_D_DIGEST
+
+
+def test_dpi_with_intersection_handed_over_keeps_the_pin():
+    """The exclusivity scan and ``hallpi scan`` hand each point's pi to the
+    D body as its own pi inter pi(G); their verdicts are decide_dpi's."""
+    assert _exclusivity_d_digest(
+        lambda gg, pi: hall_oracle._decide_dpi(gg, pi, pi)) == _EXCLUSIVITY_D_DIGEST
 
 
 def test_dpi_condition_is_first_public_II_then_III():

@@ -93,7 +93,7 @@ def test_exclusivity_reports_both_satisfied(monkeypatch):
 
 
 def test_exclusivity_reports_yes_without_condition(monkeypatch):
-    monkeypatch.setattr(verifier, "decide_dpi", lambda g, pi: Verdict("D", "yes"))
+    monkeypatch.setattr(verifier, "_decide_dpi", lambda g, pi, inter: Verdict("D", "yes"))
     report = exclusivity_scan([parse_group_id("A:3:q=5")])
     assert [c["detail"] for c in report.cases[:-1]] == [
         "yes verdict without a condition tag"
