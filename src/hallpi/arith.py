@@ -74,8 +74,8 @@ def is_prime(n: int) -> bool:
 class PrimeSet(tuple):
     """A finite set of distinct primes: a tuple kept sorted strictly
     increasing, so length, iteration and membership are the tuple's own.
-    It compares equal to a set, tuple or list of the same members, and
-    hashes as the sorted tuple."""
+    Equality and hashing are the tuple's, so it equals, and hashes as, the
+    sorted tuple of its members and nothing else."""
 
     __slots__ = ()
 
@@ -94,19 +94,6 @@ class PrimeSet(tuple):
         """Members picked in order from an already validated PrimeSet, so
         they are distinct primes, increasing, and need no primality test."""
         return tuple.__new__(cls, primes)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PrimeSet):
-            return tuple.__eq__(self, other)
-        if isinstance(other, (set, frozenset, tuple, list)):
-            return set(self) == set(other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    __hash__ = tuple.__hash__
 
     def __repr__(self) -> str:
         return "PrimeSet({%s})" % ", ".join(map(str, self))

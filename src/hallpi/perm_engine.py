@@ -24,7 +24,9 @@ Each query enumerates only what it needs:
 - ``enumerate_subgroups``: the full lattice, from the trivial group.
 - ``pi_subgroups`` (E, C, D and star): the pi-subgroups only, joining
   cyclic subgroups of pi-prime-power order and dropping a join once it
-  passes |G|_pi or when its order is not a pi-number.
+  passes |G|_pi or when its order is not a pi-number.  When every
+  pi-subgroup is solvable, a member is joined only with the cyclics
+  normalising it.
 - ``hall_overgroups`` (U): the subgroups containing one pi-Hall subgroup,
   extended from it; U tests D inside each against the pi-subgroups.
 
@@ -576,16 +578,26 @@ class _Index:
             m = self._products[x] = _Products(self.by_base, self.perms, key)
         return m
 
+    def _conj_key(self, y: int):
+        """The base images of y^-1 * e * y as a function of e: the image of
+        b is y[e[y^-1[b]]]."""
+        p = self.perms[y]
+        read = itemgetter(*map(pinv(p).__getitem__, self.base))  # y^-1's base images
+        return lambda e: tuple(map(p.__getitem__, read(e)))
+
     def conj(self, y: int) -> _Products:
         """Conjugation by y, e -> y^-1 * e * y, composed one conjugate at a
-        time: the image of b is y[e[y^-1[b]]]."""
+        time."""
         m = self._conj.get(y)
         if m is None:
-            p = self.perms[y]
-            read = itemgetter(*map(pinv(p).__getitem__, self.base))  # y^-1's base images
-            m = self._conj[y] = _Products(self.by_base, self.perms,
-                                          lambda e: tuple(map(p.__getitem__, read(e))))
+            m = self._conj[y] = _Products(self.by_base, self.perms, self._conj_key(y))
         return m
+
+    def normalises(self, y: int, K: frozenset, gens: list[int]) -> bool:
+        """Whether y normalises the subgroup K generated by ``gens``: each
+        y^-1 * g * y lies in K.  Composed directly, with no memo."""
+        key, perms, by_base = self._conj_key(y), self.perms, self.by_base
+        return all(by_base[key(perms[g])] in K for g in gens)
 
     def join(self, R: frozenset, gens: list[int], limit: int,
              stop: set[int] | frozenset[int] = frozenset()) -> frozenset | None:
@@ -717,7 +729,7 @@ class SubgroupClass:
 
 
 def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
-            limit: int, keep) -> list[SubgroupClass]:
+            limit: int, keep, normal_steps: bool = False) -> list[SubgroupClass]:
     """Cyclic extension (Neubueser): the classes of subgroups reached from
     the subgroup ``start``, generated by ``gens``, by joining a member of a
     class found so far with one of the cyclic subgroups generated by
@@ -737,6 +749,20 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     ``cyclics`` is the one joined, and each skipped join would have
     returned that subgroup again, already seen or dropped, so the classes,
     members and generators found are those of one join per cyclic.
+
+    With ``normal_steps``, a member K is joined only with the cyclics <x>
+    whose x normalises K.  The test is made on the orbit's first cyclic,
+    after the walk, and a failed one skips the join before any coset is
+    composed.  The search stays complete for the solvable subgroups J with
+    every step kept and every prime-power cyclic of J in ``cyclics``.  J > 1
+    has a normal subgroup N of prime index p.  Any y in J \\ N is its
+    p-part x times its p'-part, and the p'-part lies in N, as J/N has order
+    p; so x lies in J \\ N, has p-power order, normalises N and gives
+    J = N<x>.  By induction on the order the search reaches N's class, and
+    for the member K = N^g it extends, x^g normalises K and <K, x^g> = J^g.
+    Normalising K is invariant under the K-orbit walk (k^-1 x^g k
+    normalises K for k in K exactly when x^g does), so the orbit's first
+    cyclic, the one joined, is a normaliser too.
 
     While K is extended, ``overshoot`` holds the cyclics c, by canonical
     generator, whose join <K, c> came back None or as the whole group G,
@@ -772,6 +798,8 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
                     if c not in tried:
                         tried.add(c)
                         orbit.append(c)
+            if normal_steps and not ix.normalises(x, K, K_gens):
+                continue
             J = ix.join(K, K_gens + [x], limit, overshoot)
             if J is None or len(J) == ix.size:
                 overshoot.update(orbit)
@@ -824,11 +852,15 @@ def pi_subgroups(G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDE
 
     Only cyclic subgroups of pi-prime-power order are joined, and a join is
     dropped once it passes |G|_pi or when its order is not a pi-number.
+    Every pi-subgroup is solvable when 2 is not in pi (Feit-Thompson) or
+    when pi holds at most two primes of |G| (Burnside's p^a q^b theorem),
+    and then each member is joined only with the cyclics normalising it.
     """
     primes = _primes(G, pi)
     return _cached(G, order_bound, ("pi", primes), lambda ix: _extend(
         ix, ix.trivial, [], [x for p, x in ix.cyclics if p in primes],
         pi_part(G.order, primes), lambda n: pi_part(n, primes) == n,
+        normal_steps=2 not in primes or len(primes) <= 2,
     ))
 
 

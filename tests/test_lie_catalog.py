@@ -203,4 +203,4 @@ def test_prime_divides_and_intersection():
     g = parse_group_id("2B2:q=8")  # order 29120 = 2^6 * 5 * 7 * 13
     assert prime_divides_order(5, g)
     assert not prime_divides_order(3, g)
-    assert pi_intersection(PrimeSet([3, 5, 13]), g) == {5, 13}
+    assert pi_intersection(PrimeSet([3, 5, 13]), g) == PrimeSet([5, 13])

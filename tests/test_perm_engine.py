@@ -276,17 +276,18 @@ def test_alt8_pi_subgroups_are_pinned():
 
 
 def test_search_is_pinned():
-    """The search itself, not only its canonical output: one sha256 over
-    each class's order, class size, canonical member, the member the search
-    extended and that member's generators, for the full lattice, the
-    pi-subgroups and the overgroups of a pi-Hall subgroup, for every pi of
-    at most three primes dividing |G|."""
-    h = hashlib.sha256()
+    """The search itself, not only its canonical output, for the full
+    lattice, the pi-subgroups and the overgroups of a pi-Hall subgroup, for
+    every pi of at most three primes dividing |G|.  Two sha256 digests: one
+    over each class's order, class size and canonical member, which no
+    choice of search path may change, and one over the member the search
+    extended and that member's generators, which follow the path."""
+    canonical, members = hashlib.sha256(), hashlib.sha256()
 
     def pin(classes):
         for c in classes:
-            h.update(json.dumps([c.order, c.class_size, sorted(c.rep_set),
-                                 sorted(c.member), c.member_gens]).encode())
+            canonical.update(json.dumps([c.order, c.class_size, sorted(c.rep_set)]).encode())
+            members.update(json.dumps([sorted(c.member), c.member_gens]).encode())
 
     for spec in ("sym:4", "alt:5", "sym:5", "alt:6", "psl2:7", "psl2:8"):
         G = construct_named(spec)
@@ -296,8 +297,11 @@ def test_search_is_pinned():
             for pi in itertools.combinations(primes, k):
                 pin(pi_subgroups(G, PrimeSet(pi)))
                 pin(hall_overgroups(G, PrimeSet(pi)))
-    assert h.hexdigest() == (
-        "392d1e0d2f39202bcd1a25c3c72864cac3fd0841ed565e333a9f3cd6b8b2fafe"
+    assert canonical.hexdigest() == (
+        "d26f22d6b574b892b5cae7463f6b219e1af870c46c543f613cb982a75c72bf71"
+    )
+    assert members.hexdigest() == (
+        "c828345151e452d12798edf17648287a49fdbdd0d728284b93221b684444c643"
     )
 
 
@@ -404,6 +408,22 @@ def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
     assert [c.order for c in classes] == expected
     assert len(results) <= 400
     assert sum(J is not None and len(J) == G.order for J in results) <= 20
+
+
+def test_solvable_pi_search_joins_only_normalising_cyclics(monkeypatch):
+    """Every {2, 3}-subgroup of sym:5 is solvable, so a class member is
+    joined only with the cyclics normalising it: 84 joins find the 14
+    classes, where joining every cyclic orbit made 241."""
+    named = construct_named("sym:5")
+    expected = [c.order for c in pi_subgroups(named, PrimeSet([2, 3]))]
+    G = PermGroup(named.degree, named.generators)  # nothing cached yet
+    results = []
+    join = _Index.join
+    monkeypatch.setattr(_Index, "join",
+                        lambda self, *a: results.append(join(self, *a)) or results[-1])
+    classes = pi_subgroups(G, PrimeSet([2, 3]))
+    assert [c.order for c in classes] == expected and len(classes) == 14
+    assert len(results) <= 100
 
 
 def test_conjugation_keeps_only_the_conjugates_asked_for():

@@ -3,7 +3,10 @@
 E, C, D and star are evaluated on the pi-subgroup poset and U on the
 overgroups of one pi-Hall subgroup.  Here both are compared with the full
 lattice, and the properties with their definitions read directly off it,
-for every named group up to psl2:13 and every pi with |pi| <= 3.
+for every named group up to psl2:16 and every pi with |pi| <= 3.  The
+pi-subgroup search joins a member only with the cyclics normalising it
+when every pi-subgroup is solvable; psl2:16 at pi = {2, 3, 5}, holding A5,
+checks the search that joins every cyclic inside a larger group.
 """
 
 import itertools
@@ -24,6 +27,7 @@ from hallpi.perm_engine import (
 GROUPS = [
     "dihedral:15", "sym:4", "alt:5", "sym:5", "alt:6", "product:cyclic:3xalt:5",
     "psl2:4", "psl2:5", "psl2:7", "psl2:8", "psl2:9", "psl2:11", "psl2:13",
+    "psl2:16",
 ]
 
 
