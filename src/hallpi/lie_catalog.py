@@ -1,7 +1,7 @@
 """Symbolic descriptors of finite simple groups of Lie type.
 
 Exact group orders, Weyl-group orders, inner-diagonal quotient orders and
-prime-divisibility tests.  The A/2A parameter is the natural-module
+the primes of pi dividing the order.  The A/2A parameter is the natural-module
 dimension n (so ``A:2:q=7`` is the 2-dimensional linear group over F_7,
 Lie rank 1); for B/C/D/2D it is the Lie rank.  Both orders are read off
 the degrees of the Weyl group's basic invariants, and the centre's order
@@ -26,7 +26,6 @@ __all__ = [
     "group_order",
     "weyl_order",
     "diag_quotient_order",
-    "prime_divides_order",
     "pi_intersection",
 ]
 
@@ -248,10 +247,6 @@ def diag_quotient_order(g: GroupId) -> int:
         return gcd(4, q**n - sign)
     bound = {"A": n, "2A": n, "B": 2, "C": 2, "E7": 2, "E6": 3, "2E6": 3}.get(fam, 1)
     return gcd(bound, q - sign)
-
-
-def prime_divides_order(t: int, g: GroupId) -> bool:
-    return group_order(g) % t == 0
 
 
 def pi_intersection(pi: PrimeSet, g: GroupId) -> PrimeSet:

@@ -43,11 +43,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, inf, prod
+from math import inf, prod
 from operator import itemgetter
 
 from .arith import PrimeSet, pi_part, read_decimal
-from .lie_catalog import _prime_power
+from .lie_catalog import GroupId, _prime_power, group_order
 
 __all__ = [
     "Perm",
@@ -273,55 +273,43 @@ class PermGroup:
 
 
 class _GF:
-    """Tiny finite field GF(p^f), elements encoded as ints in base p."""
+    """GF(q), q = p^f, as GF(p)[x] modulo x^f + tail, its elements encoded as
+    the ints whose base-p digits are their coefficients, lowest first.  The
+    tail is the first, in increasing order, modulo which some element has
+    multiplicative order q - 1 (only a field has one); ``primitive`` is the
+    least such element, and ``mul`` and ``inv`` read its exp and log tables.
+    """
 
     def __init__(self, p: int, f: int):
         self.p, self.f, self.q = p, f, p**f
-        # Reduce modulo the first monic x^f + tail, in lex order of the
-        # tail, modulo which some element has multiplicative order q - 1.
-        # Only a field has one, so that is the first irreducible polynomial.
-        for tail in range(self.q if f > 1 else 1):
-            self.modpoly = tuple(self._digits(tail)) if f > 1 else ()
-            if any((c**f + sum(m * c**i for i, m in enumerate(self.modpoly))) % p == 0
-                   for c in range(p if f > 1 else 0)):
-                continue  # a root: reducible, skip before building the table
-            self._mul = {}
-            for a in range(self.q):
-                for b in range(a, self.q):
-                    self._mul[(a, b)] = self._mul[(b, a)] = self._polymul(a, b)
-            self.primitive = self._primitive()
-            if self.primitive is not None:
-                return
+        for tail in map(self._digits, range(self.q)):
+            if f > 1 and any((c**f + sum(m * c**i for i, m in enumerate(tail))) % p == 0
+                             for c in range(p)):
+                continue  # a root: reducible, skip before listing any powers
+            for a in range(1, self.q):
+                powers = [1]  # a^0, a^1, ... before the first power that is 1
+                while len(powers) < self.q and (x := self._times(powers[-1], a, tail)) != 1:
+                    powers.append(x)
+                if len(powers) == self.q - 1:
+                    self.primitive = a
+                    self._exp = powers + powers  # lambda^i for 0 <= i < 2(q - 1)
+                    self._log = {e: i for i, e in enumerate(powers)}
+                    return
         raise AssertionError("no irreducible polynomial found")
 
     def _digits(self, a: int) -> list[int]:
-        out = []
-        for _ in range(self.f):
-            out.append(a % self.p)
-            a //= self.p
-        return out
+        return [a // self.p**i % self.p for i in range(self.f)]
 
     def _encode(self, digits: list[int]) -> int:
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
+        return sum(d * self.p**i for i, d in enumerate(digits))
 
-    def _polymul(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        res = [0] * (2 * self.f - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    res[i + j] = (res[i + j] + x * y) % self.p
-        # reduce modulo x^f + modpoly
-        for k in range(len(res) - 1, self.f - 1, -1):
-            c = res[k]
-            if c:
-                res[k] = 0
-                for i, m in enumerate(self.modpoly):
-                    res[k - self.f + i] = (res[k - self.f + i] - c * m) % self.p
-        return self._encode(res[: self.f])
+    def _times(self, a: int, b: int, tail: list[int]) -> int:
+        """a * b modulo x^f + tail by shift and add: r -> r*x + d*b for each
+        digit d of a from the top, where x^f = -tail."""
+        r, db = [0] * self.f, self._digits(b)
+        for d in reversed(self._digits(a)):
+            r = [(s - r[-1] * m + d * c) % self.p for s, m, c in zip([0] + r[:-1], tail, db)]
+        return self._encode(r)
 
     def add(self, a: int, b: int) -> int:
         da, db = self._digits(a), self._digits(b)
@@ -331,53 +319,30 @@ class _GF:
         return self._encode([(-x) % self.p for x in self._digits(a)])
 
     def mul(self, a: int, b: int) -> int:
-        return self._mul[(a, b)]
+        return self._exp[self._log[a] + self._log[b]] if a and b else 0
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError
-        for b in range(1, self.q):
-            if self.mul(a, b) == 1:
-                return b
-        raise AssertionError
-
-    def _primitive(self) -> int | None:
-        for a in range(1, self.q):
-            x, n = a, 1
-            while x != 1 and n < self.q:
-                x, n = self.mul(x, a), n + 1
-            if x == 1 and n == self.q - 1:
-                return a
-        return None
+        return self._exp[self.q - 1 - self._log[a]]
 
 
 def _psl2(p: int, f: int) -> PermGroup:
     """Natural action of PSL_2(q), q = p^f, on the q+1 projective points.
 
-    Points 0..q-1 are the field elements (0 is zero), point q is infinity.
-    Generated by x -> x+1, x -> l^2 x (l primitive) and x -> -1/x; the
-    squared multiplier keeps the scaling inside PSL rather than PGL.
+    Points 0..q-1 are the elements of ``_GF(p, f)`` (0 is zero), point q is
+    infinity.  Generated by x -> x+1, x -> l^2 x (l = ``_GF.primitive``) and
+    x -> -1/x; the squared multiplier keeps the scaling inside PSL rather
+    than PGL.
     """
     gf = _GF(p, f)
     q = infinity = gf.q
-    points = list(range(q))
-
-    trans = [0] * (q + 1)
-    for e in points:
-        trans[e] = gf.add(e, 1)
-    trans[infinity] = infinity
-
-    inv = [0] * (q + 1)
-    inv[0] = infinity
-    inv[infinity] = 0
-    for e in points[1:]:
-        inv[e] = gf.neg(gf.inv(e))
-
+    trans = [gf.add(e, 1) for e in range(q)] + [infinity]
+    inv = [infinity] + [gf.neg(gf.inv(e)) for e in range(1, q)] + [0]
     gens = [tuple(trans), tuple(inv)]
     if q > 3:
         lam2 = gf.mul(gf.primitive, gf.primitive)
-        scale = [gf.mul(lam2, e) for e in points] + [infinity]
-        gens.append(tuple(scale))
+        gens.append(tuple(gf.mul(lam2, e) for e in range(q)) + (infinity,))
     return PermGroup(q + 1, gens)
 
 
@@ -441,7 +406,7 @@ def _read_spec(spec: str, cap: float = inf):
         if q < 2 or q > 16:
             raise ValueError("psl2:q supports prime powers 2 <= q <= 16")
         p, f = _prime_power(q)
-        return min(q * (q * q - 1) // gcd(2, q - 1), cap), lambda: _psl2(p, f)
+        return min(group_order(GroupId("A", 2, p, f)), cap), lambda: _psl2(p, f)
     if kind not in ("alt", "sym", "cyclic", "dihedral"):
         raise ValueError(f"unknown group spec {spec!r}")
     n = _positive_int(rest, kind)

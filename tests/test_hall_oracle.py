@@ -24,7 +24,7 @@ from hallpi.hall_oracle import (
     decide_upi,
     reduce_composition,
 )
-from hallpi.lie_catalog import parse_group_id, pi_intersection, prime_divides_order
+from hallpi.lie_catalog import group_order, parse_group_id, pi_intersection
 from hallpi.verifier import _SCAN_PRIMES, scan_groups, scan_points
 
 
@@ -242,7 +242,7 @@ def grid_verdicts():
     for gg in scan_groups():
         points.append((gg, PrimeSet([2])))
         points.extend((gg, PrimeSet([2, t])) for t in _SCAN_PRIMES
-                      if not prime_divides_order(t, gg))
+                      if group_order(gg) % t != 0)
     return [
         (gg, pi, decide_epi(gg, pi), decide_cpi(gg, pi), decide_dpi(gg, pi),
          decide_upi(gg, pi))

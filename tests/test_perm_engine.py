@@ -10,6 +10,7 @@ import pytest
 
 from hallpi import perm_engine
 from hallpi.arith import PrimeSet, pi_part
+from hallpi.lie_catalog import _prime_power
 from hallpi.perm_engine import (
     DEFAULT_MAX_ORDER,
     OrderLimitError,
@@ -107,6 +108,41 @@ def test_psl2_rejects_bad_q():
     for spec in ("psl2:0_7", "cyclic:5_0", "cyclic:\uff16", "raw:0_3:(0 1 2)", "alt:+5"):
         with pytest.raises(ValueError):
             construct_named(spec)
+
+
+PSL2_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)  # every q that psl2:q accepts
+
+
+@pytest.mark.parametrize("q", PSL2_QS + (25, 27))
+def test_field_laws(q):
+    """``_GF(p, f)`` is a field whose ``primitive`` generates its units:
+    every q of psl2:q, and GF(25) and GF(27) besides."""
+    gf = perm_engine._GF(*_prime_power(q))
+    assert gf.q == q
+    for a in range(q):
+        assert gf.add(a, gf.neg(a)) == 0
+        if a:
+            assert gf.mul(a, gf.inv(a)) == 1
+        for b in range(q):
+            for c in range(q):
+                assert gf.mul(a, gf.add(b, c)) == gf.add(gf.mul(a, b), gf.mul(a, c))
+    powers, x = [1], gf.primitive
+    while x != 1:
+        powers.append(x)
+        x = gf.mul(x, gf.primitive)
+    assert len(powers) == q - 1
+
+
+def test_psl2_generators_are_pinned():
+    """One sha256 over the generators of every psl2:q, which the relabelled
+    groups of the benchmark are built from: the field each build reads its
+    generators off must not change."""
+    h = hashlib.sha256()
+    for q in PSL2_QS:
+        h.update(json.dumps([q, construct_named(f"psl2:{q}").generators]).encode())
+    assert h.hexdigest() == (
+        "13367a6de251adbcfebbe715768766770933a22efeec0299673ec56b51cc7435"
+    )
 
 
 def test_build_of_the_wrong_order_is_an_error(monkeypatch):
