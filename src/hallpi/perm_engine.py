@@ -13,12 +13,18 @@ multiply through base images: an element is fixed by its images of the
 BSGS base, and (x * e)[b] = e[x[b]], so a product is one lookup per base
 point.  Every join composes only the products it asks for, memoized per
 multiplier, and every orbit walk only the conjugates it asks for, memoized
-per conjugating element the same way.
+per conjugating element the same way; conjugation by the Schreier
+generators of a normaliser composes with no memo.
 
 One cyclic-extension routine, ``_extend``, joins class members with cyclic
 subgroups of prime-power order, skipping the joins that could only return
 a subgroup already found (its docstring says which), and forgets the
-products composed for a member when it moves on to the next.
+products composed for a member when it moves on to the next.  A member K
+is joined with one cyclic per orbit of its normaliser N_G(K), as
+conjugating by N_G(K) maps <K, x> to a conjugate.  N_G(K) is read off
+K's conjugacy-class walk: the walk records an element conjugating K to
+each conjugate, and the Schreier generators built from those generate
+N_G(K), which has |G| / |class| elements.
 Each query enumerates only what it needs:
 
 - ``enumerate_subgroups``: the full lattice, from the trivial group.
@@ -111,19 +117,25 @@ _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
 def perm_from_cycles(text: str, degree: int) -> Perm:
-    """Parse 0-based cycle notation like ``(0 1 2)(3 4)``."""
+    """Parse 0-based cycle notation like ``(0 1 2)(3 4)``: disjoint cycles,
+    so a point in two cycles is a ValueError, not a product."""
     body = text.strip()
     if body in ("", "()"):
         return identity(degree)
     if not re.fullmatch(r"(?:\([0-9\s,]*\)\s*)+", body):
         raise ValueError(f"malformed cycle notation: {text!r}")
     images = list(range(degree))
+    used: set[int] = set()
     for m in _CYCLE_RE.finditer(body):
         pts = [int(tok) for tok in re.split(r"[,\s]+", m.group(1).strip()) if tok]
         if any(pt >= degree or pt < 0 for pt in pts):
             raise ValueError(f"point out of range in {text!r}")
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point in cycle {m.group(0)!r}")
+        if again := used.intersection(pts):
+            raise ValueError(f"point {min(again)} is in two cycles of {text!r}; "
+                             "the cycles must be disjoint")
+        used.update(pts)
         for i, pt in enumerate(pts):
             images[pt] = pts[(i + 1) % len(pts)]
     return _check_perm(images, degree)
@@ -558,12 +570,6 @@ class _Index:
             m = self._conj[y] = _Products(self.by_base, self.perms, self._conj_key(y))
         return m
 
-    def normalises(self, y: int, K: frozenset, gens: list[int]) -> bool:
-        """Whether y normalises the subgroup K generated by ``gens``: each
-        y^-1 * g * y lies in K.  Composed directly, with no memo."""
-        key, perms, by_base = self._conj_key(y), self.perms, self.by_base
-        return all(by_base[key(perms[g])] in K for g in gens)
-
     def join(self, R: frozenset, gens: list[int], limit: int,
              stop: set[int] | frozenset[int] = frozenset()) -> frozenset | None:
         """The subgroup generated by ``gens``, which contains the subgroup R;
@@ -588,20 +594,46 @@ class _Index:
                 cosets.append(new)
         return frozenset(K)
 
-    def orbit(self, K: frozenset, gens: list[int]) -> dict[frozenset, None]:
+    def orbit(self, K: frozenset, gens: list[int]) -> dict[frozenset, int]:
         """Conjugates of K under the group generated by ``gens``, in the
-        order found."""
-        maps = [self.conj(g) for g in gens]
-        orb = {K: None}
+        order found, each mapped to an element t with K^t = t^-1 * K * t
+        equal to it.  Each t is the t of the conjugate it was reached from
+        times one of ``gens``: (t * g)[b] = g[t[b]], composed with no memo."""
+        perms, by_base, read = self.perms, self.by_base, itemgetter(*self.base)
+        maps = [(perms[g], self.conj(g)) for g in gens]
+        orb = {K: 0}  # the identity sorts first
         stack = [K]
         while stack:
             A = stack.pop()
-            for m in maps:
+            for g, m in maps:
                 B = frozenset(map(m.__getitem__, A))
                 if B not in orb:
-                    orb[B] = None
+                    orb[B] = by_base[tuple(map(g.__getitem__, read(perms[orb[A]])))]
                     stack.append(B)
         return orb
+
+    def normaliser(self, K: frozenset, gens: list[int],
+                   orbit: dict[frozenset, int]) -> tuple[frozenset, list[int]]:
+        """N_G(K) for the subgroup K generated by ``gens``, given its G-orbit
+        as ``orbit`` builds it, and generators of N_G(K): ``gens``, then the
+        Schreier generators t_A * g * t_B^-1 that were not yet generated,
+        for A in ``orbit``, g a generator of G and B = A^g (Seress,
+        *Permutation Group Algorithms*, 4.1).  N_G(K) has |G| / |orbit|
+        elements (orbit-stabiliser), and the search stops when it has them:
+        at once when K is self-normalising."""
+        N, N_gens = K, list(gens)
+        target = self.size // len(orbit)
+        perms = self.perms
+        for A, t_A in orbit.items():
+            for g in self.gens:
+                if len(N) == target:
+                    return N, N_gens
+                B = frozenset(map(self.conj(g).__getitem__, A))
+                s = self.index(pmul(pmul(perms[t_A], perms[g]), pinv(perms[orbit[B]])))
+                if s not in N:
+                    N_gens.append(s)
+                    N = self.join(N, N_gens, target)
+        return N, N_gens
 
     def reduce(self, K: frozenset) -> list[int]:
         """Deterministic small generating set of the subgroup K: each
@@ -706,40 +738,44 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     extended by every cyclic subgroup, so K's class is reached through the
     class of the previous step of the chain.
 
-    A member K is joined with one cyclic per orbit of K acting on the
-    cyclics by conjugation: <K, k^-1 x k> = <K, x> for k in K, the same
-    subgroup.  The orbit is walked by conjugating with K's generators
-    through ``ix.conj``; conjugating by y or by y^-1 closes to the same
-    orbit, and the walk uses it only as a set.  The orbit's first cyclic in
-    ``cyclics`` is the one joined, and each skipped join would have
-    returned that subgroup again, already seen or dropped, so the classes,
-    members and generators found are those of one join per cyclic.
+    A member K is joined with one cyclic per orbit of its normaliser
+    N = N_G(K) acting on the cyclics by conjugation: for n in N,
+    <K, n^-1 x n> = n^-1 <K, x> n, a conjugate of <K, x> with its order.
+    ``ix.normaliser`` builds N from K's G-orbit, which ``add`` walks.  The
+    cyclics' orbit is walked by conjugating with N's generators: K's
+    through ``ix.conj``, the Schreier generators added to them composed
+    with no memo.  Conjugating by y or by y^-1 closes to the same orbit, and
+    the walk uses it only as a set.  The orbit's first cyclic in ``cyclics``
+    is the one joined.  It is also the first of its own K-orbit, so one join
+    per K-orbit would make that join first as well; each of its later joins
+    in the N-orbit returns a conjugate of the first one's result, already
+    seen with its class when that was kept, and dropped, or G, when that
+    was.  So the classes, members and generators found are those of one
+    join per cyclic.
 
     With ``normal_steps``, a member K is joined only with the cyclics <x>
-    whose x normalises K.  The test is made on the orbit's first cyclic,
-    after the walk, and a failed one skips the join before any coset is
-    composed.  The search stays complete for the solvable subgroups J with
-    every step kept and every prime-power cyclic of J in ``cyclics``.  J > 1
-    has a normal subgroup N of prime index p.  Any y in J \\ N is its
-    p-part x times its p'-part, and the p'-part lies in N, as J/N has order
-    p; so x lies in J \\ N, has p-power order, normalises N and gives
-    J = N<x>.  By induction on the order the search reaches N's class, and
-    for the member K = N^g it extends, x^g normalises K and <K, x^g> = J^g.
-    Normalising K is invariant under the K-orbit walk (k^-1 x^g k
-    normalises K for k in K exactly when x^g does), so the orbit's first
-    cyclic, the one joined, is a normaliser too.
+    whose x normalises K, that is x in N; every other cyclic is skipped by
+    set membership, before any walk.  N's conjugation keeps N, so the
+    N-orbit of a cyclic in N holds only cyclics in N.  The search stays
+    complete for the solvable subgroups J with every step kept and every
+    prime-power cyclic of J in ``cyclics``.  J > 1 has a normal subgroup M
+    of prime index p.  Any y in J \\ M is its p-part x times its p'-part,
+    and the p'-part lies in M, as J/M has order p; so x lies in J \\ M, has
+    p-power order, normalises M and gives J = M<x>.  By induction on the
+    order the search reaches M's class, and for the member K = M^g it
+    extends, x^g normalises K and <K, x^g> = J^g.
 
     While K is extended, ``overshoot`` holds the cyclics c, by canonical
     generator, whose join <K, c> came back None or as the whole group G,
-    each with its K-orbit, whose joins are the same subgroup.  A later join
-    of K stops, returning None, at the first new coset holding a generator
-    of such a c: it contains <K, c>, so it could only have returned None or
-    G, which is in ``seen`` since that first join, and both are skipped.
-    The stop changes nothing found, and a join pays nothing for it until K
-    has a first overshoot."""
+    each with its N-orbit, whose joins are conjugates of the same order.  A
+    later join of K stops, returning None, at the first new coset holding a
+    generator of such a c: it contains <K, c>, so it could only have
+    returned None or G, which is in ``seen`` since that first join, and
+    both are skipped.  The stop changes nothing found, and a join pays
+    nothing for it until K has a first overshoot."""
     found: list[tuple[frozenset, list[int], dict]] = []
     seen: set[frozenset] = set()
-    canonical = ix.canonical
+    canonical, by_base, perms = ix.canonical, ix.by_base, ix.perms
 
     def add(K: frozenset, K_gens: list[int]) -> None:
         orbit = ix.orbit(K, ix.gens)
@@ -747,24 +783,26 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
         found.append((K, K_gens, orbit))
 
     add(start, gens)
-    for K, K_gens, _ in found:  # grows while it is read
+    for K, K_gens, K_orbit in found:  # grows while it is read
         ix._products.clear()
-        conjugators = [ix.conj(y) for y in K_gens]
+        N, N_gens = ix.normaliser(K, K_gens, K_orbit)
+        conjugators = [ix.conj(y).__getitem__ for y in K_gens] + [
+            lambda z, key=ix._conj_key(y): by_base[key(perms[z])]
+            for y in N_gens[len(K_gens):]
+        ]
         tried: set[int] = set()
         overshoot: set[int] = set()  # cyclics c with <K, c> dropped or G
         for x in cyclics:
-            if x in K or x in tried:
+            if x in K or x in tried or normal_steps and x not in N:
                 continue
             tried.add(x)
             orbit = [x]
-            for z in orbit:  # grows while it is read: y^-1 z y for y in K_gens
+            for z in orbit:  # grows while it is read: y^-1 z y for y in N_gens
                 for conjugate in conjugators:
-                    c = canonical[conjugate[z]]
+                    c = canonical[conjugate(z)]
                     if c not in tried:
                         tried.add(c)
                         orbit.append(c)
-            if normal_steps and not ix.normalises(x, K, K_gens):
-                continue
             J = ix.join(K, K_gens + [x], limit, overshoot)
             if J is None or len(J) == ix.size:
                 overshoot.update(orbit)

@@ -146,6 +146,15 @@ def test_brute_raw_group(capsys):
     assert code == 0
 
 
+def test_brute_raw_group_with_overlapping_cycles_exits_three(capsys):
+    """(0 1 2)(2 1 0) names no permutation as disjoint cycles: an input
+    error naming the point, not a brute run on some other group."""
+    code, out, err = run(capsys, "brute", "--group", "raw:3:(0 1 2)(2 1 0)",
+                         "--pi", "3", "--prop", "dpi")
+    assert code == 3 and out == ""
+    assert "point 0 is in two cycles" in err
+
+
 @pytest.mark.parametrize("group", ["cyclic:1", "sym:1", "raw:3:()"])
 @pytest.mark.parametrize("prop", ["epi", "cpi", "dpi", "upi", "star"])
 def test_brute_on_trivial_group(capsys, group, prop):

@@ -53,6 +53,12 @@ def test_cycle_notation_rejects_garbage():
         perm_from_cycles("(0 1 0)", 4)
     with pytest.raises(ValueError):
         perm_from_cycles("(\uff10 1)", 4)  # a fullwidth digit
+    # as a product (0 1 2)(2 1 0) is the identity, as disjoint cycles it is
+    # no permutation at all: a point in two cycles is refused, and named
+    with pytest.raises(ValueError, match="point 0 is in two cycles"):
+        perm_from_cycles("(0 1 2)(2 1 0)", 3)
+    with pytest.raises(ValueError, match="point 3 is in two cycles"):
+        perm_from_cycles("(0 1)(2 3)(3 4)", 5)
 
 
 def test_product_and_inverse():
@@ -311,6 +317,25 @@ def test_alt8_pi_subgroups_are_pinned():
     )
 
 
+def test_alt8_solvable_pi_search_is_pinned():
+    """alt:8 at pi = {2, 3}: every {2, 3}-subgroup is solvable, so the search
+    joins each member only with cyclics normalising it, one per orbit of its
+    normaliser.  One sha256 over each class's order, class size, canonical
+    and extended members and the extended member's generators.  The
+    conjugation memos stay small: 25,918 entries, where walking the orbits
+    of each member on all of its cyclics left 119,280."""
+    named = construct_named("alt:8")
+    G = PermGroup(named.degree, named.generators)  # nothing cached yet
+    h = hashlib.sha256()
+    for c in pi_subgroups(G, PrimeSet([2, 3])):
+        h.update(json.dumps([c.order, c.class_size, sorted(c.rep_set), sorted(c.member),
+                             c.member_gens]).encode())
+    assert h.hexdigest() == (
+        "72ae189835418072a254312ac55baf93cf55c9db55caa37924f2f3d888060df6"
+    )
+    assert sum(map(len, G._index._conj.values())) <= 30000
+
+
 def test_search_is_pinned():
     """The search itself, not only its canonical output, for the full
     lattice, the pi-subgroups and the overgroups of a pi-Hall subgroup, for
@@ -427,11 +452,12 @@ def test_chain_missing_an_element_is_refused(spec):
 
 
 def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
-    """A class member is joined with one cyclic per orbit of its own
-    conjugation action: on psl2:13 at pi = {3}, 332 joins instead of the
-    2125 that one join per cyclic makes.  A join stops at the first cyclic
-    whose join with the same member already gave the whole group: 10 of
-    them close to the whole group, where 286 did without the stop."""
+    """A class member is joined with one cyclic per orbit of its normaliser
+    acting by conjugation: on psl2:13 at pi = {3}, 224 joins, those that
+    build the normalisers included, where one per orbit of the member
+    itself made 332 and one per cyclic 2125.  A join stops at the first
+    cyclic whose join with the same member already gave the whole group: 10
+    of them close to the whole group, where 286 did without the stop."""
     named = construct_named("psl2:13")
     expected = [c.order for c in hall_overgroups(named, PrimeSet([3]))]
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
@@ -442,14 +468,16 @@ def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
                         lambda self, *a: results.append(join(self, *a)) or results[-1])
     classes = hall_overgroups(G, PrimeSet([3]))
     assert [c.order for c in classes] == expected
-    assert len(results) <= 400
+    assert len(results) <= 250
     assert sum(J is not None and len(J) == G.order for J in results) <= 20
 
 
 def test_solvable_pi_search_joins_only_normalising_cyclics(monkeypatch):
     """Every {2, 3}-subgroup of sym:5 is solvable, so a class member is
-    joined only with the cyclics normalising it: 84 joins find the 14
-    classes, where joining every cyclic orbit made 241."""
+    joined only with the cyclics normalising it, one per orbit of its
+    normaliser: 44 joins, those that build the normalisers included, find
+    the 14 classes, where one per orbit of the member made 84 and joining
+    every cyclic orbit 241."""
     named = construct_named("sym:5")
     expected = [c.order for c in pi_subgroups(named, PrimeSet([2, 3]))]
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
@@ -459,7 +487,32 @@ def test_solvable_pi_search_joins_only_normalising_cyclics(monkeypatch):
                         lambda self, *a: results.append(join(self, *a)) or results[-1])
     classes = pi_subgroups(G, PrimeSet([2, 3]))
     assert [c.order for c in classes] == expected and len(classes) == 14
-    assert len(results) <= 100
+    assert len(results) <= 50
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "psl2:7"])
+def test_normaliser_is_the_stabiliser_by_conjugation(spec):
+    """``_Index.normaliser`` of every member of every class of pi-subgroups
+    and of overgroups of a pi-Hall subgroup, at every pi of at most two
+    primes dividing |G|, is {y : y^-1 K y = K}, found by conjugating K by
+    every element as tuple permutations; its generators generate it."""
+    G = construct_named(spec)
+    perms = G.elements()
+    ix, where = G._index, {p: i for i, p in enumerate(perms)}
+    primes = [p for p in (2, 3, 5, 7) if G.order % p == 0]
+    members = set()
+    for k in (1, 2):
+        for pi in itertools.combinations(primes, k):
+            for c in pi_subgroups(G, PrimeSet(pi)) + hall_overgroups(G, PrimeSet(pi)):
+                members.update(c.orbit)
+    for K in members:
+        N, N_gens = ix.normaliser(K, ix.reduce(K), ix.orbit(K, ix.gens))
+        stabiliser = frozenset(
+            y for y, py in enumerate(perms)
+            if all(where[pmul(pmul(pinv(py), perms[k]), py)] in K for k in K)
+        )
+        assert N == stabiliser
+        assert ix.join(ix.trivial, N_gens, ix.size) == N
 
 
 def test_conjugation_keeps_only_the_conjugates_asked_for():
