@@ -12,9 +12,12 @@ and cached on the group; a subgroup is a frozenset of indices.  Elements
 multiply through base images: an element is fixed by its images of the
 BSGS base, and (x * e)[b] = e[x[b]], so a product is one lookup per base
 point.  Every join composes only the products it asks for, memoized per
-multiplier, and every orbit walk only the conjugates it asks for, memoized
-per conjugating element the same way; conjugation by the Schreier
-generators of a normaliser composes with no memo.
+multiplier.  G's own generators act through flat tables that the closure
+check builds, one entry per element: right multiplication and
+conjugation, which walk each class's G-orbit and build its normaliser.
+Conjugation by any other element composes the conjugates asked for,
+memoized per conjugating element the same way, and by the Schreier
+generators of a normaliser with no memo.
 
 One cyclic-extension routine, ``_extend``, joins class members with cyclic
 subgroups of prime-power order, skipping the joins that could only return
@@ -508,12 +511,19 @@ class _Index:
     a base shorter than that is repeated (the trivial group's empty base
     becomes point 0, twice).
 
+    The closure check composes s * g for every element s and generator g
+    of G, and keeps the indices as the flat table ``rmul[g]``.  Once every
+    generator has passed, ``conj_table[g]`` maps each e to g^-1 * e * g,
+    read off the same columns: its image of b is column g^-1[b] mapped
+    through g.  Each is one pass over the columns per generator, with no
+    Python call per element, and the G-orbit walks read them.
+
     A join composes only the products it asks for, memoized per x
     (``products``); ``_extend`` clears the memos whenever it moves on to the
     next class member, as its joins of one member reuse them and those of
-    the next rarely do.  An orbit walk conjugates by a few elements, each
-    through a memo of the conjugates asked for, kept on the index
-    (``conj``); no map of all |G| elements is built up front."""
+    the next rarely do.  Conjugation by an element that is not a generator
+    of G goes through a memo of the conjugates asked for, kept on the index
+    (``conj``)."""
 
     def __init__(self, G: PermGroup):
         perms = [identity(G.degree)]  # the levels multiplied out, deepest first
@@ -526,16 +536,25 @@ class _Index:
         self.degree = G.degree
         self.base = base = G.base if len(G.base) > 1 else (G.base or [0]) * 2
         cols = list(zip(*perms))  # cols[p]: every element's image of p
-        self.by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
-        if len(self.by_base) != n:
+        self.by_base = by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
+        if len(by_base) != n:
             raise AssertionError("the base images do not separate the elements")
+        rmul = []
         for g in G.generators:  # (s * g)[b] = g[s[b]]
             keys = zip(*(map(g.__getitem__, cols[b]) for b in base))
-            if not all(map(self.by_base.__contains__, keys)):
-                raise AssertionError("the elements are not closed under the generators")
+            try:
+                rmul.append(list(map(by_base.__getitem__, keys)))
+            except KeyError:
+                raise AssertionError("the elements are not closed under the generators") from None
         self.trivial = frozenset([0])  # the identity sorts first
         self.whole = frozenset(range(n))
         self.gens = [self.index(g) for g in G.generators]
+        self.rmul = dict(zip(self.gens, rmul))
+        self.conj_table = {  # (g^-1 * e * g)[b] = g[e[g^-1[b]]]
+            x: list(map(by_base.__getitem__,
+                        zip(*(map(g.__getitem__, cols[g_inv[b]]) for b in base))))
+            for x, g, g_inv in zip(self.gens, G.generators, map(pinv, G.generators))
+        }
         self._products: dict = {}
         self._conj: dict = {}
 
@@ -562,10 +581,12 @@ class _Index:
         read = itemgetter(*map(pinv(p).__getitem__, self.base))  # y^-1's base images
         return lambda e: tuple(map(p.__getitem__, read(e)))
 
-    def conj(self, y: int) -> _Products:
-        """Conjugation by y, e -> y^-1 * e * y, composed one conjugate at a
-        time."""
-        m = self._conj.get(y)
+    def conj(self, y: int) -> _Products | list[int]:
+        """Conjugation by y, e -> y^-1 * e * y: the table built up front
+        when y generates G, and otherwise composed one conjugate at a time."""
+        m = self.conj_table.get(y)
+        if m is None:
+            m = self._conj.get(y)
         if m is None:
             m = self._conj[y] = _Products(self.by_base, self.perms, self._conj_key(y))
         return m
@@ -598,17 +619,20 @@ class _Index:
         """Conjugates of K under the group generated by ``gens``, in the
         order found, each mapped to an element t with K^t = t^-1 * K * t
         equal to it.  Each t is the t of the conjugate it was reached from
-        times one of ``gens``: (t * g)[b] = g[t[b]], composed with no memo."""
+        times one of ``gens``: read off ``rmul`` for a generator of G, and
+        otherwise composed with no memo, as (t * g)[b] = g[t[b]]."""
         perms, by_base, read = self.perms, self.by_base, itemgetter(*self.base)
-        maps = [(perms[g], self.conj(g)) for g in gens]
+        maps = [(self.conj(g), self.rmul[g].__getitem__ if g in self.rmul else
+                 lambda t, g=perms[g]: by_base[tuple(map(g.__getitem__, read(perms[t])))])
+                for g in gens]
         orb = {K: 0}  # the identity sorts first
         stack = [K]
         while stack:
             A = stack.pop()
-            for g, m in maps:
+            for m, times in maps:
                 B = frozenset(map(m.__getitem__, A))
                 if B not in orb:
-                    orb[B] = by_base[tuple(map(g.__getitem__, read(perms[orb[A]])))]
+                    orb[B] = times(orb[A])
                     stack.append(B)
         return orb
 
@@ -624,12 +648,15 @@ class _Index:
         N, N_gens = K, list(gens)
         target = self.size // len(orbit)
         perms = self.perms
+        tables = [(self.conj_table[g].__getitem__, self.rmul[g]) for g in self.gens]
         for A, t_A in orbit.items():
-            for g in self.gens:
+            for conj, rmul in tables:
                 if len(N) == target:
                     return N, N_gens
-                B = frozenset(map(self.conj(g).__getitem__, A))
-                s = self.index(pmul(pmul(perms[t_A], perms[g]), pinv(perms[orbit[B]])))
+                t_Ag, t_B = rmul[t_A], orbit[frozenset(map(conj, A))]
+                if t_Ag == t_B:  # the Schreier generator is the identity
+                    continue
+                s = self.index(pmul(perms[t_Ag], pinv(perms[t_B])))
                 if s not in N:
                     N_gens.append(s)
                     N = self.join(N, N_gens, target)
@@ -893,12 +920,15 @@ def hall_overgroups(
 def maximal_pi_subgroups(
     G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER
 ) -> list[SubgroupClass]:
-    """Classes of pi-subgroups maximal under inclusion up to conjugacy."""
+    """Classes of pi-subgroups maximal under inclusion up to conjugacy.  A
+    larger class whose order |c| does not divide cannot contain c
+    (Lagrange), and is skipped before any subset test."""
     pi_classes = pi_subgroups(G, pi, order_bound)
     maximal = []
     for c in pi_classes:
         dominated = any(
-            d.order > c.order and any(c.rep_set <= s for s in d.orbit)
+            d.order > c.order and d.order % c.order == 0
+            and any(c.rep_set <= s for s in d.orbit)
             for d in pi_classes
         )
         if not dominated:

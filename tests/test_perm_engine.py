@@ -322,8 +322,10 @@ def test_alt8_solvable_pi_search_is_pinned():
     joins each member only with cyclics normalising it, one per orbit of its
     normaliser.  One sha256 over each class's order, class size, canonical
     and extended members and the extended member's generators.  The
-    conjugation memos stay small: 25,918 entries, where walking the orbits
-    of each member on all of its cyclics left 119,280."""
+    conjugation memos stay small: 5,182 entries, as G's generators
+    conjugate through their tables; composing their conjugates into memos
+    left 25,918, and walking the orbits of each member on all of its
+    cyclics 119,280."""
     named = construct_named("alt:8")
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
     h = hashlib.sha256()
@@ -333,7 +335,7 @@ def test_alt8_solvable_pi_search_is_pinned():
     assert h.hexdigest() == (
         "72ae189835418072a254312ac55baf93cf55c9db55caa37924f2f3d888060df6"
     )
-    assert sum(map(len, G._index._conj.values())) <= 30000
+    assert sum(map(len, G._index._conj.values())) <= 6000
 
 
 def test_search_is_pinned():
@@ -404,6 +406,23 @@ def test_products_match_permutation_products(spec):
         assert [conjugate[e] for e in es] == [inv[x_inv_times[inv[x_inv_times[e]]]] for e in es]
         conjugate = ix.conj(inv[x])
         assert [conjugate[z] for z in es] == [x_times[inv[x_times[inv[z]]]] for z in es]
+
+
+@pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS)
+def test_generator_tables_match_permutation_products(spec):
+    """For every generator g of G and every element e, ``rmul[g]`` takes e
+    to e * g and ``conj(g)``, g's table, to g^-1 * e * g, as
+    tuple-permutation arithmetic has them."""
+    named = construct_named(spec)
+    G = PermGroup(named.degree, named.generators)  # nothing cached yet
+    perms = G.elements()
+    ix = G._index
+    where = {p: i for i, p in enumerate(perms)}
+    assert sorted(ix.rmul) == sorted(ix.conj_table) == sorted(ix.gens)
+    for g, pg in zip(ix.gens, G.generators):
+        assert ix.conj(g) is ix.conj_table[g]
+        assert ix.rmul[g] == [where[pmul(pe, pg)] for pe in perms]
+        assert ix.conj(g) == [where[pmul(pmul(pinv(pg), pe), pg)] for pe in perms]
 
 
 def test_short_base_is_refused():
@@ -515,16 +534,17 @@ def test_normaliser_is_the_stabiliser_by_conjugation(spec):
         assert ix.join(ix.trivial, N_gens, ix.size) == N
 
 
-def test_conjugation_keeps_only_the_conjugates_asked_for():
-    """An orbit walk composes only the conjugates it reads: after the
-    {13}-subgroup search on psl2:13 (order 1092), each generator's
-    conjugation memo holds fewer than |G| entries (169 each), where a full
-    map would hold 1092."""
+def test_generators_conjugate_through_their_tables_only():
+    """G's generators conjugate through the tables the closure check
+    builds, never through a memo: after the {13}-subgroup search on psl2:13
+    (order 1092), no generator of G has a conjugation memo, and each
+    generator's two tables hold an entry for each of the 1092 elements."""
     named = construct_named("psl2:13")
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
     pi_subgroups(G, PrimeSet([13]))
     ix = G._index
-    assert all(len(ix.conj(g)) < G.order for g in ix.gens)
+    assert ix.gens and not set(ix.gens) & set(ix._conj)
+    assert all(len(ix.conj_table[g]) == len(ix.rmul[g]) == G.order for g in ix.gens)
 
 
 # ---------------------------------------------------------------------------
