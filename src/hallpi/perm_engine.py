@@ -15,9 +15,8 @@ point.  Every join composes only the products it asks for, memoized per
 multiplier.  G's own generators act through flat tables that the closure
 check builds, one entry per element: right multiplication and
 conjugation, which walk each class's G-orbit and build its normaliser.
-Conjugation by any other element composes the conjugates asked for,
-memoized per conjugating element the same way, and by the Schreier
-generators of a normaliser with no memo.
+``_Index.conj`` is the one way to conjugate: by a generator of G through
+its table, and by any other element composed on each call, with no memo.
 
 One cyclic-extension routine, ``_extend``, joins class members with cyclic
 subgroups of prime-power order, skipping the joins that could only return
@@ -36,8 +35,9 @@ Each query enumerates only what it needs:
   passes |G|_pi or when its order is not a pi-number.  When every
   pi-subgroup is solvable, a member is joined only with the cyclics
   normalising it.
-- ``hall_overgroups`` (U): the subgroups containing one pi-Hall subgroup,
-  extended from it; U tests D inside each against the pi-subgroups.
+- ``hall_overgroups`` (U): the subgroups containing one pi-Hall subgroup
+  H, extended from it; U counts the maximal pi-subgroups inside each
+  against H's conjugates there.
 
 Every entry point is complete-or-refuse: it raises ``OrderLimitError``
 before any work when |G| exceeds the order cap (``DEFAULT_MAX_ORDER``
@@ -472,8 +472,8 @@ def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
 
 
 class _Products(dict):
-    """x * e, or y^-1 * e * y, for the e asked so far, each composed on its
-    first lookup: ``key`` reads the base images of the result off e."""
+    """x * e for the e asked so far, each composed on its first lookup:
+    ``key`` reads the base images of x * e off e."""
 
     __slots__ = ("by_base", "perms", "key")
 
@@ -521,9 +521,9 @@ class _Index:
     A join composes only the products it asks for, memoized per x
     (``products``); ``_extend`` clears the memos whenever it moves on to the
     next class member, as its joins of one member reuse them and those of
-    the next rarely do.  Conjugation by an element that is not a generator
-    of G goes through a memo of the conjugates asked for, kept on the index
-    (``conj``)."""
+    the next rarely do.  ``conj(y)`` is the one way to conjugate by y: it
+    reads y's table when y generates G, and otherwise composes each
+    conjugate on every call, with no memo."""
 
     def __init__(self, G: PermGroup):
         perms = [identity(G.degree)]  # the levels multiplied out, deepest first
@@ -556,7 +556,6 @@ class _Index:
             for x, g, g_inv in zip(self.gens, G.generators, map(pinv, G.generators))
         }
         self._products: dict = {}
-        self._conj: dict = {}
 
     def index(self, p: Perm) -> int:
         """The index of the element p."""
@@ -574,22 +573,16 @@ class _Index:
             m = self._products[x] = _Products(self.by_base, self.perms, key)
         return m
 
-    def _conj_key(self, y: int):
-        """The base images of y^-1 * e * y as a function of e: the image of
-        b is y[e[y^-1[b]]]."""
-        p = self.perms[y]
+    def conj(self, y: int):
+        """Conjugation by y as a function, e -> y^-1 * e * y: a lookup in
+        the table built up front when y generates G, and otherwise composed
+        on each call, as the image of b is y[e[y^-1[b]]]."""
+        table = self.conj_table.get(y)
+        if table is not None:
+            return table.__getitem__
+        p, perms, by_base = self.perms[y], self.perms, self.by_base
         read = itemgetter(*map(pinv(p).__getitem__, self.base))  # y^-1's base images
-        return lambda e: tuple(map(p.__getitem__, read(e)))
-
-    def conj(self, y: int) -> _Products | list[int]:
-        """Conjugation by y, e -> y^-1 * e * y: the table built up front
-        when y generates G, and otherwise composed one conjugate at a time."""
-        m = self.conj_table.get(y)
-        if m is None:
-            m = self._conj.get(y)
-        if m is None:
-            m = self._conj[y] = _Products(self.by_base, self.perms, self._conj_key(y))
-        return m
+        return lambda e: by_base[tuple(map(p.__getitem__, read(perms[e])))]
 
     def join(self, R: frozenset, gens: list[int], limit: int,
              stop: set[int] | frozenset[int] = frozenset()) -> frozenset | None:
@@ -615,24 +608,20 @@ class _Index:
                 cosets.append(new)
         return frozenset(K)
 
-    def orbit(self, K: frozenset, gens: list[int]) -> dict[frozenset, int]:
-        """Conjugates of K under the group generated by ``gens``, in the
-        order found, each mapped to an element t with K^t = t^-1 * K * t
-        equal to it.  Each t is the t of the conjugate it was reached from
-        times one of ``gens``: read off ``rmul`` for a generator of G, and
-        otherwise composed with no memo, as (t * g)[b] = g[t[b]]."""
-        perms, by_base, read = self.perms, self.by_base, itemgetter(*self.base)
-        maps = [(self.conj(g), self.rmul[g].__getitem__ if g in self.rmul else
-                 lambda t, g=perms[g]: by_base[tuple(map(g.__getitem__, read(perms[t])))])
-                for g in gens]
+    def orbit(self, K: frozenset) -> dict[frozenset, int]:
+        """Conjugates of K under G, in the order found, each mapped to an
+        element t with K^t = t^-1 * K * t equal to it.  Each t is the t of
+        the conjugate it was reached from times a generator g of G, and
+        both steps read g's tables: ``conj_table`` and ``rmul``."""
+        tables = [(self.conj_table[g].__getitem__, self.rmul[g]) for g in self.gens]
         orb = {K: 0}  # the identity sorts first
         stack = [K]
         while stack:
             A = stack.pop()
-            for m, times in maps:
-                B = frozenset(map(m.__getitem__, A))
+            for conj, rmul in tables:
+                B = frozenset(map(conj, A))
                 if B not in orb:
-                    orb[B] = times(orb[A])
+                    orb[B] = rmul[orb[A]]
                     stack.append(B)
         return orb
 
@@ -769,16 +758,15 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     N = N_G(K) acting on the cyclics by conjugation: for n in N,
     <K, n^-1 x n> = n^-1 <K, x> n, a conjugate of <K, x> with its order.
     ``ix.normaliser`` builds N from K's G-orbit, which ``add`` walks.  The
-    cyclics' orbit is walked by conjugating with N's generators: K's
-    through ``ix.conj``, the Schreier generators added to them composed
-    with no memo.  Conjugating by y or by y^-1 closes to the same orbit, and
-    the walk uses it only as a set.  The orbit's first cyclic in ``cyclics``
-    is the one joined.  It is also the first of its own K-orbit, so one join
-    per K-orbit would make that join first as well; each of its later joins
-    in the N-orbit returns a conjugate of the first one's result, already
-    seen with its class when that was kept, and dropped, or G, when that
-    was.  So the classes, members and generators found are those of one
-    join per cyclic.
+    cyclics' orbit is walked by conjugating with each of N's generators
+    through ``ix.conj``.  Conjugating by y or by y^-1 closes to the same
+    orbit, and the walk uses it only as a set.  The orbit's first cyclic
+    in ``cyclics`` is the one joined.  It is also the first of its own
+    K-orbit, so one join per K-orbit would make that join first as well;
+    each of its later joins in the N-orbit returns a conjugate of the
+    first one's result, already seen with its class when that was kept,
+    and dropped, or G, when that was.  So the classes, members and
+    generators found are those of one join per cyclic.
 
     With ``normal_steps``, a member K is joined only with the cyclics <x>
     whose x normalises K, that is x in N; every other cyclic is skipped by
@@ -802,10 +790,10 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     nothing for it until K has a first overshoot."""
     found: list[tuple[frozenset, list[int], dict]] = []
     seen: set[frozenset] = set()
-    canonical, by_base, perms = ix.canonical, ix.by_base, ix.perms
+    canonical = ix.canonical
 
     def add(K: frozenset, K_gens: list[int]) -> None:
-        orbit = ix.orbit(K, ix.gens)
+        orbit = ix.orbit(K)
         seen.update(orbit)
         found.append((K, K_gens, orbit))
 
@@ -813,10 +801,7 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     for K, K_gens, K_orbit in found:  # grows while it is read
         ix._products.clear()
         N, N_gens = ix.normaliser(K, K_gens, K_orbit)
-        conjugators = [ix.conj(y).__getitem__ for y in K_gens] + [
-            lambda z, key=ix._conj_key(y): by_base[key(perms[z])]
-            for y in N_gens[len(K_gens):]
-        ]
+        conjugators = [ix.conj(y) for y in N_gens]
         tried: set[int] = set()
         overshoot: set[int] = set()  # cyclics c with <K, c> dropped or G
         for x in cyclics:
@@ -972,9 +957,13 @@ def brute_property(
     """Definitional evaluation of E, C, D, U or star.
 
     E, C, D and star are read off the pi-subgroup poset; U also needs the
-    overgroups of one pi-Hall subgroup.  Returns (holds, witness); the
-    witness names the violating classes, the violating overgroup, or the
-    violating pi-subgroup.
+    overgroups of one pi-Hall subgroup H.  Each conjugate of H in an
+    overgroup M is a maximal pi-subgroup of M, so M is D_pi exactly when it
+    has |M : N_M(H)| = |M| / |N_G(H) cap M| maximal pi-subgroups; N_G(H)
+    is built once per query.  Returns (holds, witness); the witness names
+    the violating classes, the violating overgroup with H and a maximal
+    pi-subgroup of it that is no conjugate of H there, or the violating
+    pi-subgroup.
     """
     if property not in ("E", "C", "D", "U", "star"):
         raise ValueError(f"unknown property {property!r}")
@@ -1002,8 +991,12 @@ def brute_property(
         ok, witness = brute_property(G, pi, "D", order_bound)
         if not ok:
             return False, witness
-        # D inside each proper overgroup M of the Hall subgroup: its maximal
-        # pi-subgroups, found among all of G's, are conjugate in M.
+        # D inside each proper overgroup M of H: its maximal pi-subgroups,
+        # found among all of G's, are H's |M : N_M(H)| conjugates in M.  By
+        # the theorem the witness is never reached.
+        hall = pi_hall_subgroups(G, pi, order_bound)[0]
+        H = hall.member
+        N, _ = ix.normaliser(H, hall.member_gens, ix.orbit(H))
         pi_sets = sorted((s for c in pi_classes for s in c.orbit), key=len, reverse=True)
         for M in hall_overgroups(G, pi, order_bound):
             if M.order == G.order:
@@ -1012,15 +1005,14 @@ def brute_property(
             for s in pi_sets:
                 if s <= M.member and not any(s <= t for t in maximal):
                     maximal.append(s)
-            if len(maximal) == 1:
+            if len(maximal) == M.order // len(N & M.member):
                 continue
-            orbit = ix.orbit(maximal[0], M.member_gens)
-            for s in maximal[1:]:
-                if s not in orbit:
-                    return False, {
-                        "overgroup": _set_label(ix, M.member),
-                        "witness_pair": [_set_label(ix, maximal[0]), _set_label(ix, s)],
-                    }
+            conjugates = {frozenset(map(ix.conj(m), H)) for m in M.member}
+            s = next(s for s in maximal if s not in conjugates)
+            return False, {
+                "overgroup": _set_label(ix, M.member),
+                "witness_pair": [_set_label(ix, H), _set_label(ix, s)],
+            }
         return True, None
 
     # star: every pi-subgroup P has a normal abelian tau-Hall subgroup.  A

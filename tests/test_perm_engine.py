@@ -321,11 +321,7 @@ def test_alt8_solvable_pi_search_is_pinned():
     """alt:8 at pi = {2, 3}: every {2, 3}-subgroup is solvable, so the search
     joins each member only with cyclics normalising it, one per orbit of its
     normaliser.  One sha256 over each class's order, class size, canonical
-    and extended members and the extended member's generators.  The
-    conjugation memos stay small: 5,182 entries, as G's generators
-    conjugate through their tables; composing their conjugates into memos
-    left 25,918, and walking the orbits of each member on all of its
-    cyclics 119,280."""
+    and extended members and the extended member's generators."""
     named = construct_named("alt:8")
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
     h = hashlib.sha256()
@@ -335,7 +331,6 @@ def test_alt8_solvable_pi_search_is_pinned():
     assert h.hexdigest() == (
         "72ae189835418072a254312ac55baf93cf55c9db55caa37924f2f3d888060df6"
     )
-    assert sum(map(len, G._index._conj.values())) <= 6000
 
 
 def test_search_is_pinned():
@@ -403,16 +398,16 @@ def test_products_match_permutation_products(spec):
         assert [products[e] for e in es] == x_times
         # x^-1 e x = (x^-1 (x^-1 e)^-1)^-1 and x z x^-1 = x (x z^-1)^-1
         conjugate = ix.conj(x)
-        assert [conjugate[e] for e in es] == [inv[x_inv_times[inv[x_inv_times[e]]]] for e in es]
+        assert [conjugate(e) for e in es] == [inv[x_inv_times[inv[x_inv_times[e]]]] for e in es]
         conjugate = ix.conj(inv[x])
-        assert [conjugate[z] for z in es] == [x_times[inv[x_times[inv[z]]]] for z in es]
+        assert [conjugate(z) for z in es] == [x_times[inv[x_times[inv[z]]]] for z in es]
 
 
 @pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS)
 def test_generator_tables_match_permutation_products(spec):
     """For every generator g of G and every element e, ``rmul[g]`` takes e
-    to e * g and ``conj(g)``, g's table, to g^-1 * e * g, as
-    tuple-permutation arithmetic has them."""
+    to e * g and ``conj_table[g]`` to g^-1 * e * g, as tuple-permutation
+    arithmetic has them, and ``conj(g)`` reads g's table."""
     named = construct_named(spec)
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
     perms = G.elements()
@@ -420,9 +415,9 @@ def test_generator_tables_match_permutation_products(spec):
     where = {p: i for i, p in enumerate(perms)}
     assert sorted(ix.rmul) == sorted(ix.conj_table) == sorted(ix.gens)
     for g, pg in zip(ix.gens, G.generators):
-        assert ix.conj(g) is ix.conj_table[g]
+        assert ix.conj(g).__self__ is ix.conj_table[g]
         assert ix.rmul[g] == [where[pmul(pe, pg)] for pe in perms]
-        assert ix.conj(g) == [where[pmul(pmul(pinv(pg), pe), pg)] for pe in perms]
+        assert ix.conj_table[g] == [where[pmul(pmul(pinv(pg), pe), pg)] for pe in perms]
 
 
 def test_short_base_is_refused():
@@ -514,7 +509,9 @@ def test_normaliser_is_the_stabiliser_by_conjugation(spec):
     """``_Index.normaliser`` of every member of every class of pi-subgroups
     and of overgroups of a pi-Hall subgroup, at every pi of at most two
     primes dividing |G|, is {y : y^-1 K y = K}, found by conjugating K by
-    every element as tuple permutations; its generators generate it."""
+    every element as tuple permutations; its generators generate it.  The
+    extended member of each overgroup class contains the first pi-Hall
+    subgroup's member H, as U's count of H's conjugates needs."""
     G = construct_named(spec)
     perms = G.elements()
     ix, where = G._index, {p: i for i, p in enumerate(perms)}
@@ -522,10 +519,13 @@ def test_normaliser_is_the_stabiliser_by_conjugation(spec):
     members = set()
     for k in (1, 2):
         for pi in itertools.combinations(primes, k):
-            for c in pi_subgroups(G, PrimeSet(pi)) + hall_overgroups(G, PrimeSet(pi)):
+            overgroups = hall_overgroups(G, PrimeSet(pi))
+            for M in overgroups:
+                assert pi_hall_subgroups(G, PrimeSet(pi))[0].member <= M.member
+            for c in pi_subgroups(G, PrimeSet(pi)) + overgroups:
                 members.update(c.orbit)
     for K in members:
-        N, N_gens = ix.normaliser(K, ix.reduce(K), ix.orbit(K, ix.gens))
+        N, N_gens = ix.normaliser(K, ix.reduce(K), ix.orbit(K))
         stabiliser = frozenset(
             y for y, py in enumerate(perms)
             if all(where[pmul(pmul(pinv(py), perms[k]), py)] in K for k in K)
@@ -536,14 +536,14 @@ def test_normaliser_is_the_stabiliser_by_conjugation(spec):
 
 def test_generators_conjugate_through_their_tables_only():
     """G's generators conjugate through the tables the closure check
-    builds, never through a memo: after the {13}-subgroup search on psl2:13
-    (order 1092), no generator of G has a conjugation memo, and each
-    generator's two tables hold an entry for each of the 1092 elements."""
+    builds: after the {13}-subgroup search on psl2:13 (order 1092),
+    ``conj`` of each generator reads its table, and each generator's two
+    tables hold an entry for each of the 1092 elements."""
     named = construct_named("psl2:13")
     G = PermGroup(named.degree, named.generators)  # nothing cached yet
     pi_subgroups(G, PrimeSet([13]))
     ix = G._index
-    assert ix.gens and not set(ix.gens) & set(ix._conj)
+    assert ix.gens and all(ix.conj(g).__self__ is ix.conj_table[g] for g in ix.gens)
     assert all(len(ix.conj_table[g]) == len(ix.rmul[g]) == G.order for g in ix.gens)
 
 
@@ -693,3 +693,30 @@ def test_u_follows_d_on_desk_cases():
         if d:
             u, witness = brute_property(G, PrimeSet(pi), "U")
             assert u, witness
+
+
+@pytest.mark.parametrize("spec, overgroup, pair", [
+    # A5 x 1 holds the Hall A4 and a maximal S3
+    ("product:alt:5xcyclic:5",
+     (60, ["(2 3 4)", "(1 2)(3 4)", "(0 1)(3 4)"]),
+     [(12, ["(2 3 4)", "(1 2)(3 4)"]), (6, ["(2 3 4)", "(0 1)(3 4)"])]),
+    # PSL_2(7) x 1 holds two classes of S4, every maximal one of Hall order
+    ("product:psl2:7xcyclic:7",
+     (168, ["(2 6 7)(3 5 4)", "(1 2 4)(3 6 5)", "(0 1)(2 3)(4 6)(5 7)"]),
+     [(24, ["(1 4 6)(2 7 3)", "(0 1)(2 3)(4 6)(5 7)", "(0 2 1 3)(4 5 6 7)"]),
+      (24, ["(1 5 7)(2 4 3)", "(0 1)(2 3)(4 6)(5 7)", "(0 2 1 3)(4 5 6 7)"])]),
+])
+def test_u_overgroup_witness_is_pinned(monkeypatch, spec, overgroup, pair):
+    """U's witness for an overgroup of the pi-Hall subgroup H that is not
+    D_pi, at pi = {2, 3}: the overgroup, H and a maximal pi-subgroup of it
+    that is no conjugate of H in it.  Neither group is D_pi, so the
+    theorem never lets U reach this witness; U's D pre-check is made to
+    pass by reporting one Hall class as the only maximal class."""
+    monkeypatch.setattr(perm_engine, "maximal_pi_subgroups",
+                        lambda G, pi, order_bound: pi_hall_subgroups(G, pi, order_bound)[:1])
+    holds, witness = brute_property(construct_named(spec), PrimeSet([2, 3]), "U")
+    assert not holds
+    assert witness == {
+        "overgroup": {"order": overgroup[0], "gens": overgroup[1]},
+        "witness_pair": [{"order": order, "gens": gens} for order, gens in pair],
+    }
