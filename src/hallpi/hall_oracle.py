@@ -5,6 +5,10 @@ property for a simple group of Lie type with 2 outside pi, the trivial
 small-intersection case, the classification of groups having Hall
 subgroups without the full conjugacy-and-dominance property, and the
 composition-factor reductions.  Every verdict carries a predicate trace.
+A decision builds one trace list, and every condition body records into
+the list it is handed; the public ``check_condition_*`` and
+``classify_epi_minus_dpi`` hand theirs a fresh list and return it.  An E
+verdict that takes D's answer starts from a copy of D's trace.
 
 Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 2B(d)-(i) are tables, one row per subcase in the paper's listing order
@@ -47,12 +51,13 @@ _ONAN_PRIMES = (2, 3, 5, 7, 11, 19, 31)
 
 Trace = list[dict[str, Any]]
 # r = min(pi inter pi(S)), tau = the rest, ord(q mod r), {s: ord(q mod s)}
-OrderFacts = tuple[int, PrimeSet, int, dict[int, int]]
+OrderFacts = tuple[int, tuple[int, ...], int, dict[int, int]]
 
 
 def _rec(trace: Trace, pred: str, value: bool, **args: Any) -> bool:
-    trace.append({"pred": pred, "args": args, "value": bool(value)})
-    return bool(value)
+    value = bool(value)
+    trace.append({"pred": pred, "args": args, "value": value})
+    return value
 
 
 @dataclass(slots=True)
@@ -132,12 +137,13 @@ def check_condition_I(g: GroupId, pi: PrimeSet) -> tuple[bool, Trace]:
         raise ValueError("Condition I requires the defining characteristic in pi")
     if 2 in pi:
         raise ValueError("Condition I requires 2 outside pi")
-    return _condition_I(g, pi_intersection(pi, g))
-
-
-def _condition_I(g: GroupId, inter: PrimeSet) -> tuple[bool, Trace]:
-    """Condition I's body on ``inter`` = pi inter pi(g)."""
     trace: Trace = []
+    return _condition_I(trace, g, pi_intersection(pi, g)), trace
+
+
+def _condition_I(trace: Trace, g: GroupId, inter: PrimeSet) -> bool:
+    """Condition I's body on ``inter`` = pi inter pi(g), recorded in
+    ``trace``."""
     tau = inter.without(g.p)
     q = g.q
     w = weyl_order(g)
@@ -146,7 +152,7 @@ def _condition_I(g: GroupId, inter: PrimeSet) -> tuple[bool, Trace]:
         ok &= _rec(trace, "t divides q-1", (q - 1) % t == 0, t=t, q=q)
     for t in inter:
         ok &= _rec(trace, "t does not divide |W|", w % t != 0, t=t, weyl_order=w)
-    return bool(ok), trace
+    return ok
 
 
 def _floors(trace: Trace, n: int, r: int, equal_tag: str,
@@ -174,29 +180,29 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 
     Returns the first satisfied subcase (a)-(h) in listing order, or None.
     """
-    return _condition_II(g, *_order_facts(g, _check_II_III_pre(g, pi)))
+    trace: Trace = []
+    return _condition_II(trace, g, *_order_facts(g, _check_II_III_pre(g, pi))), trace
 
 
 def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
     """What Conditions II and III both start from, given ``inter`` = pi
     inter pi(g): r = min(inter), tau = inter without r, ord(q mod r) and
-    ord(q mod s) for each s in tau."""
-    r = inter.smallest
-    tau = inter.without(r)
+    ord(q mod s) for each s in tau.  inter is increasing, so r is its first
+    member and tau the rest."""
+    r, tau = inter[0], inter[1:]
     return r, tau, multiplicative_order(g.q, r), _orders_on(g.q, tau)
 
 
-def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
-                  orders: dict[int, int]) -> tuple[str | None, Trace]:
+def _condition_II(trace: Trace, g: GroupId, r: int, tau: tuple[int, ...], a: int,
+                  orders: dict[int, int]) -> str | None:
     """Condition II's body on the facts ``_order_facts`` lists, with
-    a = ord(q mod r)."""
-    trace: Trace = []
+    a = ord(q mod r), recorded in ``trace``."""
     q, n = g.q, g.n
     _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
     for s, o in orders.items():
         _rec(trace, "ord(q mod s)", True, s=s, order=o)
     if not _rec(trace, "exists t in tau with ord(q,t) != a", any(o != a for o in orders.values())):
-        return None, trace
+        return None
 
     fam = g.family
     if fam == "A":
@@ -212,25 +218,25 @@ def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
                 for s in tau
             )
         )
-        return (_floors(trace, n, r, "II(a)", "II(b)") if common else None), trace
+        return _floors(trace, n, r, "II(a)", "II(b)") if common else None
 
     if fam == "2A":
         b = 2 * r
         if not all(
             _rec(trace, "ord(q,s) == b", orders[s] == b, s=s, b=b) for s in tau
         ):
-            return None, trace
+            return None
         if not _rec(
             trace, "(q^(r-1)-1)_r == r", r_part_pow_minus_one(q, r - 1, r) == r, q=q, r=r
         ):
-            return None, trace
+            return None
         r_mod4 = r % 4
         a_ok = a == _unitary_order(r)
         _rec(trace, "a matches r mod 4 shape", a_ok, a=a, r_mod_4=r_mod4)
         if not a_ok:
-            return None, trace
+            return None
         tags = ("II(c)", "II(e)") if r_mod4 == 1 else ("II(d)", "II(f)")
-        return _floors(trace, n, r, *tags), trace
+        return _floors(trace, n, r, *tags)
 
     if fam == "2D":
         # (g): a odd, n = b = 2a; (h): b odd, n = a = 2b
@@ -243,7 +249,7 @@ def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
                 for s in tau
             )
         ):
-            return "II(g)", trace
+            return "II(g)"
         b = a // 2
         if (
             _rec(trace, "a even", a % 2 == 0, a=a)
@@ -255,11 +261,11 @@ def _condition_II(g: GroupId, r: int, tau: PrimeSet, a: int,
                 for s in tau
             )
         ):
-            return "II(h)", trace
-        return None, trace
+            return "II(h)"
+        return None
 
     _rec(trace, "family has a Condition II subcase", False, family=fam)
-    return None, trace
+    return None
 
 
 # Condition III's rows per family in the paper's listing order: (tag, test
@@ -298,34 +304,34 @@ _III_EXCLUSIONS = {
 
 def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     """Uniform-order case: every member of tau has the same order c as r."""
-    return _condition_III(g, *_order_facts(g, _check_II_III_pre(g, pi)))
-
-
-def _condition_III(g: GroupId, r: int, tau: PrimeSet, c: int,
-                   orders: dict[int, int]) -> tuple[str | None, Trace]:
-    """Condition III's body on the facts ``_order_facts`` lists, with
-    c = ord(q mod r): the first of the family's rows that holds."""
     trace: Trace = []
+    return _condition_III(trace, g, *_order_facts(g, _check_II_III_pre(g, pi))), trace
+
+
+def _condition_III(trace: Trace, g: GroupId, r: int, tau: tuple[int, ...], c: int,
+                   orders: dict[int, int]) -> str | None:
+    """Condition III's body on the facts ``_order_facts`` lists, with
+    c = ord(q mod r), recorded in ``trace``: the first of the family's rows
+    that holds."""
     n = g.n
     _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
-    if not all(
-        _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c) for t in tau
-    ):
-        return None, trace
+    for t in tau:
+        if not _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c):
+            return None
     for tag, test, bound in _III_ROWS.get(g.family, ()):
         if test is not None and not _rec(trace, test[0], c % test[1] == test[2], c=c):
             continue
         if bound is None or all(
             _rec(trace, bound[0], bound[1](n, c, s), s=s, c=c, n=n) for s in tau
         ):
-            return tag, trace
+            return tag
     if g.family in _III_EXCLUSIONS:
         tag, text, excluded = _III_EXCLUSIONS[g.family]
         ok = not any(r == r_ex and c in cs and any(t in tau for t in ts)
                      for r_ex, cs, ts in excluded)
         if _rec(trace, text, ok, r=r, c=c):
-            return tag, trace
-    return None, trace
+            return tag
+    return None
 
 
 def _check_II_III_pre(g: GroupId, pi: PrimeSet) -> PrimeSet:
@@ -382,20 +388,21 @@ def check_condition_IV(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
         raise ValueError("Condition IV applies only to the Suzuki/Ree families")
     if 2 in pi:
         raise ValueError("Condition IV requires 2 outside pi")
-    return _condition_IV(g, pi_intersection(pi, g))
-
-
-def _condition_IV(g: GroupId, inter: PrimeSet) -> tuple[str | None, Trace]:
-    """Condition IV's body on ``inter`` = pi inter pi(g)."""
     trace: Trace = []
+    return _condition_IV(trace, g, pi_intersection(pi, g)), trace
+
+
+def _condition_IV(trace: Trace, g: GroupId, inter: PrimeSet) -> str | None:
+    """Condition IV's body on ``inter`` = pi inter pi(g), recorded in
+    ``trace``."""
     subcase = {"2B2": "IV(a)", "2G2": "IV(b)", "2F4": "IV(c)"}[g.family]
     for label, value in _torus_prime_sets(g):
         contained = all(value % t == 0 for t in inter)
         _rec(trace, "pi(S)-primes contained in pi(torus order)", contained,
              torus=label, torus_order=value)
         if contained:
-            return subcase, trace
-    return None, trace
+            return subcase
+    return None
 
 
 def _base_verdict(prop: str, g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdict:
@@ -414,42 +421,33 @@ def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdict:
     Each branch below reaches a condition only where that condition's
     premises hold, so the condition bodies take ``inter``, Conditions II
     and III the order facts computed once from it, and their answers are
-    the public ``check_condition_*`` answers.  The verdict keeps those
-    facts for the E decision.
+    the public ``check_condition_*`` answers.  Each body records straight
+    into the verdict's trace.  The verdict keeps the order facts for the E
+    decision.
     """
     v = _base_verdict("D", g, pi, inter)
+    trace = v.trace
     if len(inter) <= 1:
         v.holds = "yes"
         v.condition = "trivial_small_pi"
-        _rec(v.trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
+        _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
         return v
     if 2 in pi:
         v.holds = "out_of_scope"
-        _rec(v.trace, "2 in pi: criterion not covered", True)
+        _rec(trace, "2 in pi: criterion not covered", True)
         return v
     if g.family in SUZUKI_REE_FAMILIES:
-        _rec(v.trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
-        sub, trace = _condition_IV(g, inter)
-        v.trace.extend(trace)
-        if sub is not None:
-            v.holds, v.condition = "yes", sub
-        return v
-    if g.p in pi:
-        ok, trace = _condition_I(g, inter)
-        v.trace.extend(trace)
-        if ok:
-            v.holds, v.condition = "yes", "I"
-        return v
-    facts = v.facts = _order_facts(g, inter)
-    sub, trace = _condition_II(g, *facts)
-    v.trace.extend(trace)
-    if sub is not None:
-        v.holds, v.condition = "yes", sub
+        _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
+        sub = _condition_IV(trace, g, inter)
+    elif g.p in pi:
+        sub = "I" if _condition_I(trace, g, inter) else None
+    else:
+        facts = v.facts = _order_facts(g, inter)
+        sub = _condition_II(trace, g, *facts)
         if sub in ("II(g)", "II(h)"):
             v.hall_cyclic = True
-        return v
-    sub, trace = _condition_III(g, *facts)
-    v.trace.extend(trace)
+        elif sub is None:
+            sub = _condition_III(trace, g, *facts)
     if sub is not None:
         v.holds, v.condition = "yes", sub
     return v
@@ -470,16 +468,15 @@ def classify_epi_minus_dpi(
     while failing the D property.  Returns the case tag or None."""
     if 2 in pi:
         raise ValueError("classification requires 2 outside pi")
-    if isinstance(g_or_sporadic, str):
-        trace: Trace = []
-        if g_or_sporadic not in (ONAN, "ON", "O'N"):
-            raise ValueError(f"unsupported sporadic marker {g_or_sporadic!r}")
-        inter = sorted(t for t in pi if t in _ONAN_PRIMES)
-        if _rec(trace, "pi inter pi(O'N) == {3,5}", inter == [3, 5], intersection=inter):
-            return "epi_case_1", trace
-        return None, trace
-
-    return _classify_lie(g_or_sporadic, pi, decide_dpi(g_or_sporadic, pi))
+    trace: Trace = []
+    if not isinstance(g_or_sporadic, str):
+        return _classify_lie(trace, g_or_sporadic, pi, decide_dpi(g_or_sporadic, pi)), trace
+    if g_or_sporadic not in (ONAN, "ON", "O'N"):
+        raise ValueError(f"unsupported sporadic marker {g_or_sporadic!r}")
+    inter = sorted(t for t in pi if t in _ONAN_PRIMES)
+    if _rec(trace, "pi inter pi(O'N) == {3,5}", inter == [3, 5], intersection=inter):
+        return "epi_case_1", trace
+    return None, trace
 
 
 # The exceptional E-minus-D cases 2B(d)-(i) per family: the tori whose
@@ -495,18 +492,17 @@ _EXCEPTIONAL_CASES = {
 }
 
 
-def _classify_lie(g: GroupId, pi: PrimeSet, d: Verdict) -> tuple[str | None, Trace]:
-    """The classification for a Lie-type g with 2 outside pi, given ``d``,
-    the D verdict on (g, pi): its pi inter pi(g), and its order facts where
-    the linear and unitary cases need them, as D reached Conditions II/III
-    on every such point where it fails."""
-    trace: Trace = []
+def _classify_lie(trace: Trace, g: GroupId, pi: PrimeSet, d: Verdict) -> str | None:
+    """The classification for a Lie-type g with 2 outside pi, recorded in
+    ``trace``, given ``d``, the D verdict on (g, pi): its pi inter pi(g),
+    and its order facts where the linear and unitary cases need them, as D
+    reached Conditions II/III on every such point where it fails."""
     inter = d.inter
     if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
-        return None, trace
+        return None
     if d.yes:
         _rec(trace, "D holds, so not in E minus D", True)
-        return None, trace
+        return None
     q, n = g.q, g.n
 
     if g.p in pi:
@@ -515,7 +511,7 @@ def _classify_lie(g: GroupId, pi: PrimeSet, d: Verdict) -> tuple[str | None, Tra
         for t in inter.without(g.p):
             ok &= _rec(trace, "t divides q-1", (q - 1) % t == 0, t=t, q=q)
             ok &= _rec(trace, "t does not divide |W|", w % t != 0, t=t, weyl_order=w)
-        return ("epi_case_2A", trace) if ok else (None, trace)
+        return "epi_case_2A" if ok else None
 
     fam = g.family
     if fam in ("A", "2A"):
@@ -541,22 +537,24 @@ def _classify_lie(g: GroupId, pi: PrimeSet, d: Verdict) -> tuple[str | None, Tra
                 for s in tau
             )
         )
-        return (tag, trace) if ok else (None, trace)
+        return tag if ok else None
 
-    tori, rows = _EXCEPTIONAL_CASES.get(fam, ((), ()))
+    if fam not in _EXCEPTIONAL_CASES:
+        return None
+    tori, rows = _EXCEPTIONAL_CASES[fam]
     order = {"q-1": q - 1, "q+1": q + 1}
     if not any(
         _rec(trace, "pi(S)-primes contained in pi(value)",
              all(order[label] % t == 0 for t in inter), value_label=label)
         for label in tori
     ):
-        return None, trace
+        return None
     for tag, present, absent in rows:
         oks = [_rec(trace, "t in pi inter pi(S)", t in inter, t=t) for t in present]
         oks += [_rec(trace, "t not in pi inter pi(S)", t not in inter, t=t) for t in absent]
         if all(oks):
-            return tag, trace
-    return None, trace
+            return tag
+    return None
 
 
 def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
@@ -570,14 +568,15 @@ def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
     E, and where D fails E holds exactly on the E-minus-D classification.
     Where D is not "no" (a yes, the Sylow case |pi inter pi(S)| <= 1, or
     out of scope with 2 in pi) E is D's answer.  ``d`` is read, never
-    changed, and its pi inter pi(g) and order facts reused."""
+    changed, and its pi inter pi(g) and order facts reused.  Where E is
+    D's answer its trace is a copy of D's, so a record added to E's never
+    reaches D's; where D fails the classification records into E's."""
     v = _base_verdict("E", g, pi, d.inter)
     if d.holds != "no":
         v.holds, v.condition, v.hall_cyclic = d.holds, d.condition, d.hall_cyclic
-        v.trace.extend(d.trace)
+        v.trace = d.trace.copy()
         return v
-    tag, trace = _classify_lie(g, pi, d)
-    v.trace.extend(trace)
+    tag = _classify_lie(v.trace, g, pi, d)
     if tag is not None:
         v.holds, v.condition = "yes", tag
     return v

@@ -293,11 +293,17 @@ def test_scan_skips_non_simple_groups_in_range(capsys):
     assert groups == {"A:2:q=2^2", "A:2:q=5"}  # q = 2, 3 are solvable
 
 
+_SCAN_FAMILY_N = {
+    "A": "2..4", "2A": "3..4", "B": "2..4", "C": "2..4", "D": "4..5", "2D": "4..5",
+    "3D4": None, "E6": None, "2E6": None, "E7": None, "E8": None, "F4": None,
+    "G2": None, "2B2": None, "2F4": None, "2G2": None,
+}
+
+
 @pytest.mark.parametrize(
     "family_n",
-    [["--family", "A", "--n", "2..4"], ["--family", "2A", "--n", "3..4"],
-     ["--family", "E6"], ["--family", "E8"], ["--family", "2B2"]],
-    ids=["A", "2A", "E6", "E8", "2B2"],
+    [["--family", fam] + (["--n", n] if n else []) for fam, n in _SCAN_FAMILY_N.items()],
+    ids=list(_SCAN_FAMILY_N),
 )
 def test_scan_rows_equal_public_deciders(capsys, family_n):
     """The scan hands each point's pi to the D decision as its own pi inter

@@ -186,19 +186,55 @@ def test_dpi_with_intersection_handed_over_keeps_the_pin():
 
 def test_dpi_condition_is_first_public_II_then_III():
     """Wherever the II/III premises hold, decide_dpi's condition is the
-    public check_condition_II answer, else check_condition_III's."""
+    public check_condition_II answer, else check_condition_III's, and its
+    trace is II's trace followed, where II fails, by III's: the condition
+    bodies record into the verdict's list, and a record shared with the
+    public checks' lists or leaked between them shows here."""
     premise_points = ii_points = 0
     for gg, pi in scan_points(scan_groups(), (2, 3)):
         try:
-            sub, _ = check_condition_II(gg, pi)
+            sub, trace = check_condition_II(gg, pi)
         except ValueError:
             continue
         premise_points += 1
         ii_points += sub is not None
         if sub is None:
-            sub, _ = check_condition_III(gg, pi)
-        assert decide_dpi(gg, pi).condition == sub, (gg, pi)
+            sub, trace3 = check_condition_III(gg, pi)
+            trace = trace + trace3
+        d = decide_dpi(gg, pi)
+        assert d.condition == sub, (gg, pi)
+        assert d.trace == trace, (gg, pi)
     assert (premise_points, ii_points) == (12013, 48)
+
+
+# One point per D outcome: yes through Conditions I, II, III and IV, the
+# Sylow case, out of scope with 2 in pi, and no with E holding or not.
+D_OUTCOME_POINTS = [
+    ("A:2:q=7", (3, 7), "yes"),
+    ("A:3:q=2", (3, 7), "yes"),
+    ("A:5:q=4", (11, 31), "yes"),
+    ("2F4:q=8", (3, 7), "yes"),
+    ("A:3:q=2", (3,), "yes"),
+    ("A:2:q=7", (2, 3), "out_of_scope"),
+    ("A:4:q=2", (3, 5), "no"),
+    ("2A:3:q=4", (3, 5), "no"),
+]
+
+
+@pytest.mark.parametrize("spec, pi, holds", D_OUTCOME_POINTS,
+                         ids=[f"{spec}-{','.join(map(str, pi))}" for spec, pi, _ in D_OUTCOME_POINTS])
+def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
+    """E is derived from a D verdict, and C adds a record to E's trace; the
+    D verdict, trace included, must be what it was before either."""
+    gg, pi = g(spec), PrimeSet(pi)
+    d = decide_dpi(gg, pi)
+    assert d.holds == holds
+    before = json.dumps(d.to_json(), sort_keys=True)
+    e = hall_oracle._epi_from_dpi(gg, pi, d)
+    assert json.dumps(d.to_json(), sort_keys=True) == before
+    assert e.to_json() == decide_epi(gg, pi).to_json()
+    e.trace.append({"pred": "C equals E for odd pi", "args": {}, "value": True})
+    assert json.dumps(d.to_json(), sort_keys=True) == before
 
 
 # ---------------------------------------------------------------------------
