@@ -4,11 +4,13 @@ Evaluates the four condition families (I-IV) that characterise the D
 property for a simple group of Lie type with 2 outside pi, the trivial
 small-intersection case, the classification of groups having Hall
 subgroups without the full conjugacy-and-dominance property, and the
-composition-factor reductions.  Every verdict carries a predicate trace.
-A decision builds one trace list, and every condition body records into
-the list it is handed; the public ``check_condition_*`` and
-``classify_epi_minus_dpi`` hand theirs a fresh list and return it.  An E
-verdict that takes D's answer starts from a copy of D's trace.
+composition-factor reductions.  A decision records a predicate trace
+only into a list its caller hands it: every public ``decide_*``,
+``check_condition_*``, ``classify_epi_minus_dpi`` and
+``reduce_composition`` hands a fresh one and returns it, while a scan that
+reads only a verdict's answer hands none, so its verdicts carry no trace.
+E records exactly where D did; an E verdict that takes D's answer starts
+from a copy of D's trace.
 
 Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 2B(d)-(i) are tables, one row per subcase in the paper's listing order
@@ -54,23 +56,25 @@ Trace = list[dict[str, Any]]
 OrderFacts = tuple[int, tuple[int, ...], int, dict[int, int]]
 
 
-def _rec(trace: Trace, pred: str, value: bool, **args: Any) -> bool:
+def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
     value = bool(value)
-    trace.append({"pred": pred, "args": args, "value": value})
+    if trace is not None:
+        trace.append({"pred": pred, "args": args, "value": value})
     return value
 
 
 @dataclass(slots=True)
 class Verdict:
-    """Answer of a property decision, with its full predicate trace.
-    ``inter`` is the pi inter pi(S) the decision computed and ``facts`` the
-    order facts of Conditions II/III where it reached them, so a decision
-    derived from this one need not compute either again."""
+    """Answer of a property decision, with its full predicate trace, or
+    None where the caller asked for none, as a scan reading only the answer
+    does.  ``inter`` is the pi inter pi(S) the decision computed and
+    ``facts`` the order facts of Conditions II/III where it reached them, so
+    a decision derived from this one need not compute either again."""
 
     property: str  # one of E, C, D, U
     holds: str  # yes | no | out_of_scope
     condition: str | None = None
-    trace: Trace = field(default_factory=list)
+    trace: Trace | None = field(default_factory=list)
     hall_cyclic: bool | None = None
     group: str | None = None
     pi: tuple[int, ...] = ()
@@ -141,7 +145,7 @@ def check_condition_I(g: GroupId, pi: PrimeSet) -> tuple[bool, Trace]:
     return _condition_I(trace, g, pi_intersection(pi, g)), trace
 
 
-def _condition_I(trace: Trace, g: GroupId, inter: PrimeSet) -> bool:
+def _condition_I(trace: Trace | None, g: GroupId, inter: PrimeSet) -> bool:
     """Condition I's body on ``inter`` = pi inter pi(g), recorded in
     ``trace``."""
     tau = inter.without(g.p)
@@ -155,7 +159,7 @@ def _condition_I(trace: Trace, g: GroupId, inter: PrimeSet) -> bool:
     return ok
 
 
-def _floors(trace: Trace, n: int, r: int, equal_tag: str,
+def _floors(trace: Trace | None, n: int, r: int, equal_tag: str,
             off_by_one_tag: str) -> str | None:
     """The [n/(r-1)] tail of Condition II's A and 2A subcases: equal_tag
     where [n/(r-1)] = [n/r], off_by_one_tag where it is [n/r] + 1 and
@@ -193,14 +197,15 @@ def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
     return r, tau, multiplicative_order(g.q, r), _orders_on(g.q, tau)
 
 
-def _condition_II(trace: Trace, g: GroupId, r: int, tau: tuple[int, ...], a: int,
+def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], a: int,
                   orders: dict[int, int]) -> str | None:
     """Condition II's body on the facts ``_order_facts`` lists, with
     a = ord(q mod r), recorded in ``trace``."""
     q, n = g.q, g.n
-    _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
-    for s, o in orders.items():
-        _rec(trace, "ord(q mod s)", True, s=s, order=o)
+    if trace is not None:
+        _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
+        for s, o in orders.items():
+            _rec(trace, "ord(q mod s)", True, s=s, order=o)
     if not _rec(trace, "exists t in tau with ord(q,t) != a", any(o != a for o in orders.values())):
         return None
 
@@ -308,13 +313,14 @@ def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     return _condition_III(trace, g, *_order_facts(g, _check_II_III_pre(g, pi))), trace
 
 
-def _condition_III(trace: Trace, g: GroupId, r: int, tau: tuple[int, ...], c: int,
+def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], c: int,
                    orders: dict[int, int]) -> str | None:
     """Condition III's body on the facts ``_order_facts`` lists, with
     c = ord(q mod r), recorded in ``trace``: the first of the family's rows
     that holds."""
     n = g.n
-    _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
+    if trace is not None:
+        _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
     for t in tau:
         if not _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c):
             return None
@@ -392,7 +398,7 @@ def check_condition_IV(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
     return _condition_IV(trace, g, pi_intersection(pi, g)), trace
 
 
-def _condition_IV(trace: Trace, g: GroupId, inter: PrimeSet) -> str | None:
+def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | None:
     """Condition IV's body on ``inter`` = pi inter pi(g), recorded in
     ``trace``."""
     subcase = {"2B2": "IV(a)", "2G2": "IV(b)", "2F4": "IV(c)"}[g.family]
@@ -405,16 +411,19 @@ def _condition_IV(trace: Trace, g: GroupId, inter: PrimeSet) -> str | None:
     return None
 
 
-def _base_verdict(prop: str, g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdict:
-    return Verdict(property=prop, holds="no", group=g.spec(), pi=tuple(pi), inter=inter)
+def _base_verdict(prop: str, g: GroupId, pi: PrimeSet, inter: PrimeSet,
+                  trace: Trace | None) -> Verdict:
+    return Verdict(property=prop, holds="no", group=g.spec(), pi=tuple(pi), inter=inter,
+                   trace=trace)
 
 
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Decide the full Sylow-analogue property for a simple Lie-type group."""
-    return _decide_dpi(g, pi, pi_intersection(pi, g))
+    return _decide_dpi(g, pi, pi_intersection(pi, g), [])
 
 
-def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdict:
+def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet,
+                trace: Trace | None = None) -> Verdict:
     """decide_dpi's body on ``inter`` = pi inter pi(g), for a caller that
     already holds it, such as a scan whose pi divides |g|.
 
@@ -422,11 +431,10 @@ def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet) -> Verdict:
     premises hold, so the condition bodies take ``inter``, Conditions II
     and III the order facts computed once from it, and their answers are
     the public ``check_condition_*`` answers.  Each body records straight
-    into the verdict's trace.  The verdict keeps the order facts for the E
-    decision.
+    into ``trace``, the verdict's, or nothing where it is None.  The
+    verdict keeps the order facts for the E decision.
     """
-    v = _base_verdict("D", g, pi, inter)
-    trace = v.trace
+    v = _base_verdict("D", g, pi, inter, trace)
     if len(inter) <= 1:
         v.holds = "yes"
         v.condition = "trivial_small_pi"
@@ -492,7 +500,7 @@ _EXCEPTIONAL_CASES = {
 }
 
 
-def _classify_lie(trace: Trace, g: GroupId, pi: PrimeSet, d: Verdict) -> str | None:
+def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, d: Verdict) -> str | None:
     """The classification for a Lie-type g with 2 outside pi, recorded in
     ``trace``, given ``d``, the D verdict on (g, pi): its pi inter pi(g),
     and its order facts where the linear and unitary cases need them, as D
@@ -516,7 +524,8 @@ def _classify_lie(trace: Trace, g: GroupId, pi: PrimeSet, d: Verdict) -> str | N
     fam = g.family
     if fam in ("A", "2A"):
         r, tau, a, orders = d.facts
-        _rec(trace, "ord(q mod r)", True, r=r, order=a)
+        if trace is not None:
+            _rec(trace, "ord(q mod r)", True, r=r, order=a)
         if fam == "A":
             tag, b_req, a_req = "epi_case_2B(a)", 1, r - 1
             shape_ok = True
@@ -570,11 +579,13 @@ def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
     out of scope with 2 in pi) E is D's answer.  ``d`` is read, never
     changed, and its pi inter pi(g) and order facts reused.  Where E is
     D's answer its trace is a copy of D's, so a record added to E's never
-    reaches D's; where D fails the classification records into E's."""
-    v = _base_verdict("E", g, pi, d.inter)
+    reaches D's; where D fails the classification records into E's.  E
+    carries no trace where D carries none."""
+    v = _base_verdict("E", g, pi, d.inter, None if d.trace is None else [])
     if d.holds != "no":
         v.holds, v.condition, v.hall_cyclic = d.holds, d.condition, d.hall_cyclic
-        v.trace = d.trace.copy()
+        if d.trace is not None:
+            v.trace = d.trace.copy()
         return v
     tag = _classify_lie(v.trace, g, pi, d)
     if tag is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .arith import PrimeSet, _distinct_prime_set
-from .hall_oracle import _decide_dpi, check_condition_III, decide_dpi, decide_epi
+from .hall_oracle import _decide_dpi, _epi_from_dpi, check_condition_III
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -205,11 +205,13 @@ def _implied_by_d(prop: str, label: str, order_bound: int):
 def cross_check_simple(
     grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
 ) -> CrossCheckReport:
-    """decide_dpi vs brute D and decide_epi vs brute E and C, per case."""
+    """decide_dpi vs brute D and decide_epi vs brute E and C, per case.
+    Each case decides D once, untraced, and derives E from that verdict, as
+    decide_epi does; only their answers are read."""
 
     def check(g, pi, G) -> dict:
-        oracle_d = decide_dpi(g, pi)
-        oracle_e = decide_epi(g, pi)
+        oracle_d = _decide_dpi(g, pi, pi_intersection(pi, g))
+        oracle_e = _epi_from_dpi(g, pi, oracle_d)
         brute_d, _ = brute_property(G, pi, "D", order_bound)
         brute_e, _ = brute_property(G, pi, "E", order_bound)
         brute_c, _ = brute_property(G, pi, "C", order_bound)

@@ -179,9 +179,31 @@ def test_dpi_verdicts_on_exclusivity_points_are_pinned():
 
 def test_dpi_with_intersection_handed_over_keeps_the_pin():
     """The exclusivity scan and ``hallpi scan`` hand each point's pi to the
-    D body as its own pi inter pi(G); their verdicts are decide_dpi's."""
+    D body as its own pi inter pi(G); their verdicts, traced, are
+    decide_dpi's."""
     assert _exclusivity_d_digest(
-        lambda gg, pi: hall_oracle._decide_dpi(gg, pi, pi)) == _EXCLUSIVITY_D_DIGEST
+        lambda gg, pi: hall_oracle._decide_dpi(gg, pi, pi, [])) == _EXCLUSIVITY_D_DIGEST
+
+
+def test_untraced_decisions_answer_as_traced_ones():
+    """A scan's D verdict, decided with no trace, and the E verdict derived
+    from it carry no trace and the public deciders' answers on every
+    exclusivity-scan point: a record whose value drives the decision still
+    decides it when nothing is recorded."""
+    assert hall_oracle._rec(None, "p", 0) is False
+    points = 0
+    for gg, pi in scan_points(scan_groups(), (2, 3)):
+        points += 1
+        d, traced_d = hall_oracle._decide_dpi(gg, pi, pi), decide_dpi(gg, pi)
+        assert d.trace is None, (gg, pi)
+        assert (d.holds, d.condition, d.hall_cyclic, d.inter, d.facts) == (
+            traced_d.holds, traced_d.condition, traced_d.hall_cyclic, traced_d.inter,
+            traced_d.facts), (gg, pi)
+        e, traced_e = hall_oracle._epi_from_dpi(gg, pi, d), decide_epi(gg, pi)
+        assert e.trace is None, (gg, pi)
+        assert (e.holds, e.condition, e.hall_cyclic) == (
+            traced_e.holds, traced_e.condition, traced_e.hall_cyclic), (gg, pi)
+    assert points == 17082
 
 
 def test_dpi_condition_is_first_public_II_then_III():
