@@ -191,9 +191,9 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_brute(args, max_order: int) -> int:
+    pi = _parse_pi(args.pi)
     refuse_over_cap(args.group, max_order)
     G = construct_named(args.group)
-    pi = _parse_pi(args.pi)
     prop = _PROP_MAP[args.prop]
     holds, witness = brute_property(G, pi, prop, max_order)
     payload = {

@@ -76,7 +76,7 @@ class Verdict:
     condition: str | None = None
     trace: Trace | None = field(default_factory=list)
     hall_cyclic: bool | None = None
-    group: str | None = None
+    group: GroupId | None = None  # spelled as its spec only by to_json
     pi: tuple[int, ...] = ()
     inter: PrimeSet | None = field(default=None, repr=False, compare=False)
     facts: OrderFacts | None = field(default=None, repr=False, compare=False)
@@ -87,7 +87,7 @@ class Verdict:
 
     def to_json(self) -> dict[str, Any]:
         return {
-            "group": self.group,
+            "group": None if self.group is None else self.group.spec(),
             "pi": list(self.pi),
             "property": self.property,
             "holds": self.holds,
@@ -411,12 +411,6 @@ def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
     return None
 
 
-def _base_verdict(prop: str, g: GroupId, pi: PrimeSet, inter: PrimeSet,
-                  trace: Trace | None) -> Verdict:
-    return Verdict(property=prop, holds="no", group=g.spec(), pi=tuple(pi), inter=inter,
-                   trace=trace)
-
-
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Decide the full Sylow-analogue property for a simple Lie-type group."""
     return _decide_dpi(g, pi, pi_intersection(pi, g), [])
@@ -434,7 +428,7 @@ def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet,
     into ``trace``, the verdict's, or nothing where it is None.  The
     verdict keeps the order facts for the E decision.
     """
-    v = _base_verdict("D", g, pi, inter, trace)
+    v = Verdict("D", "no", group=g, pi=pi, inter=inter, trace=trace)
     if len(inter) <= 1:
         v.holds = "yes"
         v.condition = "trivial_small_pi"
@@ -581,7 +575,8 @@ def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
     D's answer its trace is a copy of D's, so a record added to E's never
     reaches D's; where D fails the classification records into E's.  E
     carries no trace where D carries none."""
-    v = _base_verdict("E", g, pi, d.inter, None if d.trace is None else [])
+    v = Verdict("E", "no", group=g, pi=pi, inter=d.inter,
+                trace=None if d.trace is None else [])
     if d.holds != "no":
         v.holds, v.condition, v.hall_cyclic = d.holds, d.condition, d.hall_cyclic
         if d.trace is not None:

@@ -11,22 +11,20 @@ the first ``elements()`` call, checked to be closed under the generators
 and cached on the group; a subgroup is a frozenset of indices.  Elements
 multiply through base images: an element is fixed by its images of the
 BSGS base, and (x * e)[b] = e[x[b]], so a product is one lookup per base
-point.  Every join composes only the products it asks for, memoized per
-multiplier.  G's own generators act through flat tables that the closure
+point.  G's own generators act through flat tables that the closure
 check builds, one entry per element: right multiplication and
 conjugation, which walk each class's G-orbit and build its normaliser.
-``_Index.conj`` is the one way to conjugate: by a generator of G through
-its table, and by any other element composed on each call, with no memo.
+Every other product and conjugate is composed on each call, with no memo
+(``_Index.products`` and ``_Index.conj``).
 
 One cyclic-extension routine, ``_extend``, joins class members with cyclic
 subgroups of prime-power order, skipping the joins that could only return
-a subgroup already found (its docstring says which), and forgets the
-products composed for a member when it moves on to the next.  A member K
-is joined with one cyclic per orbit of its normaliser N_G(K), as
-conjugating by N_G(K) maps <K, x> to a conjugate.  N_G(K) is read off
-K's conjugacy-class walk: the walk records an element conjugating K to
-each conjugate, and the Schreier generators built from those generate
-N_G(K), which has |G| / |class| elements.
+a subgroup already found (its docstring says which).  A member K is
+joined with one cyclic per orbit of its normaliser N_G(K), as conjugating
+by N_G(K) maps <K, x> to a conjugate.  N_G(K) is read off K's
+conjugacy-class walk: the walk records an element conjugating K to each
+conjugate, and the Schreier generators built from those generate N_G(K),
+which has |G| / |class| elements.
 Each query enumerates only what it needs:
 
 - ``enumerate_subgroups``: the full lattice, from the trivial group.
@@ -471,21 +469,6 @@ def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
 # integer-indexed elements
 
 
-class _Products(dict):
-    """x * e for the e asked so far, each composed on its first lookup:
-    ``key`` reads the base images of x * e off e."""
-
-    __slots__ = ("by_base", "perms", "key")
-
-    def __init__(self, by_base: dict, perms: list[Perm], key):
-        super().__init__()
-        self.by_base, self.perms, self.key = by_base, perms, key
-
-    def __missing__(self, e: int) -> int:
-        x_e = self[e] = self.by_base[self.key(self.perms[e])]
-        return x_e
-
-
 class _Index:
     """The elements of a group as indices into its sorted ``elements()``,
     multiplied through base images.
@@ -518,11 +501,10 @@ class _Index:
     through g.  Each is one pass over the columns per generator, with no
     Python call per element, and the G-orbit walks read them.
 
-    A join composes only the products it asks for, memoized per x
-    (``products``); ``_extend`` clears the memos whenever it moves on to the
-    next class member, as its joins of one member reuse them and those of
-    the next rarely do.  ``conj(y)`` is the one way to conjugate by y: it
-    reads y's table when y generates G, and otherwise composes each
+    ``products(x)`` multiplies by x on the left: it composes each product
+    x * e on every call, with no memo, and a join asks only for the
+    products it needs.  ``conj(y)`` is the one way to conjugate by y:
+    it reads y's table when y generates G, and otherwise composes each
     conjugate on every call, with no memo."""
 
     def __init__(self, G: PermGroup):
@@ -555,7 +537,6 @@ class _Index:
                         zip(*(map(g.__getitem__, cols[g_inv[b]]) for b in base))))
             for x, g, g_inv in zip(self.gens, G.generators, map(pinv, G.generators))
         }
-        self._products: dict = {}
 
     def index(self, p: Perm) -> int:
         """The index of the element p."""
@@ -565,13 +546,12 @@ class _Index:
         """x's base images, the points whose images under e key x * e."""
         return list(map(self.perms[x].__getitem__, self.base))
 
-    def products(self, x: int) -> _Products:
-        """Left multiplication by x, composed one product at a time."""
-        m = self._products.get(x)
-        if m is None:
-            key = itemgetter(*self._images(x))
-            m = self._products[x] = _Products(self.by_base, self.perms, key)
-        return m
+    def products(self, x: int):
+        """Left multiplication by x as a function, e -> x * e, composed on
+        each call: the base images of x * e are e's images of x's."""
+        perms, by_base = self.perms, self.by_base
+        key = itemgetter(*self._images(x))
+        return lambda e: by_base[key(perms[e])]
 
     def conj(self, y: int):
         """Conjugation by y as a function, e -> y^-1 * e * y: a lookup in
@@ -595,9 +575,9 @@ class _Index:
         cosets = [list(R)]  # left cosets w * R, which partition K
         for coset in cosets:
             for m in maps:
-                if m[coset[0]] in K:
+                if m(coset[0]) in K:
                     continue
-                new = list(map(m.__getitem__, coset))
+                new = list(map(m, coset))
                 if stop and not stop.isdisjoint(map(self.canonical.__getitem__, new)):
                     return None
                 K.update(new)
@@ -799,7 +779,6 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
 
     add(start, gens)
     for K, K_gens, K_orbit in found:  # grows while it is read
-        ix._products.clear()
         N, N_gens = ix.normaliser(K, K_gens, K_orbit)
         conjugators = [ix.conj(y) for y in N_gens]
         tried: set[int] = set()
@@ -947,7 +926,7 @@ def _set_label(ix: _Index, s: frozenset) -> dict:
 
 def _is_abelian(c: SubgroupClass) -> bool:
     gens, products = c.member_gens, c._ix.products
-    return all(products(a)[b] == products(b)[a]
+    return all(products(a)(b) == products(b)(a)
                for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 

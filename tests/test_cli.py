@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from hallpi import perm_engine
+from hallpi import cli, perm_engine
 from hallpi.arith import PrimeSet
 from hallpi.cli import main
 from hallpi.hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
@@ -132,6 +132,20 @@ def test_brute_cap_refusal_names_cap(capsys, monkeypatch):
         code, _, err = run(capsys, "brute", "--group", group, "--pi", "3",
                            "--prop", "dpi", *options)
         assert code == 3 and cap in err, group
+
+
+def test_brute_reads_pi_before_building_the_group(capsys, monkeypatch):
+    """A bad --pi exits 3 before any group is built: cyclic:20000 is under
+    the cap, yet building it takes minutes."""
+    def no_build(spec):
+        raise AssertionError("the group was built before --pi was read")
+
+    monkeypatch.setattr(cli, "construct_named", no_build)
+    for group in ("cyclic:3000", "cyclic:20000"):
+        code, out, err = run(capsys, "brute", "--group", group, "--pi", "3,,5",
+                             "--prop", "dpi")
+        assert code == 3 and out == ""
+        assert "--pi: bad prime list" in err
 
 
 def test_brute_honors_max_order(capsys):

@@ -395,7 +395,7 @@ def test_products_match_permutation_products(spec):
     for x in xs:
         x_times, x_inv_times = left[x], left[inv[x]]
         products = ix.products(x)
-        assert [products[e] for e in es] == x_times
+        assert [products(e) for e in es] == x_times
         # x^-1 e x = (x^-1 (x^-1 e)^-1)^-1 and x z x^-1 = x (x z^-1)^-1
         conjugate = ix.conj(x)
         assert [conjugate(e) for e in es] == [inv[x_inv_times[inv[x_inv_times[e]]]] for e in es]
@@ -418,6 +418,24 @@ def test_generator_tables_match_permutation_products(spec):
         assert ix.conj(g).__self__ is ix.conj_table[g]
         assert ix.rmul[g] == [where[pmul(pe, pg)] for pe in perms]
         assert ix.conj_table[g] == [where[pmul(pmul(pinv(pg), pe), pg)] for pe in perms]
+
+
+@pytest.mark.parametrize("spec", ["sym:4", "alt:5", "psl2:7"])
+def test_is_abelian_matches_permutation_products(spec):
+    """``_is_abelian``, which composes products through base images, agrees
+    with tuple-permutation arithmetic on whether every pair of a class's
+    member generators commutes: for every pi-subgroup class at each pi of
+    one or two primes dividing |G|."""
+    G = construct_named(spec)
+    primes = [p for p in (2, 3, 5, 7) if G.order % p == 0]
+    abelian = set()
+    for pi in itertools.chain(itertools.combinations(primes, 1), itertools.combinations(primes, 2)):
+        for c in pi_subgroups(G, PrimeSet(pi)):
+            gens = [c._ix.perms[i] for i in c.member_gens]
+            commute = all(pmul(a, b) == pmul(b, a) for a, b in itertools.combinations(gens, 2))
+            assert perm_engine._is_abelian(c) is commute, (pi, c.order)
+            abelian.add(commute)
+    assert abelian == {True, False}
 
 
 def test_short_base_is_refused():
