@@ -74,16 +74,6 @@ def _parse_range(option: str, text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    with open(path, encoding="utf-8") as f:
-        config = json.load(f)
-    if not isinstance(config, dict):
-        raise ValueError("the config file must hold a JSON object")
-    return config
-
-
 def _read_count(option: str, text: str) -> int:
     """A positive integer typed as a plain decimal, or an input error."""
     try:
@@ -96,18 +86,11 @@ def _read_count(option: str, text: str) -> int:
 
 
 def _order_cap(args) -> int:
-    """The order cap: --max-order, else the config's max_group_order, else
-    the default.  Anything but a positive integer is an input error."""
-    try:
-        config = _load_config(args.config)
-    except (OSError, ValueError) as exc:
-        raise ValueError(f"cannot read config: {exc}") from None
-    if args.max_order is not None:
-        return _read_count("--max-order", args.max_order)
-    cap = config.get("max_group_order", DEFAULT_MAX_ORDER)
-    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ValueError(f"max_group_order must be a positive integer, got {cap!r}")
-    return cap
+    """The order cap: --max-order, else the default.  Anything but a
+    positive integer is an input error."""
+    if args.max_order is None:
+        return DEFAULT_MAX_ORDER
+    return _read_count("--max-order", args.max_order)
 
 
 def _add_format(p: _Parser) -> None:
@@ -116,7 +99,6 @@ def _add_format(p: _Parser) -> None:
 
 def _add_cap(p: _Parser) -> None:
     p.add_argument("--max-order", default=None)
-    p.add_argument("--config", default=None)
 
 
 def _decide_options(p: _Parser) -> None:

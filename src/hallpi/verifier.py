@@ -12,7 +12,6 @@ import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from importlib import resources
 
 from .arith import PrimeSet, _distinct_prime_set
 from .hall_oracle import _decide_dpi, _epi_from_dpi, check_condition_III
@@ -107,10 +106,15 @@ class CrossCheckReport:
         return "\n".join(lines)
 
 
-def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
-    """A JSON object whose ``cases`` list holds objects with a ``group``
-    string and a ``pi`` list of one or more distinct primes; any other
-    shape is a ValueError."""
+def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
+    """The grid in a file: a JSON object whose ``cases`` list holds objects
+    with a ``group`` string and a ``pi`` list of one or more distinct primes.
+    An unreadable file or any other shape is a ValueError."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except OSError as exc:
+        raise ValueError(f"cannot read grid: {exc}") from None
     try:
         grid = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -134,19 +138,13 @@ def _parse_grid(text: str) -> list[tuple[GroupId, PrimeSet]]:
     return out
 
 
-def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
-    """The grid in a file; an unreadable file is a ValueError."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            text = f.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read grid: {exc}") from None
-    return _parse_grid(text)
-
-
 def default_grid() -> list[tuple[GroupId, PrimeSet]]:
-    """The pinned desk-scale grid shipped with the package."""
-    return _parse_grid(resources.files("hallpi.data").joinpath("default_grid.json").read_text())
+    """The desk-scale grid: PSL_2(q) for each q up to ``_GRID_MAX_Q`` that
+    gives a simple group, at every nonempty pi of odd scan primes
+    (``_SCAN_PRIMES``) dividing |G|.  Up to q = 13 these are all the odd
+    primes of |G|."""
+    groups = simple_groups(f"A:2:q={q}" for q in range(2, _GRID_MAX_Q + 1))
+    return list(scan_points(groups, range(1, len(_SCAN_PRIMES) + 1)))
 
 
 def perm_realization(g: GroupId) -> str | None:
@@ -249,6 +247,7 @@ _SCAN_PRIMES = PrimeSet((3, 5, 7, 11, 13, 17, 19, 23, 29, 31))
 _SCAN_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32)
 _SCAN_MAX_PARAM = 6  # the largest dimension or rank in the scan
 _EXCLUSIVITY_SIZES = (2, 3)  # the sizes of pi in the exclusivity scan
+_GRID_MAX_Q = 13  # the largest q of the default grid's PSL_2(q)
 
 
 def simple_groups(specs) -> list[GroupId]:
@@ -348,7 +347,7 @@ def run_suite(
     grid: list[tuple[GroupId, PrimeSet]] | None = None,
     order_bound: int = DEFAULT_MAX_ORDER,
 ) -> list[CrossCheckReport]:
-    """Run one suite or all of them on the given (default: pinned) grid."""
+    """Run one suite or all of them on the given (default: generated) grid."""
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {(*_SUITES, 'all')}")
     if grid is None:

@@ -11,6 +11,7 @@ from hallpi.arith import PrimeSet
 from hallpi.cli import main
 from hallpi.hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
 from hallpi.lie_catalog import parse_group_id
+from hallpi.verifier import default_grid
 
 
 def run(capsys, *argv):
@@ -184,38 +185,12 @@ def test_brute_on_trivial_group(capsys, group, prop):
         assert payload["witness"] == {"hall": {"order": 1, "class_size": 1, "gens": []}}
 
 
-def test_config_file_sets_cap(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"max_group_order": 10}))
-    code, _, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
-                       "--prop", "dpi", "--config", str(cfg))
-    assert code == 3 and "10" in err
-
-
 @pytest.mark.parametrize("cap", ["0", "-5", "2_5000"])
 def test_brute_rejects_nonpositive_max_order(capsys, cap):
     code, out, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
                          "--prop", "dpi", "--max-order", cap)
     assert code == 3 and out == ""
     assert "--max-order must be a positive integer" in err
-
-
-@pytest.mark.parametrize("cap", [0, -1, 2.5, "100", True, None])
-def test_config_rejects_bad_cap(capsys, tmp_path, cap):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"max_group_order": cap}))
-    code, out, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
-                         "--prop", "dpi", "--config", str(cfg))
-    assert code == 3 and out == ""
-    assert "max_group_order must be a positive integer" in err
-
-
-def test_config_must_be_an_object(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text("[25000]")
-    code, _, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
-                       "--prop", "dpi", "--config", str(cfg))
-    assert code == 3 and "JSON object" in err
 
 
 # ---------------------------------------------------------------------------
@@ -356,9 +331,12 @@ _SCAN = ["scan", "--family", "G2", "--q", "3", "--pi-size", "2"]
         _SCAN + ["--format", "json"],
         _SCAN + ["--max-order", "100"],
         _SCAN + ["--config", "cfg.json"],
+        _BRUTE + ["--config", "cfg.json"],
+        ["verify", "all", "--config", "cfg.json"],
     ],
     ids=["decide-csv", "brute-csv", "verify-csv", "decide-max-order",
-         "decide-config", "scan-format", "scan-max-order", "scan-config"],
+         "decide-config", "scan-format", "scan-max-order", "scan-config",
+         "brute-config", "verify-config"],
 )
 def test_unread_option_is_usage_error(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -391,6 +369,26 @@ def test_verify_cross_custom_grid(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["summary"]["cases"] == 2
     assert payload["summary"]["disagreements"] == 0
+
+
+def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
+    """The default grid written as a --grid file gives the same cross report
+    as the default itself, runtimes aside."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cases": [{"group": g.spec(), "pi": list(pi)}
+                                          for g, pi in default_grid()]}))
+
+    def report(*extra):
+        code, out, err = run(capsys, "verify", "cross", "--format", "json", *extra)
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        for case in payload["cases"]:
+            case.pop("runtime")
+        return payload
+
+    from_file = report("--grid", str(grid))
+    assert from_file["summary"]["cases"] == 29
+    assert from_file == report()
 
 
 @pytest.mark.parametrize(
@@ -481,14 +479,12 @@ _PARSER_PINS = {
     ), ""),
     "brute-help": (["brute", "-h"], 0, (
         "usage: hallpi brute [-h] [--format {json,text}] [--max-order MAX_ORDER]\n"
-        "                    [--config CONFIG] --group GROUP --pi PI --prop\n"
-        "                    {epi,cpi,dpi,upi,star}\n"
+        "                    --group GROUP --pi PI --prop {epi,cpi,dpi,upi,star}\n"
         "\n"
         "options:\n"
         "  -h, --help            show this help message and exit\n"
         "  --format {json,text}\n"
         "  --max-order MAX_ORDER\n"
-        "  --config CONFIG\n"
         "  --group GROUP\n"
         "  --pi PI\n"
         "  --prop {epi,cpi,dpi,upi,star}\n"
@@ -508,7 +504,7 @@ _PARSER_PINS = {
     ), ""),
     "verify-help": (["verify", "-h"], 0, (
         "usage: hallpi verify [-h] [--format {json,text}] [--max-order MAX_ORDER]\n"
-        "                     [--config CONFIG] [--grid GRID]\n"
+        "                     [--grid GRID]\n"
         "                     {cross,main-theorem,star,exclusivity,all}\n"
         "\n"
         "positional arguments:\n"
@@ -518,7 +514,6 @@ _PARSER_PINS = {
         "  -h, --help            show this help message and exit\n"
         "  --format {json,text}\n"
         "  --max-order MAX_ORDER\n"
-        "  --config CONFIG\n"
         "  --grid GRID\n"
     ), ""),
     # reported by the top-level parser, after the subcommand has parsed

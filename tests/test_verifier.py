@@ -1,5 +1,6 @@
 """Tests for the oracle-vs-brute verification suites."""
 
+import itertools
 import json
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from hallpi import perm_engine, verifier
 from hallpi.arith import PrimeSet
 from hallpi.hall_oracle import Verdict
-from hallpi.lie_catalog import parse_group_id
+from hallpi.lie_catalog import GroupId, group_order, parse_group_id
 from hallpi.verifier import (
     cross_check_simple,
     default_grid,
@@ -20,12 +21,34 @@ from hallpi.verifier import (
 )
 
 
+_DEFAULT_GRID = [
+    ("A:2:q=4", (3,)), ("A:2:q=4", (5,)), ("A:2:q=4", (3, 5)),
+    ("A:2:q=5", (3,)), ("A:2:q=5", (5,)), ("A:2:q=5", (3, 5)),
+    ("A:2:q=7", (3,)), ("A:2:q=7", (7,)), ("A:2:q=7", (3, 7)),
+    ("A:2:q=8", (3,)), ("A:2:q=8", (7,)), ("A:2:q=8", (3, 7)),
+    ("A:2:q=9", (3,)), ("A:2:q=9", (5,)), ("A:2:q=9", (3, 5)),
+    ("A:2:q=11", (3,)), ("A:2:q=11", (5,)), ("A:2:q=11", (11,)),
+    ("A:2:q=11", (3, 5)), ("A:2:q=11", (3, 11)), ("A:2:q=11", (5, 11)),
+    ("A:2:q=11", (3, 5, 11)),
+    ("A:2:q=13", (3,)), ("A:2:q=13", (7,)), ("A:2:q=13", (13,)),
+    ("A:2:q=13", (3, 7)), ("A:2:q=13", (3, 13)), ("A:2:q=13", (7, 13)),
+    ("A:2:q=13", (3, 7, 13)),
+]
+
+
 def test_default_grid_is_pinned():
+    """The 29 points in order, and the rule they follow: each group's pi
+    sets are the nonempty subsets of the odd primes dividing its order."""
     grid = default_grid()
-    assert len(grid) == 29
-    assert all(2 not in pi for _, pi in grid)
-    specs = {g.spec() for g, _ in grid}
-    assert "A:2:q=7" in specs and "A:2:q=13" in specs
+    assert grid == [(parse_group_id(s), PrimeSet(pi)) for s, pi in _DEFAULT_GRID]
+    assert all(type(g) is GroupId and type(pi) is PrimeSet for g, pi in grid)
+    for g in dict.fromkeys(g for g, _ in grid):
+        order = group_order(g)
+        odd = [t for t in range(3, order + 1, 2)
+               if order % t == 0 and all(t % d for d in range(3, t, 2))]
+        subsets = {sub for k in range(1, len(odd) + 1)
+                   for sub in itertools.combinations(odd, k)}
+        assert {tuple(pi) for h, pi in grid if h == g} == subsets
 
 
 def test_perm_realization_routing():
