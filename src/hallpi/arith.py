@@ -98,18 +98,6 @@ class PrimeSet(tuple):
     def __repr__(self) -> str:
         return "PrimeSet({%s})" % ", ".join(map(str, self))
 
-    @property
-    def primes(self) -> tuple[int, ...]:
-        """The members as a plain tuple, increasing."""
-        return tuple(self)
-
-    @property
-    def smallest(self) -> int:
-        """Least member; errors on the empty set."""
-        if not self:
-            raise ValueError("empty prime set has no smallest element")
-        return self[0]
-
     def without(self, p: int) -> "PrimeSet":
         """The members other than p; the set itself when p is not one, as a
         PrimeSet never changes."""
@@ -117,9 +105,6 @@ class PrimeSet(tuple):
             return self
         i = self.index(p)
         return PrimeSet._subset(self[:i] + self[i + 1 :])
-
-    def union(self, other: Iterable[int]) -> "PrimeSet":
-        return PrimeSet((*self, *other))
 
 
 def _distinct_prime_set(values: list[int]) -> PrimeSet:

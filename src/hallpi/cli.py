@@ -242,6 +242,10 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args, max_order: int) -> int:
+    for option, value in (("--grid", args.grid), ("--max-order", args.max_order)):
+        if args.suite == "exclusivity" and value is not None:
+            raise ValueError(f"verify exclusivity reads no {option}: it scans its own "
+                             "symbolic points and builds no group")
     grid = load_grid(args.grid) if args.grid else None
     reports = run_suite(args.suite, grid, max_order)
     for report in reports:

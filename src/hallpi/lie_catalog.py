@@ -251,11 +251,7 @@ def diag_quotient_order(g: GroupId) -> int:
 
 def pi_intersection(pi: PrimeSet, g: GroupId) -> PrimeSet:
     """Subset of pi dividing |g|, pi itself when every member does; a pi
-    that is not a PrimeSet is validated as one first.
-
-    The smallest member and the rest are available as ``.smallest`` and
-    ``.without(r)`` on the result.
-    """
+    that is not a PrimeSet is validated as one first."""
     if not isinstance(pi, PrimeSet):
         pi = PrimeSet(pi)
     order = group_order(g)

@@ -13,17 +13,18 @@ multiply through base images: an element is fixed by its images of the
 BSGS base, and (x * e)[b] = e[x[b]], so a product is one lookup per base
 point.  G's own generators act through flat tables that the closure
 check builds, one entry per element: right multiplication and
-conjugation, which walk each class's G-orbit and build its normaliser.
-Every other product and conjugate is composed on each call, with no memo
+conjugation, which ``_Index.conjugacy_class`` reads.  Every other
+product and conjugate is composed on each call, with no memo
 (``_Index.products`` and ``_Index.conj``).
 
 One cyclic-extension routine, ``_extend``, joins class members with cyclic
 subgroups of prime-power order, skipping the joins that could only return
 a subgroup already found (its docstring says which).  A member K is
 joined with one cyclic per orbit of its normaliser N_G(K), as conjugating
-by N_G(K) maps <K, x> to a conjugate.  N_G(K) is read off K's
-conjugacy-class walk: the walk records an element conjugating K to each
-conjugate, and the Schreier generators built from those generate N_G(K),
+by N_G(K) maps <K, x> to a conjugate.  One walk over K's conjugates,
+``_Index.conjugacy_class``, lists them and builds N_G(K): it records an
+element conjugating K to each conjugate, each edge back to a conjugate
+already found gives a Schreier generator, and those generate N_G(K),
 which has |G| / |class| elements.
 Each query enumerates only what it needs:
 
@@ -48,6 +49,7 @@ building it, and ``construct_named`` checks each build against that order.
 from __future__ import annotations
 
 import re
+from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import inf, prod
@@ -499,7 +501,7 @@ class _Index:
     generator has passed, ``conj_table[g]`` maps each e to g^-1 * e * g,
     read off the same columns: its image of b is column g^-1[b] mapped
     through g.  Each is one pass over the columns per generator, with no
-    Python call per element, and the G-orbit walks read them.
+    Python call per element, and ``conjugacy_class`` reads them.
 
     ``products(x)`` multiplies by x on the left: it composes each product
     x * e on every call, with no memo, and a join asks only for the
@@ -515,7 +517,6 @@ class _Index:
         n = len(perms)
         self.perms = perms
         self.size = n
-        self.degree = G.degree
         self.base = base = G.base if len(G.base) > 1 else (G.base or [0]) * 2
         cols = list(zip(*perms))  # cols[p]: every element's image of p
         self.by_base = by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
@@ -588,48 +589,47 @@ class _Index:
                 cosets.append(new)
         return frozenset(K)
 
-    def orbit(self, K: frozenset) -> dict[frozenset, int]:
-        """Conjugates of K under G, in the order found, each mapped to an
-        element t with K^t = t^-1 * K * t equal to it.  Each t is the t of
-        the conjugate it was reached from times a generator g of G, and
-        both steps read g's tables: ``conj_table`` and ``rmul``."""
+    def conjugacy_class(self, K: frozenset, gens: list[int]
+                        ) -> tuple[tuple[frozenset, ...], frozenset, list[int]]:
+        """The conjugates of the subgroup K generated by ``gens``, in the
+        order found, then N_G(K) and generators of it, from one walk.
+
+        The walk maps each conjugate A to an element t_A with
+        t_A^-1 * K * t_A = A: t_P * g for the conjugate P it was reached
+        from as A = P^g, g a generator of G, and both steps read g's tables
+        (``conj_table`` and ``rmul``).  An edge A -> B = A^g reaching a
+        conjugate already found gives the Schreier generator
+        t_A * g * t_B^-1, which normalises K (Seress, *Permutation Group
+        Algorithms*, 4.1).  N_G(K) is generated by ``gens`` and those not
+        yet generated, joined in the order found, and has |G| / |class|
+        elements (orbit-stabiliser); the joins stop when it has them, at
+        once when K is self-normalising."""
         tables = [(self.conj_table[g].__getitem__, self.rmul[g]) for g in self.gens]
-        orb = {K: 0}  # the identity sorts first
+        t = {K: 0}  # the identity sorts first
         stack = [K]
+        edges = []  # (t_A * g, t_B) for each edge to a conjugate already found
         while stack:
             A = stack.pop()
+            t_A = t[A]
             for conj, rmul in tables:
                 B = frozenset(map(conj, A))
-                if B not in orb:
-                    orb[B] = rmul[orb[A]]
+                t_Ag, t_B = rmul[t_A], t.get(B)
+                if t_B is None:
+                    t[B] = t_Ag
                     stack.append(B)
-        return orb
-
-    def normaliser(self, K: frozenset, gens: list[int],
-                   orbit: dict[frozenset, int]) -> tuple[frozenset, list[int]]:
-        """N_G(K) for the subgroup K generated by ``gens``, given its G-orbit
-        as ``orbit`` builds it, and generators of N_G(K): ``gens``, then the
-        Schreier generators t_A * g * t_B^-1 that were not yet generated,
-        for A in ``orbit``, g a generator of G and B = A^g (Seress,
-        *Permutation Group Algorithms*, 4.1).  N_G(K) has |G| / |orbit|
-        elements (orbit-stabiliser), and the search stops when it has them:
-        at once when K is self-normalising."""
+                elif t_Ag != t_B:  # else the Schreier generator is the identity
+                    edges.append((t_Ag, t_B))
         N, N_gens = K, list(gens)
-        target = self.size // len(orbit)
+        target = self.size // len(t)
         perms = self.perms
-        tables = [(self.conj_table[g].__getitem__, self.rmul[g]) for g in self.gens]
-        for A, t_A in orbit.items():
-            for conj, rmul in tables:
-                if len(N) == target:
-                    return N, N_gens
-                t_Ag, t_B = rmul[t_A], orbit[frozenset(map(conj, A))]
-                if t_Ag == t_B:  # the Schreier generator is the identity
-                    continue
-                s = self.index(pmul(perms[t_Ag], pinv(perms[t_B])))
-                if s not in N:
-                    N_gens.append(s)
-                    N = self.join(N, N_gens, target)
-        return N, N_gens
+        for t_Ag, t_B in edges:
+            if len(N) == target:
+                break
+            s = self.index(pmul(perms[t_Ag], pinv(perms[t_B])))
+            if s not in N:
+                N_gens.append(s)
+                N = self.join(N, N_gens, target)
+        return tuple(t), N, N_gens
 
     def reduce(self, K: frozenset) -> list[int]:
         """Deterministic small generating set of the subgroup K: each
@@ -699,9 +699,8 @@ class SubgroupClass:
 
     Members are frozensets of element indices (positions in
     ``G.elements()``).  ``rep_set`` is the canonical member, the least as a
-    sorted index list; ``representative`` is it as a PermGroup.  ``member``
-    and ``member_gens`` are the member the search extends and the element
-    indices that generate it."""
+    sorted index list.  ``member`` and ``member_gens`` are the member the
+    search extends and the element indices that generate it."""
 
     order: int
     class_size: int
@@ -715,10 +714,6 @@ class SubgroupClass:
     def generators(self) -> list[Perm]:
         """Deterministic small generating set of ``rep_set``."""
         return [self._ix.perms[i] for i in self._ix.reduce(self.rep_set)]
-
-    @cached_property
-    def representative(self) -> PermGroup:
-        return PermGroup(self._ix.degree, self.generators)
 
 
 def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
@@ -737,11 +732,13 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     A member K is joined with one cyclic per orbit of its normaliser
     N = N_G(K) acting on the cyclics by conjugation: for n in N,
     <K, n^-1 x n> = n^-1 <K, x> n, a conjugate of <K, x> with its order.
-    ``ix.normaliser`` builds N from K's G-orbit, which ``add`` walks.  The
-    cyclics' orbit is walked by conjugating with each of N's generators
-    through ``ix.conj``.  Conjugating by y or by y^-1 closes to the same
-    orbit, and the walk uses it only as a set.  The orbit's first cyclic
-    in ``cyclics`` is the one joined.  It is also the first of its own
+    ``add`` builds each class when it is found, and N with it, from one
+    ``ix.conjugacy_class`` walk over K's conjugates; N and its generators
+    are queued only until K is extended.  The cyclics' orbit is walked by
+    conjugating with each of N's generators through ``ix.conj``.
+    Conjugating by y or by y^-1 closes to the same orbit, and the walk uses
+    it only as a set.  The orbit's first cyclic in ``cyclics`` is the one
+    joined.  It is also the first of its own
     K-orbit, so one join per K-orbit would make that join first as well;
     each of its later joins in the N-orbit returns a conjugate of the
     first one's result, already seen with its class when that was kept,
@@ -768,18 +765,22 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     returned None or G, which is in ``seen`` since that first join, and
     both are skipped.  The stop changes nothing found, and a join pays
     nothing for it until K has a first overshoot."""
-    found: list[tuple[frozenset, list[int], dict]] = []
+    classes: list[SubgroupClass] = []
+    queue: deque = deque()  # (class, N, N_gens) for each class not yet extended
     seen: set[frozenset] = set()
     canonical = ix.canonical
 
     def add(K: frozenset, K_gens: list[int]) -> None:
-        orbit = ix.orbit(K)
+        orbit, N, N_gens = ix.conjugacy_class(K, K_gens)
         seen.update(orbit)
-        found.append((K, K_gens, orbit))
+        cls = SubgroupClass(len(K), len(orbit), min(orbit, key=sorted), orbit, K, K_gens, ix)
+        classes.append(cls)
+        queue.append((cls, N, N_gens))
 
     add(start, gens)
-    for K, K_gens, K_orbit in found:  # grows while it is read
-        N, N_gens = ix.normaliser(K, K_gens, K_orbit)
+    while queue:
+        cls, N, N_gens = queue.popleft()
+        K, K_gens = cls.member, cls.member_gens
         conjugators = [ix.conj(y) for y in N_gens]
         tried: set[int] = set()
         overshoot: set[int] = set()  # cyclics c with <K, c> dropped or G
@@ -804,10 +805,6 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
             else:
                 seen.add(J)
 
-    classes = []
-    for K, K_gens, orbit in found:
-        rep = min(orbit, key=sorted)
-        classes.append(SubgroupClass(len(K), len(orbit), rep, tuple(orbit), K, K_gens, ix))
     classes.sort(key=lambda c: (c.order, sorted(c.rep_set)))
     return classes
 
@@ -935,11 +932,12 @@ def brute_property(
 ) -> tuple[bool, dict | None]:
     """Definitional evaluation of E, C, D, U or star.
 
-    E, C, D and star are read off the pi-subgroup poset; U also needs the
-    overgroups of one pi-Hall subgroup H.  Each conjugate of H in an
-    overgroup M is a maximal pi-subgroup of M, so M is D_pi exactly when it
-    has |M : N_M(H)| = |M| / |N_G(H) cap M| maximal pi-subgroups; N_G(H)
-    is built once per query.  Returns (holds, witness); the witness names
+    E, C, D and star are read off the pi-subgroup poset.  U fails with D's
+    witness where D fails, and otherwise also needs the overgroups of the
+    pi-Hall subgroup H.  Each conjugate of H in an overgroup M is a maximal
+    pi-subgroup of M, so M is D_pi exactly when it has |M : N_M(H)| =
+    |M| / |N_G(H) cap M| maximal pi-subgroups; N_G(H) is built once per
+    query.  Returns (holds, witness); the witness names
     the violating classes, the violating overgroup with H and a maximal
     pi-subgroup of it that is no conjugate of H there, or the violating
     pi-subgroup.
@@ -951,43 +949,40 @@ def brute_property(
         halls = pi_hall_subgroups(G, pi, order_bound)
         if not halls:
             return False, {"reason": "no pi-Hall subgroup", "target": pi_part(G.order, pi)}
-        if property == "E":
-            return True, {"hall": _class_label(halls[0])}
-        if len(halls) == 1:
-            return True, {"hall": _class_label(halls[0])}
-        return False, {"witness_pair": [_class_label(halls[0]), _class_label(halls[1])]}
+        if property == "C" and len(halls) > 1:
+            return False, {"witness_pair": [_class_label(halls[0]), _class_label(halls[1])]}
+        return True, {"hall": _class_label(halls[0])}
 
-    if property == "D":
+    if property in ("D", "U"):
         maximal = maximal_pi_subgroups(G, pi, order_bound)
-        if len(maximal) == 1:
+        if len(maximal) > 1:
+            return False, {"witness_pair": [_class_label(maximal[0]), _class_label(maximal[1])]}
+        if property == "D":
             return True, {"hall": _class_label(maximal[0])}
-        return False, {"witness_pair": [_class_label(maximal[0]), _class_label(maximal[1])]}
 
     pi_classes = pi_subgroups(G, pi, order_bound)
     ix = _index(G)
 
     if property == "U":
-        ok, witness = brute_property(G, pi, "D", order_bound)
-        if not ok:
-            return False, witness
-        # D inside each proper overgroup M of H: its maximal pi-subgroups,
-        # found among all of G's, are H's |M : N_M(H)| conjugates in M.  By
-        # the theorem the witness is never reached.
-        hall = pi_hall_subgroups(G, pi, order_bound)[0]
+        # G is D_pi, so its one maximal class is its pi-Hall class.  D inside
+        # each proper overgroup M of H: its maximal pi-subgroups, found among
+        # all of G's, are H's |M : N_M(H)| conjugates in M.  By the theorem
+        # the witness is never reached.
+        hall = maximal[0]
         H = hall.member
-        N, _ = ix.normaliser(H, hall.member_gens, ix.orbit(H))
+        _, N, _ = ix.conjugacy_class(H, hall.member_gens)
         pi_sets = sorted((s for c in pi_classes for s in c.orbit), key=len, reverse=True)
         for M in hall_overgroups(G, pi, order_bound):
             if M.order == G.order:
                 continue
-            maximal: list[frozenset] = []
+            maximal_M: list[frozenset] = []
             for s in pi_sets:
-                if s <= M.member and not any(s <= t for t in maximal):
-                    maximal.append(s)
-            if len(maximal) == M.order // len(N & M.member):
+                if s <= M.member and not any(s <= t for t in maximal_M):
+                    maximal_M.append(s)
+            if len(maximal_M) == M.order // len(N & M.member):
                 continue
             conjugates = {frozenset(map(ix.conj(m), H)) for m in M.member}
-            s = next(s for s in maximal if s not in conjugates)
+            s = next(s for s in maximal_M if s not in conjugates)
             return False, {
                 "overgroup": _set_label(ix, M.member),
                 "witness_pair": [_set_label(ix, H), _set_label(ix, s)],

@@ -37,10 +37,8 @@ def test_is_prime_basics():
 
 def test_prime_set_is_sorted_and_deduplicated():
     ps = PrimeSet([7, 3, 3, 5])
-    assert ps.primes == (3, 5, 7)
-    assert ps.smallest == 3
-    assert ps.without(3).primes == (5, 7)
-    assert ps.union([11]) == PrimeSet([3, 5, 7, 11])
+    assert tuple(ps) == (3, 5, 7)
+    assert tuple(ps.without(3)) == (5, 7)
 
 
 def test_prime_set_rejects_composites():
@@ -55,13 +53,8 @@ def test_subsets_equal_validated_prime_sets(spec):
     results = [inter, pi_intersection([31, 13, 3, 13], parse_group_id(spec))]
     results += [inter.without(p) for p in (*inter, 2)]
     for result in results:
-        assert result == PrimeSet(result.primes)
-        assert list(result.primes) == sorted(result.primes)
-
-
-def test_prime_set_empty_has_no_smallest():
-    with pytest.raises(ValueError):
-        PrimeSet().smallest
+        assert result == PrimeSet(tuple(result))
+        assert list(result) == sorted(result)
 
 
 def test_prime_set_behaviour_is_pinned():
@@ -84,20 +77,14 @@ def test_prime_set_behaviour_is_pinned():
     assert PrimeSet([3, 5]) not in {frozenset({3, 5})}
     assert list(ps) == [3, 5, 7] and len(ps) == 3
     assert 5 in ps and 2 not in ps and 9 not in ps
-    assert type(ps.primes) is tuple and ps.primes == (3, 5, 7)
-    assert ps.without(5).primes == (3, 7) and ps.without(5) == PrimeSet([3, 7])
+    assert tuple(ps) == (3, 5, 7)
+    assert tuple(ps.without(5)) == (3, 7) and ps.without(5) == PrimeSet([3, 7])
     assert ps.without(2) is ps
-    assert ps.union([11, 2, 3]).primes == (2, 3, 5, 7, 11)
-    assert isinstance(ps.union(()), PrimeSet) and isinstance(ps.without(3), PrimeSet)
+    assert isinstance(ps.without(3), PrimeSet)
     assert repr(ps) == "PrimeSet({3, 5, 7})" and repr(PrimeSet()) == "PrimeSet({})"
     assert not PrimeSet() and bool(ps) and bool(PrimeSet([2]))
-    assert PrimeSet([13]).smallest == 13
-    with pytest.raises(ValueError, match="empty"):
-        PrimeSet().smallest
     with pytest.raises(ValueError, match="9 is not prime"):
         PrimeSet([3, 9])
-    with pytest.raises(ValueError, match="not prime"):
-        ps.union([15])
 
 
 @pytest.mark.parametrize(

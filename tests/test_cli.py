@@ -355,6 +355,19 @@ def test_verify_exclusivity_exit_zero(capsys):
     assert code == 0 and "0 violations" in out
 
 
+@pytest.mark.parametrize("option", ["--max-order", "--grid"])
+def test_verify_exclusivity_refuses_options_it_does_not_read(capsys, tmp_path, option):
+    """The exclusivity scan reads neither a grid nor an order cap, so either
+    one, even a valid one, exits 3 with one line naming it."""
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"cases": [{"group": "A:2:q=7", "pi": [3, 7]}]}))
+    value = {"--max-order": "100", "--grid": str(grid)}[option]
+    code, out, err = run(capsys, "verify", "exclusivity", option, value)
+    assert code == 3 and out == ""
+    assert err.startswith(f"hallpi: verify exclusivity reads no {option}")
+    assert err.count("\n") == 1
+
+
 def test_verify_cross_custom_grid(capsys, tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({

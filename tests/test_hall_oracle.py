@@ -296,7 +296,7 @@ def grid_verdicts():
     for gg, pi in scan_points(scan_groups(), (1, 2, 3)):
         points.append((gg, pi))
         if len(pi) == 1:
-            points.append((gg, pi.union([2])))
+            points.append((gg, PrimeSet([*pi, 2])))
     for gg in scan_groups():
         points.append((gg, PrimeSet([2])))
         points.extend((gg, PrimeSet([2, t])) for t in _SCAN_PRIMES

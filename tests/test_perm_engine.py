@@ -229,8 +229,9 @@ def test_lagrange_and_representative_consistency():
         G = construct_named(spec)
         for c in enumerate_subgroups(G):
             assert G.order % c.order == 0
-            assert c.representative.order == c.order
-            assert all(g in G for g in c.representative.generators)
+            rep = PermGroup(G.degree, c.generators)
+            assert rep.order == c.order
+            assert all(g in G for g in rep.generators)
 
 
 def test_enumeration_refuses_above_cap():
@@ -524,12 +525,14 @@ def test_solvable_pi_search_joins_only_normalising_cyclics(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["sym:4", "alt:5", "psl2:7"])
 def test_normaliser_is_the_stabiliser_by_conjugation(spec):
-    """``_Index.normaliser`` of every member of every class of pi-subgroups
-    and of overgroups of a pi-Hall subgroup, at every pi of at most two
-    primes dividing |G|, is {y : y^-1 K y = K}, found by conjugating K by
-    every element as tuple permutations; its generators generate it.  The
-    extended member of each overgroup class contains the first pi-Hall
-    subgroup's member H, as U's count of H's conjugates needs."""
+    """``_Index.conjugacy_class`` of every member K of every class of
+    pi-subgroups and of overgroups of a pi-Hall subgroup, at every pi of at
+    most two primes dividing |G|, against conjugating K by every element as
+    tuple permutations: the conjugates are {y^-1 K y : y in G}, each once;
+    N_G(K) is {y : y^-1 K y = K}, its generators generate it, and the
+    class size times |N_G(K)| is |G|.  The extended member of each
+    overgroup class contains the first pi-Hall subgroup's member H, as U's
+    count of H's conjugates needs."""
     G = construct_named(spec)
     perms = G.elements()
     ix, where = G._index, {p: i for i, p in enumerate(perms)}
@@ -543,12 +546,12 @@ def test_normaliser_is_the_stabiliser_by_conjugation(spec):
             for c in pi_subgroups(G, PrimeSet(pi)) + overgroups:
                 members.update(c.orbit)
     for K in members:
-        N, N_gens = ix.normaliser(K, ix.reduce(K), ix.orbit(K))
-        stabiliser = frozenset(
-            y for y, py in enumerate(perms)
-            if all(where[pmul(pmul(pinv(py), perms[k]), py)] in K for k in K)
-        )
-        assert N == stabiliser
+        conjugates, N, N_gens = ix.conjugacy_class(K, ix.reduce(K))
+        by_y = [frozenset(where[pmul(pmul(pinv(py), perms[k]), py)] for k in K)
+                for py in perms]
+        assert len(set(conjugates)) == len(conjugates) and set(conjugates) == set(by_y)
+        assert len(conjugates) * len(N) == G.order
+        assert N == frozenset(y for y, C in enumerate(by_y) if C == K)
         assert ix.join(ix.trivial, N_gens, ix.size) == N
 
 
