@@ -33,7 +33,6 @@ from .perm_engine import (
     OrderLimitError,
     brute_property,
     construct_named,
-    refuse_over_cap,
 )
 from .verifier import _SCAN_PRIMES, _SUITES, load_grid, run_suite, scan_points, simple_groups
 
@@ -174,10 +173,9 @@ def _cmd_decide(args) -> int:
 
 def _cmd_brute(args, max_order: int) -> int:
     pi = _parse_pi(args.pi)
-    refuse_over_cap(args.group, max_order)
-    G = construct_named(args.group)
+    G = construct_named(args.group, max_order)
     prop = _PROP_MAP[args.prop]
-    holds, witness = brute_property(G, pi, prop, max_order)
+    holds, witness = brute_property(G, pi, prop)
     payload = {
         "group": args.group,
         "pi": list(pi),

@@ -38,12 +38,11 @@ Each query enumerates only what it needs:
   H, extended from it; U counts the maximal pi-subgroups inside each
   against H's conjugates there.
 
-Every entry point is complete-or-refuse: it raises ``OrderLimitError``
-before any work when |G| exceeds the order cap (``DEFAULT_MAX_ORDER``
-unless raised explicitly), and never truncates.  ``_read_spec`` reads a
-named spec once for its order and its build: ``refuse_over_cap`` refuses
-every kind but ``raw:`` (read only up to its degree) from the spec before
-building it, and ``construct_named`` checks each build against that order.
+Complete-or-refuse: ``PermGroup`` raises ``OrderLimitError`` once
+Schreier-Sims proves |G| above its order cap (``DEFAULT_MAX_ORDER`` unless
+raised explicitly), so no enumeration checks the cap again or truncates.
+``construct_named`` refuses every kind but ``raw:`` from its spec, read
+once by ``_read_spec``, before building it.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import inf, prod
+from math import prod
 from operator import itemgetter
 
 from .arith import PrimeSet, pi_part, read_decimal
@@ -70,7 +69,6 @@ __all__ = [
     "perm_from_cycles",
     "perm_to_cycles",
     "construct_named",
-    "refuse_over_cap",
     "enumerate_subgroups",
     "pi_subgroups",
     "pi_hall_subgroups",
@@ -86,7 +84,12 @@ DEFAULT_MAX_ORDER = 25000
 
 
 class OrderLimitError(RuntimeError):
-    """Raised when a computation would exceed the configured order cap."""
+    """Raised when a group would exceed the configured order cap."""
+
+
+def _refuse(what: str, cap: int):
+    raise OrderLimitError(f"{what} the enumeration cap {cap}; "
+                          "raise the cap explicitly to proceed")
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +182,11 @@ def _sift(g: Perm, base: list[int], transversals: list[dict[int, Perm]],
     return g, len(base)
 
 
-def _schreier_sims(degree: int, gens: list[Perm]):
-    """Deterministic Schreier-Sims; returns (base, transversals)."""
+def _schreier_sims(degree: int, gens: list[Perm], order_bound: int):
+    """Deterministic Schreier-Sims; returns (base, transversals).  Raises
+    ``OrderLimitError`` once the transversals built so far multiply to more
+    than ``order_bound``, a lower bound on |G|: each level's orbit is taken
+    under a subgroup of the point stabiliser."""
     ident = identity(degree)
     gens = [g for g in gens if g != ident]
 
@@ -211,6 +217,8 @@ def _schreier_sims(degree: int, gens: list[Perm]):
                     trans[img] = pmul(trans[pt], g)
                     queue.append(img)
         transversals[i] = trans
+        if prod(map(len, transversals)) > order_bound:  # 0 while a level is empty
+            _refuse("group has order above", order_bound)
 
     for i in range(len(base)):
         rebuild_transversal(i)
@@ -246,9 +254,10 @@ def _schreier_sims(degree: int, gens: list[Perm]):
 
 
 class PermGroup:
-    """Immutable permutation group with a BSGS, exact order and membership."""
+    """Immutable permutation group with a BSGS, exact order and membership;
+    a group of order above ``order_bound`` is an ``OrderLimitError``."""
 
-    def __init__(self, degree: int, generators):
+    def __init__(self, degree: int, generators, order_bound: int = DEFAULT_MAX_ORDER):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
@@ -260,7 +269,7 @@ class PermGroup:
                 seen.add(p)
                 self.generators.append(p)
         self.name: str | None = None  # set by construct_named
-        self.base, self._transversals = _schreier_sims(degree, self.generators)
+        self.base, self._transversals = _schreier_sims(degree, self.generators, order_bound)
         self.order: int = prod(len(t) for t in self._transversals) if self.base else 1
         self._index: _Index | None = None  # built by elements()
         self._subgroups: dict = {}  # cached lattice, pi-posets and overgroups
@@ -342,8 +351,9 @@ class _GF:
         return self._exp[self.q - 1 - self._log[a]]
 
 
-def _psl2(p: int, f: int) -> PermGroup:
-    """Natural action of PSL_2(q), q = p^f, on the q+1 projective points.
+def _psl2(p: int, f: int) -> list[Perm]:
+    """Generators of the natural action of PSL_2(q), q = p^f, on the q+1
+    projective points.
 
     Points 0..q-1 are the elements of ``_GF(p, f)`` (0 is zero), point q is
     infinity.  Generated by x -> x+1, x -> l^2 x (l = ``_GF.primitive``) and
@@ -358,7 +368,7 @@ def _psl2(p: int, f: int) -> PermGroup:
     if q > 3:
         lam2 = gf.mul(gf.primitive, gf.primitive)
         gens.append(tuple(gf.mul(lam2, e) for e in range(q)) + (infinity,))
-    return PermGroup(q + 1, gens)
+    return gens
 
 
 def _cycle(n: int, first: int = 0) -> Perm:
@@ -367,17 +377,23 @@ def _cycle(n: int, first: int = 0) -> Perm:
 
 
 _NAMED_CACHE: dict[str, PermGroup] = {}
+_PSL2_MAX_Q = 31  # psl2:q takes every prime power 2 <= q <= this
 
 
-def construct_named(spec: str) -> PermGroup:
+def construct_named(spec: str, order_bound: int = DEFAULT_MAX_ORDER) -> PermGroup:
     """Build a named group: alt:n, sym:n, cyclic:n, dihedral:n, psl2:q,
-    product:<spec>x<spec>, raw:<degree>:<cycles;...>.  A build whose order
-    is not the order its spec gives is an ``AssertionError``."""
+    product:<spec>x<spec>, raw:<degree>:<cycles;...>.  A group above
+    ``order_bound`` is an ``OrderLimitError``: from its spec before any work,
+    during its build for a raw spec, or from its order if it was built
+    earlier.  A build whose order is not the order its spec gives is an
+    ``AssertionError``."""
     spec = spec.strip()
     G = _NAMED_CACHE.get(spec)
+    order, build = _read_spec(spec, order_bound + 1) if G is None else (G.order, None)
+    if order is not None and order > order_bound:
+        _refuse(f"group {spec} has order above", order_bound)
     if G is None:
-        order, build = _read_spec(spec)
-        G = build()
+        G = build(order_bound)
         if order is not None and G.order != order:
             raise AssertionError(f"{spec} construction has order {G.order}, expected {order}")
         G.name = spec
@@ -385,26 +401,18 @@ def construct_named(spec: str) -> PermGroup:
     return G
 
 
-def refuse_over_cap(spec: str, order_bound: int) -> None:
-    """Raise ``OrderLimitError`` before any work when ``spec`` names a group
-    above the bound: the order of any spec but a raw one is read off the
-    spec, and a raw spec is read only up to its degree."""
-    order, _ = _read_spec(spec.strip(), order_bound + 1)
-    if order is not None and order > order_bound:
-        _refuse(f"group {spec.strip()} has order above", order_bound)
-
-
-def _read_spec(spec: str, cap: float = inf):
+def _read_spec(spec: str, cap: int):
     """Read a spec once: min(|G|, cap) as the spec gives it, or None for a
     raw spec or a product with a raw side, and a function building the
-    group.  An alt or sym order stops growing at the cap, so sym:60 is never
-    multiplied out in full.  A spec naming no group is a ValueError."""
+    group under an order bound.  An alt or sym order stops growing at the
+    cap, so sym:60 is never multiplied out in full.  A spec naming no group
+    is a ValueError."""
     kind, _, rest = spec.partition(":")
     if kind == "raw":
         deg_txt, _, cycles = rest.partition(":")
         degree = _positive_int(deg_txt, "raw")
-        return None, lambda: PermGroup(
-            degree, [perm_from_cycles(c, degree) for c in cycles.split(";") if c.strip()]
+        return None, lambda bound: PermGroup(
+            degree, [perm_from_cycles(c, degree) for c in cycles.split(";") if c.strip()], bound
         )
     if kind == "product":
         for i in (m.start() for m in re.finditer("x", rest)):
@@ -414,36 +422,38 @@ def _read_spec(spec: str, cap: float = inf):
             except ValueError:
                 continue
             order = None if None in sides else min(prod(sides), cap)
-            return order, lambda: _direct_product(construct_named(left), construct_named(right))
+            return order, lambda bound: PermGroup(*_direct_product(
+                construct_named(left, bound), construct_named(right, bound)), bound)
         raise ValueError(f"cannot split product spec {spec!r}")
     if kind == "psl2":
         q = _positive_int(rest, kind)
-        if q < 2 or q > 16:
-            raise ValueError("psl2:q supports prime powers 2 <= q <= 16")
+        if q < 2 or q > _PSL2_MAX_Q:
+            raise ValueError(f"psl2:q supports prime powers 2 <= q <= {_PSL2_MAX_Q}")
         p, f = _prime_power(q)
-        return min(group_order(GroupId("A", 2, p, f)), cap), lambda: _psl2(p, f)
+        return min(group_order(GroupId("A", 2, p, f)), cap), lambda bound: PermGroup(
+            q + 1, _psl2(p, f), bound)
     if kind not in ("alt", "sym", "cyclic", "dihedral"):
         raise ValueError(f"unknown group spec {spec!r}")
     n = _positive_int(rest, kind)
     if kind == "cyclic":
-        return min(n, cap), lambda: PermGroup(n, [_cycle(n)] if n > 1 else [])
+        return min(n, cap), lambda bound: PermGroup(n, [_cycle(n)] if n > 1 else [], bound)
     if kind == "dihedral":
         if n < 3:
             raise ValueError("dihedral:n requires n >= 3")
         # generated by x -> x + 1 and x -> -x mod n
-        return min(2 * n, cap), lambda: PermGroup(n, [_cycle(n), _cycle(n)[::-1]])
+        return min(2 * n, cap), lambda bound: PermGroup(n, [_cycle(n), _cycle(n)[::-1]], bound)
     order = 1
     for k in range(3 if kind == "alt" else 2, n + 1):  # n!/2 = 3 * ... * n
         order *= k
         if order >= cap:
             break
     if kind == "sym":
-        return min(order, cap), lambda: PermGroup(
-            n, [perm_from_cycles("(0 1)", n), _cycle(n)] if n > 1 else []
+        return min(order, cap), lambda bound: PermGroup(
+            n, [perm_from_cycles("(0 1)", n), _cycle(n)] if n > 1 else [], bound
         )
     # (0 1 2) with (0 1 ... n-1) for odd n, (1 2 ... n-1) for even n
-    return min(order, cap), lambda: PermGroup(
-        n, [perm_from_cycles("(0 1 2)", n), _cycle(n, 1 - n % 2)] if n > 2 else []
+    return min(order, cap), lambda bound: PermGroup(
+        n, [perm_from_cycles("(0 1 2)", n), _cycle(n, 1 - n % 2)] if n > 2 else [], bound
     )
 
 
@@ -457,14 +467,15 @@ def _positive_int(text: str, label: str) -> int:
     return n
 
 
-def _direct_product(A: PermGroup, B: PermGroup) -> PermGroup:
+def _direct_product(A: PermGroup, B: PermGroup) -> tuple[int, list[Perm]]:
+    """The degree and generators of A x B, acting on disjoint points."""
     d = A.degree + B.degree
     gens = []
     for g in A.generators:
         gens.append(tuple(g) + tuple(range(A.degree, d)))
     for g in B.generators:
         gens.append(tuple(range(A.degree)) + tuple(x + A.degree for x in g))
-    return PermGroup(d, gens)
+    return d, gens
 
 
 # ---------------------------------------------------------------------------
@@ -717,12 +728,14 @@ class SubgroupClass:
 
 
 def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
-            limit: int, keep, normal_steps: bool = False) -> list[SubgroupClass]:
+            limit: int, normal_steps: bool = False) -> list[SubgroupClass]:
     """Cyclic extension (Neubueser): the classes of subgroups reached from
     the subgroup ``start``, generated by ``gens``, by joining a member of a
     class found so far with one of the cyclic subgroups generated by
-    ``cyclics``.  A join with more than ``limit`` elements, or whose order
-    fails ``keep``, is dropped.
+    ``cyclics``.  A join is kept when its order divides ``limit``, a
+    divisor of |G|, and dropped otherwise; the join stops once it has more
+    than ``limit`` elements.  With limit |G|_pi the kept joins are the
+    pi-subgroups, and with limit |G| every join is kept.
 
     The search is complete for the subgroups K >= start with every step of
     some chain start < <start, x_1> < ... < K kept: one member per class is
@@ -800,7 +813,7 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
                 overshoot.update(orbit)
             if J is None or J in seen:
                 continue
-            if keep(len(J)):
+            if limit % len(J) == 0:
                 add(J, K_gens + [x])
             else:
                 seen.add(J)
@@ -809,36 +822,26 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     return classes
 
 
-def _cached(G: PermGroup, order_bound: int, key, build) -> list[SubgroupClass]:
-    """The subgroup classes ``build`` finds, cached on G under ``key``.
-    Complete-or-refuse: raises before any work when |G| exceeds the bound."""
-    if G.order > order_bound:
-        _refuse(f"group order {G.order} exceeds", order_bound)
+def _cached(G: PermGroup, key, build) -> list[SubgroupClass]:
+    """The subgroup classes ``build`` finds, cached on G under ``key``.  G
+    is under the order cap it was built with, so nothing is checked here."""
     if key not in G._subgroups:
         G._subgroups[key] = build(_index(G))
     return G._subgroups[key]
-
-
-def _refuse(what: str, order_bound: int):
-    raise OrderLimitError(f"{what} the enumeration cap {order_bound}; "
-                          "raise the cap explicitly to proceed")
 
 
 def _primes(G: PermGroup, pi) -> tuple[int, ...]:
     return tuple(p for p in pi if G.order % p == 0)
 
 
-def enumerate_subgroups(G: PermGroup, order_bound: int = DEFAULT_MAX_ORDER) -> list[SubgroupClass]:
-    """All conjugacy classes of subgroups, canonically ordered.
-
-    Refuses (never truncates) when |G| exceeds the bound.
-    """
-    return _cached(G, order_bound, "lattice", lambda ix: _extend(
-        ix, ix.trivial, [], [x for _, x in ix.cyclics], ix.size, lambda n: True
+def enumerate_subgroups(G: PermGroup) -> list[SubgroupClass]:
+    """All conjugacy classes of subgroups, canonically ordered."""
+    return _cached(G, "lattice", lambda ix: _extend(
+        ix, ix.trivial, [], [x for _, x in ix.cyclics], ix.size
     ))
 
 
-def pi_subgroups(G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER) -> list[SubgroupClass]:
+def pi_subgroups(G: PermGroup, pi: PrimeSet) -> list[SubgroupClass]:
     """Conjugacy classes of pi-subgroups, canonically ordered.
 
     Only cyclic subgroups of pi-prime-power order are joined, and a join is
@@ -848,43 +851,36 @@ def pi_subgroups(G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDE
     and then each member is joined only with the cyclics normalising it.
     """
     primes = _primes(G, pi)
-    return _cached(G, order_bound, ("pi", primes), lambda ix: _extend(
+    return _cached(G, ("pi", primes), lambda ix: _extend(
         ix, ix.trivial, [], [x for p, x in ix.cyclics if p in primes],
-        pi_part(G.order, primes), lambda n: pi_part(n, primes) == n,
-        normal_steps=2 not in primes or len(primes) <= 2,
+        pi_part(G.order, primes), normal_steps=2 not in primes or len(primes) <= 2,
     ))
 
 
-def pi_hall_subgroups(
-    G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER
-) -> list[SubgroupClass]:
+def pi_hall_subgroups(G: PermGroup, pi: PrimeSet) -> list[SubgroupClass]:
     """Classes whose order is the full pi-part of |G|."""
     target = pi_part(G.order, pi)
-    return [c for c in pi_subgroups(G, pi, order_bound) if c.order == target]
+    return [c for c in pi_subgroups(G, pi) if c.order == target]
 
 
-def hall_overgroups(
-    G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER
-) -> list[SubgroupClass]:
+def hall_overgroups(G: PermGroup, pi: PrimeSet) -> list[SubgroupClass]:
     """Classes of subgroups containing a conjugate of a pi-Hall subgroup H,
     canonically ordered; empty when G has none.  Every ``member`` contains
     H itself."""
-    halls = pi_hall_subgroups(G, pi, order_bound)
+    halls = pi_hall_subgroups(G, pi)
     if not halls:
         return []
     H = halls[0]
-    return _cached(G, order_bound, ("over", _primes(G, pi)), lambda ix: _extend(
-        ix, H.member, H.member_gens, [x for _, x in ix.cyclics], ix.size, lambda n: True
+    return _cached(G, ("over", _primes(G, pi)), lambda ix: _extend(
+        ix, H.member, H.member_gens, [x for _, x in ix.cyclics], ix.size
     ))
 
 
-def maximal_pi_subgroups(
-    G: PermGroup, pi: PrimeSet, order_bound: int = DEFAULT_MAX_ORDER
-) -> list[SubgroupClass]:
+def maximal_pi_subgroups(G: PermGroup, pi: PrimeSet) -> list[SubgroupClass]:
     """Classes of pi-subgroups maximal under inclusion up to conjugacy.  A
     larger class whose order |c| does not divide cannot contain c
     (Lagrange), and is skipped before any subset test."""
-    pi_classes = pi_subgroups(G, pi, order_bound)
+    pi_classes = pi_subgroups(G, pi)
     maximal = []
     for c in pi_classes:
         dominated = any(
@@ -897,9 +893,9 @@ def maximal_pi_subgroups(
     return maximal
 
 
-def lattice_dump(G: PermGroup, order_bound: int = DEFAULT_MAX_ORDER) -> str:
+def lattice_dump(G: PermGroup) -> str:
     lines = []
-    for cls in enumerate_subgroups(G, order_bound):
+    for cls in enumerate_subgroups(G):
         gens = ";".join(perm_to_cycles(g) for g in cls.generators) or "()"
         lines.append(f"order={cls.order} class_size={cls.class_size} gens={gens}")
     return "\n".join(lines)
@@ -927,10 +923,9 @@ def _is_abelian(c: SubgroupClass) -> bool:
                for i, a in enumerate(gens) for b in gens[i + 1 :])
 
 
-def brute_property(
-    G: PermGroup, pi: PrimeSet, property: str, order_bound: int = DEFAULT_MAX_ORDER
-) -> tuple[bool, dict | None]:
-    """Definitional evaluation of E, C, D, U or star.
+def brute_property(G: PermGroup, pi: PrimeSet, property: str) -> tuple[bool, dict | None]:
+    """Definitional evaluation of E, C, D, U or star on G, which is under
+    the order cap it was built with.
 
     E, C, D and star are read off the pi-subgroup poset.  U fails with D's
     witness where D fails, and otherwise also needs the overgroups of the
@@ -946,7 +941,7 @@ def brute_property(
         raise ValueError(f"unknown property {property!r}")
 
     if property in ("E", "C"):
-        halls = pi_hall_subgroups(G, pi, order_bound)
+        halls = pi_hall_subgroups(G, pi)
         if not halls:
             return False, {"reason": "no pi-Hall subgroup", "target": pi_part(G.order, pi)}
         if property == "C" and len(halls) > 1:
@@ -954,13 +949,13 @@ def brute_property(
         return True, {"hall": _class_label(halls[0])}
 
     if property in ("D", "U"):
-        maximal = maximal_pi_subgroups(G, pi, order_bound)
+        maximal = maximal_pi_subgroups(G, pi)
         if len(maximal) > 1:
             return False, {"witness_pair": [_class_label(maximal[0]), _class_label(maximal[1])]}
         if property == "D":
             return True, {"hall": _class_label(maximal[0])}
 
-    pi_classes = pi_subgroups(G, pi, order_bound)
+    pi_classes = pi_subgroups(G, pi)
     ix = _index(G)
 
     if property == "U":
@@ -972,7 +967,7 @@ def brute_property(
         H = hall.member
         _, N, _ = ix.conjugacy_class(H, hall.member_gens)
         pi_sets = sorted((s for c in pi_classes for s in c.orbit), key=len, reverse=True)
-        for M in hall_overgroups(G, pi, order_bound):
+        for M in hall_overgroups(G, pi):
             if M.order == G.order:
                 continue
             maximal_M: list[frozenset] = []

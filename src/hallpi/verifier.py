@@ -23,8 +23,8 @@ from .lie_catalog import (
     parse_group_id,
     pi_intersection,
 )
-from .perm_engine import (DEFAULT_MAX_ORDER, OrderLimitError, brute_property,
-                          construct_named, refuse_over_cap)
+from .perm_engine import (_PSL2_MAX_Q, DEFAULT_MAX_ORDER, OrderLimitError, brute_property,
+                          construct_named)
 
 __all__ = [
     "CrossCheckReport",
@@ -149,7 +149,7 @@ def default_grid() -> list[tuple[GroupId, PrimeSet]]:
 
 def perm_realization(g: GroupId) -> str | None:
     """Named perm_engine spec realizing g concretely, if one exists."""
-    if g.family == "A" and g.n == 2 and g.q <= 16:
+    if g.family == "A" and g.n == 2 and g.q <= _PSL2_MAX_Q:
         return f"psl2:{g.q}"
     return None
 
@@ -159,10 +159,9 @@ def _constructible(g: GroupId, order_bound: int):
     if spec is None:
         return None, f"no permutation construction for {g}"
     try:
-        refuse_over_cap(spec, order_bound)
+        return construct_named(spec, order_bound), None
     except OrderLimitError as exc:
         return None, str(exc)
-    return construct_named(spec), None
 
 
 def _run_cases(suite, grid, order_bound, in_scope, check) -> CrossCheckReport:
@@ -185,13 +184,13 @@ def _run_cases(suite, grid, order_bound, in_scope, check) -> CrossCheckReport:
     return report
 
 
-def _implied_by_d(prop: str, label: str, order_bound: int):
+def _implied_by_d(prop: str, label: str):
     """Check that brute D true implies brute ``prop`` true."""
 
     def check(g, pi, G) -> dict:
-        if not brute_property(G, pi, "D", order_bound)[0]:
+        if not brute_property(G, pi, "D")[0]:
             return {"agree": True, "detail": "d=False (vacuous)"}
-        holds, witness = brute_property(G, pi, prop, order_bound)
+        holds, witness = brute_property(G, pi, prop)
         case = {"agree": holds, "detail": f"d=True {label}={holds}"}
         if not holds:
             case["counterexample"] = witness
@@ -210,9 +209,9 @@ def cross_check_simple(
     def check(g, pi, G) -> dict:
         oracle_d = _decide_dpi(g, pi, pi_intersection(pi, g))
         oracle_e = _epi_from_dpi(g, pi, oracle_d)
-        brute_d, _ = brute_property(G, pi, "D", order_bound)
-        brute_e, _ = brute_property(G, pi, "E", order_bound)
-        brute_c, _ = brute_property(G, pi, "C", order_bound)
+        brute_d, _ = brute_property(G, pi, "D")
+        brute_e, _ = brute_property(G, pi, "E")
+        brute_c, _ = brute_property(G, pi, "C")
         return {
             "oracle": {"dpi": oracle_d.holds, "epi": oracle_e.holds},
             "brute": {"dpi": brute_d, "epi": brute_e, "cpi": brute_c},
@@ -229,7 +228,7 @@ def main_theorem_check(
 ) -> CrossCheckReport:
     """Wherever brute D holds, brute U must hold as well."""
     return _run_cases("main-theorem", grid, order_bound, lambda g, pi: True,
-                      _implied_by_d("U", "u", order_bound))
+                      _implied_by_d("U", "u"))
 
 
 def star_consistency_check(
@@ -237,7 +236,7 @@ def star_consistency_check(
 ) -> CrossCheckReport:
     """For p not in pi: brute D true must imply brute star true."""
     return _run_cases("star", grid, order_bound, lambda g, pi: 2 not in pi and g.p not in pi,
-                      _implied_by_d("star", "star", order_bound))
+                      _implied_by_d("star", "star"))
 
 
 # ---------------------------------------------------------------------------

@@ -143,7 +143,7 @@ def test_weyl_orders_match_reflection_groups():
     # W(A_{n-1}) is the symmetric group on n letters
     for n in range(2, 9):
         g = parse_group_id(f"A:{n}:q=7")
-        assert weyl_order(g) == construct_named(f"sym:{n}").order
+        assert weyl_order(g) == construct_named(f"sym:{n}", order_bound=40320).order
     # W(G2) is the symmetry group of the hexagon
     assert weyl_order(parse_group_id("G2:q=5")) == construct_named("dihedral:6").order
     assert weyl_order(parse_group_id("B:3:q=3")) == 48

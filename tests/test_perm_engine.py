@@ -116,13 +116,14 @@ def test_psl2_rejects_bad_q():
             construct_named(spec)
 
 
-PSL2_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)  # every q that psl2:q accepts
+# every q that psl2:q accepts
+PSL2_QS = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31)
 
 
-@pytest.mark.parametrize("q", PSL2_QS + (25, 27))
+@pytest.mark.parametrize("q", PSL2_QS)
 def test_field_laws(q):
-    """``_GF(p, f)`` is a field whose ``primitive`` generates its units:
-    every q of psl2:q, and GF(25) and GF(27) besides."""
+    """``_GF(p, f)`` is a field whose ``primitive`` generates its units, for
+    every q of psl2:q."""
     gf = perm_engine._GF(*_prime_power(q))
     assert gf.q == q
     for a in range(q):
@@ -139,15 +140,28 @@ def test_field_laws(q):
     assert len(powers) == q - 1
 
 
-def test_psl2_generators_are_pinned():
-    """One sha256 over the generators of every psl2:q, which the relabelled
-    groups of the benchmark are built from: the field each build reads its
-    generators off must not change."""
+def _psl2_digest(qs) -> str:
     h = hashlib.sha256()
-    for q in PSL2_QS:
+    for q in qs:
         h.update(json.dumps([q, construct_named(f"psl2:{q}").generators]).encode())
-    assert h.hexdigest() == (
+    return h.hexdigest()
+
+
+def test_psl2_generators_are_pinned():
+    """One sha256 over the generators of every psl2:q up to q = 16, which
+    the relabelled groups of the benchmark are built from: the field each
+    build reads its generators off must not change."""
+    assert _psl2_digest(PSL2_QS[:10]) == (
         "13367a6de251adbcfebbe715768766770933a22efeec0299673ec56b51cc7435"
+    )
+
+
+def test_psl2_generators_above_16_are_pinned():
+    """The same for q = 17 to 31, pinned from the field rule the builds up
+    to 16 were pinned with."""
+    assert PSL2_QS[10:] == (17, 19, 23, 25, 27, 29, 31)
+    assert _psl2_digest(PSL2_QS[10:]) == (
+        "644bb43612a8f3c971230ff4aa662b4dddf63f941828d421d1b46692662ef6e5"
     )
 
 
@@ -155,7 +169,7 @@ def test_build_of_the_wrong_order_is_an_error(monkeypatch):
     """Every build is checked against the order its spec gives: a product
     built as its left side alone has order 2, not 6."""
     monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})
-    monkeypatch.setattr(perm_engine, "_direct_product", lambda A, B: A)
+    monkeypatch.setattr(perm_engine, "_direct_product", lambda A, B: (A.degree, A.generators))
     with pytest.raises(AssertionError, match="order 2, expected 6"):
         construct_named("product:cyclic:2xcyclic:3")
 
@@ -236,9 +250,34 @@ def test_lagrange_and_representative_consistency():
 
 def test_enumeration_refuses_above_cap():
     with pytest.raises(OrderLimitError, match="25000"):
-        enumerate_subgroups(construct_named("sym:9"))
+        construct_named("sym:9")
     with pytest.raises(OrderLimitError, match="50"):
-        enumerate_subgroups(construct_named("alt:5"), order_bound=50)
+        construct_named("alt:5", order_bound=50)
+
+
+def test_schreier_sims_stops_at_the_cap():
+    """A group given by generators is refused while its chain is built, as
+    soon as its order is proven above the cap: S_30 (order 30!) here."""
+    def sym(n):
+        return [perm_from_cycles("(0 1)", n), tuple(range(1, n)) + (0,)]
+
+    with pytest.raises(OrderLimitError, match="group has order above the enumeration cap 25000"):
+        PermGroup(30, sym(30))
+    assert PermGroup(7, sym(7), order_bound=5040).order == 5040
+    with pytest.raises(OrderLimitError, match="cap 5039"):
+        PermGroup(7, sym(7), order_bound=5039)
+
+
+def test_cached_group_is_refused_under_a_lower_cap(monkeypatch):
+    """A group built under a raised cap is refused when it is asked for
+    again under a lower one, from the order it was built with."""
+    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})
+    spec = "raw:7:(0 1);(0 1 2 3 4 5 6)"
+    assert construct_named(spec, order_bound=5040).order == 5040
+    with pytest.raises(OrderLimitError, match="group raw:7:.* has order above the enumeration cap 1000"):
+        construct_named(spec, order_bound=1000)
+    with pytest.raises(OrderLimitError, match="cap 25000"):
+        construct_named("raw:8:(0 1);(0 1 2 3 4 5 6 7)")
 
 
 def test_lattice_dump_format():
@@ -734,7 +773,7 @@ def test_u_overgroup_witness_is_pinned(monkeypatch, spec, overgroup, pair):
     theorem never lets U reach this witness; U's D pre-check is made to
     pass by reporting one Hall class as the only maximal class."""
     monkeypatch.setattr(perm_engine, "maximal_pi_subgroups",
-                        lambda G, pi, order_bound: pi_hall_subgroups(G, pi, order_bound)[:1])
+                        lambda G, pi: pi_hall_subgroups(G, pi)[:1])
     holds, witness = brute_property(construct_named(spec), PrimeSet([2, 3]), "U")
     assert not holds
     assert witness == {

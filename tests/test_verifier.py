@@ -53,6 +53,8 @@ def test_default_grid_is_pinned():
 
 def test_perm_realization_routing():
     assert perm_realization(parse_group_id("A:2:q=7")) == "psl2:7"
+    assert perm_realization(parse_group_id("A:2:q=31")) == "psl2:31"
+    assert perm_realization(parse_group_id("A:2:q=32")) is None
     assert perm_realization(parse_group_id("B:3:q=3")) is None
 
 
@@ -91,6 +93,26 @@ def test_star_consistency_excludes_p_in_pi():
     oos = {(c["group"], tuple(c["pi"])) for c in report.out_of_scope}
     assert ("A:2:q=7", (3, 7)) in oos
     assert ("A:2:q=13", (3, 7)) not in oos
+
+
+def test_suites_agree_on_psl2_above_the_default_grid():
+    """PSL_2(q) for q above 16 through the three building suites.  At
+    {3,5}, q = 29 and 31 are D_pi (their {3,5}-Hall subgroup is the
+    cyclic torus of order 15, (q + 1)/2 and (q - 1)/2) and q = 19 is not;
+    at {3,17}, q = 17 is not, and star routes it out (p = 17 is in pi).
+    D, U and star hold at both D_pi points: star's first non-vacuous cases
+    with |pi| >= 2."""
+    grid = [(parse_group_id(f"A:2:q={q}"), PrimeSet(pi))
+            for q, pi in ((29, (3, 5)), (31, (3, 5)), (17, (3, 17)), (19, (3, 5)))]
+    cross = cross_check_simple(grid)
+    assert cross.ok and len(cross.cases) == 4
+    assert [c["brute"]["dpi"] for c in cross.cases] == [True, True, False, False]
+    theorem = main_theorem_check(grid)
+    assert theorem.ok and [c["detail"] for c in theorem.cases[:2]] == ["d=True u=True"] * 2
+    star = star_consistency_check(grid)
+    assert star.ok and len(star.cases) == 3
+    assert [c["detail"] for c in star.cases[:2]] == ["d=True star=True"] * 2
+    assert [c["group"] for c in star.out_of_scope] == ["A:2:q=17"]
 
 
 def test_exclusivity_scan_is_clean():
