@@ -376,7 +376,6 @@ def _cycle(n: int, first: int = 0) -> Perm:
     return tuple(range(first)) + tuple(range(first + 1, n)) + (first,)
 
 
-_NAMED_CACHE: dict[str, PermGroup] = {}
 _PSL2_MAX_Q = 31  # psl2:q takes every prime power 2 <= q <= this
 
 
@@ -384,20 +383,16 @@ def construct_named(spec: str, order_bound: int = DEFAULT_MAX_ORDER) -> PermGrou
     """Build a named group: alt:n, sym:n, cyclic:n, dihedral:n, psl2:q,
     product:<spec>x<spec>, raw:<degree>:<cycles;...>.  A group above
     ``order_bound`` is an ``OrderLimitError``: from its spec before any work,
-    during its build for a raw spec, or from its order if it was built
-    earlier.  A build whose order is not the order its spec gives is an
-    ``AssertionError``."""
+    or during its build for a raw spec.  A build whose order is not the order
+    its spec gives is an ``AssertionError``."""
     spec = spec.strip()
-    G = _NAMED_CACHE.get(spec)
-    order, build = _read_spec(spec, order_bound + 1) if G is None else (G.order, None)
+    order, build = _read_spec(spec, order_bound + 1)
     if order is not None and order > order_bound:
         _refuse(f"group {spec} has order above", order_bound)
-    if G is None:
-        G = build(order_bound)
-        if order is not None and G.order != order:
-            raise AssertionError(f"{spec} construction has order {G.order}, expected {order}")
-        G.name = spec
-        _NAMED_CACHE[spec] = G
+    G = build(order_bound)
+    if order is not None and G.order != order:
+        raise AssertionError(f"{spec} construction has order {G.order}, expected {order}")
+    G.name = spec
     return G
 
 

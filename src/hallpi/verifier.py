@@ -8,6 +8,7 @@ disagreement is a hard failure of the build, not a warning.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import time
@@ -129,12 +130,13 @@ def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
                 and all(type(p) is int for p in case["pi"])):  # PrimeSet reads 3.9 as 3
             raise ValueError(f"grid case {i} must be an object with a 'group' string "
                              "and a 'pi' list of one or more integers")
-        g = parse_group_id(case["group"])
         try:
-            pi = _distinct_prime_set(case["pi"])
+            point = parse_group_id(case["group"]), _distinct_prime_set(case["pi"])
+        except GroupSpecError as exc:
+            raise ValueError(f"grid case {i}: bad 'group' {case['group']!r}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"grid case {i}: bad 'pi' list {case['pi']}: {exc}") from None
-        out.append((g, pi))
+        out.append(point)
     return out
 
 
@@ -154,6 +156,7 @@ def perm_realization(g: GroupId) -> str | None:
     return None
 
 
+@functools.lru_cache(maxsize=1)  # one group's points share its build; run_suite clears it
 def _constructible(g: GroupId, order_bound: int):
     spec = perm_realization(g)
     if spec is None:
@@ -329,16 +332,16 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     return report
 
 
-# suite name -> its report on a grid under an order cap, in the order "all"
-# runs them; the CLI's choices are these names and "all".  Each suite
-# function is looked up by name when it runs, so a wrapper rebound over it
-# (as bench/spans.py binds its timers) sees the call.
-_SUITES = {
-    "cross": lambda grid, cap: cross_check_simple(grid, cap),
-    "main-theorem": lambda grid, cap: main_theorem_check(grid, cap),
-    "star": lambda grid, cap: star_consistency_check(grid, cap),
-    "exclusivity": lambda grid, cap: exclusivity_scan(),
+# suite name -> its report on grid points under an order cap; run_suite hands them
+# one group's points at a time, so each group is built once and gone before the next.
+# Each suite function is looked up by name when it runs, so a wrapper rebound
+# over it (as bench/spans.py binds its timers) sees the call.
+_GRID_SUITES = {
+    "cross": lambda points, cap: cross_check_simple(points, cap),
+    "main-theorem": lambda points, cap: main_theorem_check(points, cap),
+    "star": lambda points, cap: star_consistency_check(points, cap),
 }
+_SUITES = (*_GRID_SUITES, "exclusivity")  # the CLI's choices, in the order "all" runs them
 
 
 def run_suite(
@@ -352,4 +355,14 @@ def run_suite(
     if grid is None:
         grid = default_grid()
     names = _SUITES if name == "all" else (name,)
-    return [_SUITES[n](grid, order_bound) for n in names]
+    reports = [CrossCheckReport(n) for n in names if n in _GRID_SUITES]
+    for _, points in itertools.groupby(grid, key=lambda point: point[0]):
+        points = list(points)
+        for report in reports:
+            part = _GRID_SUITES[report.suite](points, order_bound)
+            for key in ("cases", "out_of_scope", "skipped"):
+                getattr(report, key).extend(getattr(part, key))
+    _constructible.cache_clear()
+    if "exclusivity" in names:
+        reports.append(exclusivity_scan())
+    return reports

@@ -119,8 +119,6 @@ def test_brute_cap_refusal_names_cap(capsys, monkeypatch):
     """Named groups are refused from their spec before they are built:
     sym:60 or cyclic:200000 would take minutes or gigabytes.  No group is
     built here, not even psl2:16 or a product holding psl2:13."""
-    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})  # none built by an earlier test
-
     def no_build(*args, **kwargs):
         raise AssertionError("a group was built before the cap refused it")
 
@@ -424,10 +422,12 @@ def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
          "grid case 1: bad 'pi' list [7, 3, 7]: 7 is repeated"),
         ('{"cases": [{"group": "A:2:q=7", "pi": [3, 9]}]}',
          "grid case 0: bad 'pi' list [3, 9]: 9 is not prime"),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=6", "pi": [3]}]}',
+         "grid case 1: bad 'group' 'A:2:q=6': q=6 is not a prime power"),
     ],
     ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list",
          "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi",
-         "repeated-prime", "composite"],
+         "repeated-prime", "composite", "bad-group"],
 )
 def test_verify_bad_grid_exits_three(capsys, tmp_path, text, message):
     grid = tmp_path / "grid.json"

@@ -168,7 +168,6 @@ def test_psl2_generators_above_16_are_pinned():
 def test_build_of_the_wrong_order_is_an_error(monkeypatch):
     """Every build is checked against the order its spec gives: a product
     built as its left side alone has order 2, not 6."""
-    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})
     monkeypatch.setattr(perm_engine, "_direct_product", lambda A, B: (A.degree, A.generators))
     with pytest.raises(AssertionError, match="order 2, expected 6"):
         construct_named("product:cyclic:2xcyclic:3")
@@ -253,6 +252,10 @@ def test_enumeration_refuses_above_cap():
         construct_named("sym:9")
     with pytest.raises(OrderLimitError, match="50"):
         construct_named("alt:5", order_bound=50)
+    with pytest.raises(OrderLimitError, match="cap 25000"):
+        construct_named("raw:8:(0 1);(0 1 2 3 4 5 6 7)")
+    with pytest.raises(OrderLimitError, match="cap 1000"):
+        construct_named("raw:7:(0 1);(0 1 2 3 4 5 6)", order_bound=1000)
 
 
 def test_schreier_sims_stops_at_the_cap():
@@ -266,18 +269,6 @@ def test_schreier_sims_stops_at_the_cap():
     assert PermGroup(7, sym(7), order_bound=5040).order == 5040
     with pytest.raises(OrderLimitError, match="cap 5039"):
         PermGroup(7, sym(7), order_bound=5039)
-
-
-def test_cached_group_is_refused_under_a_lower_cap(monkeypatch):
-    """A group built under a raised cap is refused when it is asked for
-    again under a lower one, from the order it was built with."""
-    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})
-    spec = "raw:7:(0 1);(0 1 2 3 4 5 6)"
-    assert construct_named(spec, order_bound=5040).order == 5040
-    with pytest.raises(OrderLimitError, match="group raw:7:.* has order above the enumeration cap 1000"):
-        construct_named(spec, order_bound=1000)
-    with pytest.raises(OrderLimitError, match="cap 25000"):
-        construct_named("raw:8:(0 1);(0 1 2 3 4 5 6 7)")
 
 
 def test_lattice_dump_format():

@@ -1,7 +1,10 @@
 """Tests for the oracle-vs-brute verification suites."""
 
+import gc
+import hashlib
 import itertools
 import json
+import weakref
 
 import pytest
 
@@ -104,12 +107,10 @@ def test_suites_agree_on_psl2_above_the_default_grid():
     with |pi| >= 2."""
     grid = [(parse_group_id(f"A:2:q={q}"), PrimeSet(pi))
             for q, pi in ((29, (3, 5)), (31, (3, 5)), (17, (3, 17)), (19, (3, 5)))]
-    cross = cross_check_simple(grid)
+    cross, theorem, star, _ = run_suite("all", grid)
     assert cross.ok and len(cross.cases) == 4
     assert [c["brute"]["dpi"] for c in cross.cases] == [True, True, False, False]
-    theorem = main_theorem_check(grid)
     assert theorem.ok and [c["detail"] for c in theorem.cases[:2]] == ["d=True u=True"] * 2
-    star = star_consistency_check(grid)
     assert star.ok and len(star.cases) == 3
     assert [c["detail"] for c in star.cases[:2]] == ["d=True star=True"] * 2
     assert [c["group"] for c in star.out_of_scope] == ["A:2:q=17"]
@@ -155,6 +156,15 @@ def test_scan_groups_bounds():
     assert "2B2:q=2^3" in specs
 
 
+def _masked(report) -> dict:
+    """A report's JSON payload with every case's runtime removed (the
+    exclusivity scan's cases carry none)."""
+    payload = json.loads(report.to_json())
+    for case in payload["cases"]:
+        case.pop("runtime", None)
+    return payload
+
+
 def test_reports_are_deterministic():
     grid = default_grid()[:6]
     a = cross_check_simple(grid)
@@ -166,6 +176,59 @@ def test_reports_are_deterministic():
     assert ja == jb
 
 
+def test_verify_all_output_is_pinned():
+    """Every report of ``run_suite("all")`` on the default grid, runtimes
+    removed: a change to how the suites walk the grid keeps this digest."""
+    text = json.dumps([_masked(r) for r in run_suite("all")], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "b79ccde74e44a316d32b127a643e08c0b634a3ebf8a2d3c05cec7ed4f32f0f98"
+    )
+
+
+def _record_builds(monkeypatch) -> list:
+    """(spec, weak reference) for each group the suites build from now on."""
+    built = []
+
+    def recording(spec, order_bound):
+        G = perm_engine.construct_named(spec, order_bound)
+        built.append((spec, weakref.ref(G)))
+        return G
+
+    monkeypatch.setattr(verifier, "construct_named", recording)
+    verifier._constructible.cache_clear()  # a group a direct suite call left there
+    return built
+
+
+def test_verify_all_builds_each_default_grid_group_once(monkeypatch):
+    """The three grid suites share each group over its run of points."""
+    built = _record_builds(monkeypatch)
+    run_suite("all")
+    assert [spec for spec, _ in built] == [f"psl2:{q}" for q in (4, 5, 7, 8, 9, 11, 13)]
+
+
+def test_run_suite_keeps_no_group_alive(monkeypatch):
+    """No group a run_suite call built is reachable once it returns."""
+    built = _record_builds(monkeypatch)
+    grid = [(parse_group_id(f"A:2:q={q}"), PrimeSet([3])) for q in (4, 7, 8)]
+    assert all(r.ok for r in run_suite("all", grid))
+    gc.collect()
+    assert all(ref() is None for _, ref in built)
+    assert [spec for spec, _ in built] == ["psl2:4", "psl2:7", "psl2:8"]
+
+
+def test_run_suite_on_interleaved_groups_matches_each_suite_alone():
+    """Points that leave a group and come back to it (A, B, A), with a
+    group that has no construction and points out of scope between them:
+    run_suite's report of each grid suite is that suite's own on the grid."""
+    a, b, c = (parse_group_id(s) for s in ("A:2:q=7", "B:3:q=3", "A:2:q=8"))
+    grid = [(a, PrimeSet([3])), (a, PrimeSet([2, 3])), (b, PrimeSet([5, 7])),
+            (c, PrimeSet([3, 7])), (c, PrimeSet([7])), (a, PrimeSet([3, 7])), (a, PrimeSet([7]))]
+    together = run_suite("all", grid)[:3]
+    alone = [cross_check_simple(grid), main_theorem_check(grid), star_consistency_check(grid)]
+    assert [_masked(r) for r in together] == [_masked(r) for r in alone]
+    assert all(r.cases and r.skipped for r in alone) and alone[2].out_of_scope
+
+
 def test_run_suite_all():
     reports = run_suite("all", default_grid()[:3])
     assert [r.suite for r in reports] == ["cross", "main-theorem", "star", "exclusivity"]
@@ -175,8 +238,6 @@ def test_run_suite_all():
 def test_verify_cap_skips_without_building(monkeypatch):
     """Under a cap below every grid group's order, each in-scope case is
     skipped with a reason naming the cap, and no group is built."""
-    monkeypatch.setattr(perm_engine, "_NAMED_CACHE", {})  # none built by an earlier test
-
     def no_build(*args, **kwargs):
         raise AssertionError("a group was built before the cap refused it")
 
