@@ -4,10 +4,11 @@ Exit codes for decide/brute: 0 = yes/true, 1 = no/false, 2 = out of scope,
 3 and up = input or usage error.  verify exits nonzero on any disagreement.
 
 ``_COMMANDS`` describes each subcommand once: its help and the function
-adding its options.  ``main`` builds only the subcommand its first argument
-names, as a query runs once per process; ``-h``, a missing command or an
-unknown one gets all four.  Help, usage and error texts are the same
-either way.
+adding its options.  ``main`` builds one parser, with only the options of
+the subcommand its first argument names, as a query runs once per process;
+``-h``, a missing command or an unknown one gets the parser with all four
+subcommands.  Help, usage and error texts are the ones argparse writes with
+all four built.
 """
 
 from __future__ import annotations
@@ -141,17 +142,11 @@ _COMMANDS = {
 }
 
 
-def _build_parser(command: str | None) -> _Parser:
-    """The parser with one subcommand's options, or with all four's when
-    ``command`` is None.  Its usage names all four either way."""
+def _build_parser() -> _Parser:
+    """The parser with all four subcommands."""
     parser = _Parser(prog="hallpi")
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_Parser,
-        # with one built, name all four as argparse does from the choices
-        metavar=None if command is None else "{" + ",".join(_COMMANDS) + "}",
-    )
-    for name in _COMMANDS if command is None else (command,):
-        help_text, add_options = _COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, add_options) in _COMMANDS.items():
         add_options(sub.add_parser(name, help=help_text))
     return parser
 
@@ -256,8 +251,15 @@ def _cmd_verify(args, max_order: int) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _build_parser(command).parse_args(argv)
+    if argv and argv[0] in _COMMANDS:  # read as argparse's subparser "hallpi <command>" reads it
+        parser = _Parser(prog=f"hallpi {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, extras = parser.parse_known_args(argv[1:])
+        if extras:  # reported by the parser with all four, as argparse reports them
+            _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args.command = argv[0]
+    else:
+        args = _build_parser().parse_args(argv)
     try:
         if args.command == "decide":
             return _cmd_decide(args)

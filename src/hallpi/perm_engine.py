@@ -51,7 +51,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import prod
+from math import gcd, prod
 from operator import itemgetter
 
 from .arith import PrimeSet, pi_part, read_decimal
@@ -101,8 +101,9 @@ def identity(degree: int) -> Perm:
 
 
 def pmul(a: Perm, b: Perm) -> Perm:
-    """Product 'apply a, then b'."""
-    return tuple(map(b.__getitem__, a))
+    """Product 'apply a, then b': one ``itemgetter`` call, except at degree
+    1, where ``itemgetter`` of one point would return a bare int."""
+    return itemgetter(*a)(b) if len(a) > 1 else tuple(map(b.__getitem__, a))
 
 
 def pinv(a: Perm) -> Perm:
@@ -500,7 +501,8 @@ class _Index:
     images.
     ``operator.itemgetter`` returns a tuple only for two or more points, so
     a base shorter than that is repeated (the trivial group's empty base
-    becomes point 0, twice).
+    becomes point 0, twice).  Every element's base images, and the levels
+    of the chain multiplied out, are read with one ``itemgetter`` call.
 
     The closure check composes s * g for every element s and generator g
     of G, and keeps the indices as the flat table ``rmul[g]``.  Once every
@@ -518,12 +520,14 @@ class _Index:
     def __init__(self, G: PermGroup):
         perms = [identity(G.degree)]  # the levels multiplied out, deepest first
         for trans in reversed(G._transversals):
-            perms = [pmul(h, t) for t in trans.values() for h in perms]
+            times = [itemgetter(*h) for h in perms]  # h * t is h's getter applied to t
+            perms = [h_times(t) for t in trans.values() for h_times in times]
         perms.sort()
         n = len(perms)
         self.perms = perms
         self.size = n
         self.base = base = G.base if len(G.base) > 1 else (G.base or [0]) * 2
+        self._base_images = itemgetter(*base)
         cols = list(zip(*perms))  # cols[p]: every element's image of p
         self.by_base = by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
         if len(by_base) != n:
@@ -547,17 +551,13 @@ class _Index:
 
     def index(self, p: Perm) -> int:
         """The index of the element p."""
-        return self.by_base[tuple(map(p.__getitem__, self.base))]
-
-    def _images(self, x: int) -> list[int]:
-        """x's base images, the points whose images under e key x * e."""
-        return list(map(self.perms[x].__getitem__, self.base))
+        return self.by_base[self._base_images(p)]
 
     def products(self, x: int):
         """Left multiplication by x as a function, e -> x * e, composed on
         each call: the base images of x * e are e's images of x's."""
         perms, by_base = self.perms, self.by_base
-        key = itemgetter(*self._images(x))
+        key = itemgetter(*self._base_images(perms[x]))
         return lambda e: by_base[key(perms[e])]
 
     def conj(self, y: int):
@@ -568,8 +568,8 @@ class _Index:
         if table is not None:
             return table.__getitem__
         p, perms, by_base = self.perms[y], self.perms, self.by_base
-        read = itemgetter(*map(pinv(p).__getitem__, self.base))  # y^-1's base images
-        return lambda e: by_base[tuple(map(p.__getitem__, read(perms[e])))]
+        read = itemgetter(*self._base_images(pinv(p)))  # y^-1's base images
+        return lambda e: by_base[itemgetter(*read(perms[e]))(p)]
 
     def join(self, R: frozenset, gens: list[int], limit: int,
              stop: set[int] | frozenset[int] = frozenset()) -> frozenset | None:
@@ -657,15 +657,18 @@ class _Index:
         ordered by the subgroup's size and then its sorted elements.  The
         generator is the cyclic's least generating element; ``canonical``
         maps each generating element of each such cyclic to it, and every
-        other element to 0."""
+        other element to 0.  Each cyclic subgroup is walked once: the
+        generators of one whose order is not a prime power are marked in
+        ``skip`` instead."""
         perms, by_base = self.perms, self.by_base
         canonical = [0] * self.size
+        skip = bytearray(self.size)
         prime_of: dict[int, int | None] = {}
         found = []
         for i in range(1, self.size):
-            if canonical[i]:
+            if canonical[i] or skip[i]:
                 continue
-            key = itemgetter(*self._images(i))  # x * e has base images key(e)
+            key = itemgetter(*self._base_images(perms[i]))  # x * e has base images key(e)
             powers = [0]  # x^0, x^1, ..., x^(o-1), where x^o is the identity
             j = i
             while j:
@@ -679,6 +682,9 @@ class _Index:
                     prime_of[o] = None
             p = prime_of[o]
             if p is None:
+                for k in range(1, o):
+                    if gcd(k, o) == 1:
+                        skip[powers[k]] = 1
                 continue
             for k in range(1, o):
                 if k % p:

@@ -356,13 +356,15 @@ def run_suite(
         grid = default_grid()
     names = _SUITES if name == "all" else (name,)
     reports = [CrossCheckReport(n) for n in names if n in _GRID_SUITES]
-    for _, points in itertools.groupby(grid, key=lambda point: point[0]):
-        points = list(points)
-        for report in reports:
-            part = _GRID_SUITES[report.suite](points, order_bound)
-            for key in ("cases", "out_of_scope", "skipped"):
-                getattr(report, key).extend(getattr(part, key))
-    _constructible.cache_clear()
+    try:
+        for _, points in itertools.groupby(grid, key=lambda point: point[0]):
+            points = list(points)
+            for report in reports:
+                part = _GRID_SUITES[report.suite](points, order_bound)
+                for key in ("cases", "out_of_scope", "skipped"):
+                    getattr(report, key).extend(getattr(part, key))
+    finally:  # a suite that raises leaves no group alive either
+        _constructible.cache_clear()
     if "exclusivity" in names:
         reports.append(exclusivity_scan())
     return reports

@@ -7,6 +7,8 @@ import random
 from math import prod
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hallpi import perm_engine
 from hallpi.arith import PrimeSet, pi_part
@@ -67,6 +69,22 @@ def test_product_and_inverse():
     b = perm_from_cycles("(0 1)", 3)
     # left-to-right composition: apply a first
     assert pmul(a, b)[0] == b[a[0]]
+
+
+_perm_pairs = st.integers(min_value=1, max_value=30).flatmap(
+    lambda n: st.tuples(st.permutations(range(n)), st.permutations(range(n))))
+
+
+@given(_perm_pairs)
+def test_product_and_inverse_on_random_permutations(pair):
+    """Degree 1 to 30, degree 1 included, where the product composes
+    through the tuple path."""
+    a, b = map(tuple, pair)
+    n = len(a)
+    ab = pmul(a, b)
+    assert type(ab) is tuple and len(ab) == n
+    assert all(ab[i] == b[a[i]] for i in range(n))
+    assert pmul(a, pinv(a)) == identity(n)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +426,23 @@ def test_uncapped_search_is_pinned():
     )
 
 
+@pytest.mark.parametrize("spec, digest", [
+    ("psl2:13", "9a89eb6fd091a4453f7593a89a2b15525a98148f3f3482b06b63fc024823a151"),
+    ("product:cyclic:3xalt:5",
+     "5e06cb575055fab5969475ea724c45363110ff1c23f884fdb8a25d422451d82b"),
+])
+def test_cyclics_and_canonical_are_pinned(spec, digest):
+    """One sha256 over ``ix.cyclics`` and ``ix.canonical``.  Both groups
+    have cyclic subgroups whose order is not a prime power (psl2:13 has 182
+    elements of order 6), whose generators the walk must map to 0 without
+    listing them."""
+    ix = perm_engine._index(construct_named(spec))
+    h = hashlib.sha256()
+    h.update(json.dumps(ix.cyclics).encode())
+    h.update(json.dumps(list(ix.canonical)).encode())
+    assert h.hexdigest() == digest
+
+
 @pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS)
 def test_products_match_permutation_products(spec):
     """Composed products and conjugates, by x and by x^-1, agree with
@@ -492,7 +527,7 @@ def _closure(G: PermGroup) -> list:
     return sorted(perms)
 
 
-@pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS + ["psl2:16", "raw:3:"])
+@pytest.mark.parametrize("spec", ENGINE_PIN_GROUPS + ["psl2:16", "raw:3:", "cyclic:2", "raw:1:()"])
 def test_elements_equal_generator_closure(spec):
     """The elements read off the stabiliser chain are the group's."""
     named = construct_named(spec)

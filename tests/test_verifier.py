@@ -216,6 +216,22 @@ def test_run_suite_keeps_no_group_alive(monkeypatch):
     assert [spec for spec, _ in built] == ["psl2:4", "psl2:7", "psl2:8"]
 
 
+def test_run_suite_that_raises_keeps_no_group_alive(monkeypatch):
+    """A grid suite that raises after an earlier suite built the group
+    leaves no group a run_suite call built reachable."""
+    built = _record_builds(monkeypatch)
+
+    def failing(points, order_bound):
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setitem(verifier._GRID_SUITES, "star", failing)
+    with pytest.raises(RuntimeError, match="suite failed"):
+        run_suite("all", [(parse_group_id("A:2:q=7"), PrimeSet([3]))])
+    gc.collect()
+    assert [spec for spec, _ in built] == ["psl2:7"]
+    assert all(ref() is None for _, ref in built)
+
+
 def test_run_suite_on_interleaved_groups_matches_each_suite_alone():
     """Points that leave a group and come back to it (A, B, A), with a
     group that has no construction and points out of scope between them:
