@@ -16,11 +16,17 @@ Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 2B(d)-(i) are tables, one row per subcase in the paper's listing order
 (arXiv:1504.03137), each read by one evaluator.  The trace records every
 predicate a row tests, in row order, up to the row that decides.
+
+A decision with no trace stops at the first predicate that decides it,
+one the traced decision also tests and, with that value, ends on, so both
+give the same answer (``_decide_dpi`` lists where).  ord(q mod s) is read
+from one table per q, filled as the bodies ask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Union
 
 from .arith import PrimeSet, is_prime, multiplicative_order, r_part_pow_minus_one
@@ -52,8 +58,27 @@ ONAN = "O'N"
 _ONAN_PRIMES = (2, 3, 5, 7, 11, 19, 31)
 
 Trace = list[dict[str, Any]]
-# r = min(pi inter pi(S)), tau = the rest, ord(q mod r), {s: ord(q mod s)}
-OrderFacts = tuple[int, tuple[int, ...], int, dict[int, int]]
+
+
+class _Orders(dict):
+    """ord(q mod s) for one q, keyed by the odd prime s, each computed on
+    its first read."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __missing__(self, s: int) -> int:
+        o = self[s] = multiplicative_order(self.q, s)
+        return o
+
+
+_order_table = lru_cache(maxsize=None)(_Orders)  # the one table per q
+
+
+# r = min(pi inter pi(S)), tau = the rest, ord(q mod r), q's ord(q mod s) table
+OrderFacts = tuple[int, tuple[int, ...], int, _Orders]
 
 
 def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
@@ -130,10 +155,6 @@ class FactorDescriptor:
         return cls("unsupported", name=name)
 
 
-def _orders_on(q: int, primes) -> dict[int, int]:
-    return {s: multiplicative_order(q, s) for s in primes}
-
-
 def check_condition_I(g: GroupId, pi: PrimeSet) -> tuple[bool, Trace]:
     """Characteristic-in-pi case: the rest of pi sits in pi(q-1) and the
     Weyl order avoids every relevant prime."""
@@ -147,12 +168,14 @@ def check_condition_I(g: GroupId, pi: PrimeSet) -> tuple[bool, Trace]:
 
 def _condition_I(trace: Trace | None, g: GroupId, inter: PrimeSet) -> bool:
     """Condition I's body on ``inter`` = pi inter pi(g), recorded in
-    ``trace``."""
-    tau = inter.without(g.p)
-    q = g.q
+    ``trace``.  p never divides q - 1, so the first test skips it."""
+    q, p = g.q, g.p
     w = weyl_order(g)
+    if trace is None:
+        return (all(t == p or (q - 1) % t == 0 for t in inter)
+                and all(w % t != 0 for t in inter))
     ok = True
-    for t in tau:
+    for t in inter.without(p):
         ok &= _rec(trace, "t divides q-1", (q - 1) % t == 0, t=t, q=q)
     for t in inter:
         ok &= _rec(trace, "t does not divide |W|", w % t != 0, t=t, weyl_order=w)
@@ -191,25 +214,28 @@ def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
     """What Conditions II and III both start from, given ``inter`` = pi
     inter pi(g): r = min(inter), tau = inter without r, ord(q mod r) and
-    ord(q mod s) for each s in tau.  inter is increasing, so r is its first
-    member and tau the rest."""
-    r, tau = inter[0], inter[1:]
-    return r, tau, multiplicative_order(g.q, r), _orders_on(g.q, tau)
+    q's table of ord(q mod s), read for each s in tau.  inter is increasing,
+    so r is its first member and tau the rest."""
+    orders = _order_table(g.q)
+    return inter[0], inter[1:], orders[inter[0]], orders
 
 
 def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], a: int,
-                  orders: dict[int, int]) -> str | None:
+                  orders: _Orders) -> str | None:
     """Condition II's body on the facts ``_order_facts`` lists, with
-    a = ord(q mod r), recorded in ``trace``."""
-    q, n = g.q, g.n
-    if trace is not None:
+    a = ord(q mod r), recorded in ``trace``.  Untraced, a family with no
+    subcase here returns None at once, as its last record would."""
+    q, n, fam = g.q, g.n, g.family
+    if trace is None:
+        if fam not in ("A", "2A", "2D"):
+            return None
+    else:
         _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
-        for s, o in orders.items():
-            _rec(trace, "ord(q mod s)", True, s=s, order=o)
-    if not _rec(trace, "exists t in tau with ord(q,t) != a", any(o != a for o in orders.values())):
+        for s in tau:
+            _rec(trace, "ord(q mod s)", True, s=s, order=orders[s])
+    if not _rec(trace, "exists t in tau with ord(q,t) != a", any(orders[s] != a for s in tau)):
         return None
 
-    fam = g.family
     if fam == "A":
         b = r
         common = (
@@ -248,7 +274,7 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
         if (
             _rec(trace, "a odd", a % 2 == 1, a=a)
             and _rec(trace, "n == 2a", n == 2 * a, n=n, a=a)
-            and _rec(trace, "some ord(q,t) == n", any(o == n for o in orders.values()))
+            and _rec(trace, "some ord(q,t) == n", any(orders[s] == n for s in tau))
             and all(
                 _rec(trace, "ord(q,s) in {a, 2a}", orders[s] in (a, 2 * a), s=s)
                 for s in tau
@@ -260,7 +286,7 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
             _rec(trace, "a even", a % 2 == 0, a=a)
             and _rec(trace, "a/2 odd", a % 4 == 2, a=a)
             and _rec(trace, "n == a", n == a, n=n, a=a)
-            and _rec(trace, "some ord(q,t) == a/2", any(o == b for o in orders.values()), b=b)
+            and _rec(trace, "some ord(q,t) == a/2", any(orders[s] == b for s in tau), b=b)
             and all(
                 _rec(trace, "ord(q,s) in {a/2, a}", orders[s] in (b, a), s=s)
                 for s in tau
@@ -314,16 +340,19 @@ def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
 
 
 def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], c: int,
-                   orders: dict[int, int]) -> str | None:
+                   orders: _Orders) -> str | None:
     """Condition III's body on the facts ``_order_facts`` lists, with
     c = ord(q mod r), recorded in ``trace``: the first of the family's rows
     that holds."""
     n = g.n
-    if trace is not None:
-        _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
-    for t in tau:
-        if not _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c):
+    if trace is None:
+        if any(orders[t] != c for t in tau):
             return None
+    else:
+        _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
+        for t in tau:
+            if not _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c):
+                return None
     for tag, test, bound in _III_ROWS.get(g.family, ()):
         if test is not None and not _rec(trace, test[0], c % test[1] == test[2], c=c):
             continue
@@ -427,6 +456,16 @@ def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet,
     the public ``check_condition_*`` answers.  Each body records straight
     into ``trace``, the verdict's, or nothing where it is None.  The
     verdict keeps the order facts for the E decision.
+
+    With no trace each body returns at the first predicate that decides
+    it, skipping the records and tests after it: Condition I at its first
+    failing prime, Condition II at once for a family with no II subcase and
+    where no order differs from ord(q mod r), Condition III where one does,
+    and E's classification, with p in pi, at its first failing test and,
+    with p outside pi, at once for a family with no E-minus-D row.  The
+    traced body tests the same predicate and ends on the same answer after
+    recording the rest, so holds, condition and facts do not depend on the
+    trace.
     """
     v = Verdict("D", "no", group=g, pi=pi, inter=inter, trace=trace)
     if len(inter) <= 1:
@@ -492,14 +531,21 @@ _EXCEPTIONAL_CASES = {
                             ("epi_case_2B(h)", (5, 31), (3, 7)))),
     "F4": (("q-1", "q+1"), (("epi_case_2B(i)", (3, 13), ()),)),
 }
+# the families with an E-minus-D row for p outside pi: 2B(a)-(c) and the above
+_E_MINUS_D_FAMILIES = ("A", "2A", *_EXCEPTIONAL_CASES)
 
 
 def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, d: Verdict) -> str | None:
     """The classification for a Lie-type g with 2 outside pi, recorded in
     ``trace``, given ``d``, the D verdict on (g, pi): its pi inter pi(g),
     and its order facts where the linear and unitary cases need them, as D
-    reached Conditions II/III on every such point where it fails."""
+    reached Conditions II/III on every such point where it fails.
+    Untraced, it returns None before any record where one of its first
+    two records, or the family with p outside pi, already leaves no row."""
     inter = d.inter
+    if trace is None and (d.yes or len(inter) < 2
+                          or g.p not in pi and g.family not in _E_MINUS_D_FAMILIES):
+        return None
     if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
         return None
     if d.yes:
@@ -508,11 +554,14 @@ def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, d: Verdict) -> 
     q, n = g.q, g.n
 
     if g.p in pi:
-        w = weyl_order(g)
-        ok = _rec(trace, "p divides |W|", w % g.p == 0, p=g.p, weyl_order=w)
-        for t in inter.without(g.p):
-            ok &= _rec(trace, "t divides q-1", (q - 1) % t == 0, t=t, q=q)
-            ok &= _rec(trace, "t does not divide |W|", w % t != 0, t=t, weyl_order=w)
+        p, w = g.p, weyl_order(g)
+        if trace is None:
+            ok = w % p == 0 and all(t == p or (q - 1) % t == 0 and w % t != 0 for t in inter)
+        else:
+            ok = _rec(trace, "p divides |W|", w % p == 0, p=p, weyl_order=w)
+            for t in inter.without(p):
+                ok &= _rec(trace, "t divides q-1", (q - 1) % t == 0, t=t, q=q)
+                ok &= _rec(trace, "t does not divide |W|", w % t != 0, t=t, weyl_order=w)
         return "epi_case_2A" if ok else None
 
     fam = g.family

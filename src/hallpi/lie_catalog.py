@@ -231,8 +231,10 @@ def group_order(g: GroupId) -> int:
     return q ** (sum(degrees) - len(degrees)) * prod(factors) // diag_quotient_order(g)
 
 
+@lru_cache(maxsize=None)
 def weyl_order(g: GroupId) -> int:
-    """Order of the (untwisted) Weyl group: the product of its degrees."""
+    """Order of the (untwisted) Weyl group: the product of its degrees,
+    computed once per group, as its order is."""
     return prod(_degrees(g.family, g.n))
 
 

@@ -772,34 +772,38 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     extends, x^g normalises K and <K, x^g> = J^g.
 
     While K is extended, ``overshoot`` holds the cyclics c, by canonical
-    generator, whose join <K, c> came back None or as the whole group G,
-    each with its N-orbit, whose joins are conjugates of the same order.  A
-    later join of K stops, returning None, at the first new coset holding a
-    generator of such a c: it contains <K, c>, so it could only have
-    returned None or G, which is in ``seen`` since that first join, and
-    both are skipped.  The stop changes nothing found, and a join pays
-    nothing for it until K has a first overshoot."""
+    generator, for which <K, c> has more than ``limit`` elements or is the
+    whole group G.  It starts as the set of the member L whose join found
+    K's class, complete once L is extended, as K contains L and so <K, c>
+    contains <L, c>.  Each c whose join with K comes back None or as G is
+    added with its N-orbit, whose joins are conjugates of the same order.
+    Such a c is not joined with K, and a later join of K stops, returning
+    None, at the first new coset holding a generator of one: it contains
+    <K, c>, so it could only have returned None or G, which is in ``seen``
+    since the first join that gave it, and both are skipped.  Neither
+    changes anything found, and a join pays nothing for the stop while the
+    set is empty."""
     classes: list[SubgroupClass] = []
-    queue: deque = deque()  # (class, N, N_gens) for each class not yet extended
+    queue: deque = deque()  # (class, N, N_gens, L's overshoot) per class not yet extended
     seen: set[frozenset] = set()
     canonical = ix.canonical
 
-    def add(K: frozenset, K_gens: list[int]) -> None:
+    def add(K: frozenset, K_gens: list[int], inherited: set[int]) -> None:
         orbit, N, N_gens = ix.conjugacy_class(K, K_gens)
         seen.update(orbit)
         cls = SubgroupClass(len(K), len(orbit), min(orbit, key=sorted), orbit, K, K_gens, ix)
         classes.append(cls)
-        queue.append((cls, N, N_gens))
+        queue.append((cls, N, N_gens, inherited))
 
-    add(start, gens)
+    add(start, gens, set())
     while queue:
-        cls, N, N_gens = queue.popleft()
+        cls, N, N_gens, inherited = queue.popleft()
         K, K_gens = cls.member, cls.member_gens
         conjugators = [ix.conj(y) for y in N_gens]
         tried: set[int] = set()
-        overshoot: set[int] = set()  # cyclics c with <K, c> dropped or G
+        overshoot = set(inherited)  # cyclics c with <K, c> dropped or G
         for x in cyclics:
-            if x in K or x in tried or normal_steps and x not in N:
+            if x in K or x in tried or x in overshoot or normal_steps and x not in N:
                 continue
             tried.add(x)
             orbit = [x]
@@ -815,7 +819,7 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
             if J is None or J in seen:
                 continue
             if limit % len(J) == 0:
-                add(J, K_gens + [x])
+                add(J, K_gens + [x], overshoot)
             else:
                 seen.add(J)
 

@@ -185,27 +185,6 @@ def test_dpi_with_intersection_handed_over_keeps_the_pin():
         lambda gg, pi: hall_oracle._decide_dpi(gg, pi, pi, [])) == _EXCLUSIVITY_D_DIGEST
 
 
-def test_untraced_decisions_answer_as_traced_ones():
-    """A scan's D verdict, decided with no trace, and the E verdict derived
-    from it carry no trace and the public deciders' answers on every
-    exclusivity-scan point: a record whose value drives the decision still
-    decides it when nothing is recorded."""
-    assert hall_oracle._rec(None, "p", 0) is False
-    points = 0
-    for gg, pi in scan_points(scan_groups(), (2, 3)):
-        points += 1
-        d, traced_d = hall_oracle._decide_dpi(gg, pi, pi), decide_dpi(gg, pi)
-        assert d.trace is None, (gg, pi)
-        assert (d.holds, d.condition, d.hall_cyclic, d.inter, d.facts) == (
-            traced_d.holds, traced_d.condition, traced_d.hall_cyclic, traced_d.inter,
-            traced_d.facts), (gg, pi)
-        e, traced_e = hall_oracle._epi_from_dpi(gg, pi, d), decide_epi(gg, pi)
-        assert e.trace is None, (gg, pi)
-        assert (e.holds, e.condition, e.hall_cyclic) == (
-            traced_e.holds, traced_e.condition, traced_e.hall_cyclic), (gg, pi)
-    assert points == 17082
-
-
 def test_dpi_condition_is_first_public_II_then_III():
     """Wherever the II/III premises hold, decide_dpi's condition is the
     public check_condition_II answer, else check_condition_III's, and its
@@ -361,16 +340,48 @@ def test_unscanned_subcase_verdicts_are_pinned():
     )
 
 
+def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
+    """A scan's D verdict, decided with no trace, and the E verdict derived
+    from it carry no trace and the public deciders' answers on every
+    grid_verdicts point and every witness above: a record whose value
+    drives the decision still decides it when nothing is recorded, and each
+    untraced early return gives the traced answer.  Between them the points
+    reach every subcase tag of a Lie-type group."""
+    assert hall_oracle._rec(None, "p", 0) is False
+    points = [(gg, pi, d, e) for gg, pi, e, _, d, _ in grid_verdicts]
+    points += [(g(spec), PrimeSet(pi), decide_dpi(g(spec), PrimeSet(pi)),
+                decide_epi(g(spec), PrimeSet(pi))) for spec, pi, _ in UNSCANNED_WITNESSES]
+    reached = set()
+    for gg, pi, traced_d, traced_e in points:
+        d = hall_oracle._decide_dpi(gg, pi, pi_intersection(pi, gg))
+        assert d.trace is None, (gg, pi)
+        assert (d.holds, d.condition, d.hall_cyclic, d.inter, d.facts) == (
+            traced_d.holds, traced_d.condition, traced_d.hall_cyclic, traced_d.inter,
+            traced_d.facts), (gg, pi)
+        e = hall_oracle._epi_from_dpi(gg, pi, d)
+        assert e.trace is None, (gg, pi)
+        assert (e.holds, e.condition, e.hall_cyclic) == (
+            traced_e.holds, traced_e.condition, traced_e.hall_cyclic), (gg, pi)
+        reached |= {d.condition, e.condition}
+    assert len(points) == 26428 + 9  # the 17,082 exclusivity points among them
+    assert reached - {None} == _written_tags() - {"epi_case_1"}
+
+
 _TAG = re.compile(r"I|II\([a-h]\)|III\([a-o]\)|IV\([a-c]\)|trivial_small_pi|epi_case_.+")
+
+
+def _written_tags() -> set[str]:
+    """Every condition tag written in hall_oracle's source."""
+    return {node.value for node in ast.walk(ast.parse(inspect.getsource(hall_oracle)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and _TAG.fullmatch(node.value)}
 
 
 def test_every_subcase_tag_is_pinned(grid_verdicts):
     """Every condition tag written in hall_oracle is carried by a verdict on
     the pinned scan points, on a witness above, or (O'N's epi_case_1) by the
     sporadic classification, so no subcase goes unpinned."""
-    written = {node.value for node in ast.walk(ast.parse(inspect.getsource(hall_oracle)))
-               if isinstance(node, ast.Constant) and isinstance(node.value, str)
-               and _TAG.fullmatch(node.value)}
+    written = _written_tags()
     reached = {v.condition for _, _, e, _, d, _ in grid_verdicts for v in (d, e)}
     reached |= {tag for _, _, tag in UNSCANNED_WITNESSES}
     reached.add(classify_epi_minus_dpi(ONAN, PrimeSet([3, 5]))[0])
