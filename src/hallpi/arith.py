@@ -7,7 +7,7 @@ arbitrary-precision integer arithmetic; there is no floating point anywhere.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable
 
 __all__ = [
@@ -89,12 +89,6 @@ class PrimeSet(tuple):
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
-    @classmethod
-    def _subset(cls, primes: Iterable[int]) -> "PrimeSet":
-        """Members picked in order from an already validated PrimeSet, so
-        they are distinct primes, increasing, and need no primality test."""
-        return tuple.__new__(cls, primes)
-
     def __repr__(self) -> str:
         return "PrimeSet({%s})" % ", ".join(map(str, self))
 
@@ -104,7 +98,12 @@ class PrimeSet(tuple):
         if p not in self:
             return self
         i = self.index(p)
-        return PrimeSet._subset(self[:i] + self[i + 1 :])
+        return _subset(self[:i] + self[i + 1 :])
+
+
+# The PrimeSet of members picked in order from an already validated one, so
+# distinct primes, increasing, and needing no primality test: one C call.
+_subset = partial(tuple.__new__, PrimeSet)
 
 
 def _distinct_prime_set(values: list[int]) -> PrimeSet:

@@ -20,7 +20,7 @@ import json
 import sys
 
 from .arith import PrimeSet, _distinct_prime_set, read_decimal
-from .hall_oracle import (_decide_dpi, _epi_from_dpi, decide_cpi, decide_dpi, decide_epi,
+from .hall_oracle import (_dpi_answer, _epi_answer, decide_cpi, decide_dpi, decide_epi,
                           decide_upi)
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
@@ -205,14 +205,11 @@ def _cmd_scan(args) -> int:
     groups = simple_groups(specs)
     rows = []
     for g, pi in scan_points(groups, (pi_size,)):
-        d = _decide_dpi(g, pi, pi)  # pi divides |g|: it is its own intersection
-        e = _epi_from_dpi(g, pi, d)
-        # C and U carry E's and D's answers, as decide_cpi and decide_upi do
-        condition = d.condition or e.condition or ""
-        rows.append(
-            [g.spec(), ",".join(map(str, pi)), e.holds, e.holds,
-             d.holds, d.holds, condition]
-        )
+        d = _dpi_answer(g, pi, pi)  # pi divides |g|: it is its own intersection
+        # C and U carry E's and D's answers, as decide_cpi and decide_upi do;
+        # E's condition is D's wherever D holds, and the classification's where it fails
+        e, condition, _ = _epi_answer(g, pi, pi, d)
+        rows.append([g.spec(), ",".join(map(str, pi)), e, e, d[0], d[0], condition or ""])
     if groups and not rows:
         counts = {g.spec(): len(pi_intersection(_SCAN_PRIMES, g)) for g in groups}
         best = max(counts, key=counts.get)

@@ -4,13 +4,12 @@ Evaluates the four condition families (I-IV) that characterise the D
 property for a simple group of Lie type with 2 outside pi, the trivial
 small-intersection case, the classification of groups having Hall
 subgroups without the full conjugacy-and-dominance property, and the
-composition-factor reductions.  A decision records a predicate trace
-only into a list its caller hands it: every public ``decide_*``,
-``check_condition_*``, ``classify_epi_minus_dpi`` and
-``reduce_composition`` hands a fresh one and returns it, while a scan that
-reads only a verdict's answer hands none, so its verdicts carry no trace.
-E records exactly where D did; an E verdict that takes D's answer starts
-from a copy of D's trace.
+composition-factor reductions.  A decision is a body that returns a bare
+answer tuple and records a predicate trace only into a list its caller
+hands it.  Only the public ``decide_*`` and ``reduce_composition`` build a
+``Verdict``, from a fresh list and the bodies' answer.  A scan that reads
+only the answer (``hallpi scan``, the exclusivity scan, the cross suite)
+calls ``_dpi_answer`` and ``_epi_answer`` with no list: no Verdict.
 
 Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 2B(d)-(i) are tables, one row per subcase in the paper's listing order
@@ -19,7 +18,7 @@ predicate a row tests, in row order, up to the row that decides.
 
 A decision with no trace stops at the first predicate that decides it,
 one the traced decision also tests and, with that value, ends on, so both
-give the same answer (``_decide_dpi`` lists where).  ord(q mod s) is read
+give the same answer (``_dpi_answer`` lists where).  ord(q mod s) is read
 from one table per q, filled as the bodies ask.
 """
 
@@ -79,6 +78,8 @@ _order_table = lru_cache(maxsize=None)(_Orders)  # the one table per q
 
 # r = min(pi inter pi(S)), tau = the rest, ord(q mod r), q's ord(q mod s) table
 OrderFacts = tuple[int, tuple[int, ...], int, _Orders]
+# D's bare answer: holds, condition, hall_cyclic, the order facts where it reached II/III
+DAnswer = tuple[str, str | None, bool | None, OrderFacts | None]
 
 
 def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
@@ -90,21 +91,18 @@ def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
 
 @dataclass(slots=True)
 class Verdict:
-    """Answer of a property decision, with its full predicate trace, or
-    None where the caller asked for none, as a scan reading only the answer
-    does.  ``inter`` is the pi inter pi(S) the decision computed and
-    ``facts`` the order facts of Conditions II/III where it reached them, so
-    a decision derived from this one need not compute either again."""
+    """Answer of a property decision with its full predicate trace.  Only
+    the public deciders and ``reduce_composition`` build one; a scan that
+    reads only the answer gets the bare tuple of ``_dpi_answer`` or
+    ``_epi_answer`` instead."""
 
     property: str  # one of E, C, D, U
     holds: str  # yes | no | out_of_scope
     condition: str | None = None
-    trace: Trace | None = field(default_factory=list)
+    trace: Trace = field(default_factory=list)
     hall_cyclic: bool | None = None
     group: GroupId | None = None  # spelled as its spec only by to_json
     pi: tuple[int, ...] = ()
-    inter: PrimeSet | None = field(default=None, repr=False, compare=False)
-    facts: OrderFacts | None = field(default=None, repr=False, compare=False)
 
     @property
     def yes(self) -> bool:
@@ -442,11 +440,13 @@ def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
 
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Decide the full Sylow-analogue property for a simple Lie-type group."""
-    return _decide_dpi(g, pi, pi_intersection(pi, g), [])
+    trace: Trace = []
+    holds, condition, hall_cyclic, _ = _dpi_answer(g, pi, pi_intersection(pi, g), trace)
+    return Verdict("D", holds, condition, trace, hall_cyclic, g, pi)
 
 
-def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet,
-                trace: Trace | None = None) -> Verdict:
+def _dpi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet,
+                trace: Trace | None = None) -> DAnswer:
     """decide_dpi's body on ``inter`` = pi inter pi(g), for a caller that
     already holds it, such as a scan whose pi divides |g|.
 
@@ -454,8 +454,8 @@ def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet,
     premises hold, so the condition bodies take ``inter``, Conditions II
     and III the order facts computed once from it, and their answers are
     the public ``check_condition_*`` answers.  Each body records straight
-    into ``trace``, the verdict's, or nothing where it is None.  The
-    verdict keeps the order facts for the E decision.
+    into ``trace``, or nothing where it is None.  The answer keeps the
+    order facts for the E decision.
 
     With no trace each body returns at the first predicate that decides
     it, skipping the records and tests after it: Condition I at its first
@@ -464,34 +464,28 @@ def _decide_dpi(g: GroupId, pi: PrimeSet, inter: PrimeSet,
     and E's classification, with p in pi, at its first failing test and,
     with p outside pi, at once for a family with no E-minus-D row.  The
     traced body tests the same predicate and ends on the same answer after
-    recording the rest, so holds, condition and facts do not depend on the
-    trace.
+    recording the rest, so the answer does not depend on the trace.
     """
-    v = Verdict("D", "no", group=g, pi=pi, inter=inter, trace=trace)
     if len(inter) <= 1:
-        v.holds = "yes"
-        v.condition = "trivial_small_pi"
         _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
-        return v
+        return "yes", "trivial_small_pi", None, None
     if 2 in pi:
-        v.holds = "out_of_scope"
         _rec(trace, "2 in pi: criterion not covered", True)
-        return v
+        return "out_of_scope", None, None, None
+    facts = None
     if g.family in SUZUKI_REE_FAMILIES:
         _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
         sub = _condition_IV(trace, g, inter)
     elif g.p in pi:
         sub = "I" if _condition_I(trace, g, inter) else None
     else:
-        facts = v.facts = _order_facts(g, inter)
+        facts = _order_facts(g, inter)
         sub = _condition_II(trace, g, *facts)
         if sub in ("II(g)", "II(h)"):
-            v.hall_cyclic = True
-        elif sub is None:
+            return "yes", sub, True, facts
+        if sub is None:
             sub = _condition_III(trace, g, *facts)
-    if sub is not None:
-        v.holds, v.condition = "yes", sub
-    return v
+    return ("no", None, None, facts) if sub is None else ("yes", sub, None, facts)
 
 
 def decide_upi(g: GroupId, pi: PrimeSet) -> Verdict:
@@ -511,7 +505,9 @@ def classify_epi_minus_dpi(
         raise ValueError("classification requires 2 outside pi")
     trace: Trace = []
     if not isinstance(g_or_sporadic, str):
-        return _classify_lie(trace, g_or_sporadic, pi, decide_dpi(g_or_sporadic, pi)), trace
+        g, inter = g_or_sporadic, pi_intersection(pi, g_or_sporadic)
+        holds, _, _, facts = _dpi_answer(g, pi, inter)
+        return _classify_lie(trace, g, pi, inter, holds == "yes", facts), trace
     if g_or_sporadic not in (ONAN, "ON", "O'N"):
         raise ValueError(f"unsupported sporadic marker {g_or_sporadic!r}")
     inter = sorted(t for t in pi if t in _ONAN_PRIMES)
@@ -535,20 +531,20 @@ _EXCEPTIONAL_CASES = {
 _E_MINUS_D_FAMILIES = ("A", "2A", *_EXCEPTIONAL_CASES)
 
 
-def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, d: Verdict) -> str | None:
+def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, inter: PrimeSet,
+                  d_yes: bool, facts: OrderFacts | None) -> str | None:
     """The classification for a Lie-type g with 2 outside pi, recorded in
-    ``trace``, given ``d``, the D verdict on (g, pi): its pi inter pi(g),
-    and its order facts where the linear and unitary cases need them, as D
+    ``trace``, given ``inter`` = pi inter pi(g), whether D holds on (g, pi)
+    and D's order facts, which the linear and unitary cases read, as D
     reached Conditions II/III on every such point where it fails.
     Untraced, it returns None before any record where one of its first
     two records, or the family with p outside pi, already leaves no row."""
-    inter = d.inter
-    if trace is None and (d.yes or len(inter) < 2
+    if trace is None and (d_yes or len(inter) < 2
                           or g.p not in pi and g.family not in _E_MINUS_D_FAMILIES):
         return None
     if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
         return None
-    if d.yes:
+    if d_yes:
         _rec(trace, "D holds, so not in E minus D", True)
         return None
     q, n = g.q, g.n
@@ -566,7 +562,7 @@ def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, d: Verdict) -> 
 
     fam = g.family
     if fam in ("A", "2A"):
-        r, tau, a, orders = d.facts
+        r, tau, a, orders = facts
         if trace is not None:
             _rec(trace, "ord(q mod r)", True, r=r, order=a)
         if fam == "A":
@@ -612,29 +608,24 @@ def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, d: Verdict) -> 
 def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Hall-subgroup existence; with 2 outside pi this coincides with the
     conjugacy property."""
-    return _epi_from_dpi(g, pi, decide_dpi(g, pi))
+    inter, d_trace = pi_intersection(pi, g), []
+    d = _dpi_answer(g, pi, inter, d_trace)
+    trace = d_trace if d[0] != "no" else []  # E takes D's trace with D's answer
+    holds, condition, hall_cyclic = _epi_answer(g, pi, inter, d, trace)
+    return Verdict("E", holds, condition, trace, hall_cyclic, g, pi)
 
 
-def _epi_from_dpi(g: GroupId, pi: PrimeSet, d: Verdict) -> Verdict:
-    """E on (g, pi) from ``d``, the D verdict on the same point: D implies
-    E, and where D fails E holds exactly on the E-minus-D classification.
-    Where D is not "no" (a yes, the Sylow case |pi inter pi(S)| <= 1, or
-    out of scope with 2 in pi) E is D's answer.  ``d`` is read, never
-    changed, and its pi inter pi(g) and order facts reused.  Where E is
-    D's answer its trace is a copy of D's, so a record added to E's never
-    reaches D's; where D fails the classification records into E's.  E
-    carries no trace where D carries none."""
-    v = Verdict("E", "no", group=g, pi=pi, inter=d.inter,
-                trace=None if d.trace is None else [])
-    if d.holds != "no":
-        v.holds, v.condition, v.hall_cyclic = d.holds, d.condition, d.hall_cyclic
-        if d.trace is not None:
-            v.trace = d.trace.copy()
-        return v
-    tag = _classify_lie(v.trace, g, pi, d)
-    if tag is not None:
-        v.holds, v.condition = "yes", tag
-    return v
+def _epi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet, d: DAnswer,
+                trace: Trace | None = None) -> tuple[str, str | None, bool | None]:
+    """E's answer (holds, condition, hall_cyclic) from ``d``, D's answer on
+    (g, pi) with ``inter`` = pi inter pi(g).  Where D is not "no" (a yes,
+    the Sylow case or 2 in pi) E is D's answer; where D fails E holds
+    exactly on the E-minus-D classification, recorded in ``trace``."""
+    holds, condition, hall_cyclic, facts = d
+    if holds != "no":
+        return holds, condition, hall_cyclic
+    tag = _classify_lie(trace, g, pi, inter, False, facts)
+    return ("no", None, None) if tag is None else ("yes", tag, None)
 
 
 def decide_cpi(g: GroupId, pi: PrimeSet) -> Verdict:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd, log, prod
 
-from .arith import _SMALL_PRIMES, PrimeSet, is_prime
+from .arith import _SMALL_PRIMES, PrimeSet, _subset, is_prime
 
 __all__ = [
     "GroupId",
@@ -119,8 +119,15 @@ def _prime_power(v: int) -> tuple[int, int]:
     raise GroupSpecError(f"q={v} is not a prime power")
 
 
+# the one GroupId of each simple group parsed, keyed by (family, n, p, f), so
+# every lru_cache keyed by a parsed GroupId finds it by identity, never
+# through the generated __eq__
+_PARSED: dict[tuple, GroupId] = {}
+
+
 def parse_group_id(text: str) -> GroupId:
-    """Parse ``<family>:<n>:q=<p>[^<f>]`` (``<n>`` omitted for exceptionals)."""
+    """Parse ``<family>:<n>:q=<p>[^<f>]`` (``<n>`` omitted for exceptionals).
+    Specs naming the same group parse to the same object."""
     m = _SPEC_RE.match(text.strip())
     if m is None:
         raise GroupSpecError(f"malformed group spec: {text!r}")
@@ -139,10 +146,13 @@ def parse_group_id(text: str) -> GroupId:
         raise GroupSpecError(f"family {fam} requires a dimension/rank parameter")
     if fam in EXCEPTIONAL_FAMILIES and n is not None:
         raise GroupSpecError(f"family {fam} takes no dimension/rank parameter")
-    g = GroupId(fam, n, p, f)
-    ok, reason = validate_simple(g)
-    if not ok:
-        raise GroupSpecError(f"{text!r} does not name a simple group: {reason}")
+    g = _PARSED.get((fam, n, p, f))
+    if g is None:
+        g = GroupId(fam, n, p, f)
+        ok, reason = validate_simple(g)
+        if not ok:
+            raise GroupSpecError(f"{text!r} does not name a simple group: {reason}")
+        _PARSED[fam, n, p, f] = g
     return g
 
 
@@ -258,4 +268,4 @@ def pi_intersection(pi: PrimeSet, g: GroupId) -> PrimeSet:
         pi = PrimeSet(pi)
     order = group_order(g)
     kept = tuple(t for t in pi if order % t == 0)
-    return pi if len(kept) == len(pi) else PrimeSet._subset(kept)
+    return pi if len(kept) == len(pi) else _subset(kept)

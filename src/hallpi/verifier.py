@@ -14,8 +14,8 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .arith import PrimeSet, _distinct_prime_set
-from .hall_oracle import _decide_dpi, _epi_from_dpi, check_condition_III
+from .arith import PrimeSet, _distinct_prime_set, _subset
+from .hall_oracle import _dpi_answer, _epi_answer, check_condition_III
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -206,20 +206,22 @@ def cross_check_simple(
     grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
 ) -> CrossCheckReport:
     """decide_dpi vs brute D and decide_epi vs brute E and C, per case.
-    Each case decides D once, untraced, and derives E from that verdict, as
-    decide_epi does; only their answers are read."""
+    Each case takes D's answer once, untraced, and E's from it, as
+    decide_epi does; no verdict is built."""
 
     def check(g, pi, G) -> dict:
-        oracle_d = _decide_dpi(g, pi, pi_intersection(pi, g))
-        oracle_e = _epi_from_dpi(g, pi, oracle_d)
+        inter = pi_intersection(pi, g)
+        d = _dpi_answer(g, pi, inter)
+        oracle_d, oracle_e = d[0], _epi_answer(g, pi, inter, d)[0]
         brute_d, _ = brute_property(G, pi, "D")
         brute_e, _ = brute_property(G, pi, "E")
         brute_c, _ = brute_property(G, pi, "C")
         return {
-            "oracle": {"dpi": oracle_d.holds, "epi": oracle_e.holds},
+            "oracle": {"dpi": oracle_d, "epi": oracle_e},
             "brute": {"dpi": brute_d, "epi": brute_e, "cpi": brute_c},
-            "agree": oracle_d.yes == brute_d and oracle_e.yes == brute_e == brute_c,
-            "detail": f"oracle d={oracle_d.holds}/e={oracle_e.holds} "
+            "agree": (oracle_d == "yes") == brute_d
+            and (oracle_e == "yes") == brute_e == brute_c,
+            "detail": f"oracle d={oracle_d}/e={oracle_e} "
             f"brute d={brute_d}/e={brute_e}/c={brute_c}",
         }
 
@@ -279,21 +281,21 @@ def scan_points(groups, subset_sizes):
     combination of that many odd scan primes dividing |G|.  Every prime of
     a point's pi divides |G|, so pi is already pi inter pi(G) and a caller
     can hand it to the D decision as its own intersection; an E decision
-    drawn from that D verdict then reads D's order facts as well."""
+    drawn from that D answer then reads D's order facts as well."""
     for g in groups:
         primes = pi_intersection(_SCAN_PRIMES, g)
         for k in subset_sizes:
-            for sub in itertools.combinations(primes, k):
-                yield g, PrimeSet._subset(sub)
+            yield from zip(itertools.repeat(g),
+                           map(_subset, itertools.combinations(primes, k)))
 
 
 def exclusivity_scan(groups=None) -> CrossCheckReport:
     """No input may satisfy a II-subcase and a III-subcase simultaneously,
     and every yes verdict must carry exactly one condition tag.
 
-    Each point takes one D verdict, with the point's pi handed over as pi
-    inter pi(G), which it already is, and Condition III is checked only
-    where that verdict carries a II subcase.  The check stays complete: a
+    Each point takes one untraced D answer, with the point's pi handed over
+    as pi inter pi(G), which it already is, and Condition III is checked
+    only where that answer carries a II subcase.  The check stays complete: a
     point can satisfy both only where the II/III premises hold, decide_dpi
     reaches Condition II on exactly those points, and its II answer is
     check_condition_II's.
@@ -305,16 +307,16 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     violations = []
     for g, pi in scan_points(groups, _EXCLUSIVITY_SIZES):
         checked += 1
-        verdict = _decide_dpi(g, pi, pi)
-        if verdict.condition is None:
-            if not verdict.yes:
+        holds, condition, _, _ = _dpi_answer(g, pi, pi)
+        if condition is None:
+            if holds != "yes":
                 continue
             detail = "yes verdict without a condition tag"
-        elif verdict.condition.startswith("II("):
+        elif condition.startswith("II("):
             sub3, _ = check_condition_III(g, pi)
             if sub3 is None:
                 continue
-            detail = f"{verdict.condition} and {sub3} both satisfied"
+            detail = f"{condition} and {sub3} both satisfied"
         else:
             continue
         violations.append(

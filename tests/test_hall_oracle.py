@@ -179,10 +179,15 @@ def test_dpi_verdicts_on_exclusivity_points_are_pinned():
 
 def test_dpi_with_intersection_handed_over_keeps_the_pin():
     """The exclusivity scan and ``hallpi scan`` hand each point's pi to the
-    D body as its own pi inter pi(G); their verdicts, traced, are
-    decide_dpi's."""
-    assert _exclusivity_d_digest(
-        lambda gg, pi: hall_oracle._decide_dpi(gg, pi, pi, [])) == _EXCLUSIVITY_D_DIGEST
+    D body as its own pi inter pi(G); its answer and trace there, wrapped
+    in a Verdict as decide_dpi wraps them, are decide_dpi's."""
+
+    def handed_over(gg, pi):
+        trace = []
+        holds, condition, hall_cyclic, _ = hall_oracle._dpi_answer(gg, pi, pi, trace)
+        return hall_oracle.Verdict("D", holds, condition, trace, hall_cyclic, gg, pi)
+
+    assert _exclusivity_d_digest(handed_over) == _EXCLUSIVITY_D_DIGEST
 
 
 def test_dpi_condition_is_first_public_II_then_III():
@@ -225,15 +230,22 @@ D_OUTCOME_POINTS = [
 @pytest.mark.parametrize("spec, pi, holds", D_OUTCOME_POINTS,
                          ids=[f"{spec}-{','.join(map(str, pi))}" for spec, pi, _ in D_OUTCOME_POINTS])
 def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
-    """E is derived from a D verdict, and C adds a record to E's trace; the
-    D verdict, trace included, must be what it was before either."""
+    """E's answer is derived from D's, and C adds a record to E's trace; the
+    D verdict, trace included, must be what it was before either, and the
+    answers derived from D's bare answer must be decide_epi's.  Where E
+    takes D's answer it takes D's trace as well."""
     gg, pi = g(spec), PrimeSet(pi)
     d = decide_dpi(gg, pi)
     assert d.holds == holds
     before = json.dumps(d.to_json(), sort_keys=True)
-    e = hall_oracle._epi_from_dpi(gg, pi, d)
-    assert json.dumps(d.to_json(), sort_keys=True) == before
-    assert e.to_json() == decide_epi(gg, pi).to_json()
+    inter = pi_intersection(pi, gg)
+    d_answer = hall_oracle._dpi_answer(gg, pi, inter)
+    assert d_answer[:3] == (d.holds, d.condition, d.hall_cyclic)
+    e = decide_epi(gg, pi)
+    assert hall_oracle._epi_answer(gg, pi, inter, d_answer) == (
+        e.holds, e.condition, e.hall_cyclic)
+    if holds != "no":
+        assert e.trace == d.trace
     e.trace.append({"pred": "C equals E for odd pi", "args": {}, "value": True})
     assert json.dumps(d.to_json(), sort_keys=True) == before
 
@@ -341,28 +353,28 @@ def test_unscanned_subcase_verdicts_are_pinned():
 
 
 def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
-    """A scan's D verdict, decided with no trace, and the E verdict derived
-    from it carry no trace and the public deciders' answers on every
-    grid_verdicts point and every witness above: a record whose value
+    """A scan's D answer, decided with no trace, and the E answer derived
+    from it are the traced bodies' answers and the public deciders' on
+    every grid_verdicts point and every witness above: a record whose value
     drives the decision still decides it when nothing is recorded, and each
-    untraced early return gives the traced answer.  Between them the points
-    reach every subcase tag of a Lie-type group."""
+    untraced early return gives the traced answer.  D's order facts are the
+    traced ones, read off pi inter pi(G).  Between them the points reach
+    every subcase tag of a Lie-type group."""
     assert hall_oracle._rec(None, "p", 0) is False
     points = [(gg, pi, d, e) for gg, pi, e, _, d, _ in grid_verdicts]
     points += [(g(spec), PrimeSet(pi), decide_dpi(g(spec), PrimeSet(pi)),
                 decide_epi(g(spec), PrimeSet(pi))) for spec, pi, _ in UNSCANNED_WITNESSES]
     reached = set()
     for gg, pi, traced_d, traced_e in points:
-        d = hall_oracle._decide_dpi(gg, pi, pi_intersection(pi, gg))
-        assert d.trace is None, (gg, pi)
-        assert (d.holds, d.condition, d.hall_cyclic, d.inter, d.facts) == (
-            traced_d.holds, traced_d.condition, traced_d.hall_cyclic, traced_d.inter,
-            traced_d.facts), (gg, pi)
-        e = hall_oracle._epi_from_dpi(gg, pi, d)
-        assert e.trace is None, (gg, pi)
-        assert (e.holds, e.condition, e.hall_cyclic) == (
-            traced_e.holds, traced_e.condition, traced_e.hall_cyclic), (gg, pi)
-        reached |= {d.condition, e.condition}
+        inter = pi_intersection(pi, gg)
+        d = hall_oracle._dpi_answer(gg, pi, inter)
+        assert d == hall_oracle._dpi_answer(gg, pi, inter, []), (gg, pi)
+        assert d[:3] == (traced_d.holds, traced_d.condition, traced_d.hall_cyclic), (gg, pi)
+        facts = d[3]
+        assert facts is None or (facts[0], *facts[1]) == inter, (gg, pi)
+        e = hall_oracle._epi_answer(gg, pi, inter, d)
+        assert e == (traced_e.holds, traced_e.condition, traced_e.hall_cyclic), (gg, pi)
+        reached |= {d[1], e[1]}
     assert len(points) == 26428 + 9  # the 17,082 exclusivity points among them
     assert reached - {None} == _written_tags() - {"epi_case_1"}
 

@@ -23,6 +23,7 @@ from hallpi.lie_catalog import (
     weyl_order,
 )
 from hallpi.perm_engine import construct_named
+from hallpi.verifier import exclusivity_scan
 
 
 def test_parse_and_roundtrip():
@@ -48,6 +49,29 @@ def test_group_ids_hash_by_value_and_share_one_cache_entry():
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     copy = pickle.loads(pickle.dumps(parsed))
     assert "_hash" not in vars(copy) and copy == parsed and hash(copy) == hash(parsed)
+
+
+def test_parsed_group_ids_are_interned(monkeypatch):
+    """Specs naming one group parse to one object, so a second in-process
+    exclusivity scan finds every GroupId-keyed cache entry by identity and
+    never calls GroupId.__eq__; GroupIds built directly still compare and
+    hash by value."""
+    assert parse_group_id("A:2:q=8") is parse_group_id(" A:2:q=2^3")
+    exclusivity_scan()
+    calls = []
+    eq = GroupId.__eq__
+
+    def counted_eq(self, other):
+        calls.append(other)
+        return eq(self, other)
+
+    monkeypatch.setattr(GroupId, "__eq__", counted_eq)
+    exclusivity_scan()
+    assert calls == []
+    parsed, built = parse_group_id("A:2:q=8"), GroupId("A", 2, 2, 3)
+    assert built is not parsed and built == parsed and hash(built) == hash(parsed)
+    assert built != GroupId("A", 2, 2, 5) and GroupId("A", 2, 2, 3) == built
+    assert len(calls) == 3
 
 
 def test_large_prime_q_parses_without_trial_division():

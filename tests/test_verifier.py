@@ -8,9 +8,10 @@ import weakref
 
 import pytest
 
-from hallpi import perm_engine, verifier
+from hallpi import hall_oracle, perm_engine, verifier
 from hallpi.arith import PrimeSet
-from hallpi.hall_oracle import Verdict
+from hallpi.cli import main
+from hallpi.hall_oracle import Verdict, decide_dpi, decide_epi
 from hallpi.lie_catalog import GroupId, group_order, parse_group_id
 from hallpi.verifier import (
     cross_check_simple,
@@ -119,7 +120,7 @@ def test_suites_agree_on_psl2_above_the_default_grid():
 def test_exclusivity_scan_is_clean():
     report = exclusivity_scan()
     assert report.ok
-    assert "0 violations" in report.cases[-1]["detail"]
+    assert report.cases[-1]["detail"] == "17082 grid points scanned, 0 violations"
 
 
 def test_exclusivity_reports_both_satisfied(monkeypatch):
@@ -139,12 +140,37 @@ def test_exclusivity_reports_both_satisfied(monkeypatch):
 
 
 def test_exclusivity_reports_yes_without_condition(monkeypatch):
-    monkeypatch.setattr(verifier, "_decide_dpi", lambda g, pi, inter: Verdict("D", "yes"))
+    monkeypatch.setattr(verifier, "_dpi_answer", lambda g, pi, inter: ("yes", None, None, None))
     report = exclusivity_scan([parse_group_id("A:3:q=5")])
     assert [c["detail"] for c in report.cases[:-1]] == [
         "yes verdict without a condition tag"
     ] * 4
     assert not report.ok
+
+
+def test_untraced_paths_build_no_verdict(monkeypatch, capsys):
+    """hallpi scan, the exclusivity scan and the cross suite read the
+    oracle's bare answers and build no Verdict; the public deciders, which
+    look the class up where they build one, still return Verdicts."""
+    built = []
+
+    class CountedVerdict(Verdict):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.property)
+
+    monkeypatch.setattr(hall_oracle, "Verdict", CountedVerdict)
+    assert main(["scan", "--family", "A", "--n", "2..4", "--q", "2..16", "--pi-size", "2"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) > 1
+    assert exclusivity_scan().ok
+    assert cross_check_simple(default_grid()).ok
+    assert built == []
+    g, pi = parse_group_id("A:2:q=7"), PrimeSet([3, 7])
+    assert type(decide_dpi(g, pi)) is CountedVerdict
+    assert type(decide_epi(g, pi)) is CountedVerdict
+    assert built == ["D", "E"]
 
 
 def test_scan_groups_bounds():
