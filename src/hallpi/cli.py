@@ -197,12 +197,8 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"--pi-size must be at most {len(_SCAN_PRIMES)}, the number of "
                          f"odd scan primes, got {pi_size}")
     qs = _parse_range("--q", args.q)
-    if args.n is None:
-        specs = [f"{fam}:q={q}" for q in qs]
-    else:
-        ns = _parse_range("--n", args.n)
-        specs = [f"{fam}:{n}:q={q}" for q in qs for n in ns]
-    groups = simple_groups(specs)
+    ns = (None,) if args.n is None else _parse_range("--n", args.n)
+    groups = simple_groups((fam, n, q) for q in qs for n in ns)
     rows = []
     for g, pi in scan_points(groups, (pi_size,)):
         d = _dpi_answer(g, pi, pi)  # pi divides |g|: it is its own intersection

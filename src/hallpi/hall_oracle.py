@@ -18,8 +18,10 @@ predicate a row tests, in row order, up to the row that decides.
 
 A decision with no trace stops at the first predicate that decides it,
 one the traced decision also tests and, with that value, ends on, so both
-give the same answer (``_dpi_answer`` lists where).  ord(q mod s) is read
-from one table per q, filled as the bodies ask.
+give the same answer (``_dpi_answer`` lists where).  With p outside pi,
+one test of every ord(q mod s) against ord(q mod r) picks the one of
+Conditions II and III that can still hold.  ord(q mod s) is read from one
+table per q, filled as the bodies ask.
 """
 
 from __future__ import annotations
@@ -194,6 +196,10 @@ def _floors(trace: Trace | None, n: int, r: int, equal_tag: str,
     return None
 
 
+# the families with a Condition II subcase: (a)/(b), (c)-(f) and (g)/(h)
+_II_FAMILIES = ("A", "2A", "2D")
+
+
 def _unitary_order(r: int) -> int:
     """The ord(q mod r) that the unitary subcases II(c)-(f) and E-minus-D
     2B(b)/(c) require: r - 1 for r = 1 (mod 4), (r - 1)/2 for r = 3."""
@@ -221,18 +227,17 @@ def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
 def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], a: int,
                   orders: _Orders) -> str | None:
     """Condition II's body on the facts ``_order_facts`` lists, with
-    a = ord(q mod r), recorded in ``trace``.  Untraced, a family with no
-    subcase here returns None at once, as its last record would."""
+    a = ord(q mod r), recorded in ``trace``.  Untraced, it is entered only
+    for a family in ``_II_FAMILIES`` where some ord(q mod s) differs from a,
+    so it starts at the family's subcases."""
     q, n, fam = g.q, g.n, g.family
-    if trace is None:
-        if fam not in ("A", "2A", "2D"):
-            return None
-    else:
+    if trace is not None:
         _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
         for s in tau:
             _rec(trace, "ord(q mod s)", True, s=s, order=orders[s])
-    if not _rec(trace, "exists t in tau with ord(q,t) != a", any(orders[s] != a for s in tau)):
-        return None
+        if not _rec(trace, "exists t in tau with ord(q,t) != a",
+                    any(orders[s] != a for s in tau)):
+            return None
 
     if fam == "A":
         b = r
@@ -341,12 +346,10 @@ def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...]
                    orders: _Orders) -> str | None:
     """Condition III's body on the facts ``_order_facts`` lists, with
     c = ord(q mod r), recorded in ``trace``: the first of the family's rows
-    that holds."""
+    that holds.  Untraced, it is entered only where every ord(q mod t) is c,
+    so it starts at the rows."""
     n = g.n
-    if trace is None:
-        if any(orders[t] != c for t in tau):
-            return None
-    else:
+    if trace is not None:
         _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
         for t in tau:
             if not _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c):
@@ -459,12 +462,14 @@ def _dpi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet,
 
     With no trace each body returns at the first predicate that decides
     it, skipping the records and tests after it: Condition I at its first
-    failing prime, Condition II at once for a family with no II subcase and
-    where no order differs from ord(q mod r), Condition III where one does,
-    and E's classification, with p in pi, at its first failing test and,
-    with p outside pi, at once for a family with no E-minus-D row.  The
-    traced body tests the same predicate and ends on the same answer after
-    recording the rest, so the answer does not depend on the trace.
+    failing prime, and E's classification, with p in pi, at its first
+    failing test.  With p outside pi the untraced decision tests once
+    whether every s in tau has ord(q mod s) = ord(q mod r), the first test
+    of Conditions II and III: if so it enters only III, else only II, and
+    that only for a family in ``_II_FAMILIES``.  The traced body tests the
+    same predicate and ends on the same answer after recording the rest,
+    so the answer does not depend on the trace; it runs II, then III where
+    II fails.
     """
     if len(inter) <= 1:
         _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
@@ -479,12 +484,19 @@ def _dpi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet,
     elif g.p in pi:
         sub = "I" if _condition_I(trace, g, inter) else None
     else:
-        facts = _order_facts(g, inter)
-        sub = _condition_II(trace, g, *facts)
+        facts = _, tau, a, orders = _order_facts(g, inter)
+        if trace is not None:
+            sub = _condition_II(trace, g, *facts)
+            if sub is None:
+                sub = _condition_III(trace, g, *facts)
+        elif all(orders[s] == a for s in tau):
+            sub = _condition_III(None, g, *facts)
+        elif g.family in _II_FAMILIES:
+            sub = _condition_II(None, g, *facts)
+        else:
+            sub = None
         if sub in ("II(g)", "II(h)"):
             return "yes", sub, True, facts
-        if sub is None:
-            sub = _condition_III(trace, g, *facts)
     return ("no", None, None, facts) if sub is None else ("yes", sub, None, facts)
 
 
@@ -536,12 +548,7 @@ def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, inter: PrimeSet
     """The classification for a Lie-type g with 2 outside pi, recorded in
     ``trace``, given ``inter`` = pi inter pi(g), whether D holds on (g, pi)
     and D's order facts, which the linear and unitary cases read, as D
-    reached Conditions II/III on every such point where it fails.
-    Untraced, it returns None before any record where one of its first
-    two records, or the family with p outside pi, already leaves no row."""
-    if trace is None and (d_yes or len(inter) < 2
-                          or g.p not in pi and g.family not in _E_MINUS_D_FAMILIES):
-        return None
+    reached Conditions II/III on every such point where it fails."""
     if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
         return None
     if d_yes:
@@ -620,10 +627,14 @@ def _epi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet, d: DAnswer,
     """E's answer (holds, condition, hall_cyclic) from ``d``, D's answer on
     (g, pi) with ``inter`` = pi inter pi(g).  Where D is not "no" (a yes,
     the Sylow case or 2 in pi) E is D's answer; where D fails E holds
-    exactly on the E-minus-D classification, recorded in ``trace``."""
+    exactly on the E-minus-D classification, recorded in ``trace``.
+    Untraced, a family with no E-minus-D row for p outside pi fails at once,
+    as the classification would at its end."""
     holds, condition, hall_cyclic, facts = d
     if holds != "no":
         return holds, condition, hall_cyclic
+    if trace is None and g.p not in pi and g.family not in _E_MINUS_D_FAMILIES:
+        return "no", None, None
     tag = _classify_lie(trace, g, pi, inter, False, facts)
     return ("no", None, None) if tag is None else ("yes", tag, None)
 

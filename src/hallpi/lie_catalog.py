@@ -119,10 +119,26 @@ def _prime_power(v: int) -> tuple[int, int]:
     raise GroupSpecError(f"q={v} is not a prime power")
 
 
-# the one GroupId of each simple group parsed, keyed by (family, n, p, f), so
-# every lru_cache keyed by a parsed GroupId finds it by identity, never
-# through the generated __eq__
+# the one GroupId of each simple group parsed or scanned, keyed by
+# (family, n, p, f), so every lru_cache keyed by one finds it by identity,
+# never through the generated __eq__
 _PARSED: dict[tuple, GroupId] = {}
+
+
+def _simple_group(fam: str, n: int | None, p: int, f: int) -> tuple[GroupId | None, str]:
+    """(the one GroupId of (fam, n, q = p^f), "simple") where it names a
+    simple group, else (None, the reason ``validate_simple`` gives).  Both
+    ``parse_group_id`` and the scans' ``simple_groups`` take their groups
+    from here."""
+    g = _PARSED.get((fam, n, p, f))
+    if g is not None:
+        return g, "simple"
+    g = GroupId(fam, n, p, f)
+    ok, reason = validate_simple(g)
+    if not ok:
+        return None, reason
+    _PARSED[fam, n, p, f] = g
+    return g, reason
 
 
 def parse_group_id(text: str) -> GroupId:
@@ -146,13 +162,9 @@ def parse_group_id(text: str) -> GroupId:
         raise GroupSpecError(f"family {fam} requires a dimension/rank parameter")
     if fam in EXCEPTIONAL_FAMILIES and n is not None:
         raise GroupSpecError(f"family {fam} takes no dimension/rank parameter")
-    g = _PARSED.get((fam, n, p, f))
+    g, reason = _simple_group(fam, n, p, f)
     if g is None:
-        g = GroupId(fam, n, p, f)
-        ok, reason = validate_simple(g)
-        if not ok:
-            raise GroupSpecError(f"{text!r} does not name a simple group: {reason}")
-        _PARSED[fam, n, p, f] = g
+        raise GroupSpecError(f"{text!r} does not name a simple group: {reason}")
     return g
 
 
@@ -166,6 +178,8 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
     if g.family in CLASSICAL_FAMILIES:
         if g.n is None or g.n < _MIN_PARAM[g.family]:
             return False, "rank below family minimum"
+    elif g.n is not None:
+        return False, f"family {g.family} takes no dimension/rank parameter"
     if g.family == "A" and g.n == 2 and q in (2, 3):
         return False, f"PSL_2({q}) is solvable"
     if g.family == "2A" and g.n == 3 and q == 2:

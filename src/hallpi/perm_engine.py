@@ -609,7 +609,10 @@ class _Index:
         Algorithms*, 4.1).  N_G(K) is generated by ``gens`` and those not
         yet generated, joined in the order found, and has |G| / |class|
         elements (orbit-stabiliser); the joins stop when it has them, at
-        once when K is self-normalising."""
+        once when K is self-normalising.  Where K is its only conjugate it
+        is normal, and N_G(K) is G with G's generators, with no join; the
+        N-orbits that ``_extend`` walks are the same sets whichever
+        generators of N it conjugates by."""
         tables = [(self.conj_table[g].__getitem__, self.rmul[g]) for g in self.gens]
         t = {K: 0}  # the identity sorts first
         stack = [K]
@@ -625,6 +628,8 @@ class _Index:
                     stack.append(B)
                 elif t_Ag != t_B:  # else the Schreier generator is the identity
                     edges.append((t_Ag, t_B))
+        if len(t) == 1:
+            return (K,), self.whole, list(self.gens)
         N, N_gens = K, list(gens)
         target = self.size // len(t)
         perms = self.perms
@@ -748,8 +753,10 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     <K, n^-1 x n> = n^-1 <K, x> n, a conjugate of <K, x> with its order.
     ``add`` builds each class when it is found, and N with it, from one
     ``ix.conjugacy_class`` walk over K's conjugates; N and its generators
-    are queued only until K is extended.  The cyclics' orbit is walked by
-    conjugating with each of N's generators through ``ix.conj``.
+    are queued only until K is extended; for a normal K they are G and
+    G's generators.  The cyclics' orbit is walked by conjugating with each
+    of N's generators through ``ix.conj``, and an N-orbit is the same set
+    whichever generators of N are used.
     Conjugating by y or by y^-1 closes to the same orbit, and the walk uses
     it only as a set.  The orbit's first cyclic in ``cyclics`` is the one
     joined.  It is also the first of its own

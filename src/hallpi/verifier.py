@@ -21,6 +21,8 @@ from .lie_catalog import (
     EXCEPTIONAL_FAMILIES,
     GroupId,
     GroupSpecError,
+    _prime_power,
+    _simple_group,
     parse_group_id,
     pi_intersection,
 )
@@ -145,7 +147,7 @@ def default_grid() -> list[tuple[GroupId, PrimeSet]]:
     gives a simple group, at every nonempty pi of odd scan primes
     (``_SCAN_PRIMES``) dividing |G|.  Up to q = 13 these are all the odd
     primes of |G|."""
-    groups = simple_groups(f"A:2:q={q}" for q in range(2, _GRID_MAX_Q + 1))
+    groups = simple_groups(("A", 2, q) for q in range(2, _GRID_MAX_Q + 1))
     return list(scan_points(groups, range(1, len(_SCAN_PRIMES) + 1)))
 
 
@@ -254,26 +256,33 @@ _EXCLUSIVITY_SIZES = (2, 3)  # the sizes of pi in the exclusivity scan
 _GRID_MAX_Q = 13  # the largest q of the default grid's PSL_2(q)
 
 
-def simple_groups(specs) -> list[GroupId]:
-    """The specs that name simple groups, parsed; the others are skipped."""
+def simple_groups(triples) -> list[GroupId]:
+    """The simple groups among the (family, n, q) triples, n None for an
+    exceptional family, in order: each the GroupId ``parse_group_id`` gives
+    for the triple's spec, with no spec written.  Each q is split into p^f
+    once; a triple whose q is not a prime power, or that names no simple
+    group, is skipped."""
+    split: dict[int, tuple[int, int] | None] = {}
     groups = []
-    for spec in specs:
-        try:
-            groups.append(parse_group_id(spec))
-        except GroupSpecError:
-            continue
+    for fam, n, q in triples:
+        if q not in split:
+            try:
+                split[q] = _prime_power(q)
+            except GroupSpecError:
+                split[q] = None
+        if split[q] is not None:
+            g, _ = _simple_group(fam, n, *split[q])
+            if g is not None:
+                groups.append(g)
     return groups
 
 
 def scan_groups() -> list[GroupId]:
     """All valid simple-group descriptors with q in ``_SCAN_Q`` and
     dimension or rank at most ``_SCAN_MAX_PARAM``."""
-    specs = []
-    for q in _SCAN_Q:
-        for fam in CLASSICAL_FAMILIES:
-            specs.extend(f"{fam}:{n}:q={q}" for n in range(1, _SCAN_MAX_PARAM + 1))
-        specs.extend(f"{fam}:q={q}" for fam in EXCEPTIONAL_FAMILIES)
-    return simple_groups(specs)
+    params = [(fam, n) for fam in CLASSICAL_FAMILIES for n in range(1, _SCAN_MAX_PARAM + 1)]
+    params += [(fam, None) for fam in EXCEPTIONAL_FAMILIES]
+    return simple_groups((fam, n, q) for q in _SCAN_Q for fam, n in params)
 
 
 def scan_points(groups, subset_sizes):
@@ -296,9 +305,11 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     Each point takes one untraced D answer, with the point's pi handed over
     as pi inter pi(G), which it already is, and Condition III is checked
     only where that answer carries a II subcase.  The check stays complete: a
-    point can satisfy both only where the II/III premises hold, decide_dpi
-    reaches Condition II on exactly those points, and its II answer is
-    check_condition_II's.
+    point can satisfy both only where the II/III premises hold and it
+    satisfies a II subcase.  Such a point is non-uniform, some ord(q mod s)
+    differing from ord(q mod r), as II's first test requires, and its family
+    has a II subcase, so the untraced D answer still enters Condition II
+    there, and its II answer is check_condition_II's.
     """
     report = CrossCheckReport("exclusivity")
     if groups is None:

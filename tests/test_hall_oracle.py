@@ -1,6 +1,7 @@
 """Tests for the arithmetic Hall-property oracle."""
 
 import ast
+import collections
 import hashlib
 import inspect
 import json
@@ -8,8 +9,9 @@ import re
 
 import pytest
 
-from hallpi import hall_oracle
+from hallpi import hall_oracle, verifier
 from hallpi.arith import PrimeSet
+from hallpi.cli import main
 from hallpi.hall_oracle import (
     ONAN,
     FactorDescriptor,
@@ -211,6 +213,43 @@ def test_dpi_condition_is_first_public_II_then_III():
         assert d.condition == sub, (gg, pi)
         assert d.trace == trace, (gg, pi)
     assert (premise_points, ii_points) == (12013, 48)
+
+
+def test_untraced_decisions_enter_only_the_condition_that_can_hold(monkeypatch, capsys):
+    """With the condition bodies and the E-minus-D classification counted:
+    over the exclusivity scan no untraced D decision enters both
+    Conditions II and III, only A, 2A and 2D enter II, and the one traced
+    body is the public check_condition_III on the 48 II points.  Over
+    ``hallpi scan`` of B and E7, neither with a II subcase, no point enters
+    II, and B, with no E-minus-D row, enters the classification only with
+    p in pi.  The counts are the scans' own."""
+    calls = []
+    for name in ("_condition_II", "_condition_III", "_classify_lie"):
+        def counted(trace, gg, *args, _name=name, _body=getattr(hall_oracle, name)):
+            calls.append((_name, trace is None, gg, args[:2]))
+            return _body(trace, gg, *args)
+        monkeypatch.setattr(hall_oracle, name, counted)
+
+    def tally():
+        counts = collections.Counter((name, untraced) for name, untraced, _, _ in calls)
+        return {f"{name}{'' if untraced else ' traced'}": n for (name, untraced), n in counts.items()}
+
+    verifier.exclusivity_scan()
+    entered = {name: {(gg, args) for n, untraced, gg, args in calls if n == name and untraced}
+               for name in ("_condition_II", "_condition_III")}
+    assert not entered["_condition_II"] & entered["_condition_III"]
+    assert {gg.family for gg, _ in entered["_condition_II"]} == {"A", "2A", "2D"}
+    assert tally() == {"_condition_II": 2801, "_condition_III": 401,
+                       "_condition_III traced": 48}
+    for fam, counts in (("B", {"_condition_III": 47, "_classify_lie": 176}),
+                        ("E7", {"_condition_III": 8, "_classify_lie": 256})):
+        calls.clear()
+        argv = ["scan", "--family", fam, "--q", "2..16", "--pi-size", "2"]
+        assert main(argv + (["--n", "2..8"] if fam == "B" else [])) == 0
+        assert tally() == counts, fam
+        if fam == "B":
+            assert all(gg.p in pi for name, _, gg, (pi, _) in calls if name == "_classify_lie")
+    capsys.readouterr()
 
 
 # One point per D outcome: yes through Conditions I, II, III and IV, the

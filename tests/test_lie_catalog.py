@@ -118,6 +118,8 @@ def test_validate_simple_gives_reasons():
     bad = parse_group_id("A:2:q=5").__class__("2F4", None, 2, 1)
     ok, reason = validate_simple(bad)
     assert not ok and "Tits" in reason
+    ok, reason = validate_simple(bad.__class__("E8", 3, 2, 1))  # as no spec can give it
+    assert not ok and "takes no dimension/rank parameter" in reason
 
 
 @pytest.mark.parametrize(

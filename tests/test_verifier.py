@@ -12,7 +12,15 @@ from hallpi import hall_oracle, perm_engine, verifier
 from hallpi.arith import PrimeSet
 from hallpi.cli import main
 from hallpi.hall_oracle import Verdict, decide_dpi, decide_epi
-from hallpi.lie_catalog import GroupId, group_order, parse_group_id
+from hallpi.lie_catalog import (
+    CLASSICAL_FAMILIES,
+    EXCEPTIONAL_FAMILIES,
+    FAMILIES,
+    GroupId,
+    GroupSpecError,
+    group_order,
+    parse_group_id,
+)
 from hallpi.verifier import (
     cross_check_simple,
     default_grid,
@@ -171,6 +179,37 @@ def test_untraced_paths_build_no_verdict(monkeypatch, capsys):
     assert type(decide_dpi(g, pi)) is CountedVerdict
     assert type(decide_epi(g, pi)) is CountedVerdict
     assert built == ["D", "E"]
+
+
+def test_simple_groups_are_the_parsed_groups():
+    """Every (family, n, q) with n in 0..9 (None for an exceptional family)
+    and q in 0..64 gives, through simple_groups, the very GroupId objects
+    parse_group_id gives for its spec, in order, each triple that names no
+    simple group skipped in both; scan_groups is those of its 575 specs."""
+    triples = [(fam, n, q) for fam in FAMILIES
+               for n in ((None,) if fam in EXCEPTIONAL_FAMILIES else range(10))
+               for q in range(65)]
+    groups = verifier.simple_groups(triples)
+
+    def parsed(triples):
+        out = []
+        for fam, n, q in triples:
+            try:
+                out.append(parse_group_id(f"{fam}:q={q}" if n is None else f"{fam}:{n}:q={q}"))
+            except GroupSpecError:
+                continue
+        return out
+
+    def same(a, b):
+        return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+    assert same(groups, parsed(triples))
+    assert {g.family for g in groups} == set(FAMILIES)
+    params = [(fam, n) for fam in CLASSICAL_FAMILIES for n in range(1, 7)]
+    params += [(fam, None) for fam in EXCEPTIONAL_FAMILIES]
+    groups = scan_groups()
+    assert len(groups) == 575
+    assert same(groups, parsed((fam, n, q) for q in verifier._SCAN_Q for fam, n in params))
 
 
 def test_scan_groups_bounds():
