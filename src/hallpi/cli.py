@@ -201,10 +201,10 @@ def _cmd_scan(args) -> int:
     groups = simple_groups((fam, n, q) for q in qs for n in ns)
     rows = []
     for g, pi in scan_points(groups, (pi_size,)):
-        d = _dpi_answer(g, pi, pi)  # pi divides |g|: it is its own intersection
+        d = _dpi_answer(g, pi)
         # C and U carry E's and D's answers, as decide_cpi and decide_upi do;
         # E's condition is D's wherever D holds, and the classification's where it fails
-        e, condition, _ = _epi_answer(g, pi, pi, d)
+        e, condition = _epi_answer(g, pi, d)
         rows.append([g.spec(), ",".join(map(str, pi)), e, e, d[0], d[0], condition or ""])
     if groups and not rows:
         counts = {g.spec(): len(pi_intersection(_SCAN_PRIMES, g)) for g in groups}

@@ -4,12 +4,14 @@ Evaluates the four condition families (I-IV) that characterise the D
 property for a simple group of Lie type with 2 outside pi, the trivial
 small-intersection case, the classification of groups having Hall
 subgroups without the full conjugacy-and-dominance property, and the
-composition-factor reductions.  A decision is a body that returns a bare
-answer tuple and records a predicate trace only into a list its caller
-hands it.  Only the public ``decide_*`` and ``reduce_composition`` build a
-``Verdict``, from a fresh list and the bodies' answer.  A scan that reads
-only the answer (``hallpi scan``, the exclusivity scan, the cross suite)
-calls ``_dpi_answer`` and ``_epi_answer`` with no list: no Verdict.
+composition-factor reductions.  pi enters a Hall property only through
+inter = pi inter pi(G), so a decision is a body on (g, inter) that returns
+the bare answer (holds, condition) and records a predicate trace only into
+a list its caller hands it.  Only the public ``decide_*`` and
+``reduce_composition`` build a ``Verdict``, from a fresh list and the
+bodies' answer.  A scan that reads only the answer (``hallpi scan``, the
+exclusivity scan, the cross suite) calls ``_dpi_answer`` and
+``_epi_answer`` with no list: no Verdict.
 
 Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 2B(d)-(i) are tables, one row per subcase in the paper's listing order
@@ -80,8 +82,11 @@ _order_table = lru_cache(maxsize=None)(_Orders)  # the one table per q
 
 # r = min(pi inter pi(S)), tau = the rest, ord(q mod r), q's ord(q mod s) table
 OrderFacts = tuple[int, tuple[int, ...], int, _Orders]
-# D's bare answer: holds, condition, hall_cyclic, the order facts where it reached II/III
-DAnswer = tuple[str, str | None, bool | None, OrderFacts | None]
+# a body's bare answer: holds, condition
+Answer = tuple[str, str | None]
+
+# the only subcases whose Hall subgroup is cyclic
+_CYCLIC_HALL = ("II(g)", "II(h)")
 
 
 def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
@@ -102,13 +107,17 @@ class Verdict:
     holds: str  # yes | no | out_of_scope
     condition: str | None = None
     trace: Trace = field(default_factory=list)
-    hall_cyclic: bool | None = None
     group: GroupId | None = None  # spelled as its spec only by to_json
     pi: tuple[int, ...] = ()
 
     @property
     def yes(self) -> bool:
         return self.holds == "yes"
+
+    @property
+    def hall_cyclic(self) -> bool | None:
+        """True where the condition is II(g) or II(h), else None."""
+        return True if self.condition in _CYCLIC_HALL else None
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -124,10 +133,10 @@ class Verdict:
 
 @dataclass(frozen=True)
 class FactorDescriptor:
-    """One composition factor: a Lie-type group, a prime cyclic group, an
-    explicitly pi- or pi'-group, or a named unsupported factor."""
+    """One composition factor: a Lie-type group, a prime cyclic group or a
+    named unsupported factor."""
 
-    kind: str  # lie | cyclic | pi_group | pi_prime_group | unsupported
+    kind: str  # lie | cyclic | unsupported
     group: GroupId | None = None
     prime: int | None = None
     name: str | None = None
@@ -141,14 +150,6 @@ class FactorDescriptor:
         if not is_prime(p):
             raise ValueError("cyclic factors carry a prime order")
         return cls("cyclic", prime=p)
-
-    @classmethod
-    def pi_group(cls) -> "FactorDescriptor":
-        return cls("pi_group")
-
-    @classmethod
-    def pi_prime_group(cls) -> "FactorDescriptor":
-        return cls("pi_prime_group")
 
     @classmethod
     def unsupported(cls, name: str) -> "FactorDescriptor":
@@ -444,21 +445,21 @@ def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Decide the full Sylow-analogue property for a simple Lie-type group."""
     trace: Trace = []
-    holds, condition, hall_cyclic, _ = _dpi_answer(g, pi, pi_intersection(pi, g), trace)
-    return Verdict("D", holds, condition, trace, hall_cyclic, g, pi)
+    holds, condition = _dpi_answer(g, pi_intersection(pi, g), trace)
+    return Verdict("D", holds, condition, trace, g, pi)
 
 
-def _dpi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet,
-                trace: Trace | None = None) -> DAnswer:
-    """decide_dpi's body on ``inter`` = pi inter pi(g), for a caller that
-    already holds it, such as a scan whose pi divides |g|.
+def _dpi_answer(g: GroupId, inter: PrimeSet, trace: Trace | None = None) -> Answer:
+    """decide_dpi's answer (holds, condition) for any pi with
+    ``inter`` = pi inter pi(g), such as a scan's pi, which divides |g|.
+    2 and p divide every |g| that ``validate_simple`` accepts, so once
+    |inter| >= 2 they lie in inter exactly where they lie in pi.
 
     Each branch below reaches a condition only where that condition's
     premises hold, so the condition bodies take ``inter``, Conditions II
     and III the order facts computed once from it, and their answers are
     the public ``check_condition_*`` answers.  Each body records straight
-    into ``trace``, or nothing where it is None.  The answer keeps the
-    order facts for the E decision.
+    into ``trace``, or nothing where it is None.
 
     With no trace each body returns at the first predicate that decides
     it, skipping the records and tests after it: Condition I at its first
@@ -473,15 +474,14 @@ def _dpi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet,
     """
     if len(inter) <= 1:
         _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
-        return "yes", "trivial_small_pi", None, None
-    if 2 in pi:
+        return "yes", "trivial_small_pi"
+    if 2 in inter:
         _rec(trace, "2 in pi: criterion not covered", True)
-        return "out_of_scope", None, None, None
-    facts = None
+        return "out_of_scope", None
     if g.family in SUZUKI_REE_FAMILIES:
         _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
         sub = _condition_IV(trace, g, inter)
-    elif g.p in pi:
+    elif g.p in inter:
         sub = "I" if _condition_I(trace, g, inter) else None
     else:
         facts = _, tau, a, orders = _order_facts(g, inter)
@@ -495,9 +495,7 @@ def _dpi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet,
             sub = _condition_II(None, g, *facts)
         else:
             sub = None
-        if sub in ("II(g)", "II(h)"):
-            return "yes", sub, True, facts
-    return ("no", None, None, facts) if sub is None else ("yes", sub, None, facts)
+    return ("no", None) if sub is None else ("yes", sub)
 
 
 def decide_upi(g: GroupId, pi: PrimeSet) -> Verdict:
@@ -518,8 +516,7 @@ def classify_epi_minus_dpi(
     trace: Trace = []
     if not isinstance(g_or_sporadic, str):
         g, inter = g_or_sporadic, pi_intersection(pi, g_or_sporadic)
-        holds, _, _, facts = _dpi_answer(g, pi, inter)
-        return _classify_lie(trace, g, pi, inter, holds == "yes", facts), trace
+        return _classify_lie(trace, g, inter, _dpi_answer(g, inter)[0] == "yes"), trace
     if g_or_sporadic not in (ONAN, "ON", "O'N"):
         raise ValueError(f"unsupported sporadic marker {g_or_sporadic!r}")
     inter = sorted(t for t in pi if t in _ONAN_PRIMES)
@@ -543,12 +540,12 @@ _EXCEPTIONAL_CASES = {
 _E_MINUS_D_FAMILIES = ("A", "2A", *_EXCEPTIONAL_CASES)
 
 
-def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, inter: PrimeSet,
-                  d_yes: bool, facts: OrderFacts | None) -> str | None:
-    """The classification for a Lie-type g with 2 outside pi, recorded in
-    ``trace``, given ``inter`` = pi inter pi(g), whether D holds on (g, pi)
-    and D's order facts, which the linear and unitary cases read, as D
-    reached Conditions II/III on every such point where it fails."""
+def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
+                  d_yes: bool) -> str | None:
+    """The classification for a Lie-type g with 2 outside ``inter`` =
+    pi inter pi(g), recorded in ``trace``, given whether D holds on
+    (g, inter).  The linear and unitary cases read the order facts of
+    Conditions II/III off inter."""
     if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
         return None
     if d_yes:
@@ -556,7 +553,7 @@ def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, inter: PrimeSet
         return None
     q, n = g.q, g.n
 
-    if g.p in pi:
+    if g.p in inter:
         p, w = g.p, weyl_order(g)
         if trace is None:
             ok = w % p == 0 and all(t == p or (q - 1) % t == 0 and w % t != 0 for t in inter)
@@ -569,7 +566,7 @@ def _classify_lie(trace: Trace | None, g: GroupId, pi: PrimeSet, inter: PrimeSet
 
     fam = g.family
     if fam in ("A", "2A"):
-        r, tau, a, orders = facts
+        r, tau, a, orders = _order_facts(g, inter)
         if trace is not None:
             _rec(trace, "ord(q mod r)", True, r=r, order=a)
         if fam == "A":
@@ -616,27 +613,25 @@ def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Hall-subgroup existence; with 2 outside pi this coincides with the
     conjugacy property."""
     inter, d_trace = pi_intersection(pi, g), []
-    d = _dpi_answer(g, pi, inter, d_trace)
+    d = _dpi_answer(g, inter, d_trace)
     trace = d_trace if d[0] != "no" else []  # E takes D's trace with D's answer
-    holds, condition, hall_cyclic = _epi_answer(g, pi, inter, d, trace)
-    return Verdict("E", holds, condition, trace, hall_cyclic, g, pi)
+    holds, condition = _epi_answer(g, inter, d, trace)
+    return Verdict("E", holds, condition, trace, g, pi)
 
 
-def _epi_answer(g: GroupId, pi: PrimeSet, inter: PrimeSet, d: DAnswer,
-                trace: Trace | None = None) -> tuple[str, str | None, bool | None]:
-    """E's answer (holds, condition, hall_cyclic) from ``d``, D's answer on
-    (g, pi) with ``inter`` = pi inter pi(g).  Where D is not "no" (a yes,
-    the Sylow case or 2 in pi) E is D's answer; where D fails E holds
-    exactly on the E-minus-D classification, recorded in ``trace``.
-    Untraced, a family with no E-minus-D row for p outside pi fails at once,
-    as the classification would at its end."""
-    holds, condition, hall_cyclic, facts = d
-    if holds != "no":
-        return holds, condition, hall_cyclic
-    if trace is None and g.p not in pi and g.family not in _E_MINUS_D_FAMILIES:
-        return "no", None, None
-    tag = _classify_lie(trace, g, pi, inter, False, facts)
-    return ("no", None, None) if tag is None else ("yes", tag, None)
+def _epi_answer(g: GroupId, inter: PrimeSet, d: Answer,
+                trace: Trace | None = None) -> Answer:
+    """E's answer (holds, condition) from ``d``, D's answer on (g, inter).
+    Where D is not "no" (a yes, the Sylow case or 2 in pi) E is D's
+    answer; where D fails E holds exactly on the E-minus-D classification,
+    recorded in ``trace``.  Untraced, a family with no E-minus-D row for p
+    outside pi fails at once, as the classification would at its end."""
+    if d[0] != "no":
+        return d
+    if trace is None and g.p not in inter and g.family not in _E_MINUS_D_FAMILIES:
+        return "no", None
+    tag = _classify_lie(trace, g, inter, False)
+    return ("no", None) if tag is None else ("yes", tag)
 
 
 def decide_cpi(g: GroupId, pi: PrimeSet) -> Verdict:
@@ -666,10 +661,6 @@ def reduce_composition(
     for i, fd in enumerate(factors):
         if fd.kind == "cyclic":
             _rec(v.trace, "cyclic factor: holds", True, index=i, prime=fd.prime)
-        elif fd.kind == "pi_group":
-            _rec(v.trace, "pi-group factor: holds", True, index=i)
-        elif fd.kind == "pi_prime_group":
-            _rec(v.trace, "pi'-group factor: holds", True, index=i)
         elif fd.kind == "unsupported":
             any_oos = True
             _rec(v.trace, "unsupported factor: out of scope", True, index=i, name=fd.name)

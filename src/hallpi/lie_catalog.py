@@ -143,26 +143,15 @@ def _simple_group(fam: str, n: int | None, p: int, f: int) -> tuple[GroupId | No
 
 def parse_group_id(text: str) -> GroupId:
     """Parse ``<family>:<n>:q=<p>[^<f>]`` (``<n>`` omitted for exceptionals).
-    Specs naming the same group parse to the same object."""
+    Specs naming the same group parse to the same object; a spec naming
+    none is refused with the reason ``validate_simple`` gives."""
     m = _SPEC_RE.match(text.strip())
     if m is None:
         raise GroupSpecError(f"malformed group spec: {text!r}")
-    fam = m.group("fam")
     n = int(m.group("n")) if m.group("n") else None
     base = int(m.group("q"))
-    if m.group("f"):
-        p, f = base, int(m.group("f"))
-        if not is_prime(p):
-            raise GroupSpecError(f"base {p} of q is not prime")
-        if f < 1:
-            raise GroupSpecError("field exponent must be positive")
-    else:
-        p, f = _prime_power(base)
-    if fam in CLASSICAL_FAMILIES and n is None:
-        raise GroupSpecError(f"family {fam} requires a dimension/rank parameter")
-    if fam in EXCEPTIONAL_FAMILIES and n is not None:
-        raise GroupSpecError(f"family {fam} takes no dimension/rank parameter")
-    g, reason = _simple_group(fam, n, p, f)
+    p, f = (base, int(m.group("f"))) if m.group("f") else _prime_power(base)
+    g, reason = _simple_group(m.group("fam"), n, p, f)
     if g is None:
         raise GroupSpecError(f"{text!r} does not name a simple group: {reason}")
     return g
@@ -172,11 +161,15 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
     """True iff the descriptor names a finite simple group, with a reason."""
     if g.family not in FAMILIES:
         return False, f"unknown family {g.family!r}"
-    if not is_prime(g.p) or g.f < 1:
-        return False, "q is not a prime power"
+    if not is_prime(g.p):
+        return False, f"base {g.p} of q is not prime"
+    if g.f < 1:
+        return False, "field exponent must be positive"
     q = g.q
     if g.family in CLASSICAL_FAMILIES:
-        if g.n is None or g.n < _MIN_PARAM[g.family]:
+        if g.n is None:
+            return False, f"family {g.family} requires a dimension/rank parameter"
+        if g.n < _MIN_PARAM[g.family]:
             return False, "rank below family minimum"
     elif g.n is not None:
         return False, f"family {g.family} takes no dimension/rank parameter"

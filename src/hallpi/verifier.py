@@ -213,8 +213,8 @@ def cross_check_simple(
 
     def check(g, pi, G) -> dict:
         inter = pi_intersection(pi, g)
-        d = _dpi_answer(g, pi, inter)
-        oracle_d, oracle_e = d[0], _epi_answer(g, pi, inter, d)[0]
+        d = _dpi_answer(g, inter)
+        oracle_d, oracle_e = d[0], _epi_answer(g, inter, d)[0]
         brute_d, _ = brute_property(G, pi, "D")
         brute_e, _ = brute_property(G, pi, "E")
         brute_c, _ = brute_property(G, pi, "C")
@@ -288,9 +288,8 @@ def scan_groups() -> list[GroupId]:
 def scan_points(groups, subset_sizes):
     """(group, pi) grid points, group by group: for each size, each
     combination of that many odd scan primes dividing |G|.  Every prime of
-    a point's pi divides |G|, so pi is already pi inter pi(G) and a caller
-    can hand it to the D decision as its own intersection; an E decision
-    drawn from that D answer then reads D's order facts as well."""
+    a point's pi divides |G|, so pi is pi inter pi(G), what a decision
+    takes."""
     for g in groups:
         primes = pi_intersection(_SCAN_PRIMES, g)
         for k in subset_sizes:
@@ -302,14 +301,13 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     """No input may satisfy a II-subcase and a III-subcase simultaneously,
     and every yes verdict must carry exactly one condition tag.
 
-    Each point takes one untraced D answer, with the point's pi handed over
-    as pi inter pi(G), which it already is, and Condition III is checked
-    only where that answer carries a II subcase.  The check stays complete: a
-    point can satisfy both only where the II/III premises hold and it
-    satisfies a II subcase.  Such a point is non-uniform, some ord(q mod s)
-    differing from ord(q mod r), as II's first test requires, and its family
-    has a II subcase, so the untraced D answer still enters Condition II
-    there, and its II answer is check_condition_II's.
+    Each point takes one untraced D answer on its pi, and Condition III is
+    checked only where that answer carries a II subcase.  The check stays
+    complete: a point can satisfy both only where the II/III premises hold
+    and it satisfies a II subcase.  Such a point is non-uniform, some
+    ord(q mod s) differing from ord(q mod r), as II's first test requires,
+    and its family has a II subcase, so the untraced D answer still enters
+    Condition II there, and its II answer is check_condition_II's.
     """
     report = CrossCheckReport("exclusivity")
     if groups is None:
@@ -318,7 +316,7 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     violations = []
     for g, pi in scan_points(groups, _EXCLUSIVITY_SIZES):
         checked += 1
-        holds, condition, _, _ = _dpi_answer(g, pi, pi)
+        holds, condition = _dpi_answer(g, pi)
         if condition is None:
             if holds != "yes":
                 continue

@@ -50,6 +50,21 @@ def test_decide_bad_group_exit_three(capsys):
     assert "prime power" in err
 
 
+@pytest.mark.parametrize("spec, reason", [
+    ("B:q=7", "family B requires a dimension/rank parameter"),
+    ("G2:2:q=7", "family G2 takes no dimension/rank parameter"),
+    ("A:2:q=4^2", "base 4 of q is not prime"),
+    ("A:2:q=5^0", "field exponent must be positive"),
+    ("A:1:q=7", "rank below family minimum"),
+])
+def test_decide_invalid_group_names_the_reason(capsys, spec, reason):
+    """A spec that parses but names no simple group exits 3 with the one
+    reason validate_simple gives."""
+    code, out, err = run(capsys, "decide", "--group", spec, "--pi", "3,5", "--prop", "dpi")
+    assert code == 3 and out == ""
+    assert err == f"hallpi: {spec!r} does not name a simple group: {reason}\n"
+
+
 def test_decide_bad_pi_exit_three(capsys):
     """A non-prime, a repeated prime or an empty entry in --pi exits 3, for
     decide and brute."""

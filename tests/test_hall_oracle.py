@@ -100,25 +100,33 @@ def test_condition_II_preconditions():
         check_condition_III(g("A:2:q=7"), PrimeSet([2, 3]))  # 2 in pi
 
 
+# E, C and U take D's condition where D holds, and with it hall_cyclic,
+# which a verdict reads off its condition
+ALL_DECIDERS = (decide_dpi, decide_upi, decide_epi, decide_cpi)
+
+
 def test_condition_II_a_instance():
     # A:3:q=5, pi={3,31}: e(5,3)=2=r-1, e(5,31)=3=b, n=3 < bs
-    v = decide_dpi(g("A:3:q=5"), PrimeSet([3, 31]))
-    assert v.yes and v.condition == "II(a)"
-    assert v.hall_cyclic is None
+    for decide in ALL_DECIDERS:
+        v = decide(g("A:3:q=5"), PrimeSet([3, 31]))
+        assert v.yes and v.condition == "II(a)", decide
+        assert v.hall_cyclic is None, decide
 
 
 def test_condition_II_g_gives_cyclic_hall():
     # 2D:6:q=4, pi={7,13}: a=e(4,7)=3 odd, n=6=2a=b, e(4,13)=6
-    v = decide_dpi(g("2D:6:q=4"), PrimeSet([7, 13]))
-    assert v.yes and v.condition == "II(g)"
-    assert v.hall_cyclic is True
+    for decide in ALL_DECIDERS:
+        v = decide(g("2D:6:q=4"), PrimeSet([7, 13]))
+        assert v.yes and v.condition == "II(g)", decide
+        assert v.hall_cyclic is True and v.to_json()["hall_cyclic"] is True, decide
 
 
 def test_condition_II_h_gives_cyclic_hall():
     # 2D:6:q=3, pi={7,13}: a=e(3,7)=6=n, b=e(3,13)=3 odd
-    v = decide_dpi(g("2D:6:q=3"), PrimeSet([7, 13]))
-    assert v.yes and v.condition == "II(h)"
-    assert v.hall_cyclic is True
+    for decide in ALL_DECIDERS:
+        v = decide(g("2D:6:q=3"), PrimeSet([7, 13]))
+        assert v.yes and v.condition == "II(h)", decide
+        assert v.hall_cyclic is True and v.to_json()["hall_cyclic"] is True, decide
 
 
 @pytest.mark.parametrize(
@@ -180,14 +188,14 @@ def test_dpi_verdicts_on_exclusivity_points_are_pinned():
 
 
 def test_dpi_with_intersection_handed_over_keeps_the_pin():
-    """The exclusivity scan and ``hallpi scan`` hand each point's pi to the
-    D body as its own pi inter pi(G); its answer and trace there, wrapped
+    """The exclusivity scan and ``hallpi scan`` hand each point's pi, which
+    is pi inter pi(G), to the D body; its answer and trace there, wrapped
     in a Verdict as decide_dpi wraps them, are decide_dpi's."""
 
     def handed_over(gg, pi):
         trace = []
-        holds, condition, hall_cyclic, _ = hall_oracle._dpi_answer(gg, pi, pi, trace)
-        return hall_oracle.Verdict("D", holds, condition, trace, hall_cyclic, gg, pi)
+        holds, condition = hall_oracle._dpi_answer(gg, pi, trace)
+        return hall_oracle.Verdict("D", holds, condition, trace, gg, pi)
 
     assert _exclusivity_d_digest(handed_over) == _EXCLUSIVITY_D_DIGEST
 
@@ -248,7 +256,8 @@ def test_untraced_decisions_enter_only_the_condition_that_can_hold(monkeypatch, 
         assert main(argv + (["--n", "2..8"] if fam == "B" else [])) == 0
         assert tally() == counts, fam
         if fam == "B":
-            assert all(gg.p in pi for name, _, gg, (pi, _) in calls if name == "_classify_lie")
+            assert all(gg.p in inter for name, _, gg, (inter, _) in calls
+                       if name == "_classify_lie")
     capsys.readouterr()
 
 
@@ -278,11 +287,10 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
     assert d.holds == holds
     before = json.dumps(d.to_json(), sort_keys=True)
     inter = pi_intersection(pi, gg)
-    d_answer = hall_oracle._dpi_answer(gg, pi, inter)
-    assert d_answer[:3] == (d.holds, d.condition, d.hall_cyclic)
+    d_answer = hall_oracle._dpi_answer(gg, inter)
+    assert d_answer == (d.holds, d.condition)
     e = decide_epi(gg, pi)
-    assert hall_oracle._epi_answer(gg, pi, inter, d_answer) == (
-        e.holds, e.condition, e.hall_cyclic)
+    assert hall_oracle._epi_answer(gg, inter, d_answer) == (e.holds, e.condition)
     if holds != "no":
         assert e.trace == d.trace
     e.trace.append({"pred": "C equals E for odd pi", "args": {}, "value": True})
@@ -396,9 +404,8 @@ def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
     from it are the traced bodies' answers and the public deciders' on
     every grid_verdicts point and every witness above: a record whose value
     drives the decision still decides it when nothing is recorded, and each
-    untraced early return gives the traced answer.  D's order facts are the
-    traced ones, read off pi inter pi(G).  Between them the points reach
-    every subcase tag of a Lie-type group."""
+    untraced early return gives the traced answer.  Between them the points
+    reach every subcase tag of a Lie-type group."""
     assert hall_oracle._rec(None, "p", 0) is False
     points = [(gg, pi, d, e) for gg, pi, e, _, d, _ in grid_verdicts]
     points += [(g(spec), PrimeSet(pi), decide_dpi(g(spec), PrimeSet(pi)),
@@ -406,13 +413,11 @@ def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
     reached = set()
     for gg, pi, traced_d, traced_e in points:
         inter = pi_intersection(pi, gg)
-        d = hall_oracle._dpi_answer(gg, pi, inter)
-        assert d == hall_oracle._dpi_answer(gg, pi, inter, []), (gg, pi)
-        assert d[:3] == (traced_d.holds, traced_d.condition, traced_d.hall_cyclic), (gg, pi)
-        facts = d[3]
-        assert facts is None or (facts[0], *facts[1]) == inter, (gg, pi)
-        e = hall_oracle._epi_answer(gg, pi, inter, d)
-        assert e == (traced_e.holds, traced_e.condition, traced_e.hall_cyclic), (gg, pi)
+        d = hall_oracle._dpi_answer(gg, inter)
+        assert d == hall_oracle._dpi_answer(gg, inter, []), (gg, pi)
+        assert d == (traced_d.holds, traced_d.condition), (gg, pi)
+        e = hall_oracle._epi_answer(gg, inter, d)
+        assert e == (traced_e.holds, traced_e.condition), (gg, pi)
         reached |= {d[1], e[1]}
     assert len(points) == 26428 + 9  # the 17,082 exclusivity points among them
     assert reached - {None} == _written_tags() - {"epi_case_1"}
@@ -508,4 +513,4 @@ def test_reduce_composition_empty_is_yes():
 
 def test_reduce_composition_e_needs_odd_pi():
     with pytest.raises(ValueError):
-        reduce_composition([FactorDescriptor.pi_group()], PrimeSet([2, 3]), "E")
+        reduce_composition([FactorDescriptor.cyclic(3)], PrimeSet([2, 3]), "E")

@@ -118,8 +118,31 @@ def test_validate_simple_gives_reasons():
     bad = parse_group_id("A:2:q=5").__class__("2F4", None, 2, 1)
     ok, reason = validate_simple(bad)
     assert not ok and "Tits" in reason
-    ok, reason = validate_simple(bad.__class__("E8", 3, 2, 1))  # as no spec can give it
+    ok, reason = validate_simple(bad.__class__("E8", 3, 2, 1))
     assert not ok and "takes no dimension/rank parameter" in reason
+    for fields, expected in ((("A", 2, 6, 1), "base 6 of q is not prime"),
+                             (("A", 2, 5, 0), "field exponent must be positive"),
+                             (("B", None, 7, 1), "family B requires a dimension/rank parameter"),
+                             (("D", 3, 5, 1), "rank below family minimum")):
+        assert validate_simple(GroupId(*fields)) == (False, expected)
+
+
+def test_two_and_p_divide_every_accepted_order():
+    """2 and the characteristic p divide |G| for every descriptor
+    validate_simple accepts, so a decision may test them against
+    pi inter pi(G) in place of pi."""
+    primes = [p for p in range(2, 60) if all(p % d for d in range(2, p))]
+    accepted = 0
+    for fam in FAMILIES:
+        for n in (None, *range(13)):
+            for p in primes:
+                for f in range(1, 7):
+                    gg = GroupId(fam, n, p, f)
+                    if validate_simple(gg)[0]:
+                        accepted += 1
+                        order = group_order.__wrapped__(gg)  # leaves the cache as it was
+                        assert order % 2 == 0 and order % p == 0, gg
+    assert accepted == 6936
 
 
 @pytest.mark.parametrize(
