@@ -4,11 +4,13 @@ Four suites: oracle-vs-brute agreement on E/C/D, the D = U identity over
 overgroup lattices, the D-implies-star consistency check, and a purely
 symbolic exclusivity scan over the Condition II/III premises.  Any
 disagreement is a hard failure of the build, not a warning.
+
+The three grid suites share one loop, ``run_suite``: it builds each group
+at its run's first point in scope and drops it when the run ends.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import time
@@ -110,9 +112,9 @@ class CrossCheckReport:
 
 
 def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
-    """The grid in a file: a JSON object whose ``cases`` list holds objects
-    with a ``group`` string and a ``pi`` list of one or more distinct primes.
-    An unreadable file or any other shape is a ValueError."""
+    """The grid in a file: a JSON object whose nonempty ``cases`` list holds
+    objects with a ``group`` string and a ``pi`` list of one or more
+    distinct primes.  An unreadable file or any other shape is a ValueError."""
     try:
         with open(path, encoding="utf-8") as f:
             text = f.read()
@@ -125,6 +127,8 @@ def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
     cases = grid.get("cases") if isinstance(grid, dict) else None
     if not isinstance(cases, list):
         raise ValueError("a grid must be a JSON object with a 'cases' list")
+    if not cases:  # a grid that verifies nothing must not pass
+        raise ValueError("a grid must list at least one case")
     out = []
     for i, case in enumerate(cases):
         if not (isinstance(case, dict) and isinstance(case.get("group"), str)
@@ -158,8 +162,9 @@ def perm_realization(g: GroupId) -> str | None:
     return None
 
 
-@functools.lru_cache(maxsize=1)  # one group's points share its build; run_suite clears it
-def _constructible(g: GroupId, order_bound: int):
+def _build(g: GroupId, order_bound: int):
+    """(G, None) for the group realizing g under the cap, or (None, the
+    reason it cannot be built)."""
     spec = perm_realization(g)
     if spec is None:
         return None, f"no permutation construction for {g}"
@@ -169,24 +174,24 @@ def _constructible(g: GroupId, order_bound: int):
         return None, str(exc)
 
 
-def _run_cases(suite, grid, order_bound, in_scope, check) -> CrossCheckReport:
-    """One case per grid point in scope whose group can be built;
-    ``check(g, pi, G)`` returns the case's verdict fields."""
-    report = CrossCheckReport(suite)
-    for g, pi in grid:
-        entry = {"group": g.spec(), "pi": list(pi)}
-        if not in_scope(g, pi):
-            report.out_of_scope.append(entry)
-            continue
-        G, reason = _constructible(g, order_bound)
-        if G is None:
-            report.skipped.append({**entry, "reason": reason})
-            continue
-        t0 = time.perf_counter()
-        case = {**entry, **check(g, pi, G)}
-        case["runtime"] = round(time.perf_counter() - t0, 4)
-        report.cases.append(case)
-    return report
+def _cross(g, pi, G) -> dict:
+    """decide_dpi vs brute D and decide_epi vs brute E and C at one point.
+    It takes D's answer once, untraced, and E's from it, as decide_epi
+    does; no verdict is built."""
+    inter = pi_intersection(pi, g)
+    d = _dpi_answer(g, inter)
+    oracle_d, oracle_e = d[0], _epi_answer(g, inter, d)[0]
+    brute_d, _ = brute_property(G, pi, "D")
+    brute_e, _ = brute_property(G, pi, "E")
+    brute_c, _ = brute_property(G, pi, "C")
+    return {
+        "oracle": {"dpi": oracle_d, "epi": oracle_e},
+        "brute": {"dpi": brute_d, "epi": brute_e, "cpi": brute_c},
+        "agree": (oracle_d == "yes") == brute_d
+        and (oracle_e == "yes") == brute_e == brute_c,
+        "detail": f"oracle d={oracle_d}/e={oracle_e} "
+        f"brute d={brute_d}/e={brute_e}/c={brute_c}",
+    }
 
 
 def _implied_by_d(prop: str, label: str):
@@ -204,46 +209,19 @@ def _implied_by_d(prop: str, label: str):
     return check
 
 
-def cross_check_simple(
-    grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
-) -> CrossCheckReport:
-    """decide_dpi vs brute D and decide_epi vs brute E and C, per case.
-    Each case takes D's answer once, untraced, and E's from it, as
-    decide_epi does; no verdict is built."""
-
-    def check(g, pi, G) -> dict:
-        inter = pi_intersection(pi, g)
-        d = _dpi_answer(g, inter)
-        oracle_d, oracle_e = d[0], _epi_answer(g, inter, d)[0]
-        brute_d, _ = brute_property(G, pi, "D")
-        brute_e, _ = brute_property(G, pi, "E")
-        brute_c, _ = brute_property(G, pi, "C")
-        return {
-            "oracle": {"dpi": oracle_d, "epi": oracle_e},
-            "brute": {"dpi": brute_d, "epi": brute_e, "cpi": brute_c},
-            "agree": (oracle_d == "yes") == brute_d
-            and (oracle_e == "yes") == brute_e == brute_c,
-            "detail": f"oracle d={oracle_d}/e={oracle_e} "
-            f"brute d={brute_d}/e={brute_e}/c={brute_c}",
-        }
-
-    return _run_cases("cross", grid, order_bound, lambda g, pi: 2 not in pi, check)
+def cross_check_simple(grid: list[tuple[GroupId, PrimeSet]]) -> CrossCheckReport:
+    """decide_dpi vs brute D and decide_epi vs brute E and C, per case."""
+    return run_suite("cross", grid)[0]
 
 
-def main_theorem_check(
-    grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
-) -> CrossCheckReport:
+def main_theorem_check(grid: list[tuple[GroupId, PrimeSet]]) -> CrossCheckReport:
     """Wherever brute D holds, brute U must hold as well."""
-    return _run_cases("main-theorem", grid, order_bound, lambda g, pi: True,
-                      _implied_by_d("U", "u"))
+    return run_suite("main-theorem", grid)[0]
 
 
-def star_consistency_check(
-    grid: list[tuple[GroupId, PrimeSet]], order_bound: int = DEFAULT_MAX_ORDER
-) -> CrossCheckReport:
+def star_consistency_check(grid: list[tuple[GroupId, PrimeSet]]) -> CrossCheckReport:
     """For p not in pi: brute D true must imply brute star true."""
-    return _run_cases("star", grid, order_bound, lambda g, pi: 2 not in pi and g.p not in pi,
-                      _implied_by_d("star", "star"))
+    return run_suite("star", grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,14 +321,12 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     return report
 
 
-# suite name -> its report on grid points under an order cap; run_suite hands them
-# one group's points at a time, so each group is built once and gone before the next.
-# Each suite function is looked up by name when it runs, so a wrapper rebound
-# over it (as bench/spans.py binds its timers) sees the call.
+# suite name -> (in_scope(g, pi), check(g, pi, G)): check returns a case's
+# verdict fields at a point in scope whose group G could be built.
 _GRID_SUITES = {
-    "cross": lambda points, cap: cross_check_simple(points, cap),
-    "main-theorem": lambda points, cap: main_theorem_check(points, cap),
-    "star": lambda points, cap: star_consistency_check(points, cap),
+    "cross": (lambda g, pi: 2 not in pi, _cross),
+    "main-theorem": (lambda g, pi: True, _implied_by_d("U", "u")),
+    "star": (lambda g, pi: 2 not in pi and g.p not in pi, _implied_by_d("star", "star")),
 }
 _SUITES = (*_GRID_SUITES, "exclusivity")  # the CLI's choices, in the order "all" runs them
 
@@ -360,22 +336,40 @@ def run_suite(
     grid: list[tuple[GroupId, PrimeSet]] | None = None,
     order_bound: int = DEFAULT_MAX_ORDER,
 ) -> list[CrossCheckReport]:
-    """Run one suite or all of them on the given (default: generated) grid."""
+    """Run one suite or all of them on the given (default: generated) grid.
+
+    The grid is walked in runs of points on one group, each run suite by
+    suite.  A run's group is built at its first point in scope, shared by
+    the run's suites and dropped when the run ends, so no group outlives
+    the call.  Each grid suite makes one case per point in scope whose
+    group can be built.
+    """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {(*_SUITES, 'all')}")
     if grid is None:
         grid = default_grid()
     names = _SUITES if name == "all" else (name,)
     reports = [CrossCheckReport(n) for n in names if n in _GRID_SUITES]
-    try:
-        for _, points in itertools.groupby(grid, key=lambda point: point[0]):
-            points = list(points)
-            for report in reports:
-                part = _GRID_SUITES[report.suite](points, order_bound)
-                for key in ("cases", "out_of_scope", "skipped"):
-                    getattr(report, key).extend(getattr(part, key))
-    finally:  # a suite that raises leaves no group alive either
-        _constructible.cache_clear()
+    for g, points in itertools.groupby(grid, key=lambda point: point[0]):
+        points = list(points)
+        G = reason = None  # the run's group, or why it cannot be built, once needed
+        for report in reports:
+            in_scope, check = _GRID_SUITES[report.suite]
+            for _, pi in points:
+                entry = {"group": g.spec(), "pi": list(pi)}
+                if not in_scope(g, pi):
+                    report.out_of_scope.append(entry)
+                    continue
+                if G is None and reason is None:
+                    G, reason = _build(g, order_bound)
+                if G is None:
+                    report.skipped.append({**entry, "reason": reason})
+                    continue
+                t0 = time.perf_counter()
+                case = {**entry, **check(g, pi, G)}
+                case["runtime"] = round(time.perf_counter() - t0, 4)
+                report.cases.append(case)
+    G = None  # the last run's group is not kept through the exclusivity scan
     if "exclusivity" in names:
         reports.append(exclusivity_scan())
     return reports

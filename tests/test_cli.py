@@ -425,6 +425,7 @@ def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
         ("[]", "a grid must be a JSON object with a 'cases' list"),
         ('{"grid": []}', "a grid must be a JSON object with a 'cases' list"),
         ('{"cases": {}}', "a grid must be a JSON object with a 'cases' list"),
+        ('{"cases": []}', "a grid must list at least one case"),
         ('{"cases": [{"pi": [3]}]}', "grid case 0 must be an object"),
         ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=7"}]}',
          "grid case 1 must be an object"),
@@ -440,7 +441,7 @@ def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
         ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=6", "pi": [3]}]}',
          "grid case 1: bad 'group' 'A:2:q=6': q=6 is not a prime power"),
     ],
-    ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list",
+    ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list", "empty-cases",
          "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi",
          "repeated-prime", "composite", "bad-group"],
 )

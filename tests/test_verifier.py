@@ -260,7 +260,6 @@ def _record_builds(monkeypatch) -> list:
         return G
 
     monkeypatch.setattr(verifier, "construct_named", recording)
-    verifier._constructible.cache_clear()  # a group a direct suite call left there
     return built
 
 
@@ -286,12 +285,24 @@ def test_run_suite_that_raises_keeps_no_group_alive(monkeypatch):
     leaves no group a run_suite call built reachable."""
     built = _record_builds(monkeypatch)
 
-    def failing(points, order_bound):
+    def failing(g, pi, G):
         raise RuntimeError("suite failed")
 
-    monkeypatch.setitem(verifier._GRID_SUITES, "star", failing)
+    monkeypatch.setitem(verifier._GRID_SUITES, "star", (lambda g, pi: True, failing))
     with pytest.raises(RuntimeError, match="suite failed"):
         run_suite("all", [(parse_group_id("A:2:q=7"), PrimeSet([3]))])
+    gc.collect()
+    assert [spec for spec, _ in built] == ["psl2:7"]
+    assert all(ref() is None for _, ref in built)
+
+
+@pytest.mark.parametrize("suite", [cross_check_simple, main_theorem_check,
+                                   star_consistency_check])
+def test_direct_suite_call_keeps_no_group_alive(monkeypatch, suite):
+    """No group a public suite called on its own built is reachable once it
+    returns."""
+    built = _record_builds(monkeypatch)
+    assert suite([(parse_group_id("A:2:q=7"), PrimeSet([3]))]).ok
     gc.collect()
     assert [spec for spec, _ in built] == ["psl2:7"]
     assert all(ref() is None for _, ref in built)
@@ -314,6 +325,55 @@ def test_run_suite_all():
     reports = run_suite("all", default_grid()[:3])
     assert [r.suite for r in reports] == ["cross", "main-theorem", "star", "exclusivity"]
     assert all(r.ok for r in reports)
+
+
+def _failing_brute(monkeypatch, prop):
+    """brute_property with ``prop`` failing everywhere, with a witness."""
+    real = verifier.brute_property
+    witness = {"reason": f"{prop} made to fail"}
+
+    def brute(G, pi, property):
+        return (False, witness) if property == prop else real(G, pi, property)
+
+    monkeypatch.setattr(verifier, "brute_property", brute)
+    return witness
+
+
+@pytest.mark.parametrize("prop, suite", [("U", main_theorem_check),
+                                         ("star", star_consistency_check)])
+def test_suite_reports_a_counterexample(monkeypatch, prop, suite):
+    """Where brute D holds and ``prop`` fails, the case disagrees and
+    carries the witness; A:2:q=7 is D_{3} (Sylow) and 7 is not in pi."""
+    witness = _failing_brute(monkeypatch, prop)
+    report = suite([(parse_group_id("A:2:q=7"), PrimeSet([3]))])
+    [case] = report.cases
+    assert not case["agree"] and case["counterexample"] == witness
+    assert case["detail"].startswith("d=True ") and not report.ok
+
+
+def test_verify_prints_fail_and_exits_one(monkeypatch, capsys):
+    _failing_brute(monkeypatch, "U")
+    assert main(["verify", "main-theorem"]) == 1
+    out = capsys.readouterr().out
+    assert "  [FAIL] A:2:q=7 pi={3} d=True u=False" in out.splitlines()
+
+
+def test_text_report_lists_out_of_scope_and_skipped():
+    grid = [(parse_group_id("A:2:q=7"), PrimeSet([2, 3])),
+            (parse_group_id("B:3:q=3"), PrimeSet([5, 7]))]
+    assert cross_check_simple(grid).to_text().splitlines() == [
+        "suite: cross",
+        "  [oos ] A:2:q=7 pi={2,3}",
+        "  [skip] B:3:q=3: no permutation construction for B:3:q=3",
+        "  0 cases, 0 disagreements, 1 out of scope, 1 skipped",
+    ]
+
+
+def test_verify_cap_skip_names_the_cap(capsys):
+    assert main(["verify", "cross", "--max-order", "100"]) == 0
+    skips = [line for line in capsys.readouterr().out.splitlines()
+             if line.startswith("  [skip] ")]
+    assert skips and all("cap 100" in line for line in skips)
 
 
 def test_verify_cap_skips_without_building(monkeypatch):
