@@ -128,15 +128,21 @@ def _check_odd_prime(r: int) -> None:
 def multiplicative_order(q: int, r: int) -> int:
     """Least e >= 1 with q^e = 1 (mod r), for an odd prime r not dividing q.
 
-    The result always divides r - 1.  Computed by scanning the divisors of
-    r - 1 in increasing order; r is small even when q is huge.
+    The result always divides r - 1.  r is small even when q is huge.
     """
     _check_odd_prime(r)
-    if q % r == 0:
+    return _order(q, r)
+
+
+def _order(q: int, r: int) -> int:
+    """ord(q mod r) for a prime r its caller has validated: the least
+    divisor e of r - 1, in increasing order, with q^e = 1 (mod r).  The one
+    order loop; an r dividing q has no order, a ValueError."""
+    x = q % r
+    if x == 0:
         raise ValueError(f"order undefined: {r} divides {q}")
-    divisors = sorted(d for d in range(1, r) if (r - 1) % d == 0)
-    for e in divisors:
-        if pow(q, e, r) == 1:
+    for e in range(1, r):
+        if (r - 1) % e == 0 and pow(x, e, r) == 1:
             return e
     raise AssertionError("unreachable: order must divide r - 1")
 

@@ -23,16 +23,20 @@ one the traced decision also tests and, with that value, ends on, so both
 give the same answer (``_dpi_answer`` lists where).  With p outside pi,
 one test of every ord(q mod s) against ord(q mod r) picks the one of
 Conditions II and III that can still hold.  ord(q mod s) is read from one
-table per q, filled as the bodies ask.
+table per q, filled as the bodies ask by arith's order loop, with no second
+primality test.  The primes of inter are distinct, so with m = prod(inter)
+all divide N exactly when m divides N, and none does exactly when
+gcd(N, m) = 1: an untraced body tests a prime set with one such operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from math import gcd, prod
 from typing import Any, Union
 
-from .arith import PrimeSet, is_prime, multiplicative_order, r_part_pow_minus_one
+from .arith import PrimeSet, _order, is_prime, r_part_pow_minus_one
 from .lie_catalog import (
     GroupId,
     SUZUKI_REE_FAMILIES,
@@ -65,7 +69,9 @@ Trace = list[dict[str, Any]]
 
 class _Orders(dict):
     """ord(q mod s) for one q, keyed by the odd prime s, each computed on
-    its first read."""
+    its first read by arith's order loop.  s is a member of a validated
+    PrimeSet, so it is not proven prime again; an s dividing q is a
+    ValueError, as in ``multiplicative_order``."""
 
     __slots__ = ("q",)
 
@@ -73,7 +79,7 @@ class _Orders(dict):
         self.q = q
 
     def __missing__(self, s: int) -> int:
-        o = self[s] = multiplicative_order(self.q, s)
+        o = self[s] = _order(self.q, s)
         return o
 
 
@@ -172,9 +178,9 @@ def _condition_I(trace: Trace | None, g: GroupId, inter: PrimeSet) -> bool:
     ``trace``.  p never divides q - 1, so the first test skips it."""
     q, p = g.q, g.p
     w = weyl_order(g)
-    if trace is None:
-        return (all(t == p or (q - 1) % t == 0 for t in inter)
-                and all(w % t != 0 for t in inter))
+    if trace is None:  # the rest divide q - 1 exactly when m divides (q - 1)p
+        m = prod(inter)
+        return (q - 1) * p % m == 0 and gcd(w, m) == 1
     ok = True
     for t in inter.without(p):
         ok &= _rec(trace, "t divides q-1", (q - 1) % t == 0, t=t, q=q)
@@ -433,8 +439,9 @@ def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
     """Condition IV's body on ``inter`` = pi inter pi(g), recorded in
     ``trace``."""
     subcase = {"2B2": "IV(a)", "2G2": "IV(b)", "2F4": "IV(c)"}[g.family]
+    m = prod(inter)
     for label, value in _torus_prime_sets(g):
-        contained = all(value % t == 0 for t in inter)
+        contained = value % m == 0
         _rec(trace, "pi(S)-primes contained in pi(torus order)", contained,
              torus=label, torus_order=value)
         if contained:
@@ -489,7 +496,7 @@ def _dpi_answer(g: GroupId, inter: PrimeSet, trace: Trace | None = None) -> Answ
             sub = _condition_II(trace, g, *facts)
             if sub is None:
                 sub = _condition_III(trace, g, *facts)
-        elif all(orders[s] == a for s in tau):
+        elif all(map(a.__eq__, map(orders.__getitem__, tau))):  # opens no generator frame
             sub = _condition_III(None, g, *facts)
         elif g.family in _II_FAMILIES:
             sub = _condition_II(None, g, *facts)
@@ -546,17 +553,18 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
     pi inter pi(g), recorded in ``trace``, given whether D holds on
     (g, inter).  The linear and unitary cases read the order facts of
     Conditions II/III off inter."""
-    if not _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)):
-        return None
-    if d_yes:
+    if trace is not None and _rec(
+            trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)) and d_yes:
         _rec(trace, "D holds, so not in E minus D", True)
+    if len(inter) < 2 or d_yes:
         return None
     q, n = g.q, g.n
 
     if g.p in inter:
         p, w = g.p, weyl_order(g)
         if trace is None:
-            ok = w % p == 0 and all(t == p or (q - 1) % t == 0 and w % t != 0 for t in inter)
+            rest = prod(inter) // p
+            ok = w % p == 0 and (q - 1) % rest == 0 and gcd(w, rest) == 1
         else:
             ok = _rec(trace, "p divides |W|", w % p == 0, p=p, weyl_order=w)
             for t in inter.without(p):
@@ -594,10 +602,10 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
     if fam not in _EXCEPTIONAL_CASES:
         return None
     tori, rows = _EXCEPTIONAL_CASES[fam]
-    order = {"q-1": q - 1, "q+1": q + 1}
+    order, m = {"q-1": q - 1, "q+1": q + 1}, prod(inter)
     if not any(
-        _rec(trace, "pi(S)-primes contained in pi(value)",
-             all(order[label] % t == 0 for t in inter), value_label=label)
+        _rec(trace, "pi(S)-primes contained in pi(value)", order[label] % m == 0,
+             value_label=label)
         for label in tori
     ):
         return None

@@ -7,13 +7,14 @@ Lie rank 1); for B/C/D/2D it is the Lie rank.  Both orders are read off
 the degrees of the Weyl group's basic invariants, and the centre's order
 is stated once, in ``diag_quotient_order`` (Carter, *Simple Groups of Lie
 Type*, 10.2 and 14.3); only 3D4 and the Suzuki-Ree orders are written out.
+A ``GroupId`` sets its facts (q, hash, spec) once, as plain attributes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, log, prod
 
 from .arith import _SMALL_PRIMES, PrimeSet, _subset, is_prime
@@ -45,35 +46,30 @@ class GroupSpecError(ValueError):
 
 @dataclass(frozen=True)
 class GroupId:
-    """Symbolic identifier: family, dimension/rank parameter, q = p^f."""
+    """Symbolic identifier: family, dimension/rank parameter, q = p^f.
+    q, the hash and the spec are set when it is made and read with no lock.
+    q is None unless p is prime and f >= 1, so a spec that
+    ``validate_simple`` refuses on its base or exponent never forms p^f."""
 
     family: str
     n: int | None
     p: int
     f: int
 
-    @cached_property
-    def q(self) -> int:
-        return self.p**self.f
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.family, self.n, self.p, self.f))
+    def __post_init__(self) -> None:
+        fix, fam, n, p, f = object.__setattr__, self.family, self.n, self.p, self.f
+        fix(self, "q", p**f if f >= 1 and is_prime(p) else None)
+        # every lru_cache lookup keyed by a GroupId hashes it
+        fix(self, "_hash", hash((fam, n, p, f)))
+        qtxt = str(p) if f == 1 else f"{p}^{f}"
+        fix(self, "_spec", f"{fam}:q={qtxt}" if n is None else f"{fam}:{n}:q={qtxt}")
 
     def __hash__(self) -> int:
-        # computed once: every lru_cache lookup keyed by a GroupId hashes it
         return self._hash
 
     def __reduce__(self):
         # rebuild from the fields, so no hash is carried to another process
         return GroupId, (self.family, self.n, self.p, self.f)
-
-    @cached_property
-    def _spec(self) -> str:
-        qtxt = str(self.p) if self.f == 1 else f"{self.p}^{self.f}"
-        if self.n is None:
-            return f"{self.family}:q={qtxt}"
-        return f"{self.family}:{self.n}:q={qtxt}"
 
     def spec(self) -> str:
         """Canonical textual form; re-parses to an equal GroupId."""
@@ -161,11 +157,11 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
     """True iff the descriptor names a finite simple group, with a reason."""
     if g.family not in FAMILIES:
         return False, f"unknown family {g.family!r}"
-    if not is_prime(g.p):
-        return False, f"base {g.p} of q is not prime"
-    if g.f < 1:
-        return False, "field exponent must be positive"
     q = g.q
+    if q is None:  # p is not prime or f < 1; the base is named first
+        if g.f < 1 and is_prime(g.p):
+            return False, "field exponent must be positive"
+        return False, f"base {g.p} of q is not prime"
     if g.family in CLASSICAL_FAMILIES:
         if g.n is None:
             return False, f"family {g.family} requires a dimension/rank parameter"

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -10,7 +11,7 @@ from hallpi import cli, perm_engine
 from hallpi.arith import PrimeSet
 from hallpi.cli import main
 from hallpi.hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
-from hallpi.lie_catalog import parse_group_id
+from hallpi.lie_catalog import CLASSICAL_FAMILIES, FAMILIES, parse_group_id
 from hallpi.verifier import default_grid
 
 
@@ -109,6 +110,29 @@ def test_decide_reports_cyclic_hall(capsys):
     code, out, _ = run(capsys, "decide", "--group", "2D:6:q=4", "--pi", "7,13",
                        "--prop", "dpi")
     assert code == 0 and "hall_cyclic=true" in out
+
+
+def test_traced_decisions_keep_every_record_in_order(capsys):
+    """A traced D verdict records every predicate in order, where the
+    untraced decision stops at the one that decides: on B:4:q=7 Condition
+    II's family record comes before III's failing one, and on A:2:q=5 all
+    three Condition I records are kept though the first fails."""
+    code, out, _ = run(capsys, "decide", "--group", "B:4:q=7", "--pi", "3,5",
+                       "--prop", "dpi", "--format", "json")
+    assert code == 1
+    assert [(r["pred"], r["value"]) for r in json.loads(out)["trace"]] == [
+        ("a = ord(q mod r)", True), ("ord(q mod s)", True),
+        ("exists t in tau with ord(q,t) != a", True),
+        ("family has a Condition II subcase", False),
+        ("c = ord(q mod r)", True), ("ord(q,t) == c", False),
+    ]
+    code, out, _ = run(capsys, "decide", "--group", "A:2:q=5", "--pi", "3,5",
+                       "--prop", "dpi", "--format", "json")
+    assert code == 1
+    assert [(r["pred"], r["args"]["t"], r["value"]) for r in json.loads(out)["trace"]] == [
+        ("t divides q-1", 3, False), ("t does not divide |W|", 3, True),
+        ("t does not divide |W|", 5, True),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +346,25 @@ def test_scan_rows_equal_public_deciders(capsys, family_n):
                           (decide_epi, decide_cpi, decide_dpi, decide_upi))
             assert columns == [e.holds, c.holds, d.holds, u.holds,
                                d.condition or e.condition or ""], (spec, pi_text)
+
+
+def test_scan_output_is_pinned(capsys):
+    """sha256 over the exit code and stdout of 48 scans: every family, n in
+    2..8 for the classical ones, q in 2..64, pi of size 1, 2 and 3; 50,517
+    lines in all.  A change to the oracle's untraced path must leave every
+    byte as it is."""
+    digest, lines = hashlib.sha256(), 0
+    for fam in FAMILIES:
+        n = ["--n", "2..8"] if fam in CLASSICAL_FAMILIES else []
+        for size in ("1", "2", "3"):
+            code, out, _ = run(capsys, "scan", "--family", fam, *n, "--q", "2..64",
+                               "--pi-size", size)
+            digest.update(f"{code}\n{out}".encode())
+            lines += out.count("\n")
+    assert lines == 50517
+    assert digest.hexdigest() == (
+        "238ae05d374e80df852060b616fc430d0ad5c9eccaaa13b947aa01301f130348"
+    )
 
 
 # ---------------------------------------------------------------------------

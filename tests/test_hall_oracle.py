@@ -10,7 +10,7 @@ import re
 import pytest
 
 from hallpi import hall_oracle, verifier
-from hallpi.arith import PrimeSet
+from hallpi.arith import PrimeSet, is_prime, multiplicative_order
 from hallpi.cli import main
 from hallpi.hall_oracle import (
     ONAN,
@@ -89,6 +89,23 @@ def test_condition_I_precondition():
 
 # ---------------------------------------------------------------------------
 # Conditions II and III
+
+
+def test_order_table_agrees_with_multiplicative_order():
+    """The per-q table of ord(q mod s) runs arith's order loop with no
+    primality test; it must give ``multiplicative_order``'s value for every
+    scanned q and prime power q <= 64, and refuse an s dividing q as it
+    does."""
+    prime_powers = [q for q in range(2, 65) if len({p for p in range(2, q + 1)
+                                                    if q % p == 0 and is_prime(p)}) == 1]
+    odd_primes = [s for s in range(3, 64) if is_prime(s)]
+    for q in sorted({*verifier._SCAN_Q, *prime_powers}):
+        table = hall_oracle._order_table(q)
+        for s in odd_primes:
+            if q % s:
+                assert table[s] == multiplicative_order(q, s), (q, s)
+    with pytest.raises(ValueError, match="3 divides 9"):
+        hall_oracle._order_table(9)[3]
 
 
 def test_condition_II_preconditions():
@@ -473,8 +490,15 @@ def test_classification_case_2B_a():
 
 
 def test_classification_none_when_dpi_holds():
-    tag, _ = classify_epi_minus_dpi(g("A:2:q=7"), PrimeSet([3, 7]))
+    """The traced classification records both opening tests, and only the
+    first where |pi inter pi(S)| < 2."""
+    tag, trace = classify_epi_minus_dpi(g("A:2:q=7"), PrimeSet([3, 7]))
     assert tag is None
+    assert [(r["pred"], r["value"]) for r in trace] == [
+        ("|pi inter pi(S)| >= 2", True), ("D holds, so not in E minus D", True)]
+    tag, trace = classify_epi_minus_dpi(g("A:2:q=7"), PrimeSet([3]))
+    assert tag is None and [(r["pred"], r["value"]) for r in trace] == [
+        ("|pi inter pi(S)| >= 2", False)]
 
 
 def test_classification_onan():

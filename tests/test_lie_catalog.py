@@ -39,7 +39,9 @@ def test_parse_and_roundtrip():
 
 def test_group_ids_hash_by_value_and_share_one_cache_entry():
     """A parsed and a constructed GroupId are equal with equal hashes, so
-    group_order caches them once; a pickled copy carries no stored hash."""
+    group_order caches them once; a pickle carries the four fields and no
+    hash, so a process with another hash seed unpickles a copy that equals
+    the group it parses there and hashes as it does."""
     parsed, built = parse_group_id("E8:q=311"), GroupId("E8", None, 311, 1)
     assert parsed is not built and parsed == built and hash(parsed) == hash(built)
     assert parsed != GroupId("E8", None, 313, 1)
@@ -47,8 +49,17 @@ def test_group_ids_hash_by_value_and_share_one_cache_entry():
     assert group_order(parsed) == group_order(built)
     info = group_order.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert parsed.__reduce__() == (GroupId, ("E8", None, 311, 1))
     copy = pickle.loads(pickle.dumps(parsed))
-    assert "_hash" not in vars(copy) and copy == parsed and hash(copy) == hash(parsed)
+    assert copy == parsed and hash(copy) == hash(parsed)
+    code = ("import pickle, sys; from hallpi.lie_catalog import parse_group_id; "
+            "copy = pickle.loads(sys.stdin.buffer.read()); g = parse_group_id('E8:q=311'); "
+            "assert copy == g and hash(copy) == hash(g) and hash(g) != int(sys.argv[1])")
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"  # not this process's
+    env = {**os.environ, "PYTHONHASHSEED": seed,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
+    subprocess.run([sys.executable, "-c", code, str(hash(parsed))], input=pickle.dumps(parsed),
+                   env=env, check=True, timeout=10)
 
 
 def test_parsed_group_ids_are_interned(monkeypatch):
@@ -80,6 +91,18 @@ def test_large_prime_q_parses_without_trial_division():
     its square root fails the test rather than hanging it."""
     code = ("from hallpi.lie_catalog import parse_group_id; q = 2**61 - 1; "
             "assert parse_group_id(f'A:2:q={q}') == parse_group_id(f'A:2:q={q}^1')")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
+
+
+def test_refusal_on_the_base_forms_no_q():
+    """A spec refused for its base is refused at once: 6^(10^8) is never
+    formed.  Run in a child process under a timeout, as forming it would
+    take minutes."""
+    code = ("from hallpi.lie_catalog import GroupSpecError, parse_group_id\n"
+            "try:\n    parse_group_id('A:2:q=6^100000000')\n"
+            "except GroupSpecError as exc:\n    assert 'base 6 of q is not prime' in str(exc)\n"
+            "else:\n    raise AssertionError('accepted')")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
 
