@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import gcd, prod
-from typing import Any, Union
+from typing import Any
 
 from .arith import PrimeSet, _order, is_prime, r_part_pow_minus_one
 from .lie_catalog import (
@@ -47,22 +47,15 @@ from .lie_catalog import (
 __all__ = [
     "Verdict",
     "FactorDescriptor",
-    "ONAN",
-    "check_condition_I",
-    "check_condition_II",
-    "check_condition_III",
-    "check_condition_IV",
     "decide_dpi",
     "decide_upi",
     "decide_epi",
     "decide_cpi",
-    "classify_epi_minus_dpi",
     "reduce_composition",
 ]
 
-# Marker for the one sporadic group appearing in the E-minus-D classification.
-ONAN = "O'N"
-_ONAN_PRIMES = (2, 3, 5, 7, 11, 19, 31)
+# pi(O'N), the one sporadic group in the E-minus-D classification
+_O_N_PRIMES = (2, 3, 5, 7, 11, 19, 31)
 
 Trace = list[dict[str, Any]]
 
@@ -162,17 +155,6 @@ class FactorDescriptor:
         return cls("unsupported", name=name)
 
 
-def check_condition_I(g: GroupId, pi: PrimeSet) -> tuple[bool, Trace]:
-    """Characteristic-in-pi case: the rest of pi sits in pi(q-1) and the
-    Weyl order avoids every relevant prime."""
-    if g.p not in pi:
-        raise ValueError("Condition I requires the defining characteristic in pi")
-    if 2 in pi:
-        raise ValueError("Condition I requires 2 outside pi")
-    trace: Trace = []
-    return _condition_I(trace, g, pi_intersection(pi, g)), trace
-
-
 def _condition_I(trace: Trace | None, g: GroupId, inter: PrimeSet) -> bool:
     """Condition I's body on ``inter`` = pi inter pi(g), recorded in
     ``trace``.  p never divides q - 1, so the first test skips it."""
@@ -211,15 +193,6 @@ def _unitary_order(r: int) -> int:
     """The ord(q mod r) that the unitary subcases II(c)-(f) and E-minus-D
     2B(b)/(c) require: r - 1 for r = 1 (mod 4), (r - 1)/2 for r = 3."""
     return r - 1 if r % 4 == 1 else (r - 1) // 2
-
-
-def check_condition_II(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
-    """Mixed-order case: some member of tau has order b different from a.
-
-    Returns the first satisfied subcase (a)-(h) in listing order, or None.
-    """
-    trace: Trace = []
-    return _condition_II(trace, g, *_order_facts(g, _check_II_III_pre(g, pi))), trace
 
 
 def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
@@ -343,12 +316,6 @@ _III_EXCLUSIONS = {
 }
 
 
-def check_condition_III(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
-    """Uniform-order case: every member of tau has the same order c as r."""
-    trace: Trace = []
-    return _condition_III(trace, g, *_order_facts(g, _check_II_III_pre(g, pi))), trace
-
-
 def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], c: int,
                    orders: _Orders) -> str | None:
     """Condition III's body on the facts ``_order_facts`` lists, with
@@ -375,20 +342,6 @@ def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...]
         if _rec(trace, text, ok, r=r, c=c):
             return tag
     return None
-
-
-def _check_II_III_pre(g: GroupId, pi: PrimeSet) -> PrimeSet:
-    """pi inter pi(g), once the premises of Conditions II/III are checked."""
-    if 2 in pi:
-        raise ValueError("Conditions II/III require 2 outside pi")
-    if g.p in pi:
-        raise ValueError("Conditions II/III require the characteristic outside pi")
-    if g.family in SUZUKI_REE_FAMILIES:
-        raise ValueError("Conditions II/III exclude the Suzuki/Ree families")
-    inter = pi_intersection(pi, g)
-    if len(inter) < 2:
-        raise ValueError("Conditions II/III require at least two relevant primes")
-    return inter
 
 
 def _torus_prime_sets(g: GroupId) -> list[tuple[str, int]]:
@@ -422,17 +375,6 @@ def _torus_prime_sets(g: GroupId) -> list[tuple[str, int]]:
             ("q^2+2^(3m+2)+q+2^(m+1)-1", q * q + u + q + t - 1),
             ("q^2-2^(3m+2)+q-2^(m+1)-1", q * q - u + q - t - 1),
         ]
-    raise ValueError("Condition IV applies only to the Suzuki/Ree families")
-
-
-def check_condition_IV(g: GroupId, pi: PrimeSet) -> tuple[str | None, Trace]:
-    """Suzuki/Ree case: the relevant primes fit inside one torus-order set."""
-    if g.family not in SUZUKI_REE_FAMILIES:
-        raise ValueError("Condition IV applies only to the Suzuki/Ree families")
-    if 2 in pi:
-        raise ValueError("Condition IV requires 2 outside pi")
-    trace: Trace = []
-    return _condition_IV(trace, g, pi_intersection(pi, g)), trace
 
 
 def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | None:
@@ -463,10 +405,10 @@ def _dpi_answer(g: GroupId, inter: PrimeSet, trace: Trace | None = None) -> Answ
     |inter| >= 2 they lie in inter exactly where they lie in pi.
 
     Each branch below reaches a condition only where that condition's
-    premises hold, so the condition bodies take ``inter``, Conditions II
-    and III the order facts computed once from it, and their answers are
-    the public ``check_condition_*`` answers.  Each body records straight
-    into ``trace``, or nothing where it is None.
+    premises hold, so the condition bodies take ``inter`` and Conditions II
+    and III the order facts computed once from it; no body checks its
+    premises again.  Each body records straight into ``trace``, or nothing
+    where it is None.
 
     With no trace each body returns at the first predicate that decides
     it, skipping the records and tests after it: Condition I at its first
@@ -513,25 +455,6 @@ def decide_upi(g: GroupId, pi: PrimeSet) -> Verdict:
     return v
 
 
-def classify_epi_minus_dpi(
-    g_or_sporadic: Union[GroupId, str], pi: PrimeSet
-) -> tuple[str | None, Trace]:
-    """Match the classification of simple groups having a pi-Hall subgroup
-    while failing the D property.  Returns the case tag or None."""
-    if 2 in pi:
-        raise ValueError("classification requires 2 outside pi")
-    trace: Trace = []
-    if not isinstance(g_or_sporadic, str):
-        g, inter = g_or_sporadic, pi_intersection(pi, g_or_sporadic)
-        return _classify_lie(trace, g, inter, _dpi_answer(g, inter)[0] == "yes"), trace
-    if g_or_sporadic not in (ONAN, "ON", "O'N"):
-        raise ValueError(f"unsupported sporadic marker {g_or_sporadic!r}")
-    inter = sorted(t for t in pi if t in _ONAN_PRIMES)
-    if _rec(trace, "pi inter pi(O'N) == {3,5}", inter == [3, 5], intersection=inter):
-        return "epi_case_1", trace
-    return None, trace
-
-
 # The exceptional E-minus-D cases 2B(d)-(i) per family: the tori whose
 # order pi inter pi(S) may divide, in the order they are tried, and the rows
 # (tag, primes present, primes absent) in the paper's listing order.
@@ -547,17 +470,13 @@ _EXCEPTIONAL_CASES = {
 _E_MINUS_D_FAMILIES = ("A", "2A", *_EXCEPTIONAL_CASES)
 
 
-def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
-                  d_yes: bool) -> str | None:
+def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | None:
     """The classification for a Lie-type g with 2 outside ``inter`` =
-    pi inter pi(g), recorded in ``trace``, given whether D holds on
-    (g, inter).  The linear and unitary cases read the order facts of
-    Conditions II/III off inter."""
-    if trace is not None and _rec(
-            trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter)) and d_yes:
-        _rec(trace, "D holds, so not in E minus D", True)
-    if len(inter) < 2 or d_yes:
-        return None
+    pi inter pi(g), recorded in ``trace``.  It is entered only where D
+    fails on (g, inter), so |inter| >= 2.  The linear and unitary cases
+    read the order facts of Conditions II/III off inter."""
+    if trace is not None:
+        _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter))
     q, n = g.q, g.n
 
     if g.p in inter:
@@ -617,6 +536,17 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
     return None
 
 
+def _classify_onan(pi: PrimeSet) -> tuple[str | None, Trace]:
+    """The classification's one sporadic row, kept until O'N has a
+    descriptor: epi_case_1 where pi inter pi(O'N) = {3, 5}, with its
+    one-record trace."""
+    trace: Trace = []
+    inter = sorted(t for t in pi if t in _O_N_PRIMES)
+    if _rec(trace, "pi inter pi(O'N) == {3,5}", inter == [3, 5], intersection=inter):
+        return "epi_case_1", trace
+    return None, trace
+
+
 def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Hall-subgroup existence; with 2 outside pi this coincides with the
     conjugacy property."""
@@ -638,7 +568,7 @@ def _epi_answer(g: GroupId, inter: PrimeSet, d: Answer,
         return d
     if trace is None and g.p not in inter and g.family not in _E_MINUS_D_FAMILIES:
         return "no", None
-    tag = _classify_lie(trace, g, inter, False)
+    tag = _classify_lie(trace, g, inter)
     return ("no", None) if tag is None else ("yes", tag)
 
 

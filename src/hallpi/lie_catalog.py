@@ -39,6 +39,13 @@ SUZUKI_REE_FAMILIES = ("2B2", "2F4", "2G2")
 # minimum dimension (A/2A) or rank (B/C/D/2D) for simplicity
 _MIN_PARAM = {"A": 2, "2A": 3, "B": 2, "C": 2, "D": 4, "2D": 4}
 
+# The bound on q's bit length.  |E8(q)| has about 248 times q's bits, the
+# most of any family: an E decision on E8 at {3,5,13} took 0.12 s at
+# q = 7^1459 (4,096 bits), 0.80 s at 15,331 bits and 5.9 s at 61,327, and
+# forming q = 7^(10^7) alone took 6.9 s (Python 3.11.7, one process on a
+# 2-core x86-64 machine).
+MAX_Q_BITS = 4096
+
 
 class GroupSpecError(ValueError):
     """Malformed or invalid group descriptor."""
@@ -48,8 +55,9 @@ class GroupSpecError(ValueError):
 class GroupId:
     """Symbolic identifier: family, dimension/rank parameter, q = p^f.
     q, the hash and the spec are set when it is made and read with no lock.
-    q is None unless p is prime and f >= 1, so a spec that
-    ``validate_simple`` refuses on its base or exponent never forms p^f."""
+    q is None unless p is prime, f >= 1 and p^f has at most ``MAX_Q_BITS``
+    bits, so a spec that ``validate_simple`` refuses on its base, its
+    exponent or its size never forms a p^f of more than twice that."""
 
     family: str
     n: int | None
@@ -58,7 +66,10 @@ class GroupId:
 
     def __post_init__(self) -> None:
         fix, fam, n, p, f = object.__setattr__, self.family, self.n, self.p, self.f
-        fix(self, "q", p**f if f >= 1 and is_prime(p) else None)
+        # p^f has over f*(bits(p) - 1) bits, so it is formed only below
+        # 2 * MAX_Q_BITS bits, and then kept only up to MAX_Q_BITS
+        q = p**f if f >= 1 and f * (p.bit_length() - 1) < MAX_Q_BITS and is_prime(p) else None
+        fix(self, "q", q if q and q.bit_length() <= MAX_Q_BITS else None)
         # every lru_cache lookup keyed by a GroupId hashes it
         fix(self, "_hash", hash((fam, n, p, f)))
         qtxt = str(p) if f == 1 else f"{p}^{f}"
@@ -146,7 +157,10 @@ def parse_group_id(text: str) -> GroupId:
         raise GroupSpecError(f"malformed group spec: {text!r}")
     n = int(m.group("n")) if m.group("n") else None
     base = int(m.group("q"))
-    p, f = (base, int(m.group("f"))) if m.group("f") else _prime_power(base)
+    if m.group("f"):
+        p, f = base, int(m.group("f"))
+    else:  # a q over the bound is refused for its size, unsplit
+        p, f = (base, 1) if base.bit_length() > MAX_Q_BITS else _prime_power(base)
     g, reason = _simple_group(m.group("fam"), n, p, f)
     if g is None:
         raise GroupSpecError(f"{text!r} does not name a simple group: {reason}")
@@ -158,10 +172,12 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
     if g.family not in FAMILIES:
         return False, f"unknown family {g.family!r}"
     q = g.q
-    if q is None:  # p is not prime or f < 1; the base is named first
-        if g.f < 1 and is_prime(g.p):
+    if q is None:  # p is not prime, f < 1 or q is over the bound, named in that order
+        if g.p.bit_length() <= MAX_Q_BITS and not is_prime(g.p):
+            return False, f"base {g.p} of q is not prime"
+        if g.f < 1:
             return False, "field exponent must be positive"
-        return False, f"base {g.p} of q is not prime"
+        return False, f"q has more than MAX_Q_BITS = {MAX_Q_BITS} bits"
     if g.family in CLASSICAL_FAMILIES:
         if g.n is None:
             return False, f"family {g.family} requires a dimension/rank parameter"

@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import PrimeSet, _distinct_prime_set, _subset
-from .hall_oracle import _dpi_answer, _epi_answer, check_condition_III
+from .hall_oracle import _condition_III, _dpi_answer, _epi_answer, _order_facts
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -285,7 +285,8 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
     and it satisfies a II subcase.  Such a point is non-uniform, some
     ord(q mod s) differing from ord(q mod r), as II's first test requires,
     and its family has a II subcase, so the untraced D answer still enters
-    Condition II there, and its II answer is check_condition_II's.
+    Condition II there.  Condition III runs traced, so it starts at its own
+    first test, the uniform order that the untraced body takes as given.
     """
     report = CrossCheckReport("exclusivity")
     if groups is None:
@@ -300,7 +301,7 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
                 continue
             detail = "yes verdict without a condition tag"
         elif condition.startswith("II("):
-            sub3, _ = check_condition_III(g, pi)
+            sub3 = _condition_III([], g, *_order_facts(g, pi))
             if sub3 is None:
                 continue
             detail = f"{condition} and {sub3} both satisfied"

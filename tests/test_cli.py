@@ -172,6 +172,16 @@ def test_brute_cap_refusal_names_cap(capsys, monkeypatch):
         assert code == 3 and cap in err, group
 
 
+def test_raw_s40_is_refused_over_the_cap(capsys):
+    """CI's raw S_40 refusal, in process: |S_40| is over the default cap of
+    25000, so the raw group exits 3 naming the cap.  CI alone bounds its
+    time."""
+    cycle = " ".join(map(str, range(40)))
+    code, out, err = run(capsys, "brute", "--group", f"raw:40:(0 1);({cycle})",
+                         "--pi", "3", "--prop", "dpi")
+    assert code == 3 and out == "" and "25000" in err
+
+
 def test_brute_reads_pi_before_building_the_group(capsys, monkeypatch):
     """A bad --pi exits 3 before any group is built: cyclic:20000 is under
     the cap, yet building it takes minutes."""
@@ -365,6 +375,18 @@ def test_scan_output_is_pinned(capsys):
     assert digest.hexdigest() == (
         "238ae05d374e80df852060b616fc430d0ad5c9eccaaa13b947aa01301f130348"
     )
+
+
+def test_c_family_scan_to_q_2000(capsys):
+    """CI's scan of C, n in 2..8, q in 2..2000, pi of size 3, in process (CI
+    alone bounds its time): on every row C = E, U = D and D implies E."""
+    code, out, _ = run(capsys, "scan", "--family", "C", "--n", "2..8", "--q", "2..2000",
+                       "--pi-size", "3")
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert len(rows) == 57586
+    for spec, pi, e, c, d, u, _ in rows:
+        assert c == e and u == d and (d != "yes" or e == "yes"), (spec, pi)
 
 
 # ---------------------------------------------------------------------------

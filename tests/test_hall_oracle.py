@@ -13,25 +13,24 @@ from hallpi import hall_oracle, verifier
 from hallpi.arith import PrimeSet, is_prime, multiplicative_order
 from hallpi.cli import main
 from hallpi.hall_oracle import (
-    ONAN,
     FactorDescriptor,
-    check_condition_I,
-    check_condition_II,
-    check_condition_III,
-    check_condition_IV,
-    classify_epi_minus_dpi,
     decide_cpi,
     decide_dpi,
     decide_epi,
     decide_upi,
     reduce_composition,
 )
-from hallpi.lie_catalog import group_order, parse_group_id, pi_intersection
+from hallpi.lie_catalog import SUZUKI_REE_FAMILIES, group_order, parse_group_id, pi_intersection
 from hallpi.verifier import _SCAN_PRIMES, scan_groups, scan_points
 
 
 def g(spec):
     return parse_group_id(spec)
+
+
+def records(v):
+    """A verdict's trace as (predicate, value) pairs."""
+    return [(r["pred"], r["value"]) for r in v.trace]
 
 
 # ---------------------------------------------------------------------------
@@ -78,13 +77,10 @@ def test_condition_I_fails_when_tau_misses_q_minus_one():
 
 def test_condition_I_weyl_gate():
     # tau = {3} divides q-1 = 12, but 3 divides |W(A_3)| = 6
-    ok, _ = check_condition_I(g("A:3:q=13"), PrimeSet([3, 13]))
-    assert not ok
-
-
-def test_condition_I_precondition():
-    with pytest.raises(ValueError):
-        check_condition_I(g("A:2:q=7"), PrimeSet([3, 5]))
+    v = decide_dpi(g("A:3:q=13"), PrimeSet([3, 13]))
+    assert (v.holds, v.condition) == ("no", None)
+    assert records(v) == [("t divides q-1", True), ("t does not divide |W|", False),
+                          ("t does not divide |W|", True)]
 
 
 # ---------------------------------------------------------------------------
@@ -108,13 +104,17 @@ def test_order_table_agrees_with_multiplicative_order():
         hall_oracle._order_table(9)[3]
 
 
-def test_condition_II_preconditions():
-    with pytest.raises(ValueError):
-        check_condition_II(g("A:2:q=7"), PrimeSet([3, 7]))  # p in pi
-    with pytest.raises(ValueError):
-        check_condition_II(g("2B2:q=8"), PrimeSet([5, 7]))  # Suzuki family
-    with pytest.raises(ValueError):
-        check_condition_III(g("A:2:q=7"), PrimeSet([2, 3]))  # 2 in pi
+def conditions_II_III(gg, pi):
+    """Conditions II and III's answers and traces, each from its traced
+    body, where their premises hold: 2 and p outside pi, no Suzuki-Ree
+    family and |pi inter pi(G)| >= 2.  None elsewhere."""
+    inter = pi_intersection(pi, gg)
+    if 2 in pi or gg.p in pi or gg.family in SUZUKI_REE_FAMILIES or len(inter) < 2:
+        return None
+    facts = hall_oracle._order_facts(gg, inter)
+    trace2, trace3 = [], []
+    return (hall_oracle._condition_II(trace2, gg, *facts), trace2,
+            hall_oracle._condition_III(trace3, gg, *facts), trace3)
 
 
 # E, C and U take D's condition where D holds, and with it hall_cyclic,
@@ -169,9 +169,9 @@ def test_condition_II_h_gives_cyclic_hall():
 def test_condition_III_subcases(spec, pi, tag):
     v = decide_dpi(g(spec), PrimeSet(pi))
     assert v.yes and v.condition == tag
-    # III requires all orders equal, so II's premise must fail here
-    sub2, _ = check_condition_II(g(spec), PrimeSet(pi))
-    assert sub2 is None
+    # III requires all orders equal, so II's premise must fail here, before III
+    fails = records(v).index(("exists t in tau with ord(q,t) != a", False))
+    assert fails < records(v).index(("c = ord(q mod r)", True))
 
 
 def test_conditions_II_III_mutually_exclusive_on_samples():
@@ -182,8 +182,7 @@ def test_conditions_II_III_mutually_exclusive_on_samples():
         (g("B:2:q=5"), PrimeSet([3, 13])),
     ]
     for gg, pi in samples:
-        sub2, _ = check_condition_II(gg, pi)
-        sub3, _ = check_condition_III(gg, pi)
+        sub2, _, sub3, _ = conditions_II_III(gg, pi)
         assert sub2 is None or sub3 is None
 
 
@@ -218,22 +217,21 @@ def test_dpi_with_intersection_handed_over_keeps_the_pin():
 
 
 def test_dpi_condition_is_first_public_II_then_III():
-    """Wherever the II/III premises hold, decide_dpi's condition is the
-    public check_condition_II answer, else check_condition_III's, and its
-    trace is II's trace followed, where II fails, by III's: the condition
-    bodies record into the verdict's list, and a record shared with the
-    public checks' lists or leaked between them shows here."""
+    """Wherever the II/III premises hold, decide_dpi's condition is
+    Condition II's answer, else Condition III's, each from its body handed
+    a fresh list, and its trace is II's trace followed, where II fails, by
+    III's: the condition bodies record into the verdict's list, and a record
+    shared between lists or leaked between them shows here."""
     premise_points = ii_points = 0
     for gg, pi in scan_points(scan_groups(), (2, 3)):
-        try:
-            sub, trace = check_condition_II(gg, pi)
-        except ValueError:
+        answers = conditions_II_III(gg, pi)
+        if answers is None:
             continue
+        sub, trace, sub3, trace3 = answers
         premise_points += 1
         ii_points += sub is not None
         if sub is None:
-            sub, trace3 = check_condition_III(gg, pi)
-            trace = trace + trace3
+            sub, trace = sub3, trace + trace3
         d = decide_dpi(gg, pi)
         assert d.condition == sub, (gg, pi)
         assert d.trace == trace, (gg, pi)
@@ -244,7 +242,7 @@ def test_untraced_decisions_enter_only_the_condition_that_can_hold(monkeypatch, 
     """With the condition bodies and the E-minus-D classification counted:
     over the exclusivity scan no untraced D decision enters both
     Conditions II and III, only A, 2A and 2D enter II, and the one traced
-    body is the public check_condition_III on the 48 II points.  Over
+    body is the scan's own Condition III on the 48 II points.  Over
     ``hallpi scan`` of B and E7, neither with a II subcase, no point enters
     II, and B, with no E-minus-D row, enters the classification only with
     p in pi.  The counts are the scans' own."""
@@ -254,6 +252,8 @@ def test_untraced_decisions_enter_only_the_condition_that_can_hold(monkeypatch, 
             calls.append((_name, trace is None, gg, args[:2]))
             return _body(trace, gg, *args)
         monkeypatch.setattr(hall_oracle, name, counted)
+        if hasattr(verifier, name):  # the exclusivity scan's own Condition III
+            monkeypatch.setattr(verifier, name, counted)
 
     def tally():
         counts = collections.Counter((name, untraced) for name, untraced, _, _ in calls)
@@ -273,7 +273,7 @@ def test_untraced_decisions_enter_only_the_condition_that_can_hold(monkeypatch, 
         assert main(argv + (["--n", "2..8"] if fam == "B" else [])) == 0
         assert tally() == counts, fam
         if fam == "B":
-            assert all(gg.p in inter for name, _, gg, (inter, _) in calls
+            assert all(gg.p in inter for name, _, gg, (inter, *_) in calls
                        if name == "_classify_lie")
     capsys.readouterr()
 
@@ -320,9 +320,10 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
 
 def test_condition_IV_tags_for_suzuki():
     # |2B2(8)| = 2^6 * 5 * 7 * 13; torus orders q-1=7, q+2m+1... the three
-    # cyclic tori have orders 7, 5, 13.
-    sub, _ = check_condition_IV(g("2B2:q=8"), PrimeSet([5]))
-    assert sub == "IV(a)"
+    # cyclic tori have orders 7, 5, 13.  D holds at {5} as the Sylow case, so
+    # the body, whose premises are 2 outside pi and a Suzuki-Ree family,
+    # gives IV(a).
+    assert hall_oracle._condition_IV([], g("2B2:q=8"), PrimeSet([5])) == "IV(a)"
     v = decide_dpi(g("2B2:q=8"), PrimeSet([5, 13]))
     assert v.holds == "no"
 
@@ -330,11 +331,6 @@ def test_condition_IV_tags_for_suzuki():
 def test_condition_IV_c_for_2F4():
     v = decide_dpi(g("2F4:q=8"), PrimeSet([5, 13]))
     assert v.yes and v.condition == "IV(c)"
-
-
-def test_condition_IV_rejects_other_families():
-    with pytest.raises(ValueError):
-        check_condition_IV(g("A:2:q=7"), PrimeSet([3]))
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +453,7 @@ def test_every_subcase_tag_is_pinned(grid_verdicts):
     written = _written_tags()
     reached = {v.condition for _, _, e, _, d, _ in grid_verdicts for v in (d, e)}
     reached |= {tag for _, _, tag in UNSCANNED_WITNESSES}
-    reached.add(classify_epi_minus_dpi(ONAN, PrimeSet([3, 5]))[0])
+    reached.add(hall_oracle._classify_onan(PrimeSet([3, 5]))[0])
     # I, II(a)-(h), III(a)-(o), IV(a)-(c), trivial_small_pi, epi_case_1,
     # epi_case_2A and epi_case_2B(a)-(i)
     assert len(written) == 39
@@ -489,22 +485,10 @@ def test_classification_case_2B_a():
     assert decide_dpi(g("A:3:q=11"), PrimeSet([3, 5])).holds == "no"
 
 
-def test_classification_none_when_dpi_holds():
-    """The traced classification records both opening tests, and only the
-    first where |pi inter pi(S)| < 2."""
-    tag, trace = classify_epi_minus_dpi(g("A:2:q=7"), PrimeSet([3, 7]))
-    assert tag is None
-    assert [(r["pred"], r["value"]) for r in trace] == [
-        ("|pi inter pi(S)| >= 2", True), ("D holds, so not in E minus D", True)]
-    tag, trace = classify_epi_minus_dpi(g("A:2:q=7"), PrimeSet([3]))
-    assert tag is None and [(r["pred"], r["value"]) for r in trace] == [
-        ("|pi inter pi(S)| >= 2", False)]
-
-
 def test_classification_onan():
-    tag, _ = classify_epi_minus_dpi(ONAN, PrimeSet([3, 5]))
-    assert tag == "epi_case_1"
-    tag, _ = classify_epi_minus_dpi(ONAN, PrimeSet([3, 7]))
+    tag, trace = hall_oracle._classify_onan(PrimeSet([3, 5]))
+    assert tag == "epi_case_1" and len(trace) == 1 and trace[0]["value"]
+    tag, _ = hall_oracle._classify_onan(PrimeSet([3, 7]))
     assert tag is None
 
 

@@ -13,6 +13,7 @@ from hallpi.arith import PrimeSet
 from hallpi.lie_catalog import (
     CLASSICAL_FAMILIES,
     FAMILIES,
+    MAX_Q_BITS,
     GroupId,
     GroupSpecError,
     diag_quotient_order,
@@ -105,6 +106,31 @@ def test_refusal_on_the_base_forms_no_q():
             "else:\n    raise AssertionError('accepted')")
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
+
+
+def test_refusal_of_an_oversize_q_forms_no_q():
+    """A q over MAX_Q_BITS bits is refused at once, naming the bound:
+    7^(10^7), 28 million bits, is never formed.  Run in a child process
+    under a timeout, as forming it takes seconds."""
+    code = ("from hallpi.lie_catalog import GroupSpecError, parse_group_id\n"
+            "try:\n    parse_group_id('A:2:q=7^10000000')\n"
+            "except GroupSpecError as exc:\n"
+            "    assert 'q has more than MAX_Q_BITS = 4096 bits' in str(exc)\n"
+            "else:\n    raise AssertionError('accepted')")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=10)
+
+
+def test_q_bound_is_on_the_bit_length():
+    """q = 2^4095 has MAX_Q_BITS = 4096 bits and parses; 2^4096 does not,
+    in either spelling, and neither does a plain q over the bound, which is
+    not split."""
+    assert parse_group_id("A:2:q=2^4095").q.bit_length() == MAX_Q_BITS
+    assert parse_group_id("E8:q=7^1459").q.bit_length() == MAX_Q_BITS
+    for spec in ("A:2:q=2^4096", f"A:2:q={2**4096}", f"A:2:q={2**4096 + 1}", "E8:q=7^1460"):
+        with pytest.raises(GroupSpecError, match="q has more than MAX_Q_BITS = 4096 bits"):
+            parse_group_id(spec)
+    assert GroupId("A", 2, 2**4096 + 1, 1).q is None
 
 
 @pytest.mark.parametrize(

@@ -135,11 +135,12 @@ def test_exclusivity_reports_both_satisfied(monkeypatch):
     # A:3:q=5 has four scan points; only {3,31} satisfies II, as II(a)
     calls = []
 
-    def always_III(g, pi):
-        calls.append((g.spec(), list(pi)))
-        return "III(a)", []
+    def always_III(trace, g, r, tau, c, orders):
+        assert trace == []  # traced, so the body tests the uniform order itself
+        calls.append((g.spec(), [r, *tau]))
+        return "III(a)"
 
-    monkeypatch.setattr(verifier, "check_condition_III", always_III)
+    monkeypatch.setattr(verifier, "_condition_III", always_III)
     report = exclusivity_scan([parse_group_id("A:3:q=5")])
     assert calls == [("A:3:q=5", [3, 31])]
     assert report.cases[:-1] == [{"group": "A:3:q=5", "pi": [3, 31], "agree": False,
