@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
+from types import SimpleNamespace
 
 from .arith import PrimeSet, _distinct_prime_set, read_decimal
 from .hall_oracle import (_dpi_answer, _epi_answer, decide_cpi, decide_dpi, decide_epi,
@@ -199,31 +199,41 @@ def _cmd_scan(args) -> int:
     qs = _parse_range("--q", args.q)
     ns = (None,) if args.n is None else _parse_range("--n", args.n)
     groups = simple_groups((fam, n, q) for q in qs for n in ns)
-    rows = []
+    # csv.writer renders each distinct group, pi and answer once, and a row
+    # joins the three texts: writerow returns what its file's write returns,
+    # here the line itself; a spec or pi is never the empty field csv quotes
+    render = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    text = {}  # group, pi or (E, D, condition) -> its csv text
+
+    def field(key, values: list) -> str:
+        text[key] = render(values)[:-1]
+        return text[key]
+
+    lines = [render(["group", "pi", "epi", "cpi", "dpi", "upi", "condition"])]
     for g, pi in scan_points(groups, (pi_size,)):
         d = _dpi_answer(g, pi)
         # C and U carry E's and D's answers, as decide_cpi and decide_upi do;
         # E's condition is D's wherever D holds, and the classification's where it fails
         e, condition = _epi_answer(g, pi, d)
-        rows.append([g.spec(), ",".join(map(str, pi)), e, e, d[0], d[0], condition or ""])
-    if groups and not rows:
+        answer = (e, d[0], condition)
+        lines.append(f"{text.get(g) or field(g, [g.spec()])},"
+                     f"{text.get(pi) or field(pi, [','.join(map(str, pi))])},"
+                     f"{text.get(answer) or field(answer, [e, e, d[0], d[0], condition or ''])}\n")
+    if groups and len(lines) == 1:
         counts = {g.spec(): len(pi_intersection(_SCAN_PRIMES, g)) for g in groups}
         best = max(counts, key=counts.get)
         raise ValueError(f"--pi-size {pi_size}: no group in range has that many odd "
                          f"scan primes dividing its order; the most is {counts[best]}, "
                          f"for {best}")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["group", "pi", "epi", "cpi", "dpi", "upi", "condition"])
-    writer.writerows(rows)
+    table = "".join(lines)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as f:
-                f.write(buf.getvalue())
+                f.write(table)
         except OSError as exc:
             raise ValueError(f"cannot write --out: {exc}") from None
     else:
-        sys.stdout.write(buf.getvalue())
+        sys.stdout.write(table)
     return 0
 
 

@@ -46,6 +46,14 @@ _MIN_PARAM = {"A": 2, "2A": 3, "B": 2, "C": 2, "D": 4, "2D": 4}
 # 2-core x86-64 machine).
 MAX_Q_BITS = 4096
 
+# The bound on |G|'s bits, estimated as the group's dimension times q's
+# bits: E8 at the q bound, the largest group MAX_Q_BITS admits, so only
+# large-rank classical groups are refused.  A decision at {3,5} or
+# {3,5,13}, parse included, took 0.16-0.30 s on A:581:q=7, 0.04-0.07 s on
+# A:712:q=2 and on C:503:q=2, and 0.09-0.17 s on E8:q=7^1459, all at the
+# bound; past it, A:1000:q=7 took 2.0 s (same machine as MAX_Q_BITS).
+MAX_ORDER_BITS = 248 * MAX_Q_BITS
+
 
 class GroupSpecError(ValueError):
     """Malformed or invalid group descriptor."""
@@ -148,6 +156,21 @@ def _simple_group(fam: str, n: int | None, p: int, f: int) -> tuple[GroupId | No
     return g, reason
 
 
+# a field of more digits than 2^MAX_Q_BITS has names a value over every bound
+_OVER = 2**MAX_Q_BITS
+_OVER_DIGITS = len(str(_OVER))
+
+
+def _read_digits(digits: str) -> int:
+    """The integer a digit string names, or 2^MAX_Q_BITS where the string,
+    leading zeros dropped, has more digits than that: every field refuses
+    the stand-in on the rule it refuses the value by (q over MAX_Q_BITS
+    bits for a q, base or exponent, |G| over MAX_ORDER_BITS for a rank),
+    and int() refuses a string of over 4,300 digits."""
+    digits = digits.lstrip("0")
+    return _OVER if len(digits) > _OVER_DIGITS else int(digits or "0")
+
+
 def parse_group_id(text: str) -> GroupId:
     """Parse ``<family>:<n>:q=<p>[^<f>]`` (``<n>`` omitted for exceptionals).
     Specs naming the same group parse to the same object; a spec naming
@@ -155,10 +178,10 @@ def parse_group_id(text: str) -> GroupId:
     m = _SPEC_RE.match(text.strip())
     if m is None:
         raise GroupSpecError(f"malformed group spec: {text!r}")
-    n = int(m.group("n")) if m.group("n") else None
-    base = int(m.group("q"))
+    n = _read_digits(m.group("n")) if m.group("n") else None
+    base = _read_digits(m.group("q"))
     if m.group("f"):
-        p, f = base, int(m.group("f"))
+        p, f = base, _read_digits(m.group("f"))
     else:  # a q over the bound is refused for its size, unsplit
         p, f = (base, 1) if base.bit_length() > MAX_Q_BITS else _prime_power(base)
     g, reason = _simple_group(m.group("fam"), n, p, f)
@@ -185,6 +208,9 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
             return False, "rank below family minimum"
     elif g.n is not None:
         return False, f"family {g.family} takes no dimension/rank parameter"
+    if _dimension(g.family, g.n) * q.bit_length() > MAX_ORDER_BITS:
+        return False, (f"|G| has more than MAX_ORDER_BITS = 248 * MAX_Q_BITS = "
+                       f"{MAX_ORDER_BITS} bits, estimated as its dimension times q's bits")
     if g.family == "A" and g.n == 2 and q in (2, 3):
         return False, f"PSL_2({q}) is solvable"
     if g.family == "2A" and g.n == 3 and q == 2:
@@ -233,6 +259,22 @@ def _degrees(family: str, n: int | None) -> tuple[int, ...]:
     if fam == "D":
         return (*range(2, 2 * n - 1, 2), n)
     raise GroupSpecError(f"unknown family {family!r}")
+
+
+@lru_cache(maxsize=None)
+def _dimension(family: str, n: int | None) -> int:
+    """The dimension of the family's algebraic group, its roots plus its
+    rank, 2 * sum(degrees) - rank: written out for the classical families,
+    so a large n builds no degree tuple.  Cached by (family, n), as
+    ``_degrees`` is."""
+    if family in ("A", "2A"):
+        return n * n - 1
+    if family in ("B", "C"):
+        return n * (2 * n + 1)
+    if family in ("D", "2D"):
+        return n * (2 * n - 1)
+    degrees = _degrees(family, n)
+    return 2 * sum(degrees) - len(degrees)
 
 
 @lru_cache(maxsize=None)

@@ -7,12 +7,11 @@ import json
 
 import pytest
 
-from hallpi import cli, perm_engine
-from hallpi.arith import PrimeSet
+from hallpi import cli, lie_catalog, perm_engine
 from hallpi.cli import main
 from hallpi.hall_oracle import decide_cpi, decide_dpi, decide_epi, decide_upi
 from hallpi.lie_catalog import CLASSICAL_FAMILIES, FAMILIES, parse_group_id
-from hallpi.verifier import default_grid
+from hallpi.verifier import default_grid, scan_points, simple_groups
 
 
 def run(capsys, *argv):
@@ -51,16 +50,38 @@ def test_decide_bad_group_exit_three(capsys):
     assert "prime power" in err
 
 
+_Q_BITS = "q has more than MAX_Q_BITS = 4096 bits"
+_ORDER_BITS = ("|G| has more than MAX_ORDER_BITS = 248 * MAX_Q_BITS = 1015808 bits, "
+               "estimated as its dimension times q's bits")
+
+
 @pytest.mark.parametrize("spec, reason", [
     ("B:q=7", "family B requires a dimension/rank parameter"),
     ("G2:2:q=7", "family G2 takes no dimension/rank parameter"),
     ("A:2:q=4^2", "base 4 of q is not prime"),
     ("A:2:q=5^0", "field exponent must be positive"),
     ("A:1:q=7", "rank below family minimum"),
+    # a digit string too long for int() is refused, not read: 5000 digits of
+    # q, of its base or exponent, or of the rank
+    pytest.param("A:2:q=" + "1" * 5000, _Q_BITS, id="q-digits"),
+    pytest.param("A:2:q=" + "1" * 5000 + "^3", _Q_BITS, id="base-digits"),
+    pytest.param("A:2:q=" + "1" * 5000 + "^0", "field exponent must be positive",
+                 id="base-digits-exponent-0"),
+    pytest.param("A:2:q=7^" + "1" * 5000, _Q_BITS, id="exponent-digits"),
+    pytest.param("A:2:q=6^" + "1" * 5000, "base 6 of q is not prime", id="base-6-exponent-digits"),
+    pytest.param("A:" + "1" * 5000 + ":q=7", _ORDER_BITS, id="rank-digits"),
+    pytest.param("G2:" + "1" * 5000 + ":q=7", "family G2 takes no dimension/rank parameter",
+                 id="G2-rank-digits"),
+    pytest.param("A:3000:q=7", _ORDER_BITS, id="A:3000:q=7"),
 ])
-def test_decide_invalid_group_names_the_reason(capsys, spec, reason):
+def test_decide_invalid_group_names_the_reason(capsys, monkeypatch, spec, reason):
     """A spec that parses but names no simple group exits 3 with the one
-    reason validate_simple gives."""
+    reason validate_simple gives, before any group order is formed: the
+    order of A:3000:q=7 took a minute."""
+    def no_order(g):
+        raise AssertionError(f"the order of {g} was formed")
+
+    monkeypatch.setattr(lie_catalog, "group_order", no_order)
     code, out, err = run(capsys, "decide", "--group", spec, "--pi", "3,5", "--prop", "dpi")
     assert code == 3 and out == ""
     assert err == f"hallpi: {spec!r} does not name a simple group: {reason}\n"
@@ -343,19 +364,42 @@ _SCAN_FAMILY_N = {
 )
 def test_scan_rows_equal_public_deciders(capsys, family_n):
     """The scan hands each point's pi to the D decision as its own pi inter
-    pi(G), and E reads D's order facts; the rows must still be the public
-    deciders' answers."""
+    pi(G), E reads D's order facts, and each distinct field is rendered
+    once; stdout must still be csv.writer's rendering of the public
+    deciders' rows, at the points scan_points gives."""
+    fam, n_range = family_n[1], _SCAN_FAMILY_N[family_n[1]]
+    ns = (None,) if n_range is None else cli._parse_range("--n", n_range)
+    groups = simple_groups((fam, n, q) for q in range(2, 33) for n in ns)
     for size in ("2", "3"):
         code, out, _ = run(capsys, "scan", *family_n, "--q", "2..32", "--pi-size", size)
         assert code == 0
-        rows = list(csv.reader(io.StringIO(out)))[1:]
-        assert rows
-        for spec, pi_text, *columns in rows:
-            gg, pi = parse_group_id(spec), PrimeSet(map(int, pi_text.split(",")))
-            e, c, d, u = (decide(gg, pi) for decide in
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["group", "pi", "epi", "cpi", "dpi", "upi", "condition"])
+        for g, pi in scan_points(groups, (int(size),)):
+            e, c, d, u = (decide(g, pi) for decide in
                           (decide_epi, decide_cpi, decide_dpi, decide_upi))
-            assert columns == [e.holds, c.holds, d.holds, u.holds,
-                               d.condition or e.condition or ""], (spec, pi_text)
+            writer.writerow([g.spec(), ",".join(map(str, pi)), e.holds, c.holds, d.holds,
+                             u.holds, d.condition or e.condition or ""])
+        assert out.count("\n") > 1
+        assert out == expected.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "A", "--n", "2..4", "--q", "2..32", "--pi-size", "1"],
+    ["--family", "A", "--n", "2..4", "--q", "2..32", "--pi-size", "3"],
+    ["--family", "2G2", "--q", "2..16", "--pi-size", "2"],
+], ids=["pi-size-1", "pi-size-3", "header-only"])
+def test_scan_out_file_equals_stdout(capsys, tmp_path, argv):
+    """--out writes the bytes stdout gets: a pi of one prime is unquoted,
+    one of three quoted, and a range naming no simple group is the header."""
+    code, out, _ = run(capsys, "scan", *argv)
+    assert code == 0
+    out_path = tmp_path / "scan.csv"
+    code, printed, _ = run(capsys, "scan", *argv, "--out", str(out_path))
+    assert code == 0 and printed == ""
+    assert out_path.read_bytes() == out.encode()
+    assert ('"' in out) == (argv[-1] == "3")
 
 
 def test_scan_output_is_pinned(capsys):
@@ -505,10 +549,13 @@ def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
          "grid case 0: bad 'pi' list [3, 9]: 9 is not prime"),
         ('{"cases": [{"group": "A:2:q=7", "pi": [3]}, {"group": "A:2:q=6", "pi": [3]}]}',
          "grid case 1: bad 'group' 'A:2:q=6': q=6 is not a prime power"),
+        ('{"cases": [{"group": "A:2:q=%s", "pi": [3]}]}' % ("1" * 5000),
+         "grid case 0: bad 'group' 'A:2:q=%s': 'A:2:q=%s' does not name a simple group: %s"
+         % ("1" * 5000, "1" * 5000, _Q_BITS)),
     ],
     ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list", "empty-cases",
          "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi",
-         "repeated-prime", "composite", "bad-group"],
+         "repeated-prime", "composite", "bad-group", "q-digits"],
 )
 def test_verify_bad_grid_exits_three(capsys, tmp_path, text, message):
     grid = tmp_path / "grid.json"

@@ -13,6 +13,7 @@ from hallpi.arith import PrimeSet
 from hallpi.lie_catalog import (
     CLASSICAL_FAMILIES,
     FAMILIES,
+    MAX_ORDER_BITS,
     MAX_Q_BITS,
     GroupId,
     GroupSpecError,
@@ -22,6 +23,8 @@ from hallpi.lie_catalog import (
     pi_intersection,
     validate_simple,
     weyl_order,
+    _degrees,
+    _dimension,
 )
 from hallpi.perm_engine import construct_named
 from hallpi.verifier import exclusivity_scan
@@ -36,6 +39,9 @@ def test_parse_and_roundtrip():
     g = parse_group_id("3D4:q=4")  # q given as a plain prime power
     assert (g.p, g.f) == (2, 2)
     assert parse_group_id("A:2:q=2^3") == parse_group_id("A:2:q=8")
+    # leading zeros do not count towards the digits a field may have
+    zeros = "0" * 5000
+    assert parse_group_id(f"A:{zeros}2:q={zeros}7^{zeros}2") is parse_group_id("A:2:q=7^2")
 
 
 def test_group_ids_hash_by_value_and_share_one_cache_entry():
@@ -131,6 +137,25 @@ def test_q_bound_is_on_the_bit_length():
         with pytest.raises(GroupSpecError, match="q has more than MAX_Q_BITS = 4096 bits"):
             parse_group_id(spec)
     assert GroupId("A", 2, 2**4096 + 1, 1).q is None
+
+
+def test_order_bound_is_e8_at_the_q_bound():
+    """|G|'s bits are estimated as the dimension, 2 * sum(degrees) - rank,
+    times q's bits, and refused above MAX_ORDER_BITS = 248 * MAX_Q_BITS:
+    E8 at the q bound sits on it.  A classical group parses at its
+    largest rank under the bound and is refused one rank above it."""
+    assert MAX_ORDER_BITS == 248 * MAX_Q_BITS
+    for fam in FAMILIES:
+        for n in range(2, 9) if fam in CLASSICAL_FAMILIES else (None,):
+            d = _degrees(fam, n)
+            assert _dimension(fam, n) == 2 * sum(d) - len(d), (fam, n)
+    assert _dimension("E8", None) == 248
+    for accepted, refused in (("E8:q=7^1459", "E8:q=7^1460"), ("A:581:q=7", "A:582:q=7"),
+                              ("2A:712:q=2", "2A:713:q=2"), ("C:503:q=2", "C:504:q=2"),
+                              ("B:503:q=2", "B:504:q=2"), ("D:504:q=2", "D:505:q=2")):
+        parse_group_id(accepted)
+        with pytest.raises(GroupSpecError, match="more than MAX_"):
+            parse_group_id(refused)
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,14 @@ import gc
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
 
+import hallpi
 from hallpi import hall_oracle, perm_engine, verifier
 from hallpi.arith import PrimeSet
 from hallpi.cli import main
@@ -123,6 +127,34 @@ def test_suites_agree_on_psl2_above_the_default_grid():
     assert star.ok and len(star.cases) == 3
     assert [c["detail"] for c in star.cases[:2]] == ["d=True star=True"] * 2
     assert [c["group"] for c in star.out_of_scope] == ["A:2:q=17"]
+
+
+def test_q31_grid_verifies_under_100_mb(tmp_path):
+    """CI's grid, in a child process as CI runs it: PSL_2(q) for every
+    q <= 31 at every nonempty pi of odd scan primes, 89 points, through
+    ``verify all --grid``.  verify holds one group at a time, so it must
+    agree everywhere with a peak RSS of at most 100 MB (53 to 55 MB
+    measured; 144 MB while every group stayed cached).  CI alone bounds
+    its time.  The peak is the child's VmHWM, the peak since its exec:
+    Linux carries the forking test process's peak into ru_maxrss."""
+    code = (
+        "import json\n"
+        "from hallpi.cli import main\n"
+        "from hallpi.verifier import _SCAN_PRIMES, scan_points, simple_groups\n"
+        "groups = simple_groups(('A', 2, q) for q in range(2, 32))\n"
+        "points = list(scan_points(groups, range(1, len(_SCAN_PRIMES) + 1)))\n"
+        "with open('grid-q31.json', 'w') as f:\n"
+        "    json.dump({'cases': [{'group': g.spec(), 'pi': list(pi)} for g, pi in points]}, f)\n"
+        "code = main(['verify', 'all', '--grid', 'grid-q31.json'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(len(points), code, int(status.split('VmHWM:')[1].split()[0]) / 1024)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                          capture_output=True, text=True)
+    points, exit_code, rss_mb = done.stdout.splitlines()[-1].split()
+    assert (int(points), int(exit_code)) == (89, 0)
+    assert float(rss_mb) <= 100, rss_mb
 
 
 def test_exclusivity_scan_is_clean():
