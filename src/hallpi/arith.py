@@ -19,6 +19,8 @@ __all__ = [
     "r_part_pow_minus_one",
     "r_part_pow_minus_sign",
     "read_decimal",
+    "DigitsError",
+    "MAX_DIGITS",
 ]
 
 # Miller-Rabin with the first 13 primes as bases is a proven deterministic
@@ -30,12 +32,26 @@ _MR_BOUND = 3317044064679887385961981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
+# The most digits ``read_decimal`` reads: a q of lie_catalog.MAX_Q_BITS =
+# 4096 bits, the largest the oracle takes, has at most 1,234, and int()
+# refuses a string of over 4,300 digits.
+MAX_DIGITS = 1234
+
+
+class DigitsError(ValueError):
+    """A digit string longer than ``MAX_DIGITS``, refused before it is read."""
+
+
 def read_decimal(text: str) -> int:
-    """The integer that text spells in plain ASCII digits 0-9.  ``int``
-    also reads a sign, ``_``, surrounding space and non-ASCII digits, so
-    each of these is a ValueError here instead of another number."""
+    """The integer that text spells in plain ASCII digits 0-9, at most
+    ``MAX_DIGITS`` of them (a ``DigitsError`` otherwise).  ``int`` also
+    reads a sign, ``_``, surrounding space and non-ASCII digits, so each of
+    these is a ValueError here instead of another number."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{text!r} is not a plain decimal integer")
+    if len(text) > MAX_DIGITS:
+        raise DigitsError(f"a decimal integer of {len(text)} digits is longer than "
+                          f"MAX_DIGITS = {MAX_DIGITS}")
     return int(text)
 
 

@@ -19,7 +19,7 @@ import json
 import sys
 from types import SimpleNamespace
 
-from .arith import PrimeSet, _distinct_prime_set, read_decimal
+from .arith import DigitsError, PrimeSet, _distinct_prime_set, read_decimal
 from .hall_oracle import (_dpi_answer, _epi_answer, decide_cpi, decide_dpi, decide_epi,
                           decide_upi)
 from .lie_catalog import (
@@ -36,6 +36,14 @@ from .perm_engine import (
     construct_named,
 )
 from .verifier import _SCAN_PRIMES, _SUITES, load_grid, run_suite, scan_points, simple_groups
+
+# The most (n, q) pairs the ranges of one scan may hold.  In a fresh
+# process, CI's C scan (n <= 8, q <= 2000, --pi-size 3: 13,993 pairs) took
+# 0.51 s, A:2 to q = 10^5 (--pi-size 2: 99,999) 1.30 s, E8 to q = 10^5
+# (--pi-size 3: 99,999) 5.2 s and A with n <= 100 to q = 1000 (--pi-size 1:
+# 98,901) 17.8 s: 12-180 us a pair, so 2-36 s at the bound (Python 3.11.7,
+# one process on a 2-core x86-64 machine).
+MAX_SCAN_PAIRS = 200_000
 
 _PROP_MAP = {"epi": "E", "cpi": "C", "dpi": "D", "upi": "U", "star": "star"}
 _DECIDERS = {"E": decide_epi, "C": decide_cpi, "D": decide_dpi, "U": decide_upi}
@@ -67,6 +75,8 @@ def _parse_range(option: str, text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
         lo, hi = read_decimal(lo), read_decimal(hi if sep else lo)
+    except DigitsError as exc:
+        raise GroupSpecError(f"{option}: {exc}") from None
     except ValueError:
         raise GroupSpecError(f"{option}: bad range {text!r}; use N or LO..HI") from None
     if lo > hi:
@@ -78,6 +88,8 @@ def _read_count(option: str, text: str) -> int:
     """A positive integer typed as a plain decimal, or an input error."""
     try:
         n = read_decimal(text)
+    except DigitsError as exc:
+        raise ValueError(f"{option}: {exc}") from None
     except ValueError:
         n = 0
     if n < 1:
@@ -198,6 +210,11 @@ def _cmd_scan(args) -> int:
                          f"odd scan primes, got {pi_size}")
     qs = _parse_range("--q", args.q)
     ns = (None,) if args.n is None else _parse_range("--n", args.n)
+    # a range's length from its ends: len() refuses one past sys.maxsize
+    pairs = (qs.stop - qs.start) * (1 if args.n is None else ns.stop - ns.start)
+    if pairs > MAX_SCAN_PAIRS:
+        raise ValueError(f"the ranges hold {pairs} (n, q) pairs, above MAX_SCAN_PAIRS = "
+                         f"{MAX_SCAN_PAIRS}; split the scan")
     groups = simple_groups((fam, n, q) for q in qs for n in ns)
     # csv.writer renders each distinct group, pi and answer once, and a row
     # joins the three texts: writerow returns what its file's write returns,

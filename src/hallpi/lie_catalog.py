@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, log, prod
 
-from .arith import _SMALL_PRIMES, PrimeSet, _subset, is_prime
+from .arith import _SMALL_PRIMES, MAX_DIGITS, PrimeSet, _subset, is_prime
 
 __all__ = [
     "GroupId",
@@ -156,9 +156,9 @@ def _simple_group(fam: str, n: int | None, p: int, f: int) -> tuple[GroupId | No
     return g, reason
 
 
-# a field of more digits than 2^MAX_Q_BITS has names a value over every bound
+# a field of more than MAX_DIGITS digits, the length of 2^MAX_Q_BITS,
+# names a value over every bound
 _OVER = 2**MAX_Q_BITS
-_OVER_DIGITS = len(str(_OVER))
 
 
 def _read_digits(digits: str) -> int:
@@ -168,7 +168,7 @@ def _read_digits(digits: str) -> int:
     bits for a q, base or exponent, |G| over MAX_ORDER_BITS for a rank),
     and int() refuses a string of over 4,300 digits."""
     digits = digits.lstrip("0")
-    return _OVER if len(digits) > _OVER_DIGITS else int(digits or "0")
+    return _OVER if len(digits) > MAX_DIGITS else int(digits or "0")
 
 
 def parse_group_id(text: str) -> GroupId:

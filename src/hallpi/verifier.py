@@ -16,7 +16,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
-from .arith import PrimeSet, _distinct_prime_set, _subset
+from .arith import DigitsError, PrimeSet, _distinct_prime_set, _subset, read_decimal
 from .hall_oracle import _condition_III, _dpi_answer, _epi_answer, _order_facts
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
@@ -120,9 +120,10 @@ def load_grid(path) -> list[tuple[GroupId, PrimeSet]]:
             text = f.read()
     except OSError as exc:
         raise ValueError(f"cannot read grid: {exc}") from None
-    try:
-        grid = json.loads(text)
-    except json.JSONDecodeError as exc:
+    try:  # read_decimal reads each integer's digits, under its bound
+        grid = json.loads(text, parse_int=lambda s: (
+            -read_decimal(s[1:]) if s[0] == "-" else read_decimal(s)))
+    except (json.JSONDecodeError, DigitsError) as exc:
         raise ValueError(f"a grid must be JSON: {exc}") from None
     cases = grid.get("cases") if isinstance(grid, dict) else None
     if not isinstance(cases, list):

@@ -5,6 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hallpi.arith import (
+    MAX_DIGITS,
+    DigitsError,
     PrimeSet,
     e_star,
     is_prime,
@@ -12,10 +14,21 @@ from hallpi.arith import (
     pi_part,
     r_part_pow_minus_one,
     r_part_pow_minus_sign,
+    read_decimal,
 )
-from hallpi.lie_catalog import parse_group_id, pi_intersection
+from hallpi.lie_catalog import MAX_Q_BITS, parse_group_id, pi_intersection
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
+
+
+def test_read_decimal_reads_at_most_max_digits():
+    """MAX_DIGITS is the length of 2^MAX_Q_BITS, so every q the oracle
+    takes can be typed; one digit more is a DigitsError, and int(), which
+    refuses over 4,300 digits, is never handed it."""
+    assert MAX_DIGITS == len(str(2**MAX_Q_BITS))
+    assert read_decimal("9" * MAX_DIGITS) == 10**MAX_DIGITS - 1
+    with pytest.raises(DigitsError, match="1235 digits is longer than MAX_DIGITS = 1234"):
+        read_decimal("1" * (MAX_DIGITS + 1))
 
 
 def test_is_prime_basics():

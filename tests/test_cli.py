@@ -95,7 +95,9 @@ def test_decide_bad_pi_exit_three(capsys):
            ("3,,5", "an entry is empty"), ("3,", "an entry is empty"),
            ("3_1", "'3_1' is not a plain decimal integer"),
            ("3,+5", "'+5' is not a plain decimal integer"),
-           ("\uff13", "'\uff13' is not a plain decimal integer")]
+           ("\uff13", "'\uff13' is not a plain decimal integer"),
+           ("3," + "1" * 5000, "a decimal integer of 5000 digits is longer than "
+            "MAX_DIGITS = 1234")]
     for command, group in (("decide", "A:2:q=7"), ("brute", "alt:5")):
         for pi, message in bad:
             code, out, err = run(capsys, command, "--group", group, "--pi", pi,
@@ -203,6 +205,26 @@ def test_raw_s40_is_refused_over_the_cap(capsys):
     assert code == 3 and out == "" and "25000" in err
 
 
+def test_brute_refuses_too_many_points_without_building(capsys, monkeypatch):
+    """A named group under the order cap whose |G| times degree is above
+    MAX_ENTRIES = 2^24 exits 3 naming that bound, before anything is built:
+    cyclic:24000 would need about 14 GB.  A raw spec's order is unknown
+    before it is built, so 1 bounds it: its degree alone may be refused.
+    The order cap is checked first, and keeps its message."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a group was built before the bound refused it")
+
+    monkeypatch.setattr(perm_engine.PermGroup, "__init__", no_build)
+    for group in ("cyclic:24000", "cyclic:4097", "product:cyclic:4096xcyclic:1",
+                  "dihedral:2897", "raw:16777217:()", "product:raw:2:()xcyclic:4096"):
+        code, out, err = run(capsys, "brute", "--group", group, "--pi", "3", "--prop", "dpi")
+        assert code == 3 and out == "", group
+        assert "above MAX_ENTRIES = 16777216" in err, group
+    code, out, err = run(capsys, "brute", "--group", "cyclic:30000", "--pi", "3",
+                         "--prop", "dpi")
+    assert code == 3 and "cap 25000" in err and "MAX_ENTRIES" not in err
+
+
 def test_brute_reads_pi_before_building_the_group(capsys, monkeypatch):
     """A bad --pi exits 3 before any group is built: cyclic:20000 is under
     the cap, yet building it takes minutes."""
@@ -215,6 +237,27 @@ def test_brute_reads_pi_before_building_the_group(capsys, monkeypatch):
                              "--prop", "dpi")
         assert code == 3 and out == ""
         assert "--pi: bad prime list" in err
+
+
+@pytest.mark.parametrize("group", [
+    "product:cyclic:2",  # one side
+    "product:cyclic:2xcyclic:3xcyclic:5",  # an extra side
+    "cyclic:2xcyclic:3",  # x without product:
+    "product:product:cyclic:2xcyclic:3",  # an inner product of one side
+    "product:cyclic:2x",  # an empty side
+    "product:xcyclic:2",
+])
+def test_brute_malformed_product_exits_three(capsys, group):
+    code, out, err = run(capsys, "brute", "--group", group, "--pi", "2", "--prop", "dpi")
+    assert code == 3 and out == "" and err.startswith("hallpi: ") and err.count("\n") == 1
+
+
+def test_brute_thousand_deep_product_answers(capsys):
+    """A spec is read with no recursion: 1,000 nested products of the
+    trivial group build a trivial group of degree 1001, which is D_3."""
+    group = "product:" * 1000 + "cyclic:1" + "xcyclic:1" * 1000
+    code, out, err = run(capsys, "brute", "--group", group, "--pi", "3", "--prop", "dpi")
+    assert code == 0 and err == ""
 
 
 def test_brute_honors_max_order(capsys):
@@ -253,12 +296,22 @@ def test_brute_on_trivial_group(capsys, group, prop):
         assert payload["witness"] == {"hall": {"order": 1, "class_size": 1, "gens": []}}
 
 
-@pytest.mark.parametrize("cap", ["0", "-5", "2_5000"])
-def test_brute_rejects_nonpositive_max_order(capsys, cap):
+_POSITIVE = "--max-order must be a positive integer"
+
+
+@pytest.mark.parametrize("cap, message", [
+    pytest.param("0", _POSITIVE, id="0"),
+    pytest.param("-5", _POSITIVE, id="-5"),
+    pytest.param("2_5000", _POSITIVE, id="2_5000"),
+    # a positive integer too long to read is refused on the digit bound
+    pytest.param("1" * 5000, "--max-order: a decimal integer of 5000 digits is longer "
+                 "than MAX_DIGITS = 1234", id="5000-digits"),
+])
+def test_brute_rejects_nonpositive_max_order(capsys, cap, message):
     code, out, err = run(capsys, "brute", "--group", "alt:5", "--pi", "3",
                          "--prop", "dpi", "--max-order", cap)
     assert code == 3 and out == ""
-    assert "--max-order must be a positive integer" in err
+    assert message in err
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +366,8 @@ def test_scan_stdout_when_no_out_path(capsys):
         (["--family", "A", "--n", "2", "--q", "4..7", "--pi-size", "1_0"],
          "--pi-size must be a positive integer, got 1_0"),
         (["--family", "A", "--n", "2", "--q", "1_3"], "--q: bad range '1_3'"),
+        (["--family", "A", "--n", "2", "--q", "2.." + "1" * 5000],
+         "--q: a decimal integer of 5000 digits is longer than MAX_DIGITS = 1234"),
         (["--family", "A", "--n", "2", "--q", "7", "--pi-size", "11"],
          "--pi-size must be at most 10, the number of odd scan primes, got 11"),
         (["--family", "A", "--n", "2", "--q", "7", "--pi-size", "4"],
@@ -321,7 +376,7 @@ def test_scan_stdout_when_no_out_path(capsys):
     ],
     ids=["unknown-family", "n-for-exceptional", "n-missing-for-classical",
          "reversed-q", "reversed-n", "pi-size-zero", "pi-size-negative",
-         "pi-size-underscore", "q-underscore",
+         "pi-size-underscore", "q-underscore", "q-digits",
          "pi-size-above-scan-primes", "pi-size-above-range-primes"],
 )
 def test_scan_rejects_bad_family_or_n(capsys, argv, message):
@@ -332,6 +387,23 @@ def test_scan_rejects_bad_family_or_n(capsys, argv, message):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert message in captured.err
+
+
+def test_scan_refuses_ranges_of_too_many_pairs(capsys, monkeypatch):
+    """Ranges holding more than MAX_SCAN_PAIRS = 200,000 (n, q) pairs exit 3
+    before any group is listed or decided, so q up to 10^30 exits at once."""
+    def no_oracle(*args):
+        raise AssertionError("the scan decided before refusing its ranges")
+
+    for name in ("simple_groups", "_dpi_answer", "_epi_answer"):
+        monkeypatch.setattr(cli, name, no_oracle)
+    for n, q, pairs in (("2", f"2..{10**30}", 10**30 - 1), ("2..4", "2..100000", 299997),
+                        (None, "2..200002", 200001)):
+        argv = ["scan", "--family", "A" if n else "E8", "--q", q] + (["--n", n] if n else [])
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == (f"hallpi: the ranges hold {pairs} (n, q) pairs, above "
+                       "MAX_SCAN_PAIRS = 200000; split the scan\n")
 
 
 def test_scan_range_without_simple_groups_prints_header_only(capsys):
@@ -552,10 +624,13 @@ def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
         ('{"cases": [{"group": "A:2:q=%s", "pi": [3]}]}' % ("1" * 5000),
          "grid case 0: bad 'group' 'A:2:q=%s': 'A:2:q=%s' does not name a simple group: %s"
          % ("1" * 5000, "1" * 5000, _Q_BITS)),
+        ('{"cases": [{"group": "A:2:q=7", "pi": [3, %s]}]}' % ("1" * 5000),
+         "a grid must be JSON: a decimal integer of 5000 digits is longer than "
+         "MAX_DIGITS = 1234"),
     ],
     ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list", "empty-cases",
          "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi",
-         "repeated-prime", "composite", "bad-group", "q-digits"],
+         "repeated-prime", "composite", "bad-group", "q-digits", "pi-digits"],
 )
 def test_verify_bad_grid_exits_three(capsys, tmp_path, text, message):
     grid = tmp_path / "grid.json"

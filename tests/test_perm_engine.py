@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import time
 from math import prod
 
 import pytest
@@ -132,6 +133,10 @@ def test_psl2_rejects_bad_q():
     for spec in ("psl2:0_7", "cyclic:5_0", "cyclic:\uff16", "raw:0_3:(0 1 2)", "alt:+5"):
         with pytest.raises(ValueError):
             construct_named(spec)
+    # and reads at most MAX_DIGITS digits, never handing int() more
+    for spec in ("cyclic:" + "1" * 5000, "raw:3:(0 1 " + "1" * 5000 + ")"):
+        with pytest.raises(ValueError, match="5000 digits is longer than MAX_DIGITS = 1234"):
+            construct_named(spec)
 
 
 # every q that psl2:q accepts
@@ -185,10 +190,36 @@ def test_psl2_generators_above_16_are_pinned():
 
 def test_build_of_the_wrong_order_is_an_error(monkeypatch):
     """Every build is checked against the order its spec gives: a product
-    built as its left side alone has order 2, not 6."""
-    monkeypatch.setattr(perm_engine, "_direct_product", lambda A, B: (A.degree, A.generators))
+    built from its first block alone has order 2, not 6."""
+    direct_product = perm_engine._direct_product
+    monkeypatch.setattr(perm_engine, "_direct_product", lambda blocks: direct_product(blocks[:1]))
     with pytest.raises(AssertionError, match="order 2, expected 6"):
         construct_named("product:cyclic:2xcyclic:3")
+
+
+@pytest.mark.parametrize("spec", ["product:product:cyclic:2xcyclic:3xalt:5",
+                                  "product:cyclic:2xproduct:cyclic:3xalt:5"])
+def test_a_product_is_its_factors_on_consecutive_blocks_built_once(monkeypatch, spec):
+    """Either nesting of C2 x C3 x A5 is one Schreier-Sims run on the
+    factors' generators, laid out on points 0-1, 2-4 and 5-9."""
+    runs = []
+    schreier_sims = perm_engine._schreier_sims
+    monkeypatch.setattr(perm_engine, "_schreier_sims",
+                        lambda *args: runs.append(args) or schreier_sims(*args))
+    G = construct_named(spec)
+    assert len(runs) == 1
+    assert (G.degree, G.order) == (10, 360)
+    assert G.generators == [perm_from_cycles(c, 10)
+                            for c in ("(0 1)", "(2 3 4)", "(5 6 7)", "(5 6 7 8 9)")]
+
+
+def test_a_deep_product_is_read_in_one_pass():
+    """A product 24 deep builds in well under a second: the spec is read
+    once, left to right, in time linear in its length."""
+    start = time.perf_counter()
+    G = construct_named("product:" * 24 + "cyclic:2" + "xcyclic:1" * 24)
+    assert time.perf_counter() - start < 1
+    assert (G.degree, G.order) == (26, 2)
 
 
 def test_membership():

@@ -421,6 +421,21 @@ def test_verify_cap_skips_without_building(monkeypatch):
     assert all("cap 50" in case["reason"] for case in report.skipped)
 
 
+def test_verify_skips_a_group_over_max_entries(monkeypatch):
+    """A grid group whose |G| times degree is above MAX_ENTRIES is skipped
+    with that bound named, as one over the order cap is, and not built.
+    Every default-grid group is far below the bound (psl2:13 has 15,288
+    points), so it is lowered here to 1,000: psl2:4 and psl2:5 have 300 and
+    360 points, psl2:7 has 1,344."""
+    monkeypatch.setattr(perm_engine, "MAX_ENTRIES", 1000)
+    [report] = run_suite("cross")
+    built = {case["group"] for case in report.cases}
+    skipped = {case["group"] for case in report.skipped}
+    assert built == {"A:2:q=2^2", "A:2:q=5"}
+    assert skipped == {"A:2:q=7", "A:2:q=2^3", "A:2:q=3^2", "A:2:q=11", "A:2:q=13"}
+    assert all("above MAX_ENTRIES = 1000" in case["reason"] for case in report.skipped)
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError):
         run_suite("bogus")
