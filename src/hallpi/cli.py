@@ -26,6 +26,7 @@ from .lie_catalog import (
     CLASSICAL_FAMILIES,
     FAMILIES,
     GroupSpecError,
+    _order_bits,
     parse_group_id,
     pi_intersection,
 )
@@ -44,6 +45,20 @@ from .verifier import _SCAN_PRIMES, _SUITES, load_grid, run_suite, scan_points, 
 # 98,901) 17.8 s: 12-180 us a pair, so 2-36 s at the bound (Python 3.11.7,
 # one process on a 2-core x86-64 machine).
 MAX_SCAN_PAIRS = 200_000
+
+# The most work the groups of one scan may hold, a group's work being its
+# |G| bits as MAX_ORDER_BITS estimates them (``_order_bits``: dimension
+# times q's bits), to the power 1.5: forming |G| and reducing it by the
+# scan primes takes most of a large group's time, and grows about so.
+# Measured in one process at --pi-size 1 unless given: A with n <= 100 to
+# q = 1000 (19,105 groups, 1.24e11) took 16.0 s, and 25.9 s at --pi-size 2;
+# A:400..401 to q = 100 (3.5e10) 6.6 s, C:200..201 to q = 100 (2.0e10)
+# 3.3 s, A:50 to q = 2000 (--pi-size 3, 1.25e9) 0.50 s and A:581:q=7
+# (--pi-size 2, 1.0e9) 0.30 s: 1.1-4.0e-10 s a unit, so 22-80 s at the
+# bound (same machine as MAX_SCAN_PAIRS).  Scans whose time goes to their
+# pairs are far below it: CI's C scan holds 4.1e7, and E8 to q = 20000
+# (--pi-size 3) 4.3e8.
+MAX_SCAN_WORK = 2 * 10**11
 
 _PROP_MAP = {"epi": "E", "cpi": "C", "dpi": "D", "upi": "U", "star": "star"}
 _DECIDERS = {"E": decide_epi, "C": decide_cpi, "D": decide_dpi, "U": decide_upi}
@@ -216,6 +231,10 @@ def _cmd_scan(args) -> int:
         raise ValueError(f"the ranges hold {pairs} (n, q) pairs, above MAX_SCAN_PAIRS = "
                          f"{MAX_SCAN_PAIRS}; split the scan")
     groups = simple_groups((fam, n, q) for q in qs for n in ns)
+    work = sum(_order_bits(g) ** 1.5 for g in groups)
+    if work > MAX_SCAN_WORK:
+        raise ValueError(f"the ranges' groups hold an estimated work of {work:.3g}, above "
+                         f"MAX_SCAN_WORK = {MAX_SCAN_WORK:.0e}; split the scan")
     # csv.writer renders each distinct group, pi and answer once, and a row
     # joins the three texts: writerow returns what its file's write returns,
     # here the line itself; a spec or pi is never the empty field csv quotes

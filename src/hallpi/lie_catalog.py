@@ -208,7 +208,7 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
             return False, "rank below family minimum"
     elif g.n is not None:
         return False, f"family {g.family} takes no dimension/rank parameter"
-    if _dimension(g.family, g.n) * q.bit_length() > MAX_ORDER_BITS:
+    if _order_bits(g) > MAX_ORDER_BITS:
         return False, (f"|G| has more than MAX_ORDER_BITS = 248 * MAX_Q_BITS = "
                        f"{MAX_ORDER_BITS} bits, estimated as its dimension times q's bits")
     if g.family == "A" and g.n == 2 and q in (2, 3):
@@ -275,6 +275,12 @@ def _dimension(family: str, n: int | None) -> int:
         return n * (2 * n - 1)
     degrees = _degrees(family, n)
     return 2 * sum(degrees) - len(degrees)
+
+
+def _order_bits(g: GroupId) -> int:
+    """|G|'s bits, estimated as its dimension times q's bits, for a g whose
+    q is set: the estimate MAX_ORDER_BITS bounds."""
+    return _dimension(g.family, g.n) * g.q.bit_length()
 
 
 @lru_cache(maxsize=None)

@@ -400,9 +400,11 @@ def construct_named(spec: str, order_bound: int = DEFAULT_MAX_ORDER) -> PermGrou
     their direct product on consecutive point blocks, built once.  A group
     above ``order_bound`` is an ``OrderLimitError``: from the factors'
     orders before any work (a lower bound on |G| where a raw factor's is
-    unknown) or during the build.  So is a group with |G| times its degree,
-    from the same bound, above ``MAX_ENTRIES``.  A build whose order is not
-    the order its spec gives is an ``AssertionError``."""
+    unknown) or during the build.  So is a group with |G| times its degree
+    above ``MAX_ENTRIES``: from the same bound before any work, and from
+    the built order, before any element is listed, where a raw factor's
+    order was unknown.  A build whose order is not the order its spec gives
+    is an ``AssertionError``."""
     spec = spec.strip()
     texts = spec.split("x")
     prefixes = [_PREFIXES.match(text).end() for text in texts]
@@ -420,8 +422,12 @@ def construct_named(spec: str, order_bound: int = DEFAULT_MAX_ORDER) -> PermGrou
         raise OrderLimitError(f"group {spec} has |G| * degree of at least {known * degree} "
                               f"points, above MAX_ENTRIES = {MAX_ENTRIES}")
     G = PermGroup(*_direct_product([(d, gens()) for _, d, gens in factors]), order_bound)
-    if all(order for order, _, _ in factors) and G.order != known:
-        raise AssertionError(f"{spec} construction has order {G.order}, expected {known}")
+    if all(order for order, _, _ in factors):
+        if G.order != known:
+            raise AssertionError(f"{spec} construction has order {G.order}, expected {known}")
+    elif G.order * degree > MAX_ENTRIES:  # a raw factor's order is known only now
+        raise OrderLimitError(f"group {spec} has |G| * degree of {G.order * degree} "
+                              f"points, above MAX_ENTRIES = {MAX_ENTRIES}")
     G.name = spec
     return G
 

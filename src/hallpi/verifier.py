@@ -6,13 +6,16 @@ symbolic exclusivity scan over the Condition II/III premises.  Any
 disagreement is a hard failure of the build, not a warning.
 
 The three grid suites share one loop, ``run_suite``: it builds each group
-at its run's first point in scope and drops it when the run ends.
+at its run's first point in scope and drops it when the run ends, and runs
+the runs and the exclusivity scan on the usable CPUs.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -25,6 +28,7 @@ from .lie_catalog import (
     GroupSpecError,
     _prime_power,
     _simple_group,
+    group_order,
     parse_group_id,
     pi_intersection,
 )
@@ -340,38 +344,155 @@ def run_suite(
 ) -> list[CrossCheckReport]:
     """Run one suite or all of them on the given (default: generated) grid.
 
-    The grid is walked in runs of points on one group, each run suite by
-    suite.  A run's group is built at its first point in scope, shared by
-    the run's suites and dropped when the run ends, so no group outlives
-    the call.  Each grid suite makes one case per point in scope whose
-    group can be built.
+    The grid is cut into runs of consecutive points on one group, and each
+    run is one task, taken suite by suite; the exclusivity scan is one more.
+    A run's group is built at its first point in scope, shared by the run's
+    suites and dropped when the run ends, so each process holds one group
+    at a time and none outlives the call.  The tasks run on the usable CPUs
+    (``_run_tasks``): the scan is handed out first, then the runs by
+    decreasing |G|, and their reports are merged in grid order.  Each grid
+    suite makes one case per point in scope whose group can be built.
     """
     if name != "all" and name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {(*_SUITES, 'all')}")
     if grid is None:
         grid = default_grid()
     names = _SUITES if name == "all" else (name,)
-    reports = [CrossCheckReport(n) for n in names if n in _GRID_SUITES]
-    for g, points in itertools.groupby(grid, key=lambda point: point[0]):
-        points = list(points)
-        G = reason = None  # the run's group, or why it cannot be built, once needed
-        for report in reports:
-            in_scope, check = _GRID_SUITES[report.suite]
-            for _, pi in points:
-                entry = {"group": g.spec(), "pi": list(pi)}
-                if not in_scope(g, pi):
-                    report.out_of_scope.append(entry)
-                    continue
-                if G is None and reason is None:
-                    G, reason = _build(g, order_bound)
-                if G is None:
-                    report.skipped.append({**entry, "reason": reason})
-                    continue
-                t0 = time.perf_counter()
-                case = {**entry, **check(g, pi, G)}
-                case["runtime"] = round(time.perf_counter() - t0, 4)
-                report.cases.append(case)
-    G = None  # the last run's group is not kept through the exclusivity scan
-    if "exclusivity" in names:
-        reports.append(exclusivity_scan())
+    suites = [n for n in names if n in _GRID_SUITES]
+    runs = []  # (group, its points) for each run of consecutive points on one group
+    if suites:
+        runs = [(g, list(points)) for g, points in itertools.groupby(grid, key=lambda p: p[0])]
+    scan = "exclusivity" in names
+
+    def task(i: int) -> list[CrossCheckReport]:
+        return [exclusivity_scan()] if i == len(runs) else _run(*runs[i], suites, order_bound)
+
+    # runs that build nothing are instant; the others take longer the larger |G| is
+    size = [group_order(g) if perm_realization(g) else 0 for g, _ in runs]
+    first = [len(runs)] if scan else []
+    reports = [CrossCheckReport(n) for n in suites]
+    parts = _run_tasks(task, first + sorted(range(len(runs)), key=size.__getitem__, reverse=True))
+    for part in parts[:len(runs)]:
+        for report, run in zip(reports, part):
+            report.cases += run.cases
+            report.out_of_scope += run.out_of_scope
+            report.skipped += run.skipped
+    return reports + (parts[-1] if scan else [])
+
+
+def _run(g: GroupId, points: list, suites: list[str], order_bound: int) -> list[CrossCheckReport]:
+    """Each grid suite's report on one run of points on g, suite by suite,
+    with g built at the run's first point in scope and dropped on return."""
+    reports = [CrossCheckReport(n) for n in suites]
+    G = reason = None  # the run's group, or why it cannot be built, once needed
+    for report in reports:
+        in_scope, check = _GRID_SUITES[report.suite]
+        for _, pi in points:
+            entry = {"group": g.spec(), "pi": list(pi)}
+            if not in_scope(g, pi):
+                report.out_of_scope.append(entry)
+                continue
+            if G is None and reason is None:
+                G, reason = _build(g, order_bound)
+            if G is None:
+                report.skipped.append({**entry, "reason": reason})
+                continue
+            t0 = time.perf_counter()
+            case = {**entry, **check(g, pi, G)}
+            case["runtime"] = round(time.perf_counter() - t0, 4)
+            report.cases.append(case)
     return reports
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _run_tasks(task, order: list[int]) -> list:
+    """[task(0), ..., task(n - 1)] for n = len(order), on up to one process
+    per usable CPU: this one and forked workers, each claiming the next
+    index of ``order`` from one pipe as it finishes a task.  A worker's
+    exception is raised here, and every worker is reaped on every path.
+    The tasks run here, in index order, on one usable CPU, for one task,
+    with no ``os.fork``, or beside another live thread, which a forked
+    child would not have."""
+    workers = min(_usable_cpus(), len(order)) - 1
+    if workers < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [task(i) for i in range(len(order))]
+    import pickle  # loaded only where workers are forked
+    import signal
+    todo_r, todo_w = _pipe(buffering=0)  # unbuffered: a read takes no index beyond its own
+    children = {}  # pid -> the read end of its results pipe
+    try:
+        for _ in range(workers):
+            out, w = _pipe()
+            with w:  # closed here once the worker holds its own copy
+                pid = os.fork()
+                if pid == 0:  # the worker never returns into its caller
+                    try:
+                        todo_w.close()
+                        _work(task, todo_r, w)
+                    finally:
+                        os._exit(0)
+            children[pid] = out
+        for i in order:  # a write of at most PIPE_BUF bytes is atomic
+            todo_w.write(i.to_bytes(4, "little"))
+        todo_w.close()
+        results = {i: task(i) for i in _claims(todo_r)}
+        for out in children.values():
+            payload = out.read()
+            if not payload:
+                raise RuntimeError("a verify worker ended without sending its results")
+            done = pickle.loads(payload)
+            if isinstance(done, BaseException):
+                raise done
+            results.update(done)
+        return [results[i] for i in range(len(order))]
+    finally:
+        todo_r.close()
+        todo_w.close()
+        for pid, out in children.items():  # a worker still running is no longer needed
+            out.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _pipe(**kwargs):
+    """The read and write ends of a new pipe, as binary files."""
+    r, w = os.pipe()
+    return os.fdopen(r, "rb", **kwargs), os.fdopen(w, "wb", **kwargs)
+
+
+def _claims(todo):
+    """The task indices claimed from the pipe ``todo`` until it is empty:
+    each write to it is one 4-byte index, so each read is one."""
+    while index := todo.read(4):
+        yield int.from_bytes(index, "little")
+
+
+def _work(task, todo, out) -> None:
+    """A worker: write {index: result} for the tasks it claims from
+    ``todo``, pickled, to the pipe ``out``.  After an exception, an
+    interrupt included, it drains the claims unrun, so the other processes
+    stop at once, and writes the exception instead, for the parent to raise."""
+    import pickle  # loaded already by _run_tasks
+    try:
+        done = {i: task(i) for i in _claims(todo)}
+    except BaseException as exc:
+        for _ in _claims(todo):
+            pass
+        done = exc
+    try:
+        payload = pickle.dumps(done)
+        if isinstance(done, BaseException):
+            pickle.loads(payload)  # an exception may pickle and yet not unpickle
+    except Exception as exc:  # what pickle cannot carry is sent as its type's name and text
+        failed = done if isinstance(done, BaseException) else exc
+        payload = pickle.dumps(RuntimeError(f"{type(failed).__name__}: {failed}"))
+    with out:
+        out.write(payload)

@@ -225,6 +225,29 @@ def test_brute_refuses_too_many_points_without_building(capsys, monkeypatch):
     assert code == 3 and "cap 25000" in err and "MAX_ENTRIES" not in err
 
 
+def test_brute_refuses_a_raw_group_of_too_many_points_before_listing_it(capsys, monkeypatch):
+    """A raw group's order is known once Schreier-Sims has run, and its
+    |G| times degree is bounded by MAX_ENTRIES then, before any element is
+    listed: one permutation with cycles of lengths 8, 3, 7, 11 and 13 on
+    700 points has order 24,024, under the cap, and 16,816,800 points."""
+    def no_index(*args, **kwargs):
+        raise AssertionError("the elements were listed before the bound refused them")
+
+    monkeypatch.setattr(perm_engine, "_Index", no_index)
+    blocks, start = [], 0
+    for length in (8, 3, 7, 11, 13):
+        blocks.append("(" + " ".join(map(str, range(start, start + length))) + ")")
+        start += length
+    raw = f"raw:700:{''.join(blocks)}"
+    for group, points in ((raw, 16816800), (f"product:{raw}xcyclic:1", 16840824)):
+        code, out, err = run(capsys, "brute", "--group", group, "--pi", "3", "--prop", "dpi")
+        assert code == 3 and out == "", group
+        assert err.endswith(f"has |G| * degree of {points} points, above MAX_ENTRIES = "
+                            "16777216\n"), group
+    # on 698 points it has 16,768,752, under the bound
+    assert perm_engine.construct_named(f"raw:698:{''.join(blocks)}").order == 24024
+
+
 def test_brute_reads_pi_before_building_the_group(capsys, monkeypatch):
     """A bad --pi exits 3 before any group is built: cyclic:20000 is under
     the cap, yet building it takes minutes."""
@@ -404,6 +427,26 @@ def test_scan_refuses_ranges_of_too_many_pairs(capsys, monkeypatch):
         assert code == 3 and out == ""
         assert err == (f"hallpi: the ranges hold {pairs} (n, q) pairs, above "
                        "MAX_SCAN_PAIRS = 200000; split the scan\n")
+
+
+def test_scan_refuses_ranges_of_too_much_work(capsys, monkeypatch):
+    """Ranges whose groups' summed work, each group's estimated |G| bits to
+    the power 1.5, is above MAX_SCAN_WORK = 2e11 exit 3 before any decision:
+    A with n 400..599 and q <= 1000 holds 199,800 pairs, under
+    MAX_SCAN_PAIRS, and would run for hours."""
+    def no_oracle(*args):
+        raise AssertionError("the scan decided before refusing its ranges")
+
+    for name in ("scan_points", "_dpi_answer", "_epi_answer"):
+        monkeypatch.setattr(cli, name, no_oracle)
+    for n, q in (("400..599", "2..1000"), ("2..150", "2..1000")):
+        code, out, err = run(capsys, "scan", "--family", "A", "--n", n, "--q", q)
+        assert code == 3 and out == "", n
+        assert err.startswith("hallpi: the ranges' groups hold an estimated work of ")
+        assert err.endswith(", above MAX_SCAN_WORK = 2e+11; split the scan\n")
+    monkeypatch.setattr(cli, "MAX_SCAN_WORK", 10**9)  # A:581:q=7 alone has 1.02e9
+    code, out, err = run(capsys, "scan", "--family", "A", "--n", "581", "--q", "7")
+    assert code == 3 and "estimated work of 1.02e+09, above MAX_SCAN_WORK = 1e+09" in err
 
 
 def test_scan_range_without_simple_groups_prints_header_only(capsys):

@@ -7,6 +7,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 import weakref
 
 import pytest
@@ -132,13 +134,16 @@ def test_suites_agree_on_psl2_above_the_default_grid():
 def test_q31_grid_verifies_under_100_mb(tmp_path):
     """CI's grid, in a child process as CI runs it: PSL_2(q) for every
     q <= 31 at every nonempty pi of odd scan primes, 89 points, through
-    ``verify all --grid``.  verify holds one group at a time, so it must
-    agree everywhere with a peak RSS of at most 100 MB (53 to 55 MB
-    measured; 144 MB while every group stayed cached).  CI alone bounds
-    its time.  The peak is the child's VmHWM, the peak since its exec:
-    Linux carries the forking test process's peak into ru_maxrss."""
+    ``verify all --grid``.  Each process of verify holds one group at a
+    time, so it must agree everywhere with a peak RSS of at most 100 MB in
+    the child and in each worker it forks (49 and 52 MB measured on two
+    CPUs; 144 MB while every group stayed cached).  CI alone bounds its
+    time.  The child's peak is its VmHWM, the peak since its exec: Linux
+    carries the forking test process's peak into ru_maxrss.  The workers'
+    is ru_maxrss of the child's reaped children, which start from the
+    child's own size."""
     code = (
-        "import json\n"
+        "import json, resource\n"
         "from hallpi.cli import main\n"
         "from hallpi.verifier import _SCAN_PRIMES, scan_points, simple_groups\n"
         "groups = simple_groups(('A', 2, q) for q in range(2, 32))\n"
@@ -147,14 +152,16 @@ def test_q31_grid_verifies_under_100_mb(tmp_path):
         "    json.dump({'cases': [{'group': g.spec(), 'pi': list(pi)} for g, pi in points]}, f)\n"
         "code = main(['verify', 'all', '--grid', 'grid-q31.json'])\n"
         "status = open('/proc/self/status').read()\n"
-        "print(len(points), code, int(status.split('VmHWM:')[1].split()[0]) / 1024)\n"
+        "workers = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss\n"
+        "print(len(points), code, int(status.split('VmHWM:')[1].split()[0]) / 1024,\n"
+        "      workers / 1024)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
     done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
                           capture_output=True, text=True)
-    points, exit_code, rss_mb = done.stdout.splitlines()[-1].split()
+    points, exit_code, rss_mb, workers_mb = done.stdout.splitlines()[-1].split()
     assert (int(points), int(exit_code)) == (89, 0)
-    assert float(rss_mb) <= 100, rss_mb
+    assert max(float(rss_mb), float(workers_mb)) <= 100, (rss_mb, workers_mb)
 
 
 def test_exclusivity_scan_is_clean():
@@ -192,7 +199,9 @@ def test_exclusivity_reports_yes_without_condition(monkeypatch):
 def test_untraced_paths_build_no_verdict(monkeypatch, capsys):
     """hallpi scan, the exclusivity scan and the cross suite read the
     oracle's bare answers and build no Verdict; the public deciders, which
-    look the class up where they build one, still return Verdicts."""
+    look the class up where they build one, still return Verdicts.  The
+    suite runs in this process, where the Verdicts are counted."""
+    _in_process(monkeypatch)
     built = []
 
     class CountedVerdict(Verdict):
@@ -283,6 +292,34 @@ def test_verify_all_output_is_pinned():
     )
 
 
+def _in_process(monkeypatch) -> None:
+    """Make run_suite run its tasks in this process, as on one CPU, so that
+    what a test records of them is recorded here."""
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: 1)
+
+
+def _forks(monkeypatch, cpus: int = 2) -> list:
+    """Make run_suite see ``cpus`` usable CPUs; the pids it forks from now
+    on are listed in the list returned."""
+    monkeypatch.setattr(verifier, "_usable_cpus", lambda: cpus)
+    forks, fork = [], os.fork
+
+    def recording():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recording)
+    return forks
+
+
+def _no_child_left():
+    """This process has no child, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def _record_builds(monkeypatch) -> list:
     """(spec, weak reference) for each group the suites build from now on."""
     built = []
@@ -297,14 +334,148 @@ def _record_builds(monkeypatch) -> list:
 
 
 def test_verify_all_builds_each_default_grid_group_once(monkeypatch):
-    """The three grid suites share each group over its run of points."""
+    """The three grid suites share each group over its run of points.  The
+    runs go in this process, in grid order, where the builds are recorded."""
+    _in_process(monkeypatch)
     built = _record_builds(monkeypatch)
     run_suite("all")
     assert [spec for spec, _ in built] == [f"psl2:{q}" for q in (4, 5, 7, 8, 9, 11, 13)]
 
 
+def test_parallel_verify_all_builds_each_default_grid_group_once(monkeypatch, tmp_path):
+    """On two CPUs, each of the 8 tasks (7 runs and the exclusivity scan)
+    goes to one process: every group is built once, in whichever process
+    ran its run, and the worker is reaped before run_suite returns."""
+    forks = _forks(monkeypatch)
+    log = tmp_path / "builds"
+
+    def recording(spec, order_bound):
+        with open(log, "a") as f:  # one short line per write, from either process
+            f.write(f"{spec}\n")
+        return perm_engine.construct_named(spec, order_bound)
+
+    monkeypatch.setattr(verifier, "construct_named", recording)
+    assert all(r.ok for r in run_suite("all"))
+    assert len(forks) == 1
+    _no_child_left()
+    assert sorted(log.read_text().split(), key=lambda s: int(s[5:])) == [
+        f"psl2:{q}" for q in (4, 5, 7, 8, 9, 11, 13)]
+
+
+@pytest.mark.parametrize("grid, order_bound", [
+    (None, perm_engine.DEFAULT_MAX_ORDER),
+    # out of scope ({2,3}; p = 7 in pi for star), no construction (B:3:q=3),
+    # over the cap (psl2:13 has order 1092) and back to a group seen before
+    ([("A:2:q=7", (2, 3)), ("A:2:q=7", (3, 7)), ("B:3:q=3", (5, 7)), ("A:2:q=13", (3, 7)),
+      ("A:2:q=8", (3,)), ("A:2:q=7", (7,))], 1000),
+], ids=["default-grid", "skips-and-out-of-scope"])
+def test_parallel_reports_are_the_in_process_reports(monkeypatch, grid, order_bound):
+    """run_suite("all") gives the same reports, runtimes removed, on the
+    parallel path as in this process, and leaves no child behind."""
+    if grid is not None:
+        grid = [(parse_group_id(g), PrimeSet(pi)) for g, pi in grid]
+    forks = _forks(monkeypatch)
+    parallel = run_suite("all", grid, order_bound)
+    assert len(forks) == 1
+    _no_child_left()
+    _in_process(monkeypatch)
+    alone = run_suite("all", grid, order_bound)
+    assert len(forks) == 1
+    assert [_masked(r) for r in parallel] == [_masked(r) for r in alone]
+    if grid is not None:
+        cross = alone[0]
+        assert len(cross.cases) == 3 and [c["pi"] for c in cross.out_of_scope] == [[2, 3]]
+        assert [c["group"] for c in cross.skipped] == ["B:3:q=3", "A:2:q=13"]
+        assert "cap 1000" in cross.skipped[1]["reason"]
+
+
+@pytest.mark.parametrize("parallel", [False, True], ids=["in-process", "parallel"])
+def test_run_suite_raises_a_task_error_and_reaps(monkeypatch, parallel):
+    """brute_property raising ValueError on one group makes run_suite raise
+    ValueError on either path, and no child is left running or unreaped."""
+    real = verifier.brute_property
+
+    def brute(G, pi, prop):
+        if G.order == 504:  # psl2:8
+            raise ValueError("brute failed on psl2:8")
+        return real(G, pi, prop)
+
+    monkeypatch.setattr(verifier, "brute_property", brute)
+    forks = _forks(monkeypatch, 2 if parallel else 1)
+    with pytest.raises(ValueError, match="brute failed on psl2:8"):
+        run_suite("all")
+    assert len(forks) == parallel
+    _no_child_left()
+
+
+class _Unpicklable(LookupError):
+    """An exception pickle cannot carry: it holds a lock."""
+
+    def __init__(self, text):
+        super().__init__(text)
+        self.lock = threading.Lock()
+
+
+@pytest.mark.parametrize("error, raised, text", [
+    (LookupError, LookupError, "in a worker"),
+    (_Unpicklable, RuntimeError, "_Unpicklable: in a worker"),
+], ids=["picklable", "unpicklable"])
+def test_a_worker_exception_is_raised_here(monkeypatch, error, raised, text):
+    """Two tasks on two processes: this process's task waits until the
+    worker has claimed the other one, whose exception is then raised here,
+    with its type where pickle can carry it and as a RuntimeError naming the
+    type where it cannot."""
+    forks = _forks(monkeypatch)
+    parent, (r, w) = os.getpid(), os.pipe()
+
+    def task(i):
+        if os.getpid() == parent:
+            os.read(r, 1)
+            return i
+        os.write(w, b"x")
+        raise error("in a worker")
+
+    try:
+        with pytest.raises(raised) as caught:
+            verifier._run_tasks(task, [0, 1])
+    finally:
+        os.close(r)
+        os.close(w)
+    assert str(caught.value) == text and type(caught.value) is raised
+    assert len(forks) == 1
+    _no_child_left()
+
+
+def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch):
+    """A KeyboardInterrupt in this process's task, raised once the worker
+    has started a long task, reaches the caller at once, and the worker is
+    killed and reaped."""
+    forks = _forks(monkeypatch)
+    parent, (r, w) = os.getpid(), os.pipe()
+
+    def task(i):
+        if os.getpid() == parent:
+            os.read(r, 1)
+            raise KeyboardInterrupt
+        os.write(w, b"x")
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            verifier._run_tasks(task, [0, 1])
+    finally:
+        os.close(r)
+        os.close(w)
+    assert time.perf_counter() - t0 < 10
+    assert len(forks) == 1
+    _no_child_left()
+
+
 def test_run_suite_keeps_no_group_alive(monkeypatch):
-    """No group a run_suite call built is reachable once it returns."""
+    """No group a run_suite call built is reachable once it returns.  The
+    runs go in this process, where the groups are recorded."""
+    _in_process(monkeypatch)
     built = _record_builds(monkeypatch)
     grid = [(parse_group_id(f"A:2:q={q}"), PrimeSet([3])) for q in (4, 7, 8)]
     assert all(r.ok for r in run_suite("all", grid))
@@ -315,7 +486,9 @@ def test_run_suite_keeps_no_group_alive(monkeypatch):
 
 def test_run_suite_that_raises_keeps_no_group_alive(monkeypatch):
     """A grid suite that raises after an earlier suite built the group
-    leaves no group a run_suite call built reachable."""
+    leaves no group a run_suite call built reachable.  The run goes in this
+    process, where the group is recorded."""
+    _in_process(monkeypatch)
     built = _record_builds(monkeypatch)
 
     def failing(g, pi, G):
