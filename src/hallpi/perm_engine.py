@@ -25,7 +25,9 @@ by N_G(K) maps <K, x> to a conjugate.  One walk over K's conjugates,
 ``_Index.conjugacy_class``, lists them and builds N_G(K): it records an
 element conjugating K to each conjugate, each edge back to a conjugate
 already found gives a Schreier generator, and those generate N_G(K),
-which has |G| / |class| elements.
+which has |G| / |class| elements.  The index keeps what the walk found
+as K's record, so each member is walked once per group, and every search
+on the group, and U's count, reads the same conjugates and N_G(K).
 Each query enumerates only what it needs:
 
 - ``enumerate_subgroups``: the full lattice, from the trivial group.
@@ -561,6 +563,7 @@ class _Index:
                 rmul.append(list(map(by_base.__getitem__, keys)))
             except KeyError:
                 raise AssertionError("the elements are not closed under the generators") from None
+        self.classes: dict[frozenset, tuple] = {}  # K -> K's conjugacy_class record
         self.trivial = frozenset([0])  # the identity sorts first
         self.whole = frozenset(range(n))
         self.gens = [self.index(g) for g in G.generators]
@@ -618,9 +621,21 @@ class _Index:
         return frozenset(K)
 
     def conjugacy_class(self, K: frozenset, gens: list[int]
-                        ) -> tuple[tuple[frozenset, ...], frozenset, list[int]]:
-        """The conjugates of the subgroup K generated by ``gens``, in the
-        order found, then N_G(K) and generators of it, from one walk.
+                        ) -> tuple[tuple[frozenset, ...], frozenset, frozenset, tuple[int, ...]]:
+        """The record of the subgroup K generated by ``gens``: its conjugates
+        in the order found, its canonical member (the least as a sorted index
+        list), N_G(K) and a tuple of elements generating N_G(K).  The first
+        call for K fills the record from one ``_walk``, and it is kept in
+        ``classes`` for as long as the index lives: every later call for K
+        returns the same objects, whatever ``gens`` it passes, so N's
+        generators need not start with the caller's."""
+        record = self.classes.get(K)
+        if record is None:
+            record = self.classes[K] = self._walk(K, gens)
+        return record
+
+    def _walk(self, K: frozenset, gens: list[int]):
+        """K's record, from one walk over its conjugates.
 
         The walk maps each conjugate A to an element t_A with
         t_A^-1 * K * t_A = A: t_P * g for the conjugate P it was reached
@@ -650,19 +665,21 @@ class _Index:
                     stack.append(B)
                 elif t_Ag != t_B:  # else the Schreier generator is the identity
                     edges.append((t_Ag, t_B))
-        if len(t) == 1:
-            return (K,), self.whole, list(self.gens)
-        N, N_gens = K, list(gens)
-        target = self.size // len(t)
-        perms = self.perms
-        for t_Ag, t_B in edges:
-            if len(N) == target:
-                break
-            s = self.index(pmul(perms[t_Ag], pinv(perms[t_B])))
-            if s not in N:
-                N_gens.append(s)
-                N = self.join(N, N_gens, target)
-        return tuple(t), N, N_gens
+        orbit = tuple(t)
+        if len(orbit) == 1:
+            N, N_gens = self.whole, self.gens
+        else:
+            N, N_gens = K, list(gens)
+            target = self.size // len(orbit)
+            perms = self.perms
+            for t_Ag, t_B in edges:
+                if len(N) == target:
+                    break
+                s = self.index(pmul(perms[t_Ag], pinv(perms[t_B])))
+                if s not in N:
+                    N_gens.append(s)
+                    N = self.join(N, N_gens, target)
+        return orbit, min(orbit, key=sorted), N, tuple(N_gens)
 
     def reduce(self, K: frozenset) -> list[int]:
         """Deterministic small generating set of the subgroup K: each
@@ -773,12 +790,12 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     A member K is joined with one cyclic per orbit of its normaliser
     N = N_G(K) acting on the cyclics by conjugation: for n in N,
     <K, n^-1 x n> = n^-1 <K, x> n, a conjugate of <K, x> with its order.
-    ``add`` builds each class when it is found, and N with it, from one
-    ``ix.conjugacy_class`` walk over K's conjugates; N and its generators
-    are queued only until K is extended; for a normal K they are G and
-    G's generators.  The cyclics' orbit is walked by conjugating with each
-    of N's generators through ``ix.conj``, and an N-orbit is the same set
-    whichever generators of N are used.
+    ``add`` builds each class when it is found, and N with it, from K's
+    record, ``ix.conjugacy_class``: one walk over K's conjugates the first
+    time any search on G finds K; for a normal K, N and its generators are
+    G and G's generators.  The cyclics' orbit is walked by conjugating with
+    each of N's generators through ``ix.conj``, and an N-orbit is the same
+    set whichever generators of N are used.
     Conjugating by y or by y^-1 closes to the same orbit, and the walk uses
     it only as a set.  The orbit's first cyclic in ``cyclics`` is the one
     joined.  It is also the first of its own
@@ -818,9 +835,9 @@ def _extend(ix: _Index, start: frozenset, gens: list[int], cyclics: list[int],
     canonical = ix.canonical
 
     def add(K: frozenset, K_gens: list[int], inherited: set[int]) -> None:
-        orbit, N, N_gens = ix.conjugacy_class(K, K_gens)
+        orbit, rep, N, N_gens = ix.conjugacy_class(K, K_gens)
         seen.update(orbit)
-        cls = SubgroupClass(len(K), len(orbit), min(orbit, key=sorted), orbit, K, K_gens, ix)
+        cls = SubgroupClass(len(K), len(orbit), rep, orbit, K, K_gens, ix)
         classes.append(cls)
         queue.append((cls, N, N_gens, inherited))
 
@@ -965,11 +982,11 @@ def brute_property(G: PermGroup, pi: PrimeSet, property: str) -> tuple[bool, dic
     witness where D fails, and otherwise also needs the overgroups of the
     pi-Hall subgroup H.  Each conjugate of H in an overgroup M is a maximal
     pi-subgroup of M, so M is D_pi exactly when it has |M : N_M(H)| =
-    |M| / |N_G(H) cap M| maximal pi-subgroups; N_G(H) is built once per
-    query.  Returns (holds, witness); the witness names
-    the violating classes, the violating overgroup with H and a maximal
-    pi-subgroup of it that is no conjugate of H there, or the violating
-    pi-subgroup.
+    |M| / |N_G(H) cap M| maximal pi-subgroups; N_G(H) is read off H's
+    record, which the pi-subgroup search made.  Returns (holds, witness);
+    the witness names the violating classes, the violating overgroup with
+    H and a maximal pi-subgroup of it that is no conjugate of H there, or
+    the violating pi-subgroup.
     """
     if property not in ("E", "C", "D", "U", "star"):
         raise ValueError(f"unknown property {property!r}")
@@ -999,7 +1016,7 @@ def brute_property(G: PermGroup, pi: PrimeSet, property: str) -> tuple[bool, dic
         # the witness is never reached.
         hall = maximal[0]
         H = hall.member
-        _, N, _ = ix.conjugacy_class(H, hall.member_gens)
+        N = ix.conjugacy_class(H, hall.member_gens)[2]  # read off the pi-search's walk
         pi_sets = sorted((s for c in pi_classes for s in c.orbit), key=len, reverse=True)
         for M in hall_overgroups(G, pi):
             if M.order == G.order:

@@ -3,7 +3,10 @@
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from math import prod
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hallpi
 from hallpi import perm_engine
 from hallpi.arith import PrimeSet, pi_part
 from hallpi.lie_catalog import _prime_power
@@ -413,6 +417,29 @@ def test_alt8_solvable_pi_search_is_pinned():
     )
 
 
+def test_alt8_solvable_pi_search_peaks_under_100_mb(tmp_path):
+    """``hallpi brute --group alt:8 --pi 2,3 --prop dpi`` in a child
+    process, as CI runs it: alt:8 is not D_{2,3} (exit 1), at a peak RSS of
+    at most 100 MB.  The index keeps each walked member's record, its
+    conjugates and N_G(K), for as long as G lives: 86.4 MB measured, where
+    85.7 MB while each normaliser was dropped once its member was extended
+    (Python 3.11.7 on a 2-core x86-64 machine).  The child's peak is its
+    VmHWM, the peak since its exec: Linux carries the forking test
+    process's peak into ru_maxrss."""
+    code = (
+        "from hallpi.cli import main\n"
+        "code = main(['brute', '--group', 'alt:8', '--pi', '2,3', '--prop', 'dpi'])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, int(status.split('VmHWM:')[1].split()[0]) / 1024)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(hallpi.__file__))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path, check=True,
+                          capture_output=True, text=True)
+    exit_code, rss_mb = done.stdout.splitlines()[-1].split()
+    assert int(exit_code) == 1
+    assert float(rss_mb) <= 100, rss_mb
+
+
 def test_search_is_pinned():
     """The search itself, not only its canonical output, for the full
     lattice, the pi-subgroups and the overgroups of a pi-Hall subgroup, for
@@ -582,13 +609,16 @@ def test_chain_missing_an_element_is_refused(spec):
 
 def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
     """A class member is joined with one cyclic per orbit of its normaliser
-    acting by conjugation: on psl2:13 at pi = {3}, 103 joins, those that
+    acting by conjugation: on psl2:13 at pi = {3}, 101 joins, those that
     build the normalisers included, where one per orbit of the member
-    itself made 332 and one per cyclic 2125.  A join stops at the first
-    cyclic whose join with the same member, or with the member whose join
-    found its class, already gave the whole group, and such a cyclic is not
-    joined again: 1 of them closes to the whole group, where 10 did while
-    each class started its stop set empty (224 joins), and 286 without the
+    itself made 332 and one per cyclic 2125.  The search starts at the
+    pi-Hall member H, whose record the pi-subgroup search made, so the two
+    joins that built N_G(H) there are not made again (103 joins while each
+    search walked its own start).  A join stops at the first cyclic whose
+    join with the same member, or with the member whose join found its
+    class, already gave the whole group, and such a cyclic is not joined
+    again: 1 of them closes to the whole group, where 10 did while each
+    class started its stop set empty (224 joins), and 286 without the
     stop."""
     named = construct_named("psl2:13")
     expected = [c.order for c in hall_overgroups(named, PrimeSet([3]))]
@@ -600,7 +630,7 @@ def test_overgroups_join_once_per_conjugate_cyclics(monkeypatch):
                         lambda self, *a: results.append(join(self, *a)) or results[-1])
     classes = hall_overgroups(G, PrimeSet([3]))
     assert [c.order for c in classes] == expected
-    assert len(results) == 103
+    assert len(results) == 101
     assert sum(J is not None and len(J) == G.order for J in results) == 1
 
 
@@ -645,13 +675,40 @@ def test_normaliser_is_the_stabiliser_by_conjugation(spec):
             for c in pi_subgroups(G, PrimeSet(pi)) + overgroups:
                 members.update(c.orbit)
     for K in members:
-        conjugates, N, N_gens = ix.conjugacy_class(K, ix.reduce(K))
+        conjugates, rep, N, N_gens = ix.conjugacy_class(K, ix.reduce(K))
         by_y = [frozenset(where[pmul(pmul(pinv(py), perms[k]), py)] for k in K)
                 for py in perms]
         assert len(set(conjugates)) == len(conjugates) and set(conjugates) == set(by_y)
+        assert rep == min(by_y, key=sorted)
         assert len(conjugates) * len(N) == G.order
         assert N == frozenset(y for y, C in enumerate(by_y) if C == K)
         assert ix.join(ix.trivial, N_gens, ix.size) == N
+
+
+def test_a_class_record_is_filled_once_per_index(monkeypatch):
+    """The pi-subgroup search fills the record of each member it extends,
+    and its class holds the record's conjugates and canonical member.  A
+    later ``conjugacy_class`` call for the same K, with other generators,
+    returns the same orbit, canonical member, N_G(K) and generators of N,
+    without a walk; an index of a new copy of the group walks K again."""
+    named = construct_named("psl2:7")
+    G = PermGroup(named.degree, named.generators)  # nothing cached yet
+    walks = []
+    walk = _Index._walk
+    monkeypatch.setattr(_Index, "_walk",
+                        lambda self, K, gens: walks.append((self, K)) or walk(self, K, gens))
+    H = pi_hall_subgroups(G, PrimeSet([3, 7]))[0]
+    ix = G._index
+    assert walks.count((ix, H.member)) == 1
+    first = ix.conjugacy_class(H.member, H.member_gens)
+    second = ix.conjugacy_class(H.member, ix.reduce(H.member)[::-1])
+    assert all(a is b for a, b in zip(first, second, strict=True))
+    assert first[0] is H.orbit and first[1] is H.rep_set and type(first[3]) is tuple
+    assert walks.count((ix, H.member)) == 1
+    copy = PermGroup(named.degree, named.generators)
+    copy.elements()
+    assert copy._index.conjugacy_class(H.member, H.member_gens)[0] == H.orbit
+    assert walks[-1] == (copy._index, H.member)
 
 
 def test_generators_conjugate_through_their_tables_only():

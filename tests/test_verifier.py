@@ -136,8 +136,9 @@ def test_q31_grid_verifies_under_100_mb(tmp_path):
     q <= 31 at every nonempty pi of odd scan primes, 89 points, through
     ``verify all --grid``.  Each process of verify holds one group at a
     time, so it must agree everywhere with a peak RSS of at most 100 MB in
-    the child and in each worker it forks (49 and 52 MB measured on two
-    CPUs; 144 MB while every group stayed cached).  CI alone bounds its
+    the child and in each worker it forks (36.2 and 36.1 MB measured on
+    two CPUs, 47.9 and 51.1 MB while each search walked its own classes;
+    144 MB while every group stayed cached).  CI alone bounds its
     time.  The child's peak is its VmHWM, the peak since its exec: Linux
     carries the forking test process's peak into ru_maxrss.  The workers'
     is ru_maxrss of the child's reaped children, which start from the
@@ -340,6 +341,43 @@ def test_verify_all_builds_each_default_grid_group_once(monkeypatch):
     built = _record_builds(monkeypatch)
     run_suite("all")
     assert [spec for spec, _ in built] == [f"psl2:{q}" for q in (4, 5, 7, 8, 9, 11, 13)]
+
+
+def test_a_run_walks_each_subgroup_member_once(monkeypatch):
+    """psl2:13's run of the default grid through every grid suite: each
+    member a search extends is walked once on the group's index, however
+    many searches and queries reach it.  U reads N_G(H) off the record the
+    pi-subgroup search made, and starts its overgroup search from it, so a
+    U query walks H and the other pi-subgroups no more: only the overgroups
+    of H that no earlier search walked."""
+    walks = []  # (index, K, the property being queried) per walk
+    running = [None]
+    walk = perm_engine._Index._walk
+    monkeypatch.setattr(perm_engine._Index, "_walk", lambda self, K, gens: (
+        walks.append((self, K, running[0])) or walk(self, K, gens)))
+    u_queries = []  # (H, the members of H's overgroup classes) per U query
+    brute = verifier.brute_property
+
+    def query(G, pi, prop):
+        running[0] = prop
+        result = brute(G, pi, prop)
+        running[0] = None
+        if prop == "U":
+            H = perm_engine.pi_hall_subgroups(G, pi)[0].member
+            u_queries.append((H, {c.member for c in perm_engine.hall_overgroups(G, pi)}))
+        return result
+
+    monkeypatch.setattr(verifier, "brute_property", query)
+    g = parse_group_id("A:2:q=13")
+    points = [point for point in default_grid() if point[0] == g]
+    reports = verifier._run(g, points, list(verifier._GRID_SUITES), perm_engine.DEFAULT_MAX_ORDER)
+    assert len(points) == 7 and all(r.ok and r.cases for r in reports)
+    assert len({ix for ix, _, _ in walks}) == 1
+    members = [K for _, K, _ in walks]
+    assert len(set(members)) == len(members)
+    in_u = {K for _, K, prop in walks if prop == "U"}
+    assert u_queries and all(H not in in_u for H, _ in u_queries)
+    assert in_u <= set().union(*(overgroups - {H} for H, overgroups in u_queries))
 
 
 def test_parallel_verify_all_builds_each_default_grid_group_once(monkeypatch, tmp_path):
