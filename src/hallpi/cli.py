@@ -3,8 +3,8 @@
 Exit codes for decide/brute: 0 = yes/true, 1 = no/false, 2 = out of scope,
 3 and up = input or usage error.  verify exits nonzero on any disagreement.
 
-``_COMMANDS`` describes each subcommand once: its help and the function
-adding its options.  ``main`` builds one parser, with only the options of
+``_COMMANDS`` describes each subcommand once, in one row: its help, its
+options and its handler.  ``main`` builds one parser, with only the options of
 the subcommand its first argument names, as a query runs once per process;
 ``-h``, a missing command or an unknown one gets the parser with all four
 subcommands.  Help, usage and error texts are the ones argparse writes with
@@ -120,64 +120,6 @@ def _order_cap(args) -> int:
     return _read_count("--max-order", args.max_order)
 
 
-def _add_format(p: _Parser) -> None:
-    p.add_argument("--format", choices=("json", "text"), default="text")
-
-
-def _add_cap(p: _Parser) -> None:
-    p.add_argument("--max-order", default=None)
-
-
-def _decide_options(p: _Parser) -> None:
-    _add_format(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--pi", required=True)
-    p.add_argument("--prop", required=True, choices=("epi", "cpi", "dpi", "upi"))
-
-
-def _brute_options(p: _Parser) -> None:
-    _add_format(p)
-    _add_cap(p)
-    p.add_argument("--group", required=True)
-    p.add_argument("--pi", required=True)
-    p.add_argument(
-        "--prop", required=True, choices=("epi", "cpi", "dpi", "upi", "star")
-    )
-
-
-def _scan_options(p: _Parser) -> None:
-    p.add_argument("--family", required=True, choices=FAMILIES)
-    p.add_argument("--n", default=None, help="dimension/rank, N or LO..HI")
-    p.add_argument("--q", required=True, help="field size, N or LO..HI")
-    p.add_argument("--pi-size", default="2")
-    p.add_argument("--out", default=None)
-
-
-def _verify_options(p: _Parser) -> None:
-    _add_format(p)
-    _add_cap(p)
-    p.add_argument("suite", choices=(*_SUITES, "all"))
-    p.add_argument("--grid", default=None)
-
-
-# subcommand -> (help, function adding its options)
-_COMMANDS = {
-    "decide": ("arithmetic oracle on a Lie-type group", _decide_options),
-    "brute": ("definitional check on a concrete group", _brute_options),
-    "scan": ("batch oracle table over a parameter grid", _scan_options),
-    "verify": ("oracle-vs-brute verification suites", _verify_options),
-}
-
-
-def _build_parser() -> _Parser:
-    """The parser with all four subcommands."""
-    parser = _Parser(prog="hallpi")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, add_options) in _COMMANDS.items():
-        add_options(sub.add_parser(name, help=help_text))
-    return parser
-
-
 def _cmd_decide(args) -> int:
     g = parse_group_id(args.group)
     pi = _parse_pi(args.pi)
@@ -193,18 +135,14 @@ def _cmd_decide(args) -> int:
     return {"yes": 0, "no": 1, "out_of_scope": 2}[verdict.holds]
 
 
-def _cmd_brute(args, max_order: int) -> int:
+def _cmd_brute(args) -> int:
+    max_order = _order_cap(args)
     pi = _parse_pi(args.pi)
     G = construct_named(args.group, max_order)
     prop = _PROP_MAP[args.prop]
     holds, witness = brute_property(G, pi, prop)
-    payload = {
-        "group": args.group,
-        "pi": list(pi),
-        "property": prop,
-        "holds": holds,
-        "witness": witness,
-    }
+    payload = {"group": args.group, "pi": list(pi), "property": prop, "holds": holds,
+               "witness": witness}
     if args.format == "json":
         print(json.dumps(payload))
     else:
@@ -273,7 +211,8 @@ def _cmd_scan(args) -> int:
     return 0
 
 
-def _cmd_verify(args, max_order: int) -> int:
+def _cmd_verify(args) -> int:
+    max_order = _order_cap(args)
     for option, value in (("--grid", args.grid), ("--max-order", args.max_order)):
         if args.suite == "exclusivity" and value is not None:
             raise ValueError(f"verify exclusivity reads no {option}: it scans its own "
@@ -288,11 +227,50 @@ def _cmd_verify(args, max_order: int) -> int:
     return 0 if all(r.ok for r in reports) else 1
 
 
+_FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
+
+# subcommand -> (help, its options as (name, add_argument keywords), handler)
+_COMMANDS = {
+    "decide": ("arithmetic oracle on a Lie-type group", (
+        _FORMAT, ("--group", {"required": True}), ("--pi", {"required": True}),
+        ("--prop", {"required": True,
+                    "choices": tuple(p for p, prop in _PROP_MAP.items() if prop in _DECIDERS)}),
+    ), _cmd_decide),
+    "brute": ("definitional check on a concrete group", (
+        _FORMAT, ("--max-order", {}), ("--group", {"required": True}), ("--pi", {"required": True}),
+        ("--prop", {"required": True, "choices": tuple(_PROP_MAP)}),
+    ), _cmd_brute),
+    "scan": ("batch oracle table over a parameter grid", (
+        ("--family", {"required": True, "choices": FAMILIES}),
+        ("--n", {"help": "dimension/rank, N or LO..HI"}),
+        ("--q", {"required": True, "help": "field size, N or LO..HI"}),
+        ("--pi-size", {"default": "2"}), ("--out", {}),
+    ), _cmd_scan),
+    "verify": ("oracle-vs-brute verification suites", (
+        _FORMAT, ("--max-order", {}), ("suite", {"choices": (*_SUITES, "all")}), ("--grid", {}),
+    ), _cmd_verify),
+}
+
+
+def _add_options(parser: _Parser, command: str) -> None:
+    for name, keywords in _COMMANDS[command][1]:
+        parser.add_argument(name, **keywords)
+
+
+def _build_parser() -> _Parser:
+    """The parser with all four subcommands."""
+    parser = _Parser(prog="hallpi")
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=help_text), name)
+    return parser
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:  # read as argparse's subparser "hallpi <command>" reads it
         parser = _Parser(prog=f"hallpi {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
+        _add_options(parser, argv[0])
         args, extras = parser.parse_known_args(argv[1:])
         if extras:  # reported by the parser with all four, as argparse reports them
             _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
@@ -300,14 +278,7 @@ def main(argv=None) -> int:
     else:
         args = _build_parser().parse_args(argv)
     try:
-        if args.command == "decide":
-            return _cmd_decide(args)
-        if args.command == "scan":
-            return _cmd_scan(args)
-        max_order = _order_cap(args)
-        if args.command == "brute":
-            return _cmd_brute(args, max_order)
-        return _cmd_verify(args, max_order)
+        return _COMMANDS[args.command][2](args)
     except (OrderLimitError, GroupSpecError, ValueError) as exc:
         print(f"hallpi: {exc}", file=sys.stderr)
         return 3

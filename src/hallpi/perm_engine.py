@@ -388,9 +388,10 @@ _PREFIXES = re.compile("(?:product:)*")  # the product: prefixes opening a facto
 # The bound on |G| times the degree of a named group: the points of its
 # element list, which the stabiliser chain and the search hold about once
 # each.  `hallpi brute --group cyclic:n --pi 3 --prop dpi` (n^2 points)
-# took 0.51 s and 108 MB at n = 2000, 1.16 s and 223 MB at n = 3000, and
-# 2.16 s and 402 MB at n = 4096, the bound: about 24 bytes a point (Python
-# 3.11.7, one process on a 2-core x86-64 machine).  psl2:31 has 476,160.
+# took 0.30 s and 47 MB at n = 2000, 0.50 s and 86 MB at n = 3000, and
+# 0.74 s and 145 MB at n = 4096, the bound: about 8 bytes a point, the
+# chain's one level of tuples, held once (Python 3.11.7, one process on a
+# 2-core x86-64 machine, interpreter start included).  psl2:31 has 476,160.
 MAX_ENTRIES = 2**24
 
 
@@ -533,7 +534,8 @@ class _Index:
     generator has passed, ``conj_table[g]`` maps each e to g^-1 * e * g,
     read off the same columns: its image of b is column g^-1[b] mapped
     through g.  Each is one pass over the columns per generator, with no
-    Python call per element, and ``conjugacy_class`` reads them.
+    Python call per element, and ``conjugacy_class`` reads them.  No other
+    column is built.
 
     ``products(x)`` multiplies by x on the left: it composes each product
     x * e on every call, with no memo, and a join asks only for the
@@ -542,8 +544,9 @@ class _Index:
     conjugate on every call, with no memo."""
 
     def __init__(self, G: PermGroup):
-        perms = [identity(G.degree)]  # the levels multiplied out, deepest first
-        for trans in reversed(G._transversals):
+        levels = G._transversals[::-1]  # multiplied out from the deepest's own tuples
+        perms = list(levels[0].values()) if levels else [identity(G.degree)]
+        for trans in levels[1:]:
             times = [itemgetter(*h) for h in perms]  # h * t is h's getter applied to t
             perms = [h_times(t) for t in trans.values() for h_times in times]
         perms.sort()
@@ -552,7 +555,9 @@ class _Index:
         self.size = n
         self.base = base = G.base if len(G.base) > 1 else (G.base or [0]) * 2
         self._base_images = itemgetter(*base)
-        cols = list(zip(*perms))  # cols[p]: every element's image of p
+        g_invs = [pinv(g) for g in G.generators]
+        read = {*base, *(g_inv[b] for g_inv in g_invs for b in base)}
+        cols = {p: list(map(itemgetter(p), perms)) for p in read}  # every element's image of p
         self.by_base = by_base = dict(zip(zip(*(cols[b] for b in base)), range(n)))
         if len(by_base) != n:
             raise AssertionError("the base images do not separate the elements")
@@ -571,7 +576,7 @@ class _Index:
         self.conj_table = {  # (g^-1 * e * g)[b] = g[e[g^-1[b]]]
             x: list(map(by_base.__getitem__,
                         zip(*(map(g.__getitem__, cols[g_inv[b]]) for b in base))))
-            for x, g, g_inv in zip(self.gens, G.generators, map(pinv, G.generators))
+            for x, g, g_inv in zip(self.gens, G.generators, g_invs)
         }
 
     def index(self, p: Perm) -> int:

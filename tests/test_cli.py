@@ -802,3 +802,41 @@ def test_usage_is_the_same_with_one_subcommand_built(capsys, monkeypatch):
             main(argv)
         usages.append(capsys.readouterr().err.split("hallpi: error:")[0])
     assert usages[0] == usages[1] and usages[0].count("\n") == 3
+
+
+# ---------------------------------------------------------------------------
+# argv forms: each reads as its canonical line, or fails with the text given
+
+_VERIFY = ["verify", "exclusivity", "--format", "json"]
+_ARGV_FORMS = {
+    "equals-signs": (["brute", "--group=alt:5", "--pi=3", "--prop=dpi"], _BRUTE),
+    "prefix": (["brute", "--gro", "alt:5", "--pi", "3", "--prop", "dpi"], _BRUTE),
+    "any-order": (["brute", "--prop", "dpi", "--pi", "3", "--group", "alt:5"], _BRUTE),
+    "last-repeat-wins": (
+        ["brute", "--group", "alt:5", "--pi", "5", "--pi", "3", "--prop", "dpi"], _BRUTE),
+    "option-before-suite": (["verify", "--format", "json", "exclusivity"], _VERIFY),
+    "prefix-after-suite": (["verify", "exclusivity", "--form", "json"], _VERIFY),
+    "prefix-pi-size": (["scan", "--family", "G2", "--q", "3", "--pi-s", "2"], _SCAN),
+    "ambiguous-prefix": (["brute", "--p", "3", "--group", "alt:5", "--prop", "dpi"], (
+        3, "", _PARSER_PINS["brute-help"][2].split("\n\n")[0] + "\n"
+        "hallpi brute: error: ambiguous option: --p could match --pi, --prop\n")),
+}
+
+
+def outcome(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), an exit by SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("case", list(_ARGV_FORMS))
+def test_argv_forms_are_pinned(capsys, monkeypatch, case):
+    form, want = _ARGV_FORMS[case]
+    monkeypatch.setenv("COLUMNS", "80")
+    if isinstance(want, list):  # the canonical line
+        want = outcome(capsys, want)
+    assert outcome(capsys, form) == want
