@@ -4,11 +4,12 @@ Exit codes for decide/brute: 0 = yes/true, 1 = no/false, 2 = out of scope,
 3 and up = input or usage error.  verify exits nonzero on any disagreement.
 
 ``_COMMANDS`` describes each subcommand once, in one row: its help, its
-options and its handler.  ``main`` builds one parser, with only the options of
-the subcommand its first argument names, as a query runs once per process;
-``-h``, a missing command or an unknown one gets the parser with all four
-subcommands.  Help, usage and error texts are the ones argparse writes with
-all four built.
+options and its handler.  As a query runs once per process, ``main`` reads a
+plain line (each option named in full, once, with its value) off the row
+with no parser built.  argparse reads every other line: with one parser,
+holding only the options of the subcommand its first argument names, or,
+for ``-h``, a missing command or an unknown one, with all four subcommands.
+Help, usage and error texts are the ones argparse writes with all four built.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def _cmd_verify(args) -> int:
 
 _FORMAT = ("--format", {"choices": ("json", "text"), "default": "text"})
 
-# subcommand -> (help, its options as (name, add_argument keywords), handler)
+# subcommand -> (help, its options as (name, add_argument keywords), handler);
+# each option takes one value, and _read_plain reads required, choices and default
 _COMMANDS = {
     "decide": ("arithmetic oracle on a Lie-type group", (
         _FORMAT, ("--group", {"required": True}), ("--pi", {"required": True}),
@@ -266,14 +268,43 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_plain(command: str, argv: list) -> argparse.Namespace | None:
+    """The namespace ``command``'s one-command parser reads from a plain
+    line: each word starting with "-" an exact option name, given once and
+    followed by a value not starting with "-"; the positional at most once;
+    every required option and the positional given; every value among its
+    choices.  None for any other line, which argparse reads."""
+    row = dict(_COMMANDS[command][1])
+    given = {}
+    words = iter(argv)
+    for word in words:
+        if word.startswith("-"):
+            name, value = word, next(words, "-")
+        else:  # the positional's value
+            name, value = next((n for n in row if not n.startswith("-")), None), word
+        if name not in row or name in given or value.startswith("-"):
+            return None
+        given[name] = value
+    args = argparse.Namespace()
+    for name, keywords in row.items():
+        if name not in given and (keywords.get("required") or not name.startswith("-")):
+            return None
+        if name in given and given[name] not in keywords.get("choices", (given[name],)):
+            return None
+        setattr(args, name.lstrip("-").replace("-", "_"), given.get(name, keywords.get("default")))
+    return args
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv and argv[0] in _COMMANDS:  # read as argparse's subparser "hallpi <command>" reads it
-        parser = _Parser(prog=f"hallpi {argv[0]}")
-        _add_options(parser, argv[0])
-        args, extras = parser.parse_known_args(argv[1:])
-        if extras:  # reported by the parser with all four, as argparse reports them
-            _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _read_plain(argv[0], argv[1:])
+        if args is None:
+            parser = _Parser(prog=f"hallpi {argv[0]}")
+            _add_options(parser, argv[0])
+            args, extras = parser.parse_known_args(argv[1:])
+            if extras:  # reported by the parser with all four, as argparse reports them
+                _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
         args.command = argv[0]
     else:
         args = _build_parser().parse_args(argv)

@@ -6,6 +6,8 @@ import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hallpi import cli, lie_catalog, perm_engine
 from hallpi.cli import main
@@ -820,6 +822,13 @@ _ARGV_FORMS = {
     "ambiguous-prefix": (["brute", "--p", "3", "--group", "alt:5", "--prop", "dpi"], (
         3, "", _PARSER_PINS["brute-help"][2].split("\n\n")[0] + "\n"
         "hallpi brute: error: ambiguous option: --p could match --pi, --prop\n")),
+    "help-after-options": (["brute", "--group", "alt:5", "--pi", "3", "-h"],
+                           (0, _PARSER_PINS["brute-help"][2], "")),
+    "double-dash-before-value": (["verify", "--format", "json", "--", "exclusivity"], _VERIFY),
+    "value-starting-with-dash": (_BRUTE + ["--max-order", "-5"], (
+        3, "", "hallpi: --max-order must be a positive integer, got -5\n")),
+    "extra-positional": (["verify", "exclusivity", "all"], (
+        3, "", _TOP_USAGE + "hallpi: error: unrecognized arguments: all\n")),
 }
 
 
@@ -840,3 +849,86 @@ def test_argv_forms_are_pinned(capsys, monkeypatch, case):
     if isinstance(want, list):  # the canonical line
         want = outcome(capsys, want)
     assert outcome(capsys, form) == want
+
+
+# ---------------------------------------------------------------------------
+# the plain reader: it reads what the one-command parser reads, or leaves the
+# line to argparse
+
+_PLAIN_FORMS = ("any-order", "option-before-suite")  # plain lines, in another order
+_NOT_PLAIN = {
+    **{case: form for case, (form, _) in _ARGV_FORMS.items() if case not in _PLAIN_FORMS},
+    "pi-prefix-of-pi-size": _SCAN[:5] + ["--pi", "2"],
+    "missing-prop": _BRUTE[:5],
+    "prop-not-a-choice": _BRUTE[:6] + ["xpi"],
+}
+
+
+@pytest.mark.parametrize("case", list(_NOT_PLAIN))
+def test_reader_leaves_other_lines_to_argparse(case):
+    argv = _NOT_PLAIN[case]
+    assert cli._read_plain(argv[0], argv[1:]) is None
+
+
+@pytest.mark.parametrize("case", _PLAIN_FORMS)
+def test_reader_reads_options_in_any_order(case):
+    form, canonical = _ARGV_FORMS[case]
+    args = cli._read_plain(form[0], form[1:])
+    assert args is not None and args == cli._read_plain(canonical[0], canonical[1:])
+
+
+_VALUES = ("alt:5", "3", "G2", "2..4", "", "-5", "-", "-h", "--", "--group", "xpi", "all")
+
+
+@st.composite
+def _lines(draw):
+    """A subcommand and a line of its options, given 7 times in 8 each, in
+    any order, with up to two more pieces: an option or a prefix of one,
+    -h, --, an option with a value or joined to it by "="; the values
+    valid, invalid, empty or starting with "-"."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    row = cli._COMMANDS[command][1]
+    values = st.sampled_from(_VALUES + tuple(c for _, kw in row for c in kw.get("choices", ())))
+    names = [name for name, _ in row]
+    words = st.sampled_from(names + [n[:k] for n in names if n.startswith("--")
+                                     for k in range(3, len(n))] + ["-h", "--", "--max-order"])
+    pieces = []
+    for name, keywords in row:
+        if draw(st.integers(0, 7)):
+            plain = st.sampled_from(keywords.get("choices", ("alt:5", "")))
+            value = draw(plain if draw(st.integers(0, 3)) else values)
+            pieces.append([name, value] if name.startswith("-") else [value])
+    for _ in range(draw(st.integers(0, 2))):
+        pair = st.tuples(words, values)
+        pieces.insert(draw(st.integers(0, len(pieces))), draw(
+            words.map(lambda w: [w]) | pair.map(list) | pair.map(lambda p: ["=".join(p)])))
+    return command, [word for piece in draw(st.permutations(pieces)) for word in piece]
+
+
+@given(_lines())
+@settings(max_examples=400, deadline=None)
+def test_reader_agrees_with_argparse(line):
+    command, argv = line
+    args = cli._read_plain(command, argv)
+    if args is not None:
+        parser = cli._Parser(prog=f"hallpi {command}")
+        cli._add_options(parser, command)
+        try:
+            want, extras = parser.parse_known_args(argv)
+        except SystemExit:
+            raise AssertionError(f"argparse refuses {argv}, which the reader read") from None
+        assert (vars(args), extras) == (vars(want), [])
+
+
+def test_plain_lines_build_no_parser(capsys, monkeypatch):
+    """A plain line runs with no argparse parser built, with the same exit
+    code and output."""
+    lines = (["decide", "--group", "A:2:q=7", "--pi", "3,7", "--prop", "dpi"], _BRUTE, _SCAN,
+             ["verify", "exclusivity"])
+    want = [outcome(capsys, argv)[:2] for argv in lines]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a plain line built an argparse parser")
+
+    monkeypatch.setattr(cli, "_Parser", refuse)
+    assert [outcome(capsys, argv)[:2] for argv in lines] == want
