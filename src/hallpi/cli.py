@@ -6,10 +6,8 @@ Exit codes for decide/brute: 0 = yes/true, 1 = no/false, 2 = out of scope,
 ``_COMMANDS`` describes each subcommand once, in one row: its help, its
 options and its handler.  As a query runs once per process, ``main`` reads a
 plain line (each option named in full, once, with its value) off the row
-with no parser built.  argparse reads every other line: with one parser,
-holding only the options of the subcommand its first argument names, or,
-for ``-h``, a missing command or an unknown one, with all four subcommands.
-Help, usage and error texts are the ones argparse writes with all four built.
+with no parser built.  Every other line goes to the argparse parser with
+all four subcommands, which writes every help, usage and error text.
 """
 
 from __future__ import annotations
@@ -254,26 +252,23 @@ _COMMANDS = {
 }
 
 
-def _add_options(parser: _Parser, command: str) -> None:
-    for name, keywords in _COMMANDS[command][1]:
-        parser.add_argument(name, **keywords)
-
-
 def _build_parser() -> _Parser:
     """The parser with all four subcommands."""
     parser = _Parser(prog="hallpi")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, (help_text, _, _) in _COMMANDS.items():
-        _add_options(sub.add_parser(name, help=help_text), name)
+    for name, (help_text, options, _) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for option, keywords in options:
+            command.add_argument(option, **keywords)
     return parser
 
 
 def _read_plain(command: str, argv: list) -> argparse.Namespace | None:
-    """The namespace ``command``'s one-command parser reads from a plain
-    line: each word starting with "-" an exact option name, given once and
-    followed by a value not starting with "-"; the positional at most once;
-    every required option and the positional given; every value among its
-    choices.  None for any other line, which argparse reads."""
+    """The namespace argparse reads from the plain line ``hallpi <command>
+    <argv>``: each word starting with "-" an exact option name, given once
+    and followed by a value not starting with "-"; the positional at most
+    once; every required option and the positional given; every value among
+    its choices.  None for any other line, which argparse reads."""
     row = dict(_COMMANDS[command][1])
     given = {}
     words = iter(argv)
@@ -285,7 +280,7 @@ def _read_plain(command: str, argv: list) -> argparse.Namespace | None:
         if name not in row or name in given or value.startswith("-"):
             return None
         given[name] = value
-    args = argparse.Namespace()
+    args = argparse.Namespace(command=command)
     for name, keywords in row.items():
         if name not in given and (keywords.get("required") or not name.startswith("-")):
             return None
@@ -297,16 +292,8 @@ def _read_plain(command: str, argv: list) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if argv and argv[0] in _COMMANDS:  # read as argparse's subparser "hallpi <command>" reads it
-        args = _read_plain(argv[0], argv[1:])
-        if args is None:
-            parser = _Parser(prog=f"hallpi {argv[0]}")
-            _add_options(parser, argv[0])
-            args, extras = parser.parse_known_args(argv[1:])
-            if extras:  # reported by the parser with all four, as argparse reports them
-                _build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-        args.command = argv[0]
-    else:
+    args = _read_plain(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    if args is None:
         args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][2](args)

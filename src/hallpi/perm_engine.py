@@ -705,17 +705,14 @@ class _Index:
         """(prime, generator) for every cyclic subgroup of prime-power order,
         ordered by the subgroup's size and then its sorted elements.  The
         generator is the cyclic's least generating element; ``canonical``
-        maps each generating element of each such cyclic to it, and every
-        other element to 0.  Each cyclic subgroup is walked once: the
-        generators of one whose order is not a prime power are marked in
-        ``skip`` instead."""
+        maps each generating element of every cyclic subgroup, whatever its
+        order, to the cyclic's least one, so each cyclic is walked once."""
         perms, by_base = self.perms, self.by_base
         canonical = [0] * self.size
-        skip = bytearray(self.size)
         prime_of: dict[int, int | None] = {}
         found = []
         for i in range(1, self.size):
-            if canonical[i] or skip[i]:
+            if canonical[i]:
                 continue
             key = itemgetter(*self._base_images(perms[i]))  # x * e has base images key(e)
             powers = [0]  # x^0, x^1, ..., x^(o-1), where x^o is the identity
@@ -724,21 +721,16 @@ class _Index:
                 powers.append(j)
                 j = by_base[key(perms[j])]
             o = len(powers)
+            for k in range(1, o):
+                if gcd(k, o) == 1:
+                    canonical[powers[k]] = i
             if o not in prime_of:
                 try:
                     prime_of[o] = _prime_power(o)[0]
                 except ValueError:
                     prime_of[o] = None
-            p = prime_of[o]
-            if p is None:
-                for k in range(1, o):
-                    if gcd(k, o) == 1:
-                        skip[powers[k]] = 1
-                continue
-            for k in range(1, o):
-                if k % p:
-                    canonical[powers[k]] = i
-            found.append((o, sorted(powers), p, i))
+            if prime_of[o] is not None:
+                found.append((o, sorted(powers), prime_of[o], i))
         found.sort()
         from array import array  # loaded only by commands that search subgroups
         self.canonical = array("I", canonical)

@@ -40,9 +40,6 @@ __all__ = [
     "default_grid",
     "load_grid",
     "perm_realization",
-    "cross_check_simple",
-    "main_theorem_check",
-    "star_consistency_check",
     "exclusivity_scan",
     "run_suite",
 ]
@@ -212,21 +209,6 @@ def _implied_by_d(prop: str, label: str):
         return case
 
     return check
-
-
-def cross_check_simple(grid: list[tuple[GroupId, PrimeSet]]) -> CrossCheckReport:
-    """decide_dpi vs brute D and decide_epi vs brute E and C, per case."""
-    return run_suite("cross", grid)[0]
-
-
-def main_theorem_check(grid: list[tuple[GroupId, PrimeSet]]) -> CrossCheckReport:
-    """Wherever brute D holds, brute U must hold as well."""
-    return run_suite("main-theorem", grid)[0]
-
-
-def star_consistency_check(grid: list[tuple[GroupId, PrimeSet]]) -> CrossCheckReport:
-    """For p not in pi: brute D true must imply brute star true."""
-    return run_suite("star", grid)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,7 @@ import pytest
 from hallpi.arith import PrimeSet, pi_part, r_part_pow_minus_one, r_part_pow_minus_sign
 from hallpi.hall_oracle import decide_dpi, decide_epi
 from hallpi.lie_catalog import group_order, parse_group_id
-from hallpi.verifier import (
-    cross_check_simple,
-    default_grid,
-    exclusivity_scan,
-    main_theorem_check,
-    star_consistency_check,
-)
+from hallpi.verifier import default_grid, exclusivity_scan, run_suite
 
 ODD_PRIMES = (3, 5, 7, 11, 13, 17, 19, 23)
 
@@ -31,7 +25,7 @@ def _report(number: int, title: str, ok: bool) -> None:
 def cross_report():
     """Brute-force vs oracle comparison over the full pinned grid, shared
     by criteria 3-5."""
-    return cross_check_simple(default_grid())
+    return run_suite("cross", default_grid())[0]
 
 
 def test_criterion_1_closed_forms():
@@ -65,7 +59,7 @@ def test_criterion_3_oracle_brute_agreement(cross_report):
 
 
 def test_criterion_4_main_theorem(cross_report):
-    report = main_theorem_check(default_grid())
+    report = run_suite("main-theorem", default_grid())[0]
     d_true = [c for c in cross_report.cases if c["brute"]["dpi"]]
     ok = report.ok and len(d_true) > 0
     _report(4, "D implies U on every desk case", ok)
@@ -77,7 +71,7 @@ def test_criterion_5_e_iff_c(cross_report):
 
 
 def test_criterion_6_d_implies_star():
-    report = star_consistency_check(default_grid())
+    report = run_suite("star", default_grid())[0]
     nonvacuous = [c for c in report.cases if "star=True" in c["detail"]]
     ok = report.ok and len(nonvacuous) > 0
     _report(6, "D implies star when p outside pi", ok)

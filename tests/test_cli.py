@@ -852,8 +852,7 @@ def test_argv_forms_are_pinned(capsys, monkeypatch, case):
 
 
 # ---------------------------------------------------------------------------
-# the plain reader: it reads what the one-command parser reads, or leaves the
-# line to argparse
+# the plain reader: it reads what argparse reads, or leaves the line to argparse
 
 _PLAIN_FORMS = ("any-order", "option-before-suite")  # plain lines, in another order
 _NOT_PLAIN = {
@@ -911,10 +910,8 @@ def test_reader_agrees_with_argparse(line):
     command, argv = line
     args = cli._read_plain(command, argv)
     if args is not None:
-        parser = cli._Parser(prog=f"hallpi {command}")
-        cli._add_options(parser, command)
         try:
-            want, extras = parser.parse_known_args(argv)
+            want, extras = cli._build_parser().parse_known_args([command, *argv])
         except SystemExit:
             raise AssertionError(f"argparse refuses {argv}, which the reader read") from None
         assert (vars(args), extras) == (vars(want), [])
@@ -932,3 +929,21 @@ def test_plain_lines_build_no_parser(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "_Parser", refuse)
     assert [outcome(capsys, argv)[:2] for argv in lines] == want
+
+
+@pytest.mark.parametrize("case", ["equals-signs", "help-after-options", "extra-positional"])
+def test_other_lines_build_the_full_parser_once(capsys, monkeypatch, case):
+    """A line the reader declines builds the parser with all four
+    subcommands exactly once, whatever argparse then does with it, and a
+    plain line builds none."""
+    built, real = [], cli._build_parser
+
+    def build():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "_build_parser", build)
+    outcome(capsys, _ARGV_FORMS[case][0])
+    assert len(built) == 1
+    outcome(capsys, _BRUTE)
+    assert len(built) == 1

@@ -4,7 +4,9 @@ import ast
 import collections
 import hashlib
 import inspect
+import itertools
 import json
+import math
 import re
 
 import pytest
@@ -495,6 +497,74 @@ def test_classification_onan():
 def test_epi_no_when_unclassified():
     v = decide_epi(g("A:2:q=11"), PrimeSet([3, 5]))
     assert v.holds == "no"
+
+
+# ---------------------------------------------------------------------------
+# Borel subgroups of PSU_3(q): a solvable subgroup holding a Hall pi-subgroup
+
+
+def _odd_prime_divisors(n: int) -> list[int]:
+    """The odd primes dividing n, by trial division."""
+    while n % 2 == 0:
+        n //= 2
+    primes, d = [], 3
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 2
+    return primes + ([n] if n > 1 else [])
+
+
+def _part(n: int, pi) -> int:
+    """The pi-part of n."""
+    part = 1
+    for t in pi:
+        while n % t == 0:
+            n //= t
+            part *= t
+    return part
+
+
+def _borel_points():
+    """(q, pi, |G|) for each 2A:3:q with odd q < 50 and each pi of 2 or 3 odd
+    primes of |G| that holds p and has |B|_pi = |G|_pi, where B, the
+    stabiliser of an isotropic point, has order q^3 (q^2 - 1) / gcd(3, q + 1)
+    and |G| = |B| (q^3 + 1)."""
+    points = []
+    for q in range(3, 50, 2):
+        p = _odd_prime_divisors(q)
+        if len(p) != 1:
+            continue
+        borel = q**3 * (q * q - 1) // math.gcd(3, q + 1)
+        order = borel * (q**3 + 1)
+        for k in (2, 3):
+            for pi in itertools.combinations(_odd_prime_divisors(order), k):
+                if p[0] in pi and _part(borel, pi) == _part(order, pi):
+                    points.append((q, pi, order))
+    return points
+
+
+# the points where the oracle reads the Weyl group of A_2 in Condition I and
+# answers no (ROADMAP item 21)
+_BOREL_MISSES = {(7, (3, 7)), (13, (3, 13)), (19, (3, 19)), (25, (3, 5)), (31, (3, 31)),
+                 (31, (3, 5, 31)), (37, (3, 37)), (43, (3, 43)), (43, (3, 7, 43)),
+                 (49, (3, 7))}
+
+
+@pytest.mark.parametrize("q, pi, order", [
+    pytest.param(q, pi, order, id=f"2A:3:q={q}-{','.join(map(str, pi))}",
+                 marks=[pytest.mark.xfail(strict=True, reason="ROADMAP item 21")]
+                 if (q, pi) in _BOREL_MISSES else [])
+    for q, pi, order in _borel_points()
+])
+def test_epi_holds_where_the_borel_subgroup_holds_a_hall_subgroup(q, pi, order):
+    """B is solvable, so it has a Hall pi-subgroup, of order |B|_pi =
+    |G|_pi: a Hall pi-subgroup of G, and E holds."""
+    gg = g(f"2A:3:q={q}")
+    assert group_order(gg) == order
+    assert decide_epi(gg, PrimeSet(pi)).holds == "yes"
 
 
 # ---------------------------------------------------------------------------

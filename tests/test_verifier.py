@@ -28,14 +28,11 @@ from hallpi.lie_catalog import (
     parse_group_id,
 )
 from hallpi.verifier import (
-    cross_check_simple,
     default_grid,
     exclusivity_scan,
-    main_theorem_check,
     perm_realization,
     run_suite,
     scan_groups,
-    star_consistency_check,
 )
 
 
@@ -77,7 +74,7 @@ def test_perm_realization_routing():
 
 
 def test_cross_check_agrees_on_default_grid():
-    report = cross_check_simple(default_grid())
+    [report] = run_suite("cross", default_grid())
     assert report.ok
     assert len(report.cases) == 29
     assert report.disagreements == 0
@@ -89,7 +86,7 @@ def test_cross_check_routes_out_of_scope_and_skips():
         (parse_group_id("B:3:q=3"), PrimeSet([5, 7])),
         (parse_group_id("A:2:q=11"), PrimeSet([3, 5])),
     ]
-    report = cross_check_simple(grid)
+    [report] = run_suite("cross", grid)
     assert len(report.out_of_scope) == 1
     assert len(report.skipped) == 1
     assert "no permutation construction" in report.skipped[0]["reason"]
@@ -100,12 +97,12 @@ def test_cross_check_routes_out_of_scope_and_skips():
 
 
 def test_main_theorem_check_default_grid():
-    report = main_theorem_check(default_grid())
+    [report] = run_suite("main-theorem", default_grid())
     assert report.ok and len(report.cases) == 29
 
 
 def test_star_consistency_excludes_p_in_pi():
-    report = star_consistency_check(default_grid())
+    [report] = run_suite("star", default_grid())
     assert report.ok
     # every case with the defining characteristic in pi is routed out
     oos = {(c["group"], tuple(c["pi"])) for c in report.out_of_scope}
@@ -216,7 +213,7 @@ def test_untraced_paths_build_no_verdict(monkeypatch, capsys):
     assert main(["scan", "--family", "A", "--n", "2..4", "--q", "2..16", "--pi-size", "2"]) == 0
     assert len(capsys.readouterr().out.splitlines()) > 1
     assert exclusivity_scan().ok
-    assert cross_check_simple(default_grid()).ok
+    assert run_suite("cross", default_grid())[0].ok
     assert built == []
     g, pi = parse_group_id("A:2:q=7"), PrimeSet([3, 7])
     assert type(decide_dpi(g, pi)) is CountedVerdict
@@ -275,8 +272,8 @@ def _masked(report) -> dict:
 
 def test_reports_are_deterministic():
     grid = default_grid()[:6]
-    a = cross_check_simple(grid)
-    b = cross_check_simple(grid)
+    [a] = run_suite("cross", grid)
+    [b] = run_suite("cross", grid)
     ja = json.loads(a.to_json())
     jb = json.loads(b.to_json())
     for case in ja["cases"] + jb["cases"]:
@@ -540,13 +537,12 @@ def test_run_suite_that_raises_keeps_no_group_alive(monkeypatch):
     assert all(ref() is None for _, ref in built)
 
 
-@pytest.mark.parametrize("suite", [cross_check_simple, main_theorem_check,
-                                   star_consistency_check])
+@pytest.mark.parametrize("suite", ["cross", "main-theorem", "star"])
 def test_direct_suite_call_keeps_no_group_alive(monkeypatch, suite):
-    """No group a public suite called on its own built is reachable once it
+    """No group a grid suite run on its own built is reachable once it
     returns."""
     built = _record_builds(monkeypatch)
-    assert suite([(parse_group_id("A:2:q=7"), PrimeSet([3]))]).ok
+    assert run_suite(suite, [(parse_group_id("A:2:q=7"), PrimeSet([3]))])[0].ok
     gc.collect()
     assert [spec for spec, _ in built] == ["psl2:7"]
     assert all(ref() is None for _, ref in built)
@@ -560,7 +556,7 @@ def test_run_suite_on_interleaved_groups_matches_each_suite_alone():
     grid = [(a, PrimeSet([3])), (a, PrimeSet([2, 3])), (b, PrimeSet([5, 7])),
             (c, PrimeSet([3, 7])), (c, PrimeSet([7])), (a, PrimeSet([3, 7])), (a, PrimeSet([7]))]
     together = run_suite("all", grid)[:3]
-    alone = [cross_check_simple(grid), main_theorem_check(grid), star_consistency_check(grid)]
+    alone = [run_suite(name, grid)[0] for name in ("cross", "main-theorem", "star")]
     assert [_masked(r) for r in together] == [_masked(r) for r in alone]
     assert all(r.cases and r.skipped for r in alone) and alone[2].out_of_scope
 
@@ -583,13 +579,12 @@ def _failing_brute(monkeypatch, prop):
     return witness
 
 
-@pytest.mark.parametrize("prop, suite", [("U", main_theorem_check),
-                                         ("star", star_consistency_check)])
+@pytest.mark.parametrize("prop, suite", [("U", "main-theorem"), ("star", "star")])
 def test_suite_reports_a_counterexample(monkeypatch, prop, suite):
     """Where brute D holds and ``prop`` fails, the case disagrees and
     carries the witness; A:2:q=7 is D_{3} (Sylow) and 7 is not in pi."""
     witness = _failing_brute(monkeypatch, prop)
-    report = suite([(parse_group_id("A:2:q=7"), PrimeSet([3]))])
+    [report] = run_suite(suite, [(parse_group_id("A:2:q=7"), PrimeSet([3]))])
     [case] = report.cases
     assert not case["agree"] and case["counterexample"] == witness
     assert case["detail"].startswith("d=True ") and not report.ok
@@ -605,7 +600,7 @@ def test_verify_prints_fail_and_exits_one(monkeypatch, capsys):
 def test_text_report_lists_out_of_scope_and_skipped():
     grid = [(parse_group_id("A:2:q=7"), PrimeSet([2, 3])),
             (parse_group_id("B:3:q=3"), PrimeSet([5, 7]))]
-    assert cross_check_simple(grid).to_text().splitlines() == [
+    assert run_suite("cross", grid)[0].to_text().splitlines() == [
         "suite: cross",
         "  [oos ] A:2:q=7 pi={2,3}",
         "  [skip] B:3:q=3: no permutation construction for B:3:q=3",
