@@ -402,23 +402,33 @@ def _run_tasks(task, order: list[int]) -> list:
     exception is raised here, and every worker is reaped on every path.
     The tasks run here, in index order, on one usable CPU, for one task,
     with no ``os.fork``, or beside another live thread, which a forked
-    child would not have."""
+    child would not have.
+
+    Where the platform sets affinities, each process of the pool is pinned
+    to its own CPU of this process's mask, this one to the first and
+    worker k to the (k + 1)-th, wrapping round where the mask is shorter,
+    and this process gets its mask back on return.  A kernel that does not
+    balance load (a cpuset with ``sched_load_balance`` 0) never moves a
+    forked worker off its parent's CPU, so unpinned, the pool shares one."""
     workers = min(_usable_cpus(), len(order)) - 1
     if workers < 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [task(i) for i in range(len(order))]
     import pickle  # loaded only where workers are forked
     import signal
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_setaffinity") else []
     todo_r, todo_w = _pipe(buffering=0)  # unbuffered: a read takes no index beyond its own
     children = {}  # pid -> the read end of its results pipe
     try:
-        for _ in range(workers):
+        if cpus:
+            os.sched_setaffinity(0, cpus[:1])
+        for k in range(1, workers + 1):
             out, w = _pipe()
             with w:  # closed here once the worker holds its own copy
                 pid = os.fork()
                 if pid == 0:  # the worker never returns into its caller
                     try:
                         todo_w.close()
-                        _work(task, todo_r, w)
+                        _work(task, todo_r, w, cpus[k % len(cpus)] if cpus else None)
                     finally:
                         os._exit(0)
             children[pid] = out
@@ -442,6 +452,8 @@ def _run_tasks(task, order: list[int]) -> list:
             out.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if cpus:
+            os.sched_setaffinity(0, cpus)
 
 
 def _pipe(**kwargs):
@@ -457,13 +469,16 @@ def _claims(todo):
         yield int.from_bytes(index, "little")
 
 
-def _work(task, todo, out) -> None:
-    """A worker: write {index: result} for the tasks it claims from
-    ``todo``, pickled, to the pipe ``out``.  After an exception, an
-    interrupt included, it drains the claims unrun, so the other processes
-    stop at once, and writes the exception instead, for the parent to raise."""
+def _work(task, todo, out, cpu: int | None) -> None:
+    """A worker: pinned to ``cpu`` unless it is None, write {index: result}
+    for the tasks it claims from ``todo``, pickled, to the pipe ``out``.
+    After an exception, a failed pinning or an interrupt included, it drains
+    the claims unrun, so the other processes stop at once, and writes the
+    exception instead, for the parent to raise."""
     import pickle  # loaded already by _run_tasks
     try:
+        if cpu is not None:
+            os.sched_setaffinity(0, (cpu,))
         done = {i: task(i) for i in _claims(todo)}
     except BaseException as exc:
         for _ in _claims(todo):

@@ -312,6 +312,15 @@ def _forks(monkeypatch, cpus: int = 2) -> list:
     return forks
 
 
+def _mask():
+    """This process's affinity mask, where the platform has one."""
+    return os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
+
+
+_pins = pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                           reason="the platform sets no affinity")
+
+
 def _no_child_left():
     """This process has no child, running or unreaped."""
     with pytest.raises(ChildProcessError):
@@ -390,7 +399,9 @@ def test_parallel_verify_all_builds_each_default_grid_group_once(monkeypatch, tm
         return perm_engine.construct_named(spec, order_bound)
 
     monkeypatch.setattr(verifier, "construct_named", recording)
+    mask = _mask()
     assert all(r.ok for r in run_suite("all"))
+    assert _mask() == mask
     assert len(forks) == 1
     _no_child_left()
     assert sorted(log.read_text().split(), key=lambda s: int(s[5:])) == [
@@ -437,8 +448,10 @@ def test_run_suite_raises_a_task_error_and_reaps(monkeypatch, parallel):
 
     monkeypatch.setattr(verifier, "brute_property", brute)
     forks = _forks(monkeypatch, 2 if parallel else 1)
+    mask = _mask()
     with pytest.raises(ValueError, match="brute failed on psl2:8"):
         run_suite("all")
+    assert _mask() == mask
     assert len(forks) == parallel
     _no_child_left()
 
@@ -495,6 +508,7 @@ def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch):
         os.write(w, b"x")
         time.sleep(60)
 
+    mask = _mask()
     t0 = time.perf_counter()
     try:
         with pytest.raises(KeyboardInterrupt):
@@ -503,6 +517,75 @@ def test_an_interrupt_kills_and_reaps_the_workers(monkeypatch):
         os.close(r)
         os.close(w)
     assert time.perf_counter() - t0 < 10
+    assert _mask() == mask
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@_pins
+@pytest.mark.skipif(len(_mask() or ()) < 2, reason="fewer than two usable CPUs")
+def test_each_process_of_the_pool_runs_on_its_own_cpu(monkeypatch):
+    """Two tasks on two processes, each returning its pid and affinity
+    mask: each mask holds one CPU, the two differ, and this process has its
+    own mask back once the pool is done."""
+    forks = _forks(monkeypatch)
+    parent, (r, w) = os.getpid(), os.pipe()
+
+    def task(i):
+        if os.getpid() == parent:
+            os.read(r, 1)  # until the worker has claimed the other task
+        else:
+            os.write(w, b"x")
+        return os.getpid(), os.sched_getaffinity(0)
+
+    mask = _mask()
+    try:
+        ran = dict(verifier._run_tasks(task, [0, 1]))
+    finally:
+        os.close(r)
+        os.close(w)
+    assert set(ran) == {parent, *forks} and len(forks) == 1
+    assert all(len(cpus) == 1 for cpus in ran.values())
+    assert ran[parent] != ran[forks[0]]
+    assert _mask() == mask
+    _no_child_left()
+
+
+@_pins
+def test_two_workers_share_a_one_cpu_mask(monkeypatch):
+    """Two processes forced onto a one-CPU mask both pin to that CPU:
+    run_suite("all") passes, reaps its worker and leaves this process on
+    the mask it read."""
+    forks = _forks(monkeypatch)
+    real, getaffinity = _mask(), os.sched_getaffinity
+    cpu = min(real)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {cpu})
+    try:
+        assert all(r.ok for r in run_suite("all"))
+        assert getaffinity(0) == {cpu}
+    finally:
+        os.sched_setaffinity(0, real)
+    assert len(forks) == 1
+    _no_child_left()
+
+
+@_pins
+def test_a_worker_that_cannot_pin_raises_here(monkeypatch):
+    """A sched_setaffinity that fails in the worker is raised here, the
+    worker is reaped and this process has its own mask back."""
+    forks = _forks(monkeypatch)
+    parent, setaffinity = os.getpid(), os.sched_setaffinity
+
+    def pin(pid, cpus):
+        if os.getpid() != parent:
+            raise OSError("pinning refused")
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", pin)
+    mask = _mask()
+    with pytest.raises(OSError, match="pinning refused"):
+        verifier._run_tasks(lambda i: i, [0, 1])
+    assert _mask() == mask
     assert len(forks) == 1
     _no_child_left()
 
