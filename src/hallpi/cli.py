@@ -13,10 +13,8 @@ all four subcommands, which writes every help, usage and error text.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
-from types import SimpleNamespace
 
 from .arith import DigitsError, PrimeSet, _distinct_prime_set, read_decimal
 from .hall_oracle import (_dpi_answer, _epi_answer, decide_cpi, decide_dpi, decide_epi,
@@ -172,26 +170,18 @@ def _cmd_scan(args) -> int:
     if work > MAX_SCAN_WORK:
         raise ValueError(f"the ranges' groups hold an estimated work of {work:.3g}, above "
                          f"MAX_SCAN_WORK = {MAX_SCAN_WORK:.0e}; split the scan")
-    # csv.writer renders each distinct group, pi and answer once, and a row
-    # joins the three texts: writerow returns what its file's write returns,
-    # here the line itself; a spec or pi is never the empty field csv quotes
-    render = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
-    text = {}  # group, pi or (E, D, condition) -> its csv text
-
-    def field(key, values: list) -> str:
-        text[key] = render(values)[:-1]
-        return text[key]
-
-    lines = [render(["group", "pi", "epi", "cpi", "dpi", "upi", "condition"])]
+    # csv.writer quotes a field only if it holds a comma, a quote or a newline: specs,
+    # answers and condition tags never do, so it quotes pi alone, where pi has >= 2 primes
+    quote = '"' if pi_size > 1 else ""
+    fields = {}  # pi -> its field: a lookup is cheaper than a join
+    lines = ["group,pi,epi,cpi,dpi,upi,condition\n"]
     for g, pi in scan_points(groups, (pi_size,)):
         d = _dpi_answer(g, pi)
         # C and U carry E's and D's answers, as decide_cpi and decide_upi do;
         # E's condition is D's wherever D holds, and the classification's where it fails
         e, condition = _epi_answer(g, pi, d)
-        answer = (e, d[0], condition)
-        lines.append(f"{text.get(g) or field(g, [g.spec()])},"
-                     f"{text.get(pi) or field(pi, [','.join(map(str, pi))])},"
-                     f"{text.get(answer) or field(answer, [e, e, d[0], d[0], condition or ''])}\n")
+        field = fields.get(pi) or fields.setdefault(pi, f'{quote}{",".join(map(str, pi))}{quote}')
+        lines.append(f"{g.spec()},{field},{e},{e},{d[0]},{d[0]},{condition or ''}\n")
     if groups and len(lines) == 1:
         counts = {g.spec(): len(pi_intersection(_SCAN_PRIMES, g)) for g in groups}
         best = max(counts, key=counts.get)
@@ -199,7 +189,7 @@ def _cmd_scan(args) -> int:
                          f"scan primes dividing its order; the most is {counts[best]}, "
                          f"for {best}")
     table = "".join(lines)
-    if args.out:
+    if args.out is not None:
         try:
             with open(args.out, "w", encoding="utf-8") as f:
                 f.write(table)
@@ -216,7 +206,7 @@ def _cmd_verify(args) -> int:
         if args.suite == "exclusivity" and value is not None:
             raise ValueError(f"verify exclusivity reads no {option}: it scans its own "
                              "symbolic points and builds no group")
-    grid = load_grid(args.grid) if args.grid else None
+    grid = None if args.grid is None else load_grid(args.grid)
     reports = run_suite(args.suite, grid, max_order)
     for report in reports:
         if args.format == "json":

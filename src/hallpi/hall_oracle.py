@@ -36,7 +36,7 @@ from functools import lru_cache
 from math import gcd, prod
 from typing import Any
 
-from .arith import PrimeSet, _order, is_prime, r_part_pow_minus_one
+from .arith import PrimeSet, _order, is_prime
 from .lie_catalog import (
     GroupId,
     SUZUKI_REE_FAMILIES,
@@ -199,7 +199,8 @@ def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
     """What Conditions II and III both start from, given ``inter`` = pi
     inter pi(g): r = min(inter), tau = inter without r, ord(q mod r) and
     q's table of ord(q mod s), read for each s in tau.  inter is increasing,
-    so r is its first member and tau the rest."""
+    so r is its first member and tau the rest.  (q^(r-1) - 1)_r = r iff
+    q^a != 1 mod r^2, a = ord(q mod r), as r does not divide (r - 1)/a."""
     orders = _order_table(g.q)
     return inter[0], inter[1:], orders[inter[0]], orders
 
@@ -223,9 +224,7 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
         b = r
         common = (
             _rec(trace, "a == r-1", a == r - 1, a=a, r=r)
-            and _rec(
-                trace, "(q^(r-1)-1)_r == r", r_part_pow_minus_one(q, r - 1, r) == r, q=q, r=r
-            )
+            and _rec(trace, "(q^(r-1)-1)_r == r", pow(q, a, r * r) != 1, q=q, r=r)
             and all(
                 _rec(trace, "ord(q,s) == b", orders[s] == b, s=s, b=b)
                 and _rec(trace, "n < b*s", n < b * s, n=n, b=b, s=s)
@@ -236,13 +235,9 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
 
     if fam == "2A":
         b = 2 * r
-        if not all(
-            _rec(trace, "ord(q,s) == b", orders[s] == b, s=s, b=b) for s in tau
-        ):
+        if not all(_rec(trace, "ord(q,s) == b", orders[s] == b, s=s, b=b) for s in tau):
             return None
-        if not _rec(
-            trace, "(q^(r-1)-1)_r == r", r_part_pow_minus_one(q, r - 1, r) == r, q=q, r=r
-        ):
+        if not _rec(trace, "(q^(r-1)-1)_r == r", pow(q, a, r * r) != 1, q=q, r=r):
             return None
         r_mod4 = r % 4
         a_ok = a == _unitary_order(r)
@@ -506,9 +501,7 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
         ok = (
             shape_ok
             and _rec(trace, "ord(q,r) as required", a == a_req, order=a, required=a_req)
-            and _rec(
-                trace, "(q^(r-1)-1)_r == r", r_part_pow_minus_one(q, r - 1, r) == r, q=q, r=r
-            )
+            and _rec(trace, "(q^(r-1)-1)_r == r", pow(q, a, r * r) != 1, q=q, r=r)
             and _rec(trace, "[n/(r-1)] == [n/r]", n // (r - 1) == n // r, n=n, r=r)
             and all(
                 _rec(trace, "ord(q,s) as required", orders[s] == b_req, s=s, required=b_req)

@@ -363,10 +363,13 @@ def test_scan_csv_contract(capsys, tmp_path):
 
 
 def test_scan_unwritable_out_exits_three(capsys, tmp_path):
-    code, out, err = run(capsys, "scan", "--family", "A", "--n", "2", "--q", "7",
-                         "--out", str(tmp_path / "missing" / "x.csv"))
-    assert code == 3 and out == ""
-    assert err.startswith("hallpi: cannot write --out") and err.count("\n") == 1
+    """A path in a missing directory, and the empty path, which is refused,
+    not read as no --out."""
+    for path in (str(tmp_path / "missing" / "x.csv"), ""):
+        code, out, err = run(capsys, "scan", "--family", "A", "--n", "2", "--q", "7",
+                             "--out", path)
+        assert code == 3 and out == "", path
+        assert err.startswith("hallpi: cannot write --out") and err.count("\n") == 1
 
 
 def test_scan_stdout_when_no_out_path(capsys):
@@ -481,9 +484,9 @@ _SCAN_FAMILY_N = {
 )
 def test_scan_rows_equal_public_deciders(capsys, family_n):
     """The scan hands each point's pi to the D decision as its own pi inter
-    pi(G), E reads D's order facts, and each distinct field is rendered
-    once; stdout must still be csv.writer's rendering of the public
-    deciders' rows, at the points scan_points gives."""
+    pi(G), E reads D's order facts, and each row is one f-string; stdout
+    must still be csv.writer's rendering of the public deciders' rows, at
+    the points scan_points gives."""
     fam, n_range = family_n[1], _SCAN_FAMILY_N[family_n[1]]
     ns = (None,) if n_range is None else cli._parse_range("--n", n_range)
     groups = simple_groups((fam, n, q) for q in range(2, 33) for n in ns)
@@ -540,13 +543,18 @@ def test_scan_output_is_pinned(capsys):
 
 def test_c_family_scan_to_q_2000(capsys):
     """CI's scan of C, n in 2..8, q in 2..2000, pi of size 3, in process (CI
-    alone bounds its time): on every row C = E, U = D and D implies E."""
+    alone bounds its time): the output is what csv.writer writes for the
+    rows csv.reader reads off it, and on every row C = E, U = D and D
+    implies E."""
     code, out, _ = run(capsys, "scan", "--family", "C", "--n", "2..8", "--q", "2..2000",
                        "--pi-size", "3")
     assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))[1:]
-    assert len(rows) == 57586
-    for spec, pi, e, c, d, u, _ in rows:
+    rows = list(csv.reader(io.StringIO(out)))
+    assert len(rows) == 57587
+    rendered = io.StringIO()
+    csv.writer(rendered, lineterminator="\n").writerows(rows)
+    assert rendered.getvalue() == out
+    for spec, pi, e, c, d, u, _ in rows[1:]:
         assert c == e and u == d and (d != "yes" or e == "yes"), (spec, pi)
 
 
@@ -643,10 +651,14 @@ def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
     assert from_file == report()
 
 
+_EMPTY_PATH = object()  # --grid "": refused, not read as no --grid
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
         (None, "cannot read grid"),
+        (_EMPTY_PATH, "cannot read grid"),
         ("not json", "a grid must be JSON"),
         ("[]", "a grid must be a JSON object with a 'cases' list"),
         ('{"grid": []}', "a grid must be a JSON object with a 'cases' list"),
@@ -673,15 +685,16 @@ def test_verify_cross_default_grid_round_trips_through_a_file(capsys, tmp_path):
          "a grid must be JSON: a decimal integer of 5000 digits is longer than "
          "MAX_DIGITS = 1234"),
     ],
-    ids=["missing-file", "not-json", "list", "no-cases", "cases-not-list", "empty-cases",
-         "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime", "empty-pi",
-         "repeated-prime", "composite", "bad-group", "q-digits", "pi-digits"],
+    ids=["missing-file", "empty-path", "not-json", "list", "no-cases", "cases-not-list",
+         "empty-cases", "no-group", "no-pi", "case-not-object", "float-prime", "bool-prime",
+         "empty-pi", "repeated-prime", "composite", "bad-group", "q-digits", "pi-digits"],
 )
 def test_verify_bad_grid_exits_three(capsys, tmp_path, text, message):
     grid = tmp_path / "grid.json"
-    if text is not None:
+    if isinstance(text, str):
         grid.write_text(text)
-    code, out, err = run(capsys, "verify", "cross", "--grid", str(grid))
+    code, out, err = run(capsys, "verify", "cross", "--grid",
+                         "" if text is _EMPTY_PATH else str(grid))
     assert code == 3 and out == ""
     assert err.startswith(f"hallpi: {message}") and err.count("\n") == 1
 

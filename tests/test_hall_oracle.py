@@ -12,7 +12,7 @@ import re
 import pytest
 
 from hallpi import hall_oracle, verifier
-from hallpi.arith import PrimeSet, is_prime, multiplicative_order
+from hallpi.arith import PrimeSet, is_prime, multiplicative_order, pi_part
 from hallpi.cli import main
 from hallpi.hall_oracle import (
     FactorDescriptor,
@@ -104,6 +104,16 @@ def test_order_table_agrees_with_multiplicative_order():
                 assert table[s] == multiplicative_order(q, s), (q, s)
     with pytest.raises(ValueError, match="3 divides 9"):
         hall_oracle._order_table(9)[3]
+
+
+def test_r_part_test_reads_ord_q_mod_r():
+    """The oracle tests (q^(r-1) - 1)_r == r as r^2 not dividing q^a - 1,
+    a = ord(q mod r): the two agree for every q <= 500 and odd prime
+    r <= 31 not dividing q."""
+    for r in (s for s in range(3, 32) if is_prime(s)):
+        for q in (q for q in range(2, 501) if q % r):
+            a = hall_oracle._order_table(q)[r]
+            assert (pow(q, a, r * r) != 1) == (pi_part(q ** (r - 1) - 1, (r,)) == r), (q, r)
 
 
 def conditions_II_III(gg, pi):
