@@ -1,8 +1,10 @@
 """Exact integer arithmetic underlying the Hall-property criteria.
 
 Multiplicative orders modulo odd primes, pi-parts of integers, and closed
-forms for the r-part of k^m - 1 and k^m - (-1)^m.  All arithmetic is exact
-arbitrary-precision integer arithmetic; there is no floating point anywhere.
+forms for the r-part of k^m - 1 and k^m - (-1)^m.  Every ord(q mod r) the
+package reads comes from one table per q kept here, filled by one order
+loop.  All arithmetic is exact arbitrary-precision integer arithmetic;
+there is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -140,27 +142,38 @@ def _check_odd_prime(r: int) -> None:
         raise ValueError(f"{r} is not prime")
 
 
-@lru_cache(maxsize=None)
+class _Orders(dict):
+    """ord(q mod s) for one q, keyed by the odd prime s: on its first read,
+    the least divisor e of s - 1 with q^e = 1 (mod s).  s is not proven
+    prime here, as the oracle reads members of a validated PrimeSet and
+    ``multiplicative_order`` tests s first; an s dividing q is a ValueError."""
+
+    __slots__ = ("q",)
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def __missing__(self, s: int) -> int:
+        x = self.q % s
+        if x == 0:
+            raise ValueError(f"order undefined: {s} divides {self.q}")
+        for e in range(1, s):
+            if (s - 1) % e == 0 and pow(x, e, s) == 1:
+                self[s] = e
+                return e
+        raise AssertionError("unreachable: order must divide s - 1")
+
+
+_order_table = lru_cache(maxsize=None)(_Orders)  # the one table per q
+
+
 def multiplicative_order(q: int, r: int) -> int:
     """Least e >= 1 with q^e = 1 (mod r), for an odd prime r not dividing q.
 
     The result always divides r - 1.  r is small even when q is huge.
     """
     _check_odd_prime(r)
-    return _order(q, r)
-
-
-def _order(q: int, r: int) -> int:
-    """ord(q mod r) for a prime r its caller has validated: the least
-    divisor e of r - 1, in increasing order, with q^e = 1 (mod r).  The one
-    order loop; an r dividing q has no order, a ValueError."""
-    x = q % r
-    if x == 0:
-        raise ValueError(f"order undefined: {r} divides {q}")
-    for e in range(1, r):
-        if (r - 1) % e == 0 and pow(x, e, r) == 1:
-            return e
-    raise AssertionError("unreachable: order must divide r - 1")
+    return _order_table(q)[r]
 
 
 def e_star(e: int) -> int:

@@ -22,21 +22,20 @@ A decision with no trace stops at the first predicate that decides it,
 one the traced decision also tests and, with that value, ends on, so both
 give the same answer (``_dpi_answer`` lists where).  With p outside pi,
 one test of every ord(q mod s) against ord(q mod r) picks the one of
-Conditions II and III that can still hold.  ord(q mod s) is read from one
-table per q, filled as the bodies ask by arith's order loop, with no second
-primality test.  The primes of inter are distinct, so with m = prod(inter)
-all divide N exactly when m divides N, and none does exactly when
-gcd(N, m) = 1: an untraced body tests a prime set with one such operation.
+Conditions II and III that can still hold.  ord(q mod s) is read from
+arith's one table per q, with no second primality test.  The primes of
+inter are distinct, so with m = prod(inter) all divide N exactly when m
+divides N, and none does exactly when gcd(N, m) = 1: an untraced body
+tests a prime set with one such operation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import gcd, prod
 from typing import Any
 
-from .arith import PrimeSet, _order, is_prime
+from .arith import PrimeSet, _Orders, _order_table, is_prime
 from .lie_catalog import (
     GroupId,
     SUZUKI_REE_FAMILIES,
@@ -58,25 +57,6 @@ __all__ = [
 _O_N_PRIMES = (2, 3, 5, 7, 11, 19, 31)
 
 Trace = list[dict[str, Any]]
-
-
-class _Orders(dict):
-    """ord(q mod s) for one q, keyed by the odd prime s, each computed on
-    its first read by arith's order loop.  s is a member of a validated
-    PrimeSet, so it is not proven prime again; an s dividing q is a
-    ValueError, as in ``multiplicative_order``."""
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int):
-        self.q = q
-
-    def __missing__(self, s: int) -> int:
-        o = self[s] = _order(self.q, s)
-        return o
-
-
-_order_table = lru_cache(maxsize=None)(_Orders)  # the one table per q
 
 
 # r = min(pi inter pi(S)), tau = the rest, ord(q mod r), q's ord(q mod s) table
@@ -340,36 +320,26 @@ def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...]
 
 
 def _torus_prime_sets(g: GroupId) -> list[tuple[str, int]]:
-    """Maximal-torus order values whose prime sets gate Condition IV."""
-    q = g.q
+    """Maximal-torus order values whose prime sets gate Condition IV, with
+    q = p^(2m+1): the pair q +- p^(m+1) + 1 is written once in p."""
+    q, p = g.q, g.p
     m = (g.f - 1) // 2
-    if g.family == "2B2":
-        return [
-            ("q-1", q - 1),
-            ("q+2^(m+1)+1", q + 2 ** (m + 1) + 1),
-            ("q-2^(m+1)+1", q - 2 ** (m + 1) + 1),
-        ]
-    if g.family == "2G2":
-        return [
-            ("q-1", q - 1),
-            ("q+3^(m+1)+1", q + 3 ** (m + 1) + 1),
-            ("q-3^(m+1)+1", q - 3 ** (m + 1) + 1),
-        ]
-    if g.family == "2F4":
-        t = 2 ** (m + 1)
-        u = 2 ** (3 * m + 2)
-        # The two double-sign expressions are expanded with the sign choices
-        # paired top-with-top, giving four values.
-        return [
-            ("q^2-1", q * q - 1),
-            ("q^2+1", q * q + 1),
-            ("q+2^(m+1)+1", q + t + 1),
-            ("q-2^(m+1)+1", q - t + 1),
-            ("q^2+2^(3m+2)-2^(m+1)-1", q * q + u - t - 1),
-            ("q^2-2^(3m+2)+2^(m+1)-1", q * q - u + t - 1),
-            ("q^2+2^(3m+2)+q+2^(m+1)-1", q * q + u + q + t - 1),
-            ("q^2-2^(3m+2)+q-2^(m+1)-1", q * q - u + q - t - 1),
-        ]
+    t = p ** (m + 1)
+    pm = [(f"q+{p}^(m+1)+1", q + t + 1), (f"q-{p}^(m+1)+1", q - t + 1)]
+    if g.family != "2F4":
+        return [("q-1", q - 1), *pm]
+    u = 2 ** (3 * m + 2)
+    # The two double-sign expressions are expanded with the sign choices
+    # paired top-with-top, giving four values.
+    return [
+        ("q^2-1", q * q - 1),
+        ("q^2+1", q * q + 1),
+        *pm,
+        ("q^2+2^(3m+2)-2^(m+1)-1", q * q + u - t - 1),
+        ("q^2-2^(3m+2)+2^(m+1)-1", q * q - u + t - 1),
+        ("q^2+2^(3m+2)+q+2^(m+1)-1", q * q + u + q + t - 1),
+        ("q^2-2^(3m+2)+q-2^(m+1)-1", q * q - u + q - t - 1),
+    ]
 
 
 def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | None:

@@ -219,12 +219,10 @@ def validate_simple(g: GroupId) -> tuple[bool, str]:
         return False, f"{g.family}_2(2) is S_6, not simple"
     if g.family == "G2" and q == 2:
         return False, "G_2(2) is not simple"
-    if g.family == "2B2":
-        if g.p != 2 or g.f % 2 == 0 or g.f < 3:
-            return False, "2B2 requires q = 2^(2m+1), m >= 1"
-    if g.family == "2G2":
-        if g.p != 3 or g.f % 2 == 0 or g.f < 3:
-            return False, "2G2 requires q = 3^(2m+1), m >= 1"
+    if g.family in ("2B2", "2G2"):
+        p = 2 if g.family == "2B2" else 3
+        if g.p != p or g.f % 2 == 0 or g.f < 3:
+            return False, f"{g.family} requires q = {p}^(2m+1), m >= 1"
     if g.family == "2F4":
         if g.p != 2 or g.f % 2 == 0:
             return False, "2F4 requires q = 2^(2m+1)"

@@ -12,7 +12,7 @@ import re
 import pytest
 
 from hallpi import hall_oracle, verifier
-from hallpi.arith import PrimeSet, is_prime, multiplicative_order, pi_part
+from hallpi.arith import PrimeSet, _order_table, is_prime, pi_part
 from hallpi.cli import main
 from hallpi.hall_oracle import (
     FactorDescriptor,
@@ -90,20 +90,20 @@ def test_condition_I_weyl_gate():
 
 
 def test_order_table_agrees_with_multiplicative_order():
-    """The per-q table of ord(q mod s) runs arith's order loop with no
-    primality test; it must give ``multiplicative_order``'s value for every
-    scanned q and prime power q <= 64, and refuse an s dividing q as it
-    does."""
+    """arith's per-q table of ord(q mod s), which ``multiplicative_order``
+    and the oracle read, must give the least e >= 1 with q^e = 1 (mod s),
+    found here by a naive search over every e < s, for every scanned q and
+    prime power q <= 64, and refuse an s dividing q."""
     prime_powers = [q for q in range(2, 65) if len({p for p in range(2, q + 1)
                                                     if q % p == 0 and is_prime(p)}) == 1]
     odd_primes = [s for s in range(3, 64) if is_prime(s)]
     for q in sorted({*verifier._SCAN_Q, *prime_powers}):
-        table = hall_oracle._order_table(q)
+        table = _order_table(q)
         for s in odd_primes:
             if q % s:
-                assert table[s] == multiplicative_order(q, s), (q, s)
+                assert table[s] == min(e for e in range(1, s) if pow(q, e, s) == 1), (q, s)
     with pytest.raises(ValueError, match="3 divides 9"):
-        hall_oracle._order_table(9)[3]
+        _order_table(9)[3]
 
 
 def test_r_part_test_reads_ord_q_mod_r():
@@ -112,7 +112,7 @@ def test_r_part_test_reads_ord_q_mod_r():
     r <= 31 not dividing q."""
     for r in (s for s in range(3, 32) if is_prime(s)):
         for q in (q for q in range(2, 501) if q % r):
-            a = hall_oracle._order_table(q)[r]
+            a = _order_table(q)[r]
             assert (pow(q, a, r * r) != 1) == (pi_part(q ** (r - 1) - 1, (r,)) == r), (q, r)
 
 
@@ -591,8 +591,10 @@ def test_reduce_composition_conjunction():
 
 
 def test_reduce_composition_out_of_scope_propagates():
-    factors = [FactorDescriptor.unsupported("M11")]
-    assert reduce_composition(factors, PrimeSet([3, 5]), "D").holds == "out_of_scope"
+    # an unsupported factor, and a Lie factor whose own verdict is out of scope
+    for factors, pi in (([FactorDescriptor.unsupported("M11")], [3, 5]),
+                        ([FactorDescriptor.lie(g("A:2:q=7"))], [2, 3])):
+        assert reduce_composition(factors, PrimeSet(pi), "D").holds == "out_of_scope"
 
 
 def test_reduce_composition_empty_is_yes():
@@ -602,3 +604,10 @@ def test_reduce_composition_empty_is_yes():
 def test_reduce_composition_e_needs_odd_pi():
     with pytest.raises(ValueError):
         reduce_composition([FactorDescriptor.cyclic(3)], PrimeSet([2, 3]), "E")
+    # the reduction's other refusals
+    with pytest.raises(ValueError, match="cyclic factors carry a prime order"):
+        FactorDescriptor.cyclic(4)
+    with pytest.raises(ValueError, match="property must be one of D, U, E"):
+        reduce_composition([FactorDescriptor.cyclic(3)], PrimeSet([3]), "C")
+    with pytest.raises(ValueError, match="unknown factor kind 'bogus'"):
+        reduce_composition([FactorDescriptor("bogus")], PrimeSet([3]), "D")

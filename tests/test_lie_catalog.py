@@ -197,7 +197,12 @@ def test_validate_simple_gives_reasons():
     for fields, expected in ((("A", 2, 6, 1), "base 6 of q is not prime"),
                              (("A", 2, 5, 0), "field exponent must be positive"),
                              (("B", None, 7, 1), "family B requires a dimension/rank parameter"),
-                             (("D", 3, 5, 1), "rank below family minimum")):
+                             (("D", 3, 5, 1), "rank below family minimum"),
+                             (("2B2", None, 2, 2), "2B2 requires q = 2^(2m+1), m >= 1"),
+                             (("2B2", None, 2, 1), "2B2 requires q = 2^(2m+1), m >= 1"),
+                             (("2B2", None, 3, 3), "2B2 requires q = 2^(2m+1), m >= 1"),
+                             (("2G2", None, 3, 2), "2G2 requires q = 3^(2m+1), m >= 1"),
+                             (("2G2", None, 2, 3), "2G2 requires q = 3^(2m+1), m >= 1")):
         assert validate_simple(GroupId(*fields)) == (False, expected)
 
 

@@ -133,14 +133,20 @@ def test_psl2_rejects_bad_q():
         construct_named("psl2:6")
     with pytest.raises(ValueError):
         construct_named("psl2:32")
-    # every kind reads its integer as a plain ASCII decimal
-    for spec in ("psl2:0_7", "cyclic:5_0", "cyclic:\uff16", "raw:0_3:(0 1 2)", "alt:+5"):
+    # every kind reads its integer as a plain ASCII decimal, in its range
+    for spec in ("psl2:0_7", "cyclic:5_0", "cyclic:\uff16", "raw:0_3:(0 1 2)", "alt:+5",
+                 "dihedral:2", "alt:0"):
         with pytest.raises(ValueError):
             construct_named(spec)
     # and reads at most MAX_DIGITS digits, never handing int() more
     for spec in ("cyclic:" + "1" * 5000, "raw:3:(0 1 " + "1" * 5000 + ")"):
         with pytest.raises(ValueError, match="5000 digits is longer than MAX_DIGITS = 1234"):
             construct_named(spec)
+    # a group needs a positive degree and generators that permute its points
+    with pytest.raises(ValueError):
+        PermGroup(0, [])
+    with pytest.raises(ValueError):
+        PermGroup(3, [(0, 0, 1)])
 
 
 # every q that psl2:q accepts
