@@ -17,7 +17,7 @@ import json
 import sys
 
 from .arith import DigitsError, PrimeSet, _distinct_prime_set, read_decimal
-from .hall_oracle import (_dpi_answer, _epi_answer, decide_cpi, decide_dpi, decide_epi,
+from .hall_oracle import (_dpi_answers, _epi_answers, decide_cpi, decide_dpi, decide_epi,
                           decide_upi)
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
@@ -33,13 +33,13 @@ from .perm_engine import (
     brute_property,
     construct_named,
 )
-from .verifier import _SCAN_PRIMES, _SUITES, load_grid, run_suite, scan_points, simple_groups
+from .verifier import _SCAN_PRIMES, _SUITES, load_grid, run_suite, scan_pis, simple_groups
 
 # The most (n, q) pairs the ranges of one scan may hold.  In a fresh
 # process, CI's C scan (n <= 8, q <= 2000, --pi-size 3: 13,993 pairs) took
-# 0.51 s, A:2 to q = 10^5 (--pi-size 2: 99,999) 1.30 s, E8 to q = 10^5
-# (--pi-size 3: 99,999) 5.2 s and A with n <= 100 to q = 1000 (--pi-size 1:
-# 98,901) 17.8 s: 12-180 us a pair, so 2-36 s at the bound (Python 3.11.7,
+# 0.24 s, A:2 to q = 10^5 (--pi-size 2: 99,999) 0.71 s, E8 to q = 10^5
+# (--pi-size 3: 99,999) 2.2 s and A with n <= 100 to q = 1000 (--pi-size 1:
+# 98,901) 8.1 s: 7-81 us a pair, so 1.4-16 s at the bound (Python 3.11.7,
 # one process on a 2-core x86-64 machine).
 MAX_SCAN_PAIRS = 200_000
 
@@ -48,10 +48,10 @@ MAX_SCAN_PAIRS = 200_000
 # times q's bits), to the power 1.5: forming |G| and reducing it by the
 # scan primes takes most of a large group's time, and grows about so.
 # Measured in one process at --pi-size 1 unless given: A with n <= 100 to
-# q = 1000 (19,105 groups, 1.24e11) took 16.0 s, and 25.9 s at --pi-size 2;
-# A:400..401 to q = 100 (3.5e10) 6.6 s, C:200..201 to q = 100 (2.0e10)
-# 3.3 s, A:50 to q = 2000 (--pi-size 3, 1.25e9) 0.50 s and A:581:q=7
-# (--pi-size 2, 1.0e9) 0.30 s: 1.1-4.0e-10 s a unit, so 22-80 s at the
+# q = 1000 (19,105 groups, 1.24e11) took 8.1 s, and 10.9 s at --pi-size 2;
+# A:400..401 to q = 100 (3.5e10) 3.8 s, C:200..201 to q = 100 (2.0e10)
+# 2.1 s, A:50 to q = 2000 (--pi-size 3, 1.25e9) 0.29 s and A:581:q=7
+# (--pi-size 2, 1.0e9) 0.20 s: 0.65-2.3e-10 s a unit, so 13-46 s at the
 # bound (same machine as MAX_SCAN_PAIRS).  Scans whose time goes to their
 # pairs are far below it: CI's C scan holds 4.1e7, and E8 to q = 20000
 # (--pi-size 3) 4.3e8.
@@ -175,13 +175,13 @@ def _cmd_scan(args) -> int:
     quote = '"' if pi_size > 1 else ""
     fields = {}  # pi -> its field: a lookup is cheaper than a join
     lines = ["group,pi,epi,cpi,dpi,upi,condition\n"]
-    for g, pi in scan_points(groups, (pi_size,)):
-        d = _dpi_answer(g, pi)
+    for g, pis in scan_pis(groups, (pi_size,)):
+        ds, spec = _dpi_answers(g, pis), g.spec()
         # C and U carry E's and D's answers, as decide_cpi and decide_upi do;
         # E's condition is D's wherever D holds, and the classification's where it fails
-        e, condition = _epi_answer(g, pi, d)
-        field = fields.get(pi) or fields.setdefault(pi, f'{quote}{",".join(map(str, pi))}{quote}')
-        lines.append(f"{g.spec()},{field},{e},{e},{d[0]},{d[0]},{condition or ''}\n")
+        for pi, (d, _), (e, condition) in zip(pis, ds, _epi_answers(g, pis, ds)):
+            field = fields.get(pi) or fields.setdefault(pi, f'{quote}{",".join(map(str, pi))}{quote}')
+            lines.append(f"{spec},{field},{e},{e},{d},{d},{condition or ''}\n")
     if groups and len(lines) == 1:
         counts = {g.spec(): len(pi_intersection(_SCAN_PRIMES, g)) for g in groups}
         best = max(counts, key=counts.get)

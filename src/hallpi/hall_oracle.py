@@ -9,9 +9,10 @@ inter = pi inter pi(G), so a decision is a body on (g, inter) that returns
 the bare answer (holds, condition) and records a predicate trace only into
 a list its caller hands it.  Only the public ``decide_*`` and
 ``reduce_composition`` build a ``Verdict``, from a fresh list and the
-bodies' answer.  A scan that reads only the answer (``hallpi scan``, the
-exclusivity scan, the cross suite) calls ``_dpi_answer`` and
-``_epi_answer`` with no list: no Verdict.
+bodies' answer.  A scan that reads only the answers (``hallpi scan``, the
+exclusivity scan, the cross suite) calls ``_dpi_answers`` and
+``_epi_answers`` once per group, on all its pi: no list, no Verdict, and
+the group's route, p and ord(q mod s) table read once.
 
 Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 2B(d)-(i) are tables, one row per subcase in the paper's listing order
@@ -20,7 +21,7 @@ predicate a row tests, in row order, up to the row that decides.
 
 A decision with no trace stops at the first predicate that decides it,
 one the traced decision also tests and, with that value, ends on, so both
-give the same answer (``_dpi_answer`` lists where).  With p outside pi,
+give the same answer (``_dpi_answers`` lists where).  With p outside pi,
 one test of every ord(q mod s) against ord(q mod r) picks the one of
 Conditions II and III that can still hold.  ord(q mod s) is read from
 arith's one table per q, with no second primality test.  The primes of
@@ -63,6 +64,7 @@ Trace = list[dict[str, Any]]
 OrderFacts = tuple[int, tuple[int, ...], int, _Orders]
 # a body's bare answer: holds, condition
 Answer = tuple[str, str | None]
+_TRIVIAL, _OUT_OF_SCOPE, _NO = ("yes", "trivial_small_pi"), ("out_of_scope", None), ("no", None)
 
 # the only subcases whose Hall subgroup is cyclic
 _CYCLIC_HALL = ("II(g)", "II(h)")
@@ -79,8 +81,8 @@ def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
 class Verdict:
     """Answer of a property decision with its full predicate trace.  Only
     the public deciders and ``reduce_composition`` build one; a scan that
-    reads only the answer gets the bare tuple of ``_dpi_answer`` or
-    ``_epi_answer`` instead."""
+    reads only the answers gets the bare tuples of ``_dpi_answers`` and
+    ``_epi_answers`` instead."""
 
     property: str  # one of E, C, D, U
     holds: str  # yes | no | out_of_scope
@@ -363,53 +365,60 @@ def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
     return Verdict("D", holds, condition, trace, g, pi)
 
 
-def _dpi_answer(g: GroupId, inter: PrimeSet, trace: Trace | None = None) -> Answer:
-    """decide_dpi's answer (holds, condition) for any pi with
-    ``inter`` = pi inter pi(g), such as a scan's pi, which divides |g|.
-    2 and p divide every |g| that ``validate_simple`` accepts, so once
-    |inter| >= 2 they lie in inter exactly where they lie in pi.
-
-    Each branch below reaches a condition only where that condition's
-    premises hold, so the condition bodies take ``inter`` and Conditions II
-    and III the order facts computed once from it; no body checks its
-    premises again.  Each body records straight into ``trace``, or nothing
-    where it is None.
-
-    With no trace each body returns at the first predicate that decides
-    it, skipping the records and tests after it: Condition I at its first
-    failing prime, and E's classification, with p in pi, at its first
-    failing test.  With p outside pi the untraced decision tests once
-    whether every s in tau has ord(q mod s) = ord(q mod r), the first test
-    of Conditions II and III: if so it enters only III, else only II, and
-    that only for a family in ``_II_FAMILIES``.  The traced body tests the
-    same predicate and ends on the same answer after recording the rest,
-    so the answer does not depend on the trace; it runs II, then III where
-    II fails.
-    """
+def _dpi_answer(g: GroupId, inter: PrimeSet, trace: Trace) -> Answer:
+    """decide_dpi's answer (holds, condition) on ``inter`` = pi inter pi(g),
+    recorded in ``trace``.  2 and p divide every |g| ``validate_simple``
+    accepts, so once |inter| >= 2 they lie in inter just where they lie in
+    pi.  A body is entered only where its premises hold; with p outside pi,
+    II runs, then III where II fails, on order facts read once."""
     if len(inter) <= 1:
         _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
-        return "yes", "trivial_small_pi"
+        return _TRIVIAL
     if 2 in inter:
         _rec(trace, "2 in pi: criterion not covered", True)
-        return "out_of_scope", None
+        return _OUT_OF_SCOPE
     if g.family in SUZUKI_REE_FAMILIES:
         _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
         sub = _condition_IV(trace, g, inter)
     elif g.p in inter:
         sub = "I" if _condition_I(trace, g, inter) else None
     else:
-        facts = _, tau, a, orders = _order_facts(g, inter)
-        if trace is not None:
-            sub = _condition_II(trace, g, *facts)
-            if sub is None:
-                sub = _condition_III(trace, g, *facts)
-        elif all(map(a.__eq__, map(orders.__getitem__, tau))):  # opens no generator frame
-            sub = _condition_III(None, g, *facts)
-        elif g.family in _II_FAMILIES:
-            sub = _condition_II(None, g, *facts)
+        facts = _order_facts(g, inter)
+        sub = _condition_II(trace, g, *facts)
+        if sub is None:
+            sub = _condition_III(trace, g, *facts)
+    return _NO if sub is None else ("yes", sub)
+
+
+def _dpi_answers(g: GroupId, inters) -> list[Answer]:
+    """``_dpi_answer`` with no trace at each of ``inters``, increasing prime
+    tuples pi inter pi(g); g's route, p and q's ord(q mod s) table are read
+    once.  With p outside pi, one test of whether every s in tau has
+    ord(q mod s) = ord(q mod r), II's first test and III's, enters III if
+    so, else II, and that only for a family in ``_II_FAMILIES``: the traced
+    dispatch tests it too and ends on the same answer."""
+    p, orders = g.p, _order_table(g.q)
+    suzuki_ree, has_II = g.family in SUZUKI_REE_FAMILIES, g.family in _II_FAMILIES
+    answers = []
+    for inter in inters:
+        if len(inter) <= 1:
+            answers.append(_TRIVIAL)
+            continue
+        if 2 in inter:
+            answers.append(_OUT_OF_SCOPE)
+            continue
+        if suzuki_ree:
+            sub = _condition_IV(None, g, inter)
+        elif p in inter:
+            sub = "I" if _condition_I(None, g, inter) else None
         else:
-            sub = None
-    return ("no", None) if sub is None else ("yes", sub)
+            r, tau, a = inter[0], inter[1:], orders[inter[0]]
+            if all(map(a.__eq__, map(orders.__getitem__, tau))):  # opens no generator frame
+                sub = _condition_III(None, g, r, tau, a, orders)
+            else:
+                sub = _condition_II(None, g, r, tau, a, orders) if has_II else None
+        answers.append(_NO if sub is None else ("yes", sub))
+    return answers
 
 
 def decide_upi(g: GroupId, pi: PrimeSet) -> Verdict:
@@ -485,11 +494,12 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
         return None
     tori, rows = _EXCEPTIONAL_CASES[fam]
     order, m = {"q-1": q - 1, "q+1": q + 1}, prod(inter)
-    if not any(
-        _rec(trace, "pi(S)-primes contained in pi(value)", order[label] % m == 0,
-             value_label=label)
-        for label in tori
-    ):
+    if trace is None:  # some value's residue mod m is 0, with no generator frame
+        contained = 0 in map(m.__rmod__, map(order.__getitem__, tori))
+    else:
+        contained = any(_rec(trace, "pi(S)-primes contained in pi(value)",
+                             order[label] % m == 0, value_label=label) for label in tori)
+    if not contained:
         return None
     for tag, present, absent in rows:
         oks = [_rec(trace, "t in pi inter pi(S)", t in inter, t=t) for t in present]
@@ -511,28 +521,30 @@ def _classify_onan(pi: PrimeSet) -> tuple[str | None, Trace]:
 
 
 def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
-    """Hall-subgroup existence; with 2 outside pi this coincides with the
-    conjugacy property."""
-    inter, d_trace = pi_intersection(pi, g), []
-    d = _dpi_answer(g, inter, d_trace)
-    trace = d_trace if d[0] != "no" else []  # E takes D's trace with D's answer
-    holds, condition = _epi_answer(g, inter, d, trace)
+    """Hall-subgroup existence, equal to conjugacy with 2 outside pi: D's
+    answer and trace where D is not "no" (a yes, the Sylow case or 2 in pi),
+    else the E-minus-D classification's, recorded in a fresh trace."""
+    inter, trace = pi_intersection(pi, g), []
+    holds, condition = _dpi_answer(g, inter, trace)
+    if holds == "no":
+        trace = []
+        condition = _classify_lie(trace, g, inter)
+        holds = "no" if condition is None else "yes"
     return Verdict("E", holds, condition, trace, g, pi)
 
 
-def _epi_answer(g: GroupId, inter: PrimeSet, d: Answer,
-                trace: Trace | None = None) -> Answer:
-    """E's answer (holds, condition) from ``d``, D's answer on (g, inter).
-    Where D is not "no" (a yes, the Sylow case or 2 in pi) E is D's
-    answer; where D fails E holds exactly on the E-minus-D classification,
-    recorded in ``trace``.  Untraced, a family with no E-minus-D row for p
-    outside pi fails at once, as the classification would at its end."""
-    if d[0] != "no":
-        return d
-    if trace is None and g.p not in inter and g.family not in _E_MINUS_D_FAMILIES:
-        return "no", None
-    tag = _classify_lie(trace, g, inter)
-    return ("no", None) if tag is None else ("yes", tag)
+def _epi_answers(g: GroupId, inters, ds: list[Answer]) -> list[Answer]:
+    """decide_epi's answer at each of ``inters`` from D's answers ``ds``
+    there, with no trace.  Where D fails with p outside pi, a family with
+    no E-minus-D row fails at once, as the classification would at its end."""
+    p, classified = g.p, g.family in _E_MINUS_D_FAMILIES
+    answers = []
+    for inter, d in zip(inters, ds):
+        if d[0] == "no" and (classified or p in inter):
+            tag = _classify_lie(None, g, inter)
+            d = _NO if tag is None else ("yes", tag)
+        answers.append(d)
+    return answers
 
 
 def decide_cpi(g: GroupId, pi: PrimeSet) -> Verdict:

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import DigitsError, PrimeSet, _distinct_prime_set, _subset, read_decimal
-from .hall_oracle import _condition_III, _dpi_answer, _epi_answer, _order_facts
+from .hall_oracle import _condition_III, _dpi_answers, _epi_answers, _order_facts
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -180,9 +180,9 @@ def _cross(g, pi, G) -> dict:
     """decide_dpi vs brute D and decide_epi vs brute E and C at one point.
     It takes D's answer once, untraced, and E's from it, as decide_epi
     does; no verdict is built."""
-    inter = pi_intersection(pi, g)
-    d = _dpi_answer(g, inter)
-    oracle_d, oracle_e = d[0], _epi_answer(g, inter, d)[0]
+    inters = (pi_intersection(pi, g),)
+    ds = _dpi_answers(g, inters)
+    oracle_d, oracle_e = ds[0][0], _epi_answers(g, inters, ds)[0][0]
     brute_d, _ = brute_property(G, pi, "D")
     brute_e, _ = brute_property(G, pi, "E")
     brute_c, _ = brute_property(G, pi, "C")
@@ -250,53 +250,56 @@ def scan_groups() -> list[GroupId]:
     return simple_groups((fam, n, q) for q in _SCAN_Q for fam, n in params)
 
 
-def scan_points(groups, subset_sizes):
-    """(group, pi) grid points, group by group: for each size, each
-    combination of that many odd scan primes dividing |G|.  Every prime of
-    a point's pi divides |G|, so pi is pi inter pi(G), what a decision
-    takes."""
+def scan_pis(groups, subset_sizes):
+    """(group, [pi, ...]) per group: for each size, each combination of that
+    many odd scan primes dividing |G|, an increasing tuple equal to pi inter
+    pi(G), so that ``_dpi_answers`` decides a group's list in one call."""
     for g in groups:
         primes = pi_intersection(_SCAN_PRIMES, g)
-        for k in subset_sizes:
-            yield from zip(itertools.repeat(g),
-                           map(_subset, itertools.combinations(primes, k)))
+        yield g, [pi for k in subset_sizes for pi in itertools.combinations(primes, k)]
+
+
+def scan_points(groups, subset_sizes):
+    """The (group, pi) points of ``scan_pis``, in order, pi a PrimeSet."""
+    for g, pis in scan_pis(groups, subset_sizes):
+        yield from zip(itertools.repeat(g), map(_subset, pis))
 
 
 def exclusivity_scan(groups=None) -> CrossCheckReport:
     """No input may satisfy a II-subcase and a III-subcase simultaneously,
     and every yes verdict must carry exactly one condition tag.
 
-    Each point takes one untraced D answer on its pi, and Condition III is
-    checked only where that answer carries a II subcase.  The check stays
-    complete: a point can satisfy both only where the II/III premises hold
-    and it satisfies a II subcase.  Such a point is non-uniform, some
-    ord(q mod s) differing from ord(q mod r), as II's first test requires,
-    and its family has a II subcase, so the untraced D answer still enters
-    Condition II there.  Condition III runs traced, so it starts at its own
-    first test, the uniform order that the untraced body takes as given.
+    Each point takes one untraced D answer (``_dpi_answers``, per group),
+    and Condition III is checked only where it carries a II subcase.  The
+    check stays complete: a point can satisfy both only where the II/III
+    premises hold and it satisfies a II subcase.  Such a point is
+    non-uniform, some ord(q mod s) differing from ord(q mod r), as II's
+    first test requires, and its family has a II subcase, so the untraced
+    D answer still enters Condition II there.  Condition III runs traced, so
+    it starts at its own first test, the uniform order that the untraced
+    body takes as given.
     """
     report = CrossCheckReport("exclusivity")
     if groups is None:
         groups = scan_groups()
     checked = 0
     violations = []
-    for g, pi in scan_points(groups, _EXCLUSIVITY_SIZES):
-        checked += 1
-        holds, condition = _dpi_answer(g, pi)
-        if condition is None:
-            if holds != "yes":
+    for g, pis in scan_pis(groups, _EXCLUSIVITY_SIZES):
+        checked += len(pis)
+        for pi, (holds, condition) in zip(pis, _dpi_answers(g, pis)):
+            if condition is None:
+                if holds != "yes":
+                    continue
+                detail = "yes verdict without a condition tag"
+            elif condition.startswith("II("):
+                sub3 = _condition_III([], g, *_order_facts(g, pi))
+                if sub3 is None:
+                    continue
+                detail = f"{condition} and {sub3} both satisfied"
+            else:
                 continue
-            detail = "yes verdict without a condition tag"
-        elif condition.startswith("II("):
-            sub3 = _condition_III([], g, *_order_facts(g, pi))
-            if sub3 is None:
-                continue
-            detail = f"{condition} and {sub3} both satisfied"
-        else:
-            continue
-        violations.append(
-            {"group": g.spec(), "pi": list(pi), "agree": False, "detail": detail}
-        )
+            violations.append({"group": g.spec(), "pi": list(pi), "agree": False,
+                               "detail": detail})
     report.cases = violations
     report.cases.append(
         {

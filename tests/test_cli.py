@@ -423,7 +423,7 @@ def test_scan_refuses_ranges_of_too_many_pairs(capsys, monkeypatch):
     def no_oracle(*args):
         raise AssertionError("the scan decided before refusing its ranges")
 
-    for name in ("simple_groups", "_dpi_answer", "_epi_answer"):
+    for name in ("simple_groups", "_dpi_answers", "_epi_answers"):
         monkeypatch.setattr(cli, name, no_oracle)
     for n, q, pairs in (("2", f"2..{10**30}", 10**30 - 1), ("2..4", "2..100000", 299997),
                         (None, "2..200002", 200001)):
@@ -442,7 +442,7 @@ def test_scan_refuses_ranges_of_too_much_work(capsys, monkeypatch):
     def no_oracle(*args):
         raise AssertionError("the scan decided before refusing its ranges")
 
-    for name in ("scan_points", "_dpi_answer", "_epi_answer"):
+    for name in ("scan_pis", "_dpi_answers", "_epi_answers"):
         monkeypatch.setattr(cli, name, no_oracle)
     for n, q in (("400..599", "2..1000"), ("2..150", "2..1000")):
         code, out, err = run(capsys, "scan", "--family", "A", "--n", n, "--q", q)

@@ -316,10 +316,10 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
     assert d.holds == holds
     before = json.dumps(d.to_json(), sort_keys=True)
     inter = pi_intersection(pi, gg)
-    d_answer = hall_oracle._dpi_answer(gg, inter)
+    (d_answer,) = hall_oracle._dpi_answers(gg, [inter])
     assert d_answer == (d.holds, d.condition)
     e = decide_epi(gg, pi)
-    assert hall_oracle._epi_answer(gg, inter, d_answer) == (e.holds, e.condition)
+    assert hall_oracle._epi_answers(gg, [inter], [d_answer]) == [(e.holds, e.condition)]
     if holds != "no":
         assert e.trace == d.trace
     e.trace.append({"pred": "C equals E for odd pi", "args": {}, "value": True})
@@ -425,9 +425,12 @@ def test_unscanned_subcase_verdicts_are_pinned():
 
 
 def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
-    """A scan's D answer, decided with no trace, and the E answer derived
-    from it are the traced bodies' answers and the public deciders' on
-    every grid_verdicts point and every witness above: a record whose value
+    """A scan's D answers, decided per group with no trace, and the E
+    answers derived from them are the traced bodies' answers and the public
+    deciders' on every grid_verdicts point and every witness above.  Each
+    group's points go to ``_dpi_answers`` and ``_epi_answers`` in one call,
+    as plain tuples in the order they appear, so the group's facts are read
+    once and none leaks into another group's call.  A record whose value
     drives the decision still decides it when nothing is recorded, and each
     untraced early return gives the traced answer.  Between them the points
     reach every subcase tag of a Lie-type group."""
@@ -435,15 +438,19 @@ def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
     points = [(gg, pi, d, e) for gg, pi, e, _, d, _ in grid_verdicts]
     points += [(g(spec), PrimeSet(pi), decide_dpi(g(spec), PrimeSet(pi)),
                 decide_epi(g(spec), PrimeSet(pi))) for spec, pi, _ in UNSCANNED_WITNESSES]
-    reached = set()
+    by_group = {}  # each group's points, in the order they first appear
     for gg, pi, traced_d, traced_e in points:
-        inter = pi_intersection(pi, gg)
-        d = hall_oracle._dpi_answer(gg, inter)
-        assert d == hall_oracle._dpi_answer(gg, inter, []), (gg, pi)
-        assert d == (traced_d.holds, traced_d.condition), (gg, pi)
-        e = hall_oracle._epi_answer(gg, inter, d)
-        assert e == (traced_e.holds, traced_e.condition), (gg, pi)
-        reached |= {d[1], e[1]}
+        by_group.setdefault(gg, []).append((pi_intersection(pi, gg), traced_d, traced_e))
+    reached = set()
+    for gg, rows in by_group.items():
+        inters = [tuple(inter) for inter, _, _ in rows]
+        ds = hall_oracle._dpi_answers(gg, inters)
+        es = hall_oracle._epi_answers(gg, inters, ds)
+        for (inter, traced_d, traced_e), d, e in zip(rows, ds, es, strict=True):
+            assert d == hall_oracle._dpi_answer(gg, inter, []), (gg, inter)
+            assert d == (traced_d.holds, traced_d.condition), (gg, inter)
+            assert e == (traced_e.holds, traced_e.condition), (gg, inter)
+            reached |= {d[1], e[1]}
     assert len(points) == 26428 + 9  # the 17,082 exclusivity points among them
     assert reached - {None} == _written_tags() - {"epi_case_1"}
 

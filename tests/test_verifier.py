@@ -186,7 +186,7 @@ def test_exclusivity_reports_both_satisfied(monkeypatch):
 
 
 def test_exclusivity_reports_yes_without_condition(monkeypatch):
-    monkeypatch.setattr(verifier, "_dpi_answer", lambda g, inter: ("yes", None))
+    monkeypatch.setattr(verifier, "_dpi_answers", lambda g, inters: [("yes", None)] * len(inters))
     report = exclusivity_scan([parse_group_id("A:3:q=5")])
     assert [c["detail"] for c in report.cases[:-1]] == [
         "yes verdict without a condition tag"
