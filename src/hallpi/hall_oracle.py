@@ -7,12 +7,12 @@ subgroups without the full conjugacy-and-dominance property, and the
 composition-factor reductions.  pi enters a Hall property only through
 inter = pi inter pi(G), so a decision is a body on (g, inter) that returns
 the bare answer (holds, condition) and records a predicate trace only into
-a list its caller hands it.  Only the public ``decide_*`` and
-``reduce_composition`` build a ``Verdict``, from a fresh list and the
-bodies' answer.  A scan that reads only the answers (``hallpi scan``, the
-exclusivity scan, the cross suite) calls ``_dpi_answers`` and
-``_epi_answers`` once per group, on all its pi: no list, no Verdict, and
-the group's route, p and ord(q mod s) table read once.
+a list its caller hands it.  ``_dpi_answers`` and ``_epi_answers`` are
+the one dispatch: they read a group's route, p and ord(q mod s) table once
+for its list of inter.  The scans that read only answers (``hallpi scan``,
+the exclusivity scan, the cross suite) call them once per group with no
+list; the public ``decide_*`` call them on one inter with a fresh list,
+and only they and ``reduce_composition`` build a ``Verdict``.
 
 Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 2B(d)-(i) are tables, one row per subcase in the paper's listing order
@@ -22,12 +22,13 @@ predicate a row tests, in row order, up to the row that decides.
 A decision with no trace stops at the first predicate that decides it,
 one the traced decision also tests and, with that value, ends on, so both
 give the same answer (``_dpi_answers`` lists where).  With p outside pi,
-one test of every ord(q mod s) against ord(q mod r) picks the one of
-Conditions II and III that can still hold.  ord(q mod s) is read from
-arith's one table per q, with no second primality test.  The primes of
-inter are distinct, so with m = prod(inter) all divide N exactly when m
-divides N, and none does exactly when gcd(N, m) = 1: an untraced body
-tests a prime set with one such operation.
+a traced decision runs II, then III where II fails; an untraced one tests
+every ord(q mod s) against ord(q mod r) once to pick the one that can
+still hold.  ord(q mod s) is read from arith's one table per q, with no
+second primality test.  The primes of inter are distinct, so with
+m = prod(inter) all divide N exactly when m divides N, and none does
+exactly when gcd(N, m) = 1: an untraced body tests a prime set with one
+such operation.
 """
 
 from __future__ import annotations
@@ -60,8 +61,6 @@ _O_N_PRIMES = (2, 3, 5, 7, 11, 19, 31)
 Trace = list[dict[str, Any]]
 
 
-# r = min(pi inter pi(S)), tau = the rest, ord(q mod r), q's ord(q mod s) table
-OrderFacts = tuple[int, tuple[int, ...], int, _Orders]
 # a body's bare answer: holds, condition
 Answer = tuple[str, str | None]
 _TRIVIAL, _OUT_OF_SCOPE, _NO = ("yes", "trivial_small_pi"), ("out_of_scope", None), ("no", None)
@@ -80,9 +79,9 @@ def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
 @dataclass(slots=True)
 class Verdict:
     """Answer of a property decision with its full predicate trace.  Only
-    the public deciders and ``reduce_composition`` build one; a scan that
-    reads only the answers gets the bare tuples of ``_dpi_answers`` and
-    ``_epi_answers`` instead."""
+    the public deciders, around the answer and trace ``_dpi_answers`` and
+    ``_epi_answers`` give them, and ``reduce_composition`` build one; a scan
+    that reads only the answers gets the dispatch's bare tuples instead."""
 
     property: str  # one of E, C, D, U
     holds: str  # yes | no | out_of_scope
@@ -177,22 +176,12 @@ def _unitary_order(r: int) -> int:
     return r - 1 if r % 4 == 1 else (r - 1) // 2
 
 
-def _order_facts(g: GroupId, inter: PrimeSet) -> OrderFacts:
-    """What Conditions II and III both start from, given ``inter`` = pi
-    inter pi(g): r = min(inter), tau = inter without r, ord(q mod r) and
-    q's table of ord(q mod s), read for each s in tau.  inter is increasing,
-    so r is its first member and tau the rest.  (q^(r-1) - 1)_r = r iff
-    q^a != 1 mod r^2, a = ord(q mod r), as r does not divide (r - 1)/a."""
-    orders = _order_table(g.q)
-    return inter[0], inter[1:], orders[inter[0]], orders
-
-
 def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], a: int,
                   orders: _Orders) -> str | None:
-    """Condition II's body on the facts ``_order_facts`` lists, with
-    a = ord(q mod r), recorded in ``trace``.  Untraced, it is entered only
-    for a family in ``_II_FAMILIES`` where some ord(q mod s) differs from a,
-    so it starts at the family's subcases."""
+    """Condition II's body on r = min(inter), tau = the rest, a = ord(q mod r)
+    and q's ord(q mod s) table ``orders``, recorded in ``trace``.  Untraced,
+    it is entered only for a family in ``_II_FAMILIES`` where some
+    ord(q mod s) differs from a, so it starts at the family's subcases."""
     q, n, fam = g.q, g.n, g.family
     if trace is not None:
         _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
@@ -202,6 +191,7 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
                     any(orders[s] != a for s in tau)):
             return None
 
+    # (q^(r-1) - 1)_r = r iff q^a != 1 mod r^2, as r does not divide (r - 1)/a
     if fam == "A":
         b = r
         common = (
@@ -295,7 +285,7 @@ _III_EXCLUSIONS = {
 
 def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...], c: int,
                    orders: _Orders) -> str | None:
-    """Condition III's body on the facts ``_order_facts`` lists, with
+    """Condition III's body on the facts ``_condition_II`` takes, with
     c = ord(q mod r), recorded in ``trace``: the first of the family's rows
     that holds.  Untraced, it is entered only where every ord(q mod t) is c,
     so it starts at the rows."""
@@ -361,59 +351,45 @@ def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
 def decide_dpi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Decide the full Sylow-analogue property for a simple Lie-type group."""
     trace: Trace = []
-    holds, condition = _dpi_answer(g, pi_intersection(pi, g), trace)
+    ((holds, condition),) = _dpi_answers(g, (pi_intersection(pi, g),), trace)
     return Verdict("D", holds, condition, trace, g, pi)
 
 
-def _dpi_answer(g: GroupId, inter: PrimeSet, trace: Trace) -> Answer:
-    """decide_dpi's answer (holds, condition) on ``inter`` = pi inter pi(g),
-    recorded in ``trace``.  2 and p divide every |g| ``validate_simple``
-    accepts, so once |inter| >= 2 they lie in inter just where they lie in
-    pi.  A body is entered only where its premises hold; with p outside pi,
-    II runs, then III where II fails, on order facts read once."""
-    if len(inter) <= 1:
-        _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
-        return _TRIVIAL
-    if 2 in inter:
-        _rec(trace, "2 in pi: criterion not covered", True)
-        return _OUT_OF_SCOPE
-    if g.family in SUZUKI_REE_FAMILIES:
-        _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
-        sub = _condition_IV(trace, g, inter)
-    elif g.p in inter:
-        sub = "I" if _condition_I(trace, g, inter) else None
-    else:
-        facts = _order_facts(g, inter)
-        sub = _condition_II(trace, g, *facts)
-        if sub is None:
-            sub = _condition_III(trace, g, *facts)
-    return _NO if sub is None else ("yes", sub)
-
-
-def _dpi_answers(g: GroupId, inters) -> list[Answer]:
-    """``_dpi_answer`` with no trace at each of ``inters``, increasing prime
-    tuples pi inter pi(g); g's route, p and q's ord(q mod s) table are read
-    once.  With p outside pi, one test of whether every s in tau has
-    ord(q mod s) = ord(q mod r), II's first test and III's, enters III if
-    so, else II, and that only for a family in ``_II_FAMILIES``: the traced
-    dispatch tests it too and ends on the same answer."""
+def _dpi_answers(g: GroupId, inters, trace: Trace | None = None) -> list[Answer]:
+    """decide_dpi's answer (holds, condition) at each of ``inters``,
+    increasing prime tuples pi inter pi(g), recorded in ``trace`` if one is
+    given; g's route, p and q's ord(q mod s) table are read once.  2 and p
+    divide every |g| ``validate_simple`` accepts, so once |inter| >= 2 they
+    lie in inter just where they lie in pi.  With p outside pi, r = inter[0]
+    and tau the rest: traced, II runs, then III where II fails; untraced,
+    one test of whether every s in tau has ord(q mod s) = ord(q mod r), II's
+    first test and III's, enters III if so, else II, and that only for a
+    family in ``_II_FAMILIES``: the traced run tests it too and ends on the
+    same answer."""
     p, orders = g.p, _order_table(g.q)
     suzuki_ree, has_II = g.family in SUZUKI_REE_FAMILIES, g.family in _II_FAMILIES
     answers = []
     for inter in inters:
         if len(inter) <= 1:
+            _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
             answers.append(_TRIVIAL)
             continue
         if 2 in inter:
+            _rec(trace, "2 in pi: criterion not covered", True)
             answers.append(_OUT_OF_SCOPE)
             continue
         if suzuki_ree:
-            sub = _condition_IV(None, g, inter)
+            _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
+            sub = _condition_IV(trace, g, inter)
         elif p in inter:
-            sub = "I" if _condition_I(None, g, inter) else None
+            sub = "I" if _condition_I(trace, g, inter) else None
         else:
             r, tau, a = inter[0], inter[1:], orders[inter[0]]
-            if all(map(a.__eq__, map(orders.__getitem__, tau))):  # opens no generator frame
+            if trace is not None:
+                sub = _condition_II(trace, g, r, tau, a, orders)
+                if sub is None:
+                    sub = _condition_III(trace, g, r, tau, a, orders)
+            elif all(map(a.__eq__, map(orders.__getitem__, tau))):  # opens no generator frame
                 sub = _condition_III(None, g, r, tau, a, orders)
             else:
                 sub = _condition_II(None, g, r, tau, a, orders) if has_II else None
@@ -444,11 +420,12 @@ _EXCEPTIONAL_CASES = {
 _E_MINUS_D_FAMILIES = ("A", "2A", *_EXCEPTIONAL_CASES)
 
 
-def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | None:
+def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
+                  orders: _Orders) -> str | None:
     """The classification for a Lie-type g with 2 outside ``inter`` =
     pi inter pi(g), recorded in ``trace``.  It is entered only where D
     fails on (g, inter), so |inter| >= 2.  The linear and unitary cases
-    read the order facts of Conditions II/III off inter."""
+    read r, tau and q's table ``orders`` as Conditions II/III do."""
     if trace is not None:
         _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter))
     q, n = g.q, g.n
@@ -467,7 +444,7 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
 
     fam = g.family
     if fam in ("A", "2A"):
-        r, tau, a, orders = _order_facts(g, inter)
+        r, tau, a = inter[0], inter[1:], orders[inter[0]]
         if trace is not None:
             _rec(trace, "ord(q mod r)", True, r=r, order=a)
         if fam == "A":
@@ -523,25 +500,28 @@ def _classify_onan(pi: PrimeSet) -> tuple[str | None, Trace]:
 def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:
     """Hall-subgroup existence, equal to conjugacy with 2 outside pi: D's
     answer and trace where D is not "no" (a yes, the Sylow case or 2 in pi),
-    else the E-minus-D classification's, recorded in a fresh trace."""
-    inter, trace = pi_intersection(pi, g), []
-    holds, condition = _dpi_answer(g, inter, trace)
-    if holds == "no":
-        trace = []
-        condition = _classify_lie(trace, g, inter)
-        holds = "no" if condition is None else "yes"
+    else the E-minus-D classification's, recorded in the same list."""
+    inters, trace = (pi_intersection(pi, g),), []
+    ((holds, condition),) = _epi_answers(g, inters, _dpi_answers(g, inters, trace), trace)
     return Verdict("E", holds, condition, trace, g, pi)
 
 
-def _epi_answers(g: GroupId, inters, ds: list[Answer]) -> list[Answer]:
+def _epi_answers(g: GroupId, inters, ds: list[Answer],
+                 trace: Trace | None = None) -> list[Answer]:
     """decide_epi's answer at each of ``inters`` from D's answers ``ds``
-    there, with no trace.  Where D fails with p outside pi, a family with
-    no E-minus-D row fails at once, as the classification would at its end."""
-    p, classified = g.p, g.family in _E_MINUS_D_FAMILIES
+    there: D's, or where D fails the classification's, on q's ord(q mod s)
+    table read once for g and recorded in ``trace`` in place of D's
+    records.  Untraced, where D fails with p outside pi, a family with no
+    E-minus-D row fails at once, as the classification would at its end;
+    traced, it is classified, which records the classification's first test."""
+    p, orders = g.p, _order_table(g.q)
+    classified = trace is not None or g.family in _E_MINUS_D_FAMILIES
     answers = []
     for inter, d in zip(inters, ds):
         if d[0] == "no" and (classified or p in inter):
-            tag = _classify_lie(None, g, inter)
+            if trace is not None:
+                trace.clear()
+            tag = _classify_lie(trace, g, inter, orders)
             d = _NO if tag is None else ("yes", tag)
         answers.append(d)
     return answers

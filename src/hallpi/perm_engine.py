@@ -80,7 +80,6 @@ __all__ = [
     "hall_overgroups",
     "maximal_pi_subgroups",
     "brute_property",
-    "lattice_dump",
 ]
 
 Perm = tuple[int, ...]
@@ -939,14 +938,6 @@ def maximal_pi_subgroups(G: PermGroup, pi: PrimeSet) -> list[SubgroupClass]:
         if not dominated:
             maximal.append(c)
     return maximal
-
-
-def lattice_dump(G: PermGroup) -> str:
-    lines = []
-    for cls in enumerate_subgroups(G):
-        gens = ";".join(perm_to_cycles(g) for g in cls.generators) or "()"
-        lines.append(f"order={cls.order} class_size={cls.class_size} gens={gens}")
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from .arith import DigitsError, PrimeSet, _distinct_prime_set, _subset, read_decimal
-from .hall_oracle import _condition_III, _dpi_answers, _epi_answers, _order_facts
+from .arith import (DigitsError, PrimeSet, _distinct_prime_set, _order_table, _subset,
+                    read_decimal)
+from .hall_oracle import _condition_III, _dpi_answers, _epi_answers
 from .lie_catalog import (
     CLASSICAL_FAMILIES,
     EXCEPTIONAL_FAMILIES,
@@ -292,7 +293,8 @@ def exclusivity_scan(groups=None) -> CrossCheckReport:
                     continue
                 detail = "yes verdict without a condition tag"
             elif condition.startswith("II("):
-                sub3 = _condition_III([], g, *_order_facts(g, pi))
+                orders = _order_table(g.q)
+                sub3 = _condition_III([], g, pi[0], pi[1:], orders[pi[0]], orders)
                 if sub3 is None:
                     continue
                 detail = f"{condition} and {sub3} both satisfied"

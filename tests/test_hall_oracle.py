@@ -118,12 +118,14 @@ def test_r_part_test_reads_ord_q_mod_r():
 
 def conditions_II_III(gg, pi):
     """Conditions II and III's answers and traces, each from its traced
-    body, where their premises hold: 2 and p outside pi, no Suzuki-Ree
-    family and |pi inter pi(G)| >= 2.  None elsewhere."""
+    body on r = min(inter), tau = the rest, ord(q mod r) and q's table,
+    where their premises hold: 2 and p outside pi, no Suzuki-Ree family and
+    |inter| >= 2, inter = pi inter pi(G).  None elsewhere."""
     inter = pi_intersection(pi, gg)
     if 2 in pi or gg.p in pi or gg.family in SUZUKI_REE_FAMILIES or len(inter) < 2:
         return None
-    facts = hall_oracle._order_facts(gg, inter)
+    orders = _order_table(gg.q)
+    facts = inter[0], inter[1:], orders[inter[0]], orders
     trace2, trace3 = [], []
     return (hall_oracle._condition_II(trace2, gg, *facts), trace2,
             hall_oracle._condition_III(trace3, gg, *facts), trace3)
@@ -222,7 +224,7 @@ def test_dpi_with_intersection_handed_over_keeps_the_pin():
 
     def handed_over(gg, pi):
         trace = []
-        holds, condition = hall_oracle._dpi_answer(gg, pi, trace)
+        ((holds, condition),) = hall_oracle._dpi_answers(gg, [pi], trace)
         return hall_oracle.Verdict("D", holds, condition, trace, gg, pi)
 
     assert _exclusivity_d_digest(handed_over) == _EXCLUSIVITY_D_DIGEST
@@ -257,7 +259,9 @@ def test_untraced_decisions_enter_only_the_condition_that_can_hold(monkeypatch, 
     body is the scan's own Condition III on the 48 II points.  Over
     ``hallpi scan`` of B and E7, neither with a II subcase, no point enters
     II, and B, with no E-minus-D row, enters the classification only with
-    p in pi.  The counts are the scans' own."""
+    p in pi.  Over these and a scan of A, each group reads q's
+    ord(q mod s) table once for D and once for E, however many of its
+    points the classification enters.  The counts are the scans' own."""
     calls = []
     for name in ("_condition_II", "_condition_III", "_classify_lie"):
         def counted(trace, gg, *args, _name=name, _body=getattr(hall_oracle, name)):
@@ -278,11 +282,19 @@ def test_untraced_decisions_enter_only_the_condition_that_can_hold(monkeypatch, 
     assert {gg.family for gg, _ in entered["_condition_II"]} == {"A", "2A", "2D"}
     assert tally() == {"_condition_II": 2801, "_condition_III": 401,
                        "_condition_III traced": 48}
-    for fam, counts in (("B", {"_condition_III": 47, "_classify_lie": 176}),
-                        ("E7", {"_condition_III": 8, "_classify_lie": 256})):
+
+    def table(q, _table=hall_oracle._order_table):
+        calls.append(("_order_table", True, None, (q,)))
+        return _table(q)
+    monkeypatch.setattr(hall_oracle, "_order_table", table)
+    for fam, counts in (
+        ("B", {"_condition_III": 47, "_classify_lie": 176, "_order_table": 138}),
+        ("E7", {"_condition_III": 8, "_classify_lie": 256, "_order_table": 20}),
+        ("A", {"_condition_II": 454, "_condition_III": 43, "_classify_lie": 573, "_order_table": 136}),
+    ):
         calls.clear()
         argv = ["scan", "--family", fam, "--q", "2..16", "--pi-size", "2"]
-        assert main(argv + (["--n", "2..8"] if fam == "B" else [])) == 0
+        assert main(argv + (["--n", "2..8"] if fam != "E7" else [])) == 0
         assert tally() == counts, fam
         if fam == "B":
             assert all(gg.p in inter for name, _, gg, (inter, *_) in calls
@@ -301,6 +313,7 @@ D_OUTCOME_POINTS = [
     ("A:2:q=7", (2, 3), "out_of_scope"),
     ("A:4:q=2", (3, 5), "no"),
     ("2A:3:q=4", (3, 5), "no"),
+    ("B:4:q=7", (3, 5), "no"),  # E fails on a family with no E-minus-D row
 ]
 
 
@@ -310,7 +323,9 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
     """E's answer is derived from D's, and C adds a record to E's trace; the
     D verdict, trace included, must be what it was before either, and the
     answers derived from D's bare answer must be decide_epi's.  Where E
-    takes D's answer it takes D's trace as well."""
+    takes D's answer it takes D's trace as well; where D fails, E's trace is
+    the classification's alone, which starts with its first test, also for
+    a family with no E-minus-D row."""
     gg, pi = g(spec), PrimeSet(pi)
     d = decide_dpi(gg, pi)
     assert d.holds == holds
@@ -322,6 +337,10 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
     assert hall_oracle._epi_answers(gg, [inter], [d_answer]) == [(e.holds, e.condition)]
     if holds != "no":
         assert e.trace == d.trace
+    else:
+        assert records(e)[0] == ("|pi inter pi(S)| >= 2", True)
+        if spec == "B:4:q=7":
+            assert records(e) == [("|pi inter pi(S)| >= 2", True)]
     e.trace.append({"pred": "C equals E for odd pi", "args": {}, "value": True})
     assert json.dumps(d.to_json(), sort_keys=True) == before
 
@@ -447,7 +466,8 @@ def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
         ds = hall_oracle._dpi_answers(gg, inters)
         es = hall_oracle._epi_answers(gg, inters, ds)
         for (inter, traced_d, traced_e), d, e in zip(rows, ds, es, strict=True):
-            assert d == hall_oracle._dpi_answer(gg, inter, []), (gg, inter)
+            assert [d] == hall_oracle._dpi_answers(gg, [inter], []), (gg, inter)
+            assert [e] == hall_oracle._epi_answers(gg, [inter], [d], []), (gg, inter)
             assert d == (traced_d.holds, traced_d.condition), (gg, inter)
             assert e == (traced_e.holds, traced_e.condition), (gg, inter)
             reached |= {d[1], e[1]}

