@@ -19,16 +19,16 @@ Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 (arXiv:1504.03137), each read by one evaluator.  The trace records every
 predicate a row tests, in row order, up to the row that decides.
 
-A decision with no trace stops at the first predicate that decides it,
-one the traced decision also tests and, with that value, ends on, so both
-give the same answer (``_dpi_answers`` lists where).  With p outside pi,
-a traced decision runs II, then III where II fails; an untraced one tests
-every ord(q mod s) against ord(q mod r) once to pick the one that can
-still hold.  ord(q mod s) is read from arith's one table per q, with no
-second primality test.  The primes of inter are distinct, so with
-m = prod(inter) all divide N exactly when m divides N, and none does
-exactly when gcd(N, m) = 1: an untraced body tests a prime set with one
-such operation.
+An untraced decision calls no ``_rec``: each recording body has a ``trace
+is None`` branch that tests, in any order and up to the first that fails,
+predicates the traced body records.  A subcase is their conjunction, so
+both give the same answer; with p outside pi, a traced decision runs II,
+then III where II fails, and an untraced one tests every ord(q mod s)
+against ord(q mod r) once to pick the one that can still hold.
+ord(q mod s) is read from arith's one table per q, with no second
+primality test.  The primes of inter are distinct, so with m = prod(inter)
+all divide N exactly when m divides N, and none does exactly when
+gcd(N, m) = 1: an untraced body tests a prime set with one such operation.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ __all__ = [
     "reduce_composition",
 ]
 
-# pi(O'N), the one sporadic group in the E-minus-D classification
-_O_N_PRIMES = (2, 3, 5, 7, 11, 19, 31)
-
 Trace = list[dict[str, Any]]
 
 
@@ -69,6 +66,7 @@ _TRIVIAL, _OUT_OF_SCOPE, _NO = ("yes", "trivial_small_pi"), ("out_of_scope", Non
 _CYCLIC_HALL = ("II(g)", "II(h)")
 
 
+# a traced body's one recorder; an untraced body tests the bare values instead
 def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
     value = bool(value)
     if trace is not None:
@@ -157,6 +155,10 @@ def _floors(trace: Trace | None, n: int, r: int, equal_tag: str,
     """The [n/(r-1)] tail of Condition II's A and 2A subcases: equal_tag
     where [n/(r-1)] = [n/r], off_by_one_tag where it is [n/r] + 1 and
     n = -1 (mod r)."""
+    if trace is None:
+        if n // (r - 1) == n // r:
+            return equal_tag
+        return off_by_one_tag if n // (r - 1) == n // r + 1 and n % r == r - 1 else None
     if _rec(trace, "[n/(r-1)] == [n/r]", n // (r - 1) == n // r, n=n, r=r):
         return equal_tag
     if _rec(trace, "[n/(r-1)] == [n/r]+1", n // (r - 1) == n // r + 1, n=n, r=r) and _rec(
@@ -168,6 +170,8 @@ def _floors(trace: Trace | None, n: int, r: int, equal_tag: str,
 
 # the families with a Condition II subcase: (a)/(b), (c)-(f) and (g)/(h)
 _II_FAMILIES = ("A", "2A", "2D")
+# the 2A subcases' tags by r mod 4: II(c)/(e) for r = 1, II(d)/(f) for r = 3
+_II_UNITARY = {1: ("II(c)", "II(e)"), 3: ("II(d)", "II(f)")}
 
 
 def _unitary_order(r: int) -> int:
@@ -181,17 +185,35 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
     """Condition II's body on r = min(inter), tau = the rest, a = ord(q mod r)
     and q's ord(q mod s) table ``orders``, recorded in ``trace``.  Untraced,
     it is entered only for a family in ``_II_FAMILIES`` where some
-    ord(q mod s) differs from a, so it starts at the family's subcases."""
+    ord(q mod s) differs from a, and tests what the family's subcases need
+    of n and a first: most points fail there."""
     q, n, fam = g.q, g.n, g.family
-    if trace is not None:
-        _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
-        for s in tau:
-            _rec(trace, "ord(q mod s)", True, s=s, order=orders[s])
-        if not _rec(trace, "exists t in tau with ord(q,t) != a",
-                    any(orders[s] != a for s in tau)):
-            return None
-
     # (q^(r-1) - 1)_r = r iff q^a != 1 mod r^2, as r does not divide (r - 1)/a
+    if trace is None:
+        if fam == "A":
+            ok = (a == r - 1 and pow(q, a, r * r) != 1
+                  and all(orders[s] == r and n < r * s for s in tau))
+            return _floors(None, n, r, "II(a)", "II(b)") if ok else None
+        if fam == "2A":
+            ok = (all(orders[s] == 2 * r for s in tau) and pow(q, a, r * r) != 1
+                  and a == _unitary_order(r))
+            return _floors(None, n, r, *_II_UNITARY[r % 4]) if ok else None
+        # 2D: some ord(q mod s) is b and each is a or b: (g) b = n = 2a, (h) 2b = n = a
+        if n == 2 * a and a % 2:
+            tag, b = "II(g)", n
+        elif n == a and a % 4 == 2:
+            tag, b = "II(h)", a // 2
+        else:
+            return None
+        found = [orders[s] for s in tau]
+        return tag if b in found and set(found) <= {a, b} else None
+
+    _rec(trace, "a = ord(q mod r)", True, r=r, a=a)
+    for s in tau:
+        _rec(trace, "ord(q mod s)", True, s=s, order=orders[s])
+    if not _rec(trace, "exists t in tau with ord(q,t) != a",
+                any(orders[s] != a for s in tau)):
+        return None
     if fam == "A":
         b = r
         common = (
@@ -211,13 +233,9 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
             return None
         if not _rec(trace, "(q^(r-1)-1)_r == r", pow(q, a, r * r) != 1, q=q, r=r):
             return None
-        r_mod4 = r % 4
-        a_ok = a == _unitary_order(r)
-        _rec(trace, "a matches r mod 4 shape", a_ok, a=a, r_mod_4=r_mod4)
-        if not a_ok:
+        if not _rec(trace, "a matches r mod 4 shape", a == _unitary_order(r), a=a, r_mod_4=r % 4):
             return None
-        tags = ("II(c)", "II(e)") if r_mod4 == 1 else ("II(d)", "II(f)")
-        return _floors(trace, n, r, *tags)
+        return _floors(trace, n, r, *_II_UNITARY[r % 4])
 
     if fam == "2D":
         # (g): a odd, n = b = 2a; (h): b odd, n = a = 2b
@@ -289,25 +307,31 @@ def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...]
     c = ord(q mod r), recorded in ``trace``: the first of the family's rows
     that holds.  Untraced, it is entered only where every ord(q mod t) is c,
     so it starts at the rows."""
-    n = g.n
-    if trace is not None:
+    n, rows = g.n, _III_ROWS.get(g.family, ())
+    if trace is None:
+        for tag, test, bound in rows:
+            if ((test is None or c % test[1] == test[2])
+                    and (bound is None or all(bound[1](n, c, s) for s in tau))):
+                return tag
+    else:
         _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
         for t in tau:
             if not _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c):
                 return None
-    for tag, test, bound in _III_ROWS.get(g.family, ()):
-        if test is not None and not _rec(trace, test[0], c % test[1] == test[2], c=c):
-            continue
-        if bound is None or all(
-            _rec(trace, bound[0], bound[1](n, c, s), s=s, c=c, n=n) for s in tau
-        ):
-            return tag
+        for tag, test, bound in rows:
+            if test is not None and not _rec(trace, test[0], c % test[1] == test[2], c=c):
+                continue
+            if bound is None or all(
+                _rec(trace, bound[0], bound[1](n, c, s), s=s, c=c, n=n) for s in tau
+            ):
+                return tag
     if g.family in _III_EXCLUSIONS:
         tag, text, excluded = _III_EXCLUSIONS[g.family]
         ok = not any(r == r_ex and c in cs and any(t in tau for t in ts)
                      for r_ex, cs, ts in excluded)
-        if _rec(trace, text, ok, r=r, c=c):
-            return tag
+        if trace is not None:
+            _rec(trace, text, ok, r=r, c=c)
+        return tag if ok else None
     return None
 
 
@@ -339,11 +363,11 @@ def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | Non
     ``trace``."""
     subcase = {"2B2": "IV(a)", "2G2": "IV(b)", "2F4": "IV(c)"}[g.family]
     m = prod(inter)
+    if trace is None:
+        return subcase if any(value % m == 0 for _, value in _torus_prime_sets(g)) else None
     for label, value in _torus_prime_sets(g):
-        contained = value % m == 0
-        _rec(trace, "pi(S)-primes contained in pi(torus order)", contained,
-             torus=label, torus_order=value)
-        if contained:
+        if _rec(trace, "pi(S)-primes contained in pi(torus order)", value % m == 0,
+                torus=label, torus_order=value):
             return subcase
     return None
 
@@ -361,25 +385,27 @@ def _dpi_answers(g: GroupId, inters, trace: Trace | None = None) -> list[Answer]
     given; g's route, p and q's ord(q mod s) table are read once.  2 and p
     divide every |g| ``validate_simple`` accepts, so once |inter| >= 2 they
     lie in inter just where they lie in pi.  With p outside pi, r = inter[0]
-    and tau the rest: traced, II runs, then III where II fails; untraced,
-    one test of whether every s in tau has ord(q mod s) = ord(q mod r), II's
-    first test and III's, enters III if so, else II, and that only for a
-    family in ``_II_FAMILIES``: the traced run tests it too and ends on the
-    same answer."""
+    and tau the rest: traced, II runs, then III where II fails; untraced, one
+    test of whether every s in tau has ord(q mod s) = ord(q mod r), II's
+    first test and III's, enters III if so, else II for a family in
+    ``_II_FAMILIES``: the traced run tests it too, to the same answer."""
     p, orders = g.p, _order_table(g.q)
     suzuki_ree, has_II = g.family in SUZUKI_REE_FAMILIES, g.family in _II_FAMILIES
     answers = []
     for inter in inters:
         if len(inter) <= 1:
-            _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
+            if trace is not None:
+                _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
             answers.append(_TRIVIAL)
             continue
         if 2 in inter:
-            _rec(trace, "2 in pi: criterion not covered", True)
+            if trace is not None:
+                _rec(trace, "2 in pi: criterion not covered", True)
             answers.append(_OUT_OF_SCOPE)
             continue
         if suzuki_ree:
-            _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
+            if trace is not None:
+                _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
             sub = _condition_IV(trace, g, inter)
         elif p in inter:
             sub = "I" if _condition_I(trace, g, inter) else None
@@ -423,9 +449,9 @@ _E_MINUS_D_FAMILIES = ("A", "2A", *_EXCEPTIONAL_CASES)
 def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
                   orders: _Orders) -> str | None:
     """The classification for a Lie-type g with 2 outside ``inter`` =
-    pi inter pi(g), recorded in ``trace``.  It is entered only where D
-    fails on (g, inter), so |inter| >= 2.  The linear and unitary cases
-    read r, tau and q's table ``orders`` as Conditions II/III do."""
+    pi inter pi(g), entered only where D fails, so |inter| >= 2: recorded in
+    ``trace``, or untraced with no record, each branch stopping at its first
+    failing test.  A and 2A read r, tau and q's table ``orders`` as II does."""
     if trace is not None:
         _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter))
     q, n = g.q, g.n
@@ -445,17 +471,18 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
     fam = g.family
     if fam in ("A", "2A"):
         r, tau, a = inter[0], inter[1:], orders[inter[0]]
-        if trace is not None:
-            _rec(trace, "ord(q mod r)", True, r=r, order=a)
         if fam == "A":
             tag, b_req, a_req = "epi_case_2B(a)", 1, r - 1
-            shape_ok = True
         else:
             tag = "epi_case_2B(b)" if r % 4 == 1 else "epi_case_2B(c)"
             b_req, a_req = 2, _unitary_order(r)
-            shape_ok = _rec(trace, "r mod 4 shape", True, r_mod_4=r % 4)
+        if trace is None:
+            ok = (a == a_req and pow(q, a, r * r) != 1 and n // (r - 1) == n // r
+                  and all(orders[s] == b_req and n < s for s in tau))
+            return tag if ok else None
+        _rec(trace, "ord(q mod r)", True, r=r, order=a)
         ok = (
-            shape_ok
+            (fam == "A" or _rec(trace, "r mod 4 shape", True, r_mod_4=r % 4))
             and _rec(trace, "ord(q,r) as required", a == a_req, order=a, required=a_req)
             and _rec(trace, "(q^(r-1)-1)_r == r", pow(q, a, r * r) != 1, q=q, r=r)
             and _rec(trace, "[n/(r-1)] == [n/r]", n // (r - 1) == n // r, n=n, r=r)
@@ -479,22 +506,15 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
     if not contained:
         return None
     for tag, present, absent in rows:
-        oks = [_rec(trace, "t in pi inter pi(S)", t in inter, t=t) for t in present]
-        oks += [_rec(trace, "t not in pi inter pi(S)", t not in inter, t=t) for t in absent]
-        if all(oks):
+        if trace is None:
+            ok = all(t in inter for t in present) and not any(t in inter for t in absent)
+        else:
+            oks = [_rec(trace, "t in pi inter pi(S)", t in inter, t=t) for t in present]
+            oks += [_rec(trace, "t not in pi inter pi(S)", t not in inter, t=t) for t in absent]
+            ok = all(oks)
+        if ok:
             return tag
     return None
-
-
-def _classify_onan(pi: PrimeSet) -> tuple[str | None, Trace]:
-    """The classification's one sporadic row, kept until O'N has a
-    descriptor: epi_case_1 where pi inter pi(O'N) = {3, 5}, with its
-    one-record trace."""
-    trace: Trace = []
-    inter = sorted(t for t in pi if t in _O_N_PRIMES)
-    if _rec(trace, "pi inter pi(O'N) == {3,5}", inter == [3, 5], intersection=inter):
-        return "epi_case_1", trace
-    return None, trace
 
 
 def decide_epi(g: GroupId, pi: PrimeSet) -> Verdict:

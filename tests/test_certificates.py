@@ -13,6 +13,16 @@ outside pi at every row.
 An element whose order |G|_pi divides would refute an E-no row, so none of
 the sampled elements may have one there.  A row that no sampled element
 certifies is reported with its point, never dropped.
+
+The rows with p in pi come from ``--q 32..361``: q = p^f with p an odd
+scan prime and f >= 2 (49, 81, 121, 125, 169, 243, 289, 343, 361).
+Each E-yes row is certified by the subgroup of the Borel subgroup B (the
+stabiliser of infinity) generated by the translations x -> x + e, e in a
+GF(p)-basis, and x -> mu x, mu the pi-part of lambda^2: a pi-group of
+order q |lambda^2|_pi, which must be |G|_pi.  At each E-no row,
+|B|_pi != |G|_pi.  The range stops below 529 (0.1 s for G and as much for
+its certificates), 625 and 729 (0.3 and 0.75 s for the GF(q) tables), and
+841 and 961 (0.35-0.4 s per G), to keep the slice within 1 s.
 """
 
 import contextlib
@@ -26,10 +36,12 @@ import pytest
 from hallpi.arith import pi_part
 from hallpi.cli import main
 from hallpi.lie_catalog import group_order, parse_group_id
-from hallpi.perm_engine import DEFAULT_MAX_ORDER, PermGroup, _psl2, pmul
+from hallpi.perm_engine import _GF, DEFAULT_MAX_ORDER, PermGroup, _psl2, pmul
 
 _Q_RANGE = "37..199"
 _ORDER_BOUND = 10**7  # above |PSL_2(199)| = 3,940,200
+_BOREL_Q_RANGE = "32..361"
+_BOREL_ORDER_BOUND = 10**8  # above |PSL_2(361)| = 23,522,760
 _SAMPLES, _WORD_LENGTH, _SEED = 48, 24, 24
 
 
@@ -54,10 +66,10 @@ def _power(x: tuple, e: int) -> tuple:
     return result
 
 
-def _scan_rows(k: int) -> list[dict]:
+def _scan_rows(k: int, q_range: str = _Q_RANGE) -> list[dict]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert main(["scan", "--family", "A", "--n", "2", "--q", _Q_RANGE,
+        assert main(["scan", "--family", "A", "--n", "2", "--q", q_range,
                      "--pi-size", str(k)]) == 0
     return list(csv.DictReader(io.StringIO(out.getvalue())))
 
@@ -127,3 +139,65 @@ def test_no_sampled_element_refutes_an_e_no_row(sweep):
     for spec, pi, epi, hall, _, words in rows:
         if epi == "no":
             assert all(o % hall for _, o in words), (spec, pi)
+
+
+@pytest.fixture(scope="module")
+def borel_sweep():
+    """(group spec, pi, E answer, |G|_pi, G, B, lambda^2 x, the translations by
+    a GF(p)-basis) for every scan row with p in pi, and the groups built."""
+    groups = {}
+    rows = []
+    for k in (1, 2, 3):
+        for row in _scan_rows(k, _BOREL_Q_RANGE):
+            g = parse_group_id(row["group"])
+            pi = tuple(map(int, row["pi"].split(",")))
+            if g.p not in pi:
+                continue
+            if row["group"] not in groups:
+                gf, infinity = _GF(g.p, g.f), g.q
+                translations = [tuple(gf.add(x, g.p**i) for x in range(g.q)) + (infinity,)
+                                for i in range(g.f)]
+                gens = _psl2(g.p, g.f)
+                scale = gens[2]  # x -> lambda^2 x
+                G = PermGroup(g.q + 1, gens, order_bound=_BOREL_ORDER_BOUND)
+                B = PermGroup(g.q + 1, [*translations, scale], order_bound=_BOREL_ORDER_BOUND)
+                groups[row["group"]] = G, B, scale, translations
+            rows.append((row["group"], pi, row["epi"], pi_part(group_order(g), pi),
+                         *groups[row["group"]]))
+    return rows, groups
+
+
+def test_borel_groups_are_the_catalog_orders(borel_sweep):
+    """The nine q = p^f from 49 to 361 each give a PSL_2(q) of the catalog's
+    order holding the Borel subgroup B of order q(q - 1)/2."""
+    _, groups = borel_sweep
+    assert len(groups) == 9
+    for spec, (G, B, _, translations) in groups.items():
+        q = parse_group_id(spec).q
+        assert G.order == group_order(parse_group_id(spec)), spec
+        assert B.order == q * (q - 1) // 2, spec
+        assert all(G.contains(x) for x in B.generators), spec
+
+
+def test_e_yes_rows_with_p_in_pi_are_certified_by_borel_subgroups(borel_sweep):
+    """At each of the 26 E-yes rows with p in pi, the translations and
+    x -> mu x, mu the pi-part of lambda^2, generate a subgroup of G of
+    order |G|_pi: a Hall pi-subgroup.  The other 19 rows are E-no, and there
+    B's pi-part is not |G|_pi, so B holds no Hall pi-subgroup."""
+    rows, _ = borel_sweep
+    orders = {}  # (spec, mu) -> |<translations, mu>|, shared by rows of one pi-part
+    certified, e_no = [], 0
+    for spec, pi, epi, hall, G, B, scale, translations in rows:
+        q = parse_group_id(spec).q
+        if epi != "yes":
+            e_no += 1
+            assert pi_part(B.order, pi) != hall, (spec, pi)
+            continue
+        half = (q - 1) // 2  # the order of lambda^2
+        mu = _power(scale, half // pi_part(half, pi))
+        if (spec, mu) not in orders:
+            orders[spec, mu] = PermGroup(q + 1, [*translations, mu],
+                                         order_bound=_BOREL_ORDER_BOUND).order
+        assert orders[spec, mu] == hall and G.contains(mu), (spec, pi)
+        certified.append((spec, pi))
+    assert (len(certified), e_no) == (26, 19)

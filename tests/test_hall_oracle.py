@@ -314,7 +314,21 @@ D_OUTCOME_POINTS = [
     ("A:4:q=2", (3, 5), "no"),
     ("2A:3:q=4", (3, 5), "no"),
     ("B:4:q=7", (3, 5), "no"),  # E fails on a family with no E-minus-D row
+    ("2D:6:q=3", (7, 13), "yes"),  # II(h), past the untraced gates on n and a
+    ("2D:4:q=2", (3, 5), "no"),  # II(h)'s n == a fails, then III
 ]
+
+# the traced D records at the 2D points, which the untraced body rejects or
+# accepts on n and a before it reads tau: every record is still made
+_2D_GATES = [("a = ord(q mod r)", True), ("ord(q mod s)", True),
+             ("exists t in tau with ord(q,t) != a", True), ("a odd", False),
+             ("a even", True), ("a/2 odd", True)]
+D_TRACES = {
+    "2D:6:q=3": _2D_GATES + [("n == a", True), ("some ord(q,t) == a/2", True),
+                             ("ord(q,s) in {a/2, a}", True)],
+    "2D:4:q=2": _2D_GATES + [("n == a", False), ("c = ord(q mod r)", True),
+                             ("ord(q,t) == c", False)],
+}
 
 
 @pytest.mark.parametrize("spec, pi, holds", D_OUTCOME_POINTS,
@@ -329,6 +343,8 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
     gg, pi = g(spec), PrimeSet(pi)
     d = decide_dpi(gg, pi)
     assert d.holds == holds
+    if spec in D_TRACES:
+        assert records(d) == D_TRACES[spec]
     before = json.dumps(d.to_json(), sort_keys=True)
     inter = pi_intersection(pi, gg)
     (d_answer,) = hall_oracle._dpi_answers(gg, [inter])
@@ -343,6 +359,35 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
             assert records(e) == [("|pi inter pi(S)| >= 2", True)]
     e.trace.append({"pred": "C equals E for odd pi", "args": {}, "value": True})
     assert json.dumps(d.to_json(), sort_keys=True) == before
+
+
+def test_untraced_decisions_call_no_recorder(monkeypatch, capsys):
+    """An untraced body decides with plain tests and never calls ``_rec``:
+    over the exclusivity scan and ``hallpi scan`` of A, 2A and 2D (with
+    Condition II's subcases), B (Condition III and p in pi), E8 (the
+    exceptional E-minus-D rows) and 2B2 (Condition IV), no call is made
+    with no trace.  The public deciders still record a non-empty trace at
+    every D outcome point, each record through the wrapped recorder (E's
+    trace where D fails is its last records: D's are cleared)."""
+    untraced, traced = [], []
+
+    def counted(trace, pred, value, _rec=hall_oracle._rec, **args):
+        (untraced if trace is None else traced).append(pred)
+        return _rec(trace, pred, value, **args)
+    monkeypatch.setattr(hall_oracle, "_rec", counted)
+    verifier.exclusivity_scan()
+    for fam in ("A", "2A", "2D", "B", "E8", "2B2"):
+        for k in ("2", "3"):
+            argv = ["scan", "--family", fam, "--q", "2..16" if fam != "2B2" else "8..512",
+                    "--pi-size", k]
+            assert main(argv + (["--n", "2..8"] if fam in ("A", "2A", "2D", "B") else [])) == 0
+    capsys.readouterr()
+    assert untraced == []
+    for spec, pi, _ in D_OUTCOME_POINTS:
+        for decide in (decide_dpi, decide_epi):
+            traced.clear()
+            v = decide(g(spec), PrimeSet(pi))
+            assert v.trace and traced[-len(v.trace):] == [r["pred"] for r in v.trace], spec
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +517,7 @@ def test_untraced_decisions_answer_as_traced_ones(grid_verdicts):
             assert e == (traced_e.holds, traced_e.condition), (gg, inter)
             reached |= {d[1], e[1]}
     assert len(points) == 26428 + 9  # the 17,082 exclusivity points among them
-    assert reached - {None} == _written_tags() - {"epi_case_1"}
+    assert reached - {None} == _written_tags()
 
 
 _TAG = re.compile(r"I|II\([a-h]\)|III\([a-o]\)|IV\([a-c]\)|trivial_small_pi|epi_case_.+")
@@ -487,15 +532,14 @@ def _written_tags() -> set[str]:
 
 def test_every_subcase_tag_is_pinned(grid_verdicts):
     """Every condition tag written in hall_oracle is carried by a verdict on
-    the pinned scan points, on a witness above, or (O'N's epi_case_1) by the
-    sporadic classification, so no subcase goes unpinned."""
+    the pinned scan points or on a witness above, so no subcase goes
+    unpinned.  O'N's epi_case_1 is written in this file, with its row."""
     written = _written_tags()
     reached = {v.condition for _, _, e, _, d, _ in grid_verdicts for v in (d, e)}
     reached |= {tag for _, _, tag in UNSCANNED_WITNESSES}
-    reached.add(hall_oracle._classify_onan(PrimeSet([3, 5]))[0])
-    # I, II(a)-(h), III(a)-(o), IV(a)-(c), trivial_small_pi, epi_case_1,
-    # epi_case_2A and epi_case_2B(a)-(i)
-    assert len(written) == 39
+    # I, II(a)-(h), III(a)-(o), IV(a)-(c), trivial_small_pi, epi_case_2A
+    # and epi_case_2B(a)-(i)
+    assert len(written) == 38
     assert written == reached - {None}
 
 
@@ -524,11 +568,29 @@ def test_classification_case_2B_a():
     assert decide_dpi(g("A:3:q=11"), PrimeSet([3, 5])).holds == "no"
 
 
+# pi(O'N), the one sporadic group in the E-minus-D classification
+_O_N_PRIMES = (2, 3, 5, 7, 11, 19, 31)
+
+
+def _classify_onan(pi: PrimeSet) -> tuple[str | None, list]:
+    """The classification's one sporadic row, kept here until O'N has a
+    descriptor: epi_case_1 where pi inter pi(O'N) = {3, 5}, with its
+    one-record trace."""
+    trace = []
+    inter = sorted(t for t in pi if t in _O_N_PRIMES)
+    if hall_oracle._rec(trace, "pi inter pi(O'N) == {3,5}", inter == [3, 5],
+                        intersection=inter):
+        return "epi_case_1", trace
+    return None, trace
+
+
 def test_classification_onan():
-    tag, trace = hall_oracle._classify_onan(PrimeSet([3, 5]))
-    assert tag == "epi_case_1" and len(trace) == 1 and trace[0]["value"]
-    tag, _ = hall_oracle._classify_onan(PrimeSet([3, 7]))
-    assert tag is None
+    tag, trace = _classify_onan(PrimeSet([3, 5]))
+    assert tag == "epi_case_1"
+    assert trace == [{"pred": "pi inter pi(O'N) == {3,5}", "args": {"intersection": [3, 5]},
+                      "value": True}]
+    tag, trace = _classify_onan(PrimeSet([3, 7]))
+    assert tag is None and [r["value"] for r in trace] == [False]
 
 
 def test_epi_no_when_unclassified():
