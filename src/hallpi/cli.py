@@ -1,7 +1,7 @@
 """Command-line front end: decide, brute, scan, verify.
 
-Exit codes for decide/brute: 0 = yes/true, 1 = no/false, 2 = out of scope,
-3 and up = input or usage error.  verify exits nonzero on any disagreement.
+Exit codes: decide/brute 0 = yes/true, 1 = no/false, 2 = out of scope; verify
+1 = a disagreement; any 3 = input or usage error, 4 = stdout closed early.
 
 ``_COMMANDS`` describes each subcommand once, in one row: its help, its
 options and its handler.  As a query runs once per process, ``main`` reads a
@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .arith import DigitsError, PrimeSet, _distinct_prime_set, read_decimal
@@ -286,10 +287,17 @@ def main(argv=None) -> int:
     if args is None:
         args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command][2](args)
+        code = _COMMANDS[args.command][2](args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
     except (OrderLimitError, GroupSpecError, ValueError) as exc:
         print(f"hallpi: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # stdout now writes to devnull, so the flush at exit reports no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("hallpi: stdout was closed before the output was written", file=sys.stderr)
+        return 4
+    return code
 
 
 if __name__ == "__main__":

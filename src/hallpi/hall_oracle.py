@@ -19,16 +19,17 @@ Condition III's subcases (a)-(o) and the exceptional E-minus-D cases
 (arXiv:1504.03137), each read by one evaluator.  The trace records every
 predicate a row tests, in row order, up to the row that decides.
 
-An untraced decision calls no ``_rec``: each recording body has a ``trace
-is None`` branch that tests, in any order and up to the first that fails,
-predicates the traced body records.  A subcase is their conjunction, so
-both give the same answer; with p outside pi, a traced decision runs II,
-then III where II fails, and an untraced one tests every ord(q mod s)
-against ord(q mod r) once to pick the one that can still hold.
-ord(q mod s) is read from arith's one table per q, with no second
-primality test.  The primes of inter are distinct, so with m = prod(inter)
-all divide N exactly when m divides N, and none does exactly when
-gcd(N, m) = 1: an untraced body tests a prime set with one such operation.
+Conditions I and II and the classification's p in pi, A/2A and torus tests,
+which the scans enter thousands of times a pass, keep an untraced copy that
+tests, in any order and up to the first that fails, predicates the traced
+body records; Conditions III and IV, the [n/(r-1)] tail and the exceptional
+E-minus-D rows are one body each, as ``_rec`` records nothing with no list.
+A subcase is a conjunction, so both copies agree; ``_dpi_answers`` picks
+the condition an untraced decision enters.  ord(q mod s) is read from
+arith's one table per q, with no second primality test.  The primes of
+inter are distinct, so with m = prod(inter) all divide N exactly when m
+divides N, and none does exactly when gcd(N, m) = 1: an untraced copy tests
+a prime set with one such operation.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ _TRIVIAL, _OUT_OF_SCOPE, _NO = ("yes", "trivial_small_pi"), ("out_of_scope", Non
 _CYCLIC_HALL = ("II(g)", "II(h)")
 
 
-# a traced body's one recorder; an untraced body tests the bare values instead
+# every body's one recorder; with no list it records nothing
 def _rec(trace: Trace | None, pred: str, value: bool, **args: Any) -> bool:
     value = bool(value)
     if trace is not None:
@@ -139,8 +140,8 @@ def _condition_I(trace: Trace | None, g: GroupId, inter: PrimeSet) -> bool:
     ``trace``.  p never divides q - 1, so the first test skips it."""
     q, p = g.q, g.p
     w = weyl_order(g)
-    if trace is None:  # the rest divide q - 1 exactly when m divides (q - 1)p
-        m = prod(inter)
+    if trace is None:  # 8,092 entries per oracle-scan pass
+        m = prod(inter)  # the rest divide q - 1 exactly when m divides (q - 1)p
         return (q - 1) * p % m == 0 and gcd(w, m) == 1
     ok = True
     for t in inter.without(p):
@@ -154,11 +155,7 @@ def _floors(trace: Trace | None, n: int, r: int, equal_tag: str,
             off_by_one_tag: str) -> str | None:
     """The [n/(r-1)] tail of Condition II's A and 2A subcases: equal_tag
     where [n/(r-1)] = [n/r], off_by_one_tag where it is [n/r] + 1 and
-    n = -1 (mod r)."""
-    if trace is None:
-        if n // (r - 1) == n // r:
-            return equal_tag
-        return off_by_one_tag if n // (r - 1) == n // r + 1 and n % r == r - 1 else None
+    n = -1 (mod r).  One body, traced or not: 132 entries a scan pass."""
     if _rec(trace, "[n/(r-1)] == [n/r]", n // (r - 1) == n // r, n=n, r=r):
         return equal_tag
     if _rec(trace, "[n/(r-1)] == [n/r]+1", n // (r - 1) == n // r + 1, n=n, r=r) and _rec(
@@ -189,7 +186,7 @@ def _condition_II(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...],
     of n and a first: most points fail there."""
     q, n, fam = g.q, g.n, g.family
     # (q^(r-1) - 1)_r = r iff q^a != 1 mod r^2, as r does not divide (r - 1)/a
-    if trace is None:
+    if trace is None:  # 6,133 entries per oracle-scan pass
         if fam == "A":
             ok = (a == r - 1 and pow(q, a, r * r) != 1
                   and all(orders[s] == r and n < r * s for s in tau))
@@ -306,32 +303,25 @@ def _condition_III(trace: Trace | None, g: GroupId, r: int, tau: tuple[int, ...]
     """Condition III's body on the facts ``_condition_II`` takes, with
     c = ord(q mod r), recorded in ``trace``: the first of the family's rows
     that holds.  Untraced, it is entered only where every ord(q mod t) is c,
-    so it starts at the rows."""
-    n, rows = g.n, _III_ROWS.get(g.family, ())
-    if trace is None:
-        for tag, test, bound in rows:
-            if ((test is None or c % test[1] == test[2])
-                    and (bound is None or all(bound[1](n, c, s) for s in tau))):
-                return tag
-    else:
+    so it skips to the rows, which are one body, traced or not."""
+    n = g.n
+    if trace is not None:
         _rec(trace, "c = ord(q mod r)", True, r=r, c=c)
         for t in tau:
             if not _rec(trace, "ord(q,t) == c", orders[t] == c, t=t, c=c):
                 return None
-        for tag, test, bound in rows:
-            if test is not None and not _rec(trace, test[0], c % test[1] == test[2], c=c):
-                continue
-            if bound is None or all(
-                _rec(trace, bound[0], bound[1](n, c, s), s=s, c=c, n=n) for s in tau
-            ):
-                return tag
+    for tag, test, bound in _III_ROWS.get(g.family, ()):
+        if test is not None and not _rec(trace, test[0], c % test[1] == test[2], c=c):
+            continue
+        if bound is None or all(
+            _rec(trace, bound[0], bound[1](n, c, s), s=s, c=c, n=n) for s in tau
+        ):
+            return tag
     if g.family in _III_EXCLUSIONS:
         tag, text, excluded = _III_EXCLUSIONS[g.family]
         ok = not any(r == r_ex and c in cs and any(t in tau for t in ts)
                      for r_ex, cs, ts in excluded)
-        if trace is not None:
-            _rec(trace, text, ok, r=r, c=c)
-        return tag if ok else None
+        return tag if _rec(trace, text, ok, r=r, c=c) else None
     return None
 
 
@@ -360,11 +350,9 @@ def _torus_prime_sets(g: GroupId) -> list[tuple[str, int]]:
 
 def _condition_IV(trace: Trace | None, g: GroupId, inter: PrimeSet) -> str | None:
     """Condition IV's body on ``inter`` = pi inter pi(g), recorded in
-    ``trace``."""
+    ``trace``: one body, traced or not (79 entries a scan pass)."""
     subcase = {"2B2": "IV(a)", "2G2": "IV(b)", "2F4": "IV(c)"}[g.family]
     m = prod(inter)
-    if trace is None:
-        return subcase if any(value % m == 0 for _, value in _torus_prime_sets(g)) else None
     for label, value in _torus_prime_sets(g):
         if _rec(trace, "pi(S)-primes contained in pi(torus order)", value % m == 0,
                 torus=label, torus_order=value):
@@ -388,24 +376,22 @@ def _dpi_answers(g: GroupId, inters, trace: Trace | None = None) -> list[Answer]
     and tau the rest: traced, II runs, then III where II fails; untraced, one
     test of whether every s in tau has ord(q mod s) = ord(q mod r), II's
     first test and III's, enters III if so, else II for a family in
-    ``_II_FAMILIES``: the traced run tests it too, to the same answer."""
+    ``_II_FAMILIES``: the traced run tests it too, to the same answer.  Only
+    I and II run an untraced copy (the scans' traffic pays for it)."""
     p, orders = g.p, _order_table(g.q)
     suzuki_ree, has_II = g.family in SUZUKI_REE_FAMILIES, g.family in _II_FAMILIES
     answers = []
     for inter in inters:
         if len(inter) <= 1:
-            if trace is not None:
-                _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
+            _rec(trace, "|pi inter pi(S)| <= 1", True, intersection=list(inter))
             answers.append(_TRIVIAL)
             continue
         if 2 in inter:
-            if trace is not None:
-                _rec(trace, "2 in pi: criterion not covered", True)
+            _rec(trace, "2 in pi: criterion not covered", True)
             answers.append(_OUT_OF_SCOPE)
             continue
         if suzuki_ree:
-            if trace is not None:
-                _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
+            _rec(trace, "Suzuki/Ree family: routed to Condition IV", True, family=g.family)
             sub = _condition_IV(trace, g, inter)
         elif p in inter:
             sub = "I" if _condition_I(trace, g, inter) else None
@@ -449,16 +435,16 @@ _E_MINUS_D_FAMILIES = ("A", "2A", *_EXCEPTIONAL_CASES)
 def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
                   orders: _Orders) -> str | None:
     """The classification for a Lie-type g with 2 outside ``inter`` =
-    pi inter pi(g), entered only where D fails, so |inter| >= 2: recorded in
-    ``trace``, or untraced with no record, each branch stopping at its first
-    failing test.  A and 2A read r, tau and q's table ``orders`` as II does."""
+    pi inter pi(g), entered only where D fails, so |inter| >= 2, recorded in
+    ``trace``: each test but the exceptional rows has an untraced copy.  A
+    and 2A read r, tau and q's table ``orders`` as II does."""
     if trace is not None:
         _rec(trace, "|pi inter pi(S)| >= 2", len(inter) >= 2, intersection=list(inter))
     q, n = g.q, g.n
 
     if g.p in inter:
         p, w = g.p, weyl_order(g)
-        if trace is None:
+        if trace is None:  # 3,056 entries per oracle-scan pass
             rest = prod(inter) // p
             ok = w % p == 0 and (q - 1) % rest == 0 and gcd(w, rest) == 1
         else:
@@ -476,7 +462,7 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
         else:
             tag = "epi_case_2B(b)" if r % 4 == 1 else "epi_case_2B(c)"
             b_req, a_req = 2, _unitary_order(r)
-        if trace is None:
+        if trace is None:  # 1,683 entries per oracle-scan pass
             ok = (a == a_req and pow(q, a, r * r) != 1 and n // (r - 1) == n // r
                   and all(orders[s] == b_req and n < s for s in tau))
             return tag if ok else None
@@ -498,21 +484,17 @@ def _classify_lie(trace: Trace | None, g: GroupId, inter: PrimeSet,
         return None
     tori, rows = _EXCEPTIONAL_CASES[fam]
     order, m = {"q-1": q - 1, "q+1": q + 1}, prod(inter)
-    if trace is None:  # some value's residue mod m is 0, with no generator frame
+    if trace is None:  # 2,171 entries a pass; a zero residue mod m, with no generator frame
         contained = 0 in map(m.__rmod__, map(order.__getitem__, tori))
     else:
         contained = any(_rec(trace, "pi(S)-primes contained in pi(value)",
                              order[label] % m == 0, value_label=label) for label in tori)
     if not contained:
         return None
-    for tag, present, absent in rows:
-        if trace is None:
-            ok = all(t in inter for t in present) and not any(t in inter for t in absent)
-        else:
-            oks = [_rec(trace, "t in pi inter pi(S)", t in inter, t=t) for t in present]
-            oks += [_rec(trace, "t not in pi inter pi(S)", t not in inter, t=t) for t in absent]
-            ok = all(oks)
-        if ok:
+    for tag, present, absent in rows:  # fewer than 10 entries a pass
+        oks = [_rec(trace, "t in pi inter pi(S)", t in inter, t=t) for t in present]
+        oks += [_rec(trace, "t not in pi inter pi(S)", t not in inter, t=t) for t in absent]
+        if all(oks):
             return tag
     return None
 

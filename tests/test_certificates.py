@@ -23,20 +23,31 @@ order q |lambda^2|_pi, which must be |G|_pi.  At each E-no row,
 |B|_pi != |G|_pi.  The range stops below 529 (0.1 s for G and as much for
 its certificates), 625 and 729 (0.3 and 0.75 s for the GF(q) tables), and
 841 and 961 (0.35-0.4 s per G), to keep the slice within 1 s.
+
+Brute's D-no and C-no answers where E holds have a certificate too.  If H
+is a Hall pi-subgroup and K a pi-subgroup lying in no conjugate of H, the
+maximal pi-subgroup holding K is no conjugate of H, so D fails; C fails
+where K is a second Hall pi-subgroup.  K lies in H^g exactly when H holds
+g^-1 k g for each generator k of K, which ``PermGroup.contains`` on H
+tests, for g over the listed elements of G.  On alt:5-7, sym:5-6 and
+psl2:q for q = 7, 8, 11, 13, at every nonempty proper pi of pi(G) where
+brute E holds, each D-no and C-no answer must be so certified.
 """
 
 import contextlib
 import csv
 import io
+import itertools
 import math
 import random
 
 import pytest
 
-from hallpi.arith import pi_part
+from hallpi.arith import PrimeSet, is_prime, pi_part
 from hallpi.cli import main
 from hallpi.lie_catalog import group_order, parse_group_id
-from hallpi.perm_engine import _GF, DEFAULT_MAX_ORDER, PermGroup, _psl2, pmul
+from hallpi.perm_engine import (_GF, DEFAULT_MAX_ORDER, PermGroup, _psl2, brute_property,
+                                construct_named, perm_from_cycles, pinv, pmul)
 
 _Q_RANGE = "37..199"
 _ORDER_BOUND = 10**7  # above |PSL_2(199)| = 3,940,200
@@ -201,3 +212,53 @@ def test_e_yes_rows_with_p_in_pi_are_certified_by_borel_subgroups(borel_sweep):
         assert orders[spec, mu] == hall and G.contains(mu), (spec, pi)
         certified.append((spec, pi))
     assert (len(certified), e_no) == (26, 19)
+
+
+_NO_GROUPS = ("alt:5", "alt:6", "alt:7", "sym:5", "sym:6", "psl2:7", "psl2:8", "psl2:11",
+              "psl2:13")
+
+
+def _in_no_conjugate(G: PermGroup, K: list, H: PermGroup) -> bool:
+    """True where no g in G has H hold g^-1 k g for every generator k of K."""
+    return not any(all(H.contains(pmul(pmul(pinv(g), k), g)) for k in K)
+                   for g in G.elements())
+
+
+def _class(G: PermGroup, label: dict) -> list:
+    """The generators of a brute witness's class label, as permutations."""
+    return [perm_from_cycles(c, G.degree) for c in label["gens"]]
+
+
+def test_d_no_and_c_no_answers_where_e_holds_are_certified():
+    """At each of the 9 D-no points where E holds, the class K of D's witness
+    pair whose order is not |G|_pi (the second, where both have it) lies in
+    no conjugate of E's Hall witness H; at each of the 4 C-no points, the
+    second Hall class of C's pair lies in no conjugate of the first.  A
+    point left uncertified is listed, never dropped."""
+    d_points, c_points, not_certified = [], [], []
+    for spec in _NO_GROUPS:
+        G = construct_named(spec)
+        primes = [t for t in range(2, G.order + 1) if G.order % t == 0 and is_prime(t)]
+        for k in range(1, len(primes)):
+            for pi in map(PrimeSet, itertools.combinations(primes, k)):
+                e, e_witness = brute_property(G, pi, "E")
+                if not e:
+                    continue
+                d, d_witness = brute_property(G, pi, "D")
+                if not d:
+                    hall = pi_part(G.order, pi)
+                    pair = d_witness["witness_pair"]
+                    K = next((c for c in pair if c["order"] != hall), pair[1])
+                    H = PermGroup(G.degree, _class(G, e_witness["hall"]))
+                    d_points.append((spec, pi))
+                    if not _in_no_conjugate(G, _class(G, K), H):
+                        not_certified.append(("D", spec, pi))
+                c, c_witness = brute_property(G, pi, "C")
+                if not c:
+                    first, second = c_witness["witness_pair"]
+                    c_points.append((spec, pi))
+                    if not _in_no_conjugate(G, _class(G, second),
+                                            PermGroup(G.degree, _class(G, first))):
+                        not_certified.append(("C", spec, pi))
+    assert not_certified == []
+    assert (len(d_points), len(c_points)) == (9, 4), (d_points, c_points)

@@ -4,6 +4,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -960,3 +963,30 @@ def test_other_lines_build_the_full_parser_once(capsys, monkeypatch, case):
     assert len(built) == 1
     outcome(capsys, _BRUTE)
     assert len(built) == 1
+
+
+# ---------------------------------------------------------------------------
+# a closed stdout
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["write-through", "buffered"])
+@pytest.mark.parametrize("argv", [["decide", "--group", "A:2:q=7", "--pi", "3,7", "--prop", "dpi"],
+                                  ["verify", "all"]], ids=["decide", "verify-all"])
+def test_a_closed_stdout_exits_four_with_one_line(argv, unbuffered):
+    """A reader that closed stdout before the command writes, as ``head``
+    does, is no disagreement and no "no": the command exits 4 with one
+    ``hallpi:`` line on stderr and no traceback, whether stdout writes
+    through (PYTHONUNBUFFERED set) or is flushed at the end."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # no reader is left when the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "hallpi.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.splitlines() == ["hallpi: stdout was closed before the output was written"]

@@ -361,28 +361,61 @@ def test_deriving_from_a_dpi_verdict_leaves_it_unchanged(spec, pi, holds):
     assert json.dumps(d.to_json(), sort_keys=True) == before
 
 
-def test_untraced_decisions_call_no_recorder(monkeypatch, capsys):
-    """An untraced body decides with plain tests and never calls ``_rec``:
-    over the exclusivity scan and ``hallpi scan`` of A, 2A and 2D (with
-    Condition II's subcases), B (Condition III and p in pi), E8 (the
-    exceptional E-minus-D rows) and 2B2 (Condition IV), no call is made
-    with no trace.  The public deciders still record a non-empty trace at
-    every D outcome point, each record through the wrapped recorder (E's
-    trace where D fails is its last records: D's are cleared)."""
-    untraced, traced = [], []
+# The untraced ``_rec`` calls by predicate, all from the bodies with no
+# untraced copy: Conditions I and II and the classification's p in pi, A/2A
+# and torus tests keep one, so none of their predicates is here.
+UNTRACED_EXCLUSIVITY = collections.Counter({
+    # the [n/(r-1)] tail
+    "[n/(r-1)] == [n/r]": 68, "[n/(r-1)] == [n/r]+1": 36, "n == -1 mod r": 36,
+    # Condition III's rows and exclusion rows
+    "c even": 199, "c odd": 144, "c == 0 mod 4": 39, "c == 2 mod 4": 30,
+    "n < c*s": 142, "n <= c*s": 20, "2n < c*s": 111, "2n <= c*s": 22, "n < 2*c*s": 12,
+    "not (r=3, c=1 with 5 or 13 in tau)": 15, "not (r=3, c=2 with 5 or 13 in tau)": 14,
+    "not (r=3, c=1 with 13 in tau)": 13, "E7 exclusion lists": 16, "E8 exclusion lists": 16,
+    # the dispatch's Suzuki/Ree route and Condition IV's tori
+    "Suzuki/Ree family: routed to Condition IV": 55,
+    "pi(S)-primes contained in pi(torus order)": 317,
+})
+UNTRACED_SCANS = collections.Counter({
+    "[n/(r-1)] == [n/r]": 64, "[n/(r-1)] == [n/r]+1": 36, "n == -1 mod r": 30,
+    "c even": 83, "c odd": 74, "c == 0 mod 4": 25, "c == 2 mod 4": 15,
+    "n < c*s": 86, "n <= c*s": 26, "2n < c*s": 24, "n < 2*c*s": 15, "E8 exclusion lists": 8,
+    "Suzuki/Ree family: routed to Condition IV": 10,
+    "pi(S)-primes contained in pi(torus order)": 29,
+    # the exceptional E-minus-D rows
+    "t in pi inter pi(S)": 4, "t not in pi inter pi(S)": 4,
+})
+
+
+def test_untraced_decisions_record_only_in_one_body_conditions(monkeypatch, capsys):
+    """An untraced decision calls ``_rec`` only from a body with no untraced
+    copy, each call recording nothing: over the exclusivity scan (1,305
+    calls) and ``hallpi scan`` of A, 2A and 2D (with Condition II's
+    subcases), B (Condition III and p in pi), E8 (the exceptional
+    E-minus-D rows) and 2B2 (Condition IV) (533 calls), the calls are
+    exactly these, by predicate.  The public deciders still record a
+    non-empty trace at every D outcome point, each record through the
+    wrapped recorder (E's trace where D fails is its last records: D's are
+    cleared)."""
+    untraced, traced = collections.Counter(), []
 
     def counted(trace, pred, value, _rec=hall_oracle._rec, **args):
-        (untraced if trace is None else traced).append(pred)
+        if trace is None:
+            untraced[pred] += 1
+        else:
+            traced.append(pred)
         return _rec(trace, pred, value, **args)
     monkeypatch.setattr(hall_oracle, "_rec", counted)
     verifier.exclusivity_scan()
+    assert untraced == UNTRACED_EXCLUSIVITY and untraced.total() == 1305
+    untraced.clear()
     for fam in ("A", "2A", "2D", "B", "E8", "2B2"):
         for k in ("2", "3"):
             argv = ["scan", "--family", fam, "--q", "2..16" if fam != "2B2" else "8..512",
                     "--pi-size", k]
             assert main(argv + (["--n", "2..8"] if fam in ("A", "2A", "2D", "B") else [])) == 0
     capsys.readouterr()
-    assert untraced == []
+    assert untraced == UNTRACED_SCANS and untraced.total() == 533
     for spec, pi, _ in D_OUTCOME_POINTS:
         for decide in (decide_dpi, decide_epi):
             traced.clear()
